@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "util/assert.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ebv::core {
 
@@ -82,27 +81,6 @@ void BitVectorSet::spend_shard(std::size_t shard_index, const SpentRecord* recor
         } else {
             account_add(shard, it->second);
         }
-    }
-}
-
-void BitVectorSet::spend_batch(const std::vector<SpentRecord>& spends,
-                               util::ThreadPool* pool) {
-    std::array<std::vector<SpentRecord>, kShardCount> by_shard;
-    for (const SpentRecord& rec : spends) by_shard[shard_of(rec.height)].push_back(rec);
-
-    std::array<std::size_t, kShardCount> active{};
-    std::size_t active_count = 0;
-    for (std::size_t s = 0; s < kShardCount; ++s)
-        if (!by_shard[s].empty()) active[active_count++] = s;
-
-    const auto apply = [&](std::size_t i) {
-        const std::size_t s = active[i];
-        spend_shard(s, by_shard[s].data(), by_shard[s].size());
-    };
-    if (pool != nullptr) {
-        pool->parallel_for(active_count, apply);
-    } else {
-        for (std::size_t i = 0; i < active_count; ++i) apply(i);
     }
 }
 

@@ -21,10 +21,6 @@
 
 #include "core/bitvector.hpp"
 
-namespace ebv::util {
-class ThreadPool;
-}
-
 namespace ebv::core {
 
 enum class UvError {
@@ -68,11 +64,6 @@ public:
     /// (asserted). Calls on *distinct* shards may run concurrently — they
     /// touch disjoint maps and disjoint accounting.
     void spend_shard(std::size_t shard, const SpentRecord* records, std::size_t count);
-
-    /// Partition `spends` by shard and apply them, one parallel task per
-    /// populated shard when `pool` is given (serially otherwise).
-    void spend_batch(const std::vector<SpentRecord>& spends,
-                     util::ThreadPool* pool = nullptr);
 
     /// Reorg support: set a bit back to unspent. `vector_size` recreates
     /// the vector if it had been deleted as fully spent (all other bits are

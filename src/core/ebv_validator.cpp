@@ -1,20 +1,13 @@
 #include "core/ebv_validator.hpp"
 
-#include <atomic>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
-#include <unordered_set>
 
 #include "chain/amount.hpp"
 #include "core/sig_cache.hpp"
-#include "core/sv_batcher.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/parse_memo.hpp"
 #include "crypto/sha256.hpp"
 #include "util/assert.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace ebv::core {
 
@@ -165,425 +158,6 @@ bool sighash_template_enabled(const EbvValidatorOptions& options) {
         return v == nullptr || std::strtoul(v, nullptr, 10) != 0;  // default ON
     }();
     return env_default;
-}
-
-namespace {
-
-class PhaseTimer {
-public:
-    explicit PhaseTimer(util::TimeCost& target) : target_(target) {}
-    ~PhaseTimer() { target_.wall_ns += watch_.elapsed_ns(); }
-
-private:
-    util::TimeCost& target_;
-    util::Stopwatch watch_;
-};
-
-struct SpentKey {
-    std::uint64_t packed;
-    friend bool operator==(const SpentKey&, const SpentKey&) = default;
-};
-struct SpentKeyHasher {
-    std::size_t operator()(const SpentKey& k) const {
-        return std::hash<std::uint64_t>{}(k.packed);
-    }
-};
-
-SpentKey spent_key(std::uint32_t height, std::uint32_t position) {
-    return SpentKey{static_cast<std::uint64_t>(height) << 32 | position};
-}
-
-/// Registry handles, resolved once; values survive Registry::reset().
-struct EbvMetrics {
-    obs::Counter& connects;
-    obs::Counter& rejects;
-    obs::Counter& txs;
-    obs::Counter& inputs;
-    obs::Counter& outputs;
-    obs::Counter& proof_bytes;
-    obs::Counter& pool_tasks;
-    obs::Counter& pool_local_pops;
-    obs::Counter& pool_steals;
-    obs::Counter& pool_steal_attempts;
-    obs::Counter& sighash_bytes_saved;
-    obs::Gauge& sha256_impl;
-    obs::Histogram& ev_ns;
-    obs::Histogram& uv_ns;
-    obs::Histogram& sv_ns;
-    obs::Histogram& update_ns;
-    obs::Histogram& other_ns;
-    obs::Histogram& total_ns;
-    obs::Histogram& pool_steal_ns;
-    obs::Histogram& pool_barrier_wait_ns;
-    obs::Histogram& sv_parallel_ns;
-
-    static EbvMetrics& get() {
-        static EbvMetrics m{
-            obs::Registry::global().counter("ebv.block.connects"),
-            obs::Registry::global().counter("ebv.block.rejects"),
-            obs::Registry::global().counter("ebv.block.txs"),
-            obs::Registry::global().counter("ebv.block.inputs"),
-            obs::Registry::global().counter("ebv.block.outputs"),
-            obs::Registry::global().counter("ebv.block.proof_bytes"),
-            obs::Registry::global().counter("ebv.pool.tasks"),
-            obs::Registry::global().counter("ebv.pool.local_pops"),
-            obs::Registry::global().counter("ebv.pool.steals"),
-            obs::Registry::global().counter("ebv.pool.steal_attempts"),
-            obs::Registry::global().counter("ebv.crypto.sighash_bytes_saved"),
-            obs::Registry::global().gauge("ebv.crypto.sha256_impl"),
-            obs::Registry::global().histogram("ebv.block.ev_ns"),
-            obs::Registry::global().histogram("ebv.block.uv_ns"),
-            obs::Registry::global().histogram("ebv.block.sv_ns"),
-            obs::Registry::global().histogram("ebv.block.update_ns"),
-            obs::Registry::global().histogram("ebv.block.other_ns"),
-            obs::Registry::global().histogram("ebv.block.total_ns"),
-            obs::Registry::global().histogram("ebv.pool.steal_ns"),
-            obs::Registry::global().histogram("ebv.pool.barrier_wait_ns"),
-            obs::Registry::global().histogram("ebv.block.sv_parallel_ns"),
-        };
-        return m;
-    }
-};
-
-}  // namespace
-
-util::Result<EbvTimings, EbvValidationFailure> EbvValidator::connect_block(
-    const EbvBlock& block, std::uint32_t height) {
-    // The block's causal span: worker-side per-input spans and the per-stage
-    // aggregates below nest under it (workers inherit this context through
-    // the ThreadPool hooks), and it nests under whatever the caller has open.
-    obs::ScopedSpan block_span("ebv.block", "block");
-    block_span.set_value(height);
-    auto result = connect_block_impl(block, height);
-    EbvMetrics& m = EbvMetrics::get();
-    m.sha256_impl.set(crypto::sha256_impl_index());
-    if (!result) {
-        m.rejects.inc();
-        return result;
-    }
-
-    const EbvTimings& t = *result;
-    m.connects.inc();
-    m.txs.inc(block.txs.size());
-    m.inputs.inc(t.inputs);
-    m.outputs.inc(t.outputs);
-    std::uint64_t proof_bytes = 0;
-    for (const EbvTransaction& tx : block.txs) {
-        for (const EbvInput& in : tx.inputs) {
-            proof_bytes += in.mbr.byte_size() + in.els.serialized_size();
-        }
-    }
-    m.proof_bytes.inc(proof_bytes);
-    m.ev_ns.observe(t.ev.total_ns());
-    m.uv_ns.observe(t.uv.total_ns());
-    m.sv_ns.observe(t.sv.total_ns());
-    m.update_ns.observe(t.update.total_ns());
-    m.other_ns.observe(t.other.total_ns());
-    m.total_ns.observe(t.total().total_ns());
-
-    obs::Tracer& tracer = obs::Tracer::global();
-    if (tracer.enabled()) {
-        tracer.record("ebv.block.ev", t.ev);
-        tracer.record("ebv.block.uv", t.uv);
-        tracer.record("ebv.block.sv", t.sv);
-        tracer.record("ebv.block.update", t.update);
-        tracer.record("ebv.block.total", t.total());
-    }
-    return result;
-}
-
-util::Result<EbvTimings, EbvValidationFailure> EbvValidator::connect_block_impl(
-    const EbvBlock& block, std::uint32_t height) {
-    EbvTimings timings;
-    timings.inputs = block.input_count();
-    timings.outputs = block.output_count();
-
-    // ---- Structural checks ("others") ------------------------------------
-    {
-        PhaseTimer timer(timings.other);
-        if (auto failure = check_block_structure(block, params_))
-            return util::Unexpected{*failure};
-    }
-
-    // ---- Fused parallel proof checking: EV + SV per input ------------------
-    // One job per input runs the whole proof-bound pipeline (leaf hash →
-    // fold_branch → root compare → verify_script); UV, double-spend, and
-    // value rules stay serial below because they touch shared state and are
-    // cheap. Failure reporting is deterministic: verdicts are recorded per
-    // input and resolved in input order after the barrier, so 1-thread and
-    // N-thread runs reject with identical (tx, input, error) tuples.
-    struct InputJob {
-        std::size_t tx_index;
-        std::size_t input_index;
-        const EbvTransaction* tx;
-        const EbvInput* in;
-    };
-    std::vector<InputJob> jobs;
-    jobs.reserve(timings.inputs);
-    for (std::size_t t = 1; t < block.txs.size(); ++t) {
-        const EbvTransaction& tx = block.txs[t];
-        for (std::size_t i = 0; i < tx.inputs.size(); ++i)
-            jobs.push_back(InputJob{t, i, &tx, &tx.inputs[i]});
-    }
-
-    struct InputResult {
-        EvStatus ev = EvStatus::kOk;
-        script::ScriptError script = script::ScriptError::kOk;
-    };
-    std::vector<InputResult> results(jobs.size());
-
-    // Lowest failing job index per phase, maintained with a CAS-min. A job
-    // may be skipped only when its index is above the current EV minimum:
-    // the minimum only ever decreases, so every job below the final minimum
-    // was fully evaluated and the resolution below is thread-count-invariant.
-    std::atomic<std::size_t> first_ev_fail{jobs.size()};
-    std::atomic<std::size_t> first_sv_fail{jobs.size()};
-    const auto cas_min = [](std::atomic<std::size_t>& target, std::size_t value) {
-        std::size_t cur = target.load(std::memory_order_relaxed);
-        while (value < cur &&
-               !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-        }
-    };
-
-    const bool verify_scripts = options_.verify_scripts;
-    const std::size_t slots =
-        options_.script_pool != nullptr ? options_.script_pool->thread_count() : 1;
-    // Per-slot busy time: each slot is owned by one thread at a time, so no
-    // synchronization is needed; used to apportion the pass's wall time.
-    std::vector<std::uint64_t> ev_busy(slots, 0);
-    std::vector<std::uint64_t> sv_busy(slots, 0);
-
-    // Deferred batched signature checking (docs/CRYPTO.md): SV jobs record
-    // signature triples per slot and resolve through crypto::verify_batch;
-    // resolve_sv writes the same verdict slots + CAS-min the inline path
-    // does, so the resolution below is identical either way.
-    const auto resolve_sv = [&](std::size_t j, script::ScriptError err) {
-        if (err != script::ScriptError::kOk) {
-            results[j].script = err;
-            cas_min(first_sv_fail, j);
-        }
-    };
-    std::optional<SvBatcher> batcher;
-    if (verify_scripts && batch_verify_enabled(options_))
-        batcher.emplace(slots, resolve_sv, options_.sigcache);
-
-    // Per-transaction sighash templates, built lazily by whichever worker
-    // first reaches one of the transaction's inputs and shared by the rest
-    // (the template is immutable after construction). once_flag is neither
-    // movable nor copyable, so the array lives behind a unique_ptr.
-    const bool use_template = verify_scripts && sighash_template_enabled(options_);
-    std::vector<std::unique_ptr<TxSighashCache>> caches(use_template ? block.txs.size() : 0);
-    const auto cache_once =
-        use_template ? std::make_unique<std::once_flag[]>(block.txs.size()) : nullptr;
-
-    const bool trace_detail = obs::Tracer::global().detail();
-    const auto record_detail = [](const char* name, util::Nanoseconds ns) {
-        util::TimeCost cost;
-        cost.wall_ns = ns;
-        obs::Tracer::global().record(name, cost);
-    };
-
-    const auto check_input = [&](std::size_t slot, std::size_t j) {
-        if (j > first_ev_fail.load(std::memory_order_relaxed)) return;
-        const InputJob& job = jobs[j];
-        const EbvInput& in = *job.in;
-
-        // EV: the referenced output must exist in a stored block.
-        util::Stopwatch watch;
-        const EvStatus ev = ev_check_input(in, headers_.at(in.height), height);
-        const auto ev_ns = watch.elapsed_ns();
-        ev_busy[slot] += ev_ns;
-        if (trace_detail) record_detail("ebv.ev.input", ev_ns);
-        if (ev != EvStatus::kOk) {
-            results[j].ev = ev;
-            cas_min(first_ev_fail, j);
-            return;
-        }
-
-        // SV, fused into the same job while the input is cache-hot.
-        if (!verify_scripts || j > first_sv_fail.load(std::memory_order_relaxed)) return;
-        watch.restart();
-        const TxSighashCache* cache = nullptr;
-        if (use_template && job.tx->inputs.size() >= kSighashCacheMinInputs) {
-            // Template construction counts as SV time (it replaces the
-            // per-input serialization the naive path would spend there).
-            std::call_once(cache_once[job.tx_index], [&] {
-                caches[job.tx_index] = std::make_unique<TxSighashCache>(*job.tx);
-            });
-            cache = caches[job.tx_index].get();
-        }
-        if (batcher) {
-            batcher->check(slot, j, *job.tx, job.input_index, cache);
-        } else {
-            resolve_sv(j, sv_check_input(*job.tx, job.input_index, cache, options_.sigcache));
-        }
-        const auto sv_ns = watch.elapsed_ns();
-        sv_busy[slot] += sv_ns;
-        if (trace_detail) record_detail("ebv.sv.input", sv_ns);
-    };
-
-    util::PoolStats pool_before{};
-    if (options_.script_pool != nullptr) pool_before = options_.script_pool->stats();
-    util::Stopwatch pass_watch;
-    if (options_.script_pool != nullptr) {
-        options_.script_pool->parallel_for_slots(jobs.size(), check_input);
-    } else {
-        for (std::size_t j = 0; j < jobs.size(); ++j) check_input(0, j);
-    }
-    if (batcher) {
-        // Drain the below-target remainders on the caller's thread; still
-        // SV work, so it stays inside the pass wall clock.
-        util::Stopwatch flush_watch;
-        batcher->flush_all();
-        sv_busy[0] += flush_watch.elapsed_ns();
-    }
-    const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
-
-    // Apportion the pass's wall time between EV and SV in proportion to the
-    // per-slot busy time, so EbvTimings::total() stays wall-clock and the
-    // parallel speedup is visible in the per-phase figures.
-    {
-        std::uint64_t ev_total = 0;
-        std::uint64_t sv_total = 0;
-        for (std::size_t s = 0; s < slots; ++s) {
-            ev_total += ev_busy[s];
-            sv_total += sv_busy[s];
-        }
-        if (ev_total + sv_total > 0) {
-            const auto ev_share = static_cast<util::Nanoseconds>(
-                static_cast<double>(pass_wall) * static_cast<double>(ev_total) /
-                static_cast<double>(ev_total + sv_total));
-            timings.ev.wall_ns += ev_share;
-            timings.sv.wall_ns += pass_wall - ev_share;
-        } else {
-            timings.ev.wall_ns += pass_wall;
-        }
-    }
-
-    {
-        EbvMetrics& m = EbvMetrics::get();
-        if (use_template) {
-            std::uint64_t saved = 0;
-            for (const auto& cache : caches)
-                if (cache) saved += cache->bytes_saved();
-            if (saved > 0) m.sighash_bytes_saved.inc(saved);
-        }
-        if (options_.script_pool != nullptr) {
-            const util::PoolStats pool_after = options_.script_pool->stats();
-            m.pool_tasks.inc(pool_after.tasks - pool_before.tasks);
-            // `barrier_wait_ns` was exported as ebv.pool.steal_ns before the
-            // stealing scheduler existed; the latter now reports real steal
-            // time (docs/OBSERVABILITY.md).
-            m.pool_barrier_wait_ns.observe(static_cast<std::int64_t>(
-                pool_after.barrier_wait_ns - pool_before.barrier_wait_ns));
-            m.pool_steal_ns.observe(
-                static_cast<std::int64_t>(pool_after.steal_ns - pool_before.steal_ns));
-            m.pool_local_pops.inc(pool_after.local_pops - pool_before.local_pops);
-            m.pool_steals.inc(pool_after.steals - pool_before.steals);
-            m.pool_steal_attempts.inc(pool_after.steal_attempts -
-                                      pool_before.steal_attempts);
-        }
-        for (std::size_t s = 0; s < slots; ++s)
-            if (sv_busy[s] > 0) m.sv_parallel_ns.observe(static_cast<std::int64_t>(sv_busy[s]));
-    }
-
-    // ---- Serial resolution: UV, double-spend, value rules, verdicts --------
-    // Walks inputs in order, interleaving the parallel pass's EV verdicts
-    // with the shared-state checks, so the reported failure is exactly the
-    // one the serial pipeline would hit first.
-    std::unordered_set<SpentKey, SpentKeyHasher> spent_in_block;
-    chain::Amount total_fees = 0;
-
-    {
-        std::size_t j = 0;
-        for (std::size_t t = 1; t < block.txs.size(); ++t) {
-            const EbvTransaction& tx = block.txs[t];
-            chain::Amount value_in = 0;
-
-            for (std::size_t i = 0; i < tx.inputs.size(); ++i, ++j) {
-                const EbvInput& in = tx.inputs[i];
-
-                if (results[j].ev != EvStatus::kOk) {
-                    return util::Unexpected{
-                        EbvValidationFailure{to_ebv_error(results[j].ev), t, i}};
-                }
-
-                // UV: the bit at the (authenticated) absolute position must be 1.
-                {
-                    PhaseTimer timer(timings.uv);
-                    const std::uint32_t position = in.absolute_position();
-                    if (!spent_in_block.insert(spent_key(in.height, position)).second) {
-                        return util::Unexpected{
-                            EbvValidationFailure{EbvError::kDoubleSpendInBlock, t, i}};
-                    }
-                    if (auto status = status_.check_unspent(in.height, position); !status) {
-                        return util::Unexpected{
-                            EbvValidationFailure{EbvError::kUnspentFailed, t, i}};
-                    }
-                }
-
-                // Value and maturity rules ("others").
-                {
-                    PhaseTimer timer(timings.other);
-                    if (in.els.is_coinbase() &&
-                        height < in.height + params_.coinbase_maturity) {
-                        return util::Unexpected{
-                            EbvValidationFailure{EbvError::kImmatureCoinbaseSpend, t, i}};
-                    }
-                    // Guarded accumulation: the referenced values are
-                    // EV-authenticated, but nothing bounds their *sum* —
-                    // unchecked += is the classic inflation overflow.
-                    if (!chain::add_money(value_in, in.els.outputs[in.out_index].value)) {
-                        return util::Unexpected{
-                            EbvValidationFailure{EbvError::kValueOutOfRange, t, i}};
-                    }
-                }
-            }
-
-            {
-                PhaseTimer timer(timings.other);
-                const chain::Amount value_out = tx.total_output_value();
-                if (value_in < value_out)
-                    return util::Unexpected{EbvValidationFailure{EbvError::kNegativeFee, t}};
-                if (!chain::add_money(total_fees, value_in - value_out))
-                    return util::Unexpected{
-                        EbvValidationFailure{EbvError::kValueOutOfRange, t}};
-            }
-        }
-    }
-
-    {
-        PhaseTimer timer(timings.other);
-        const chain::Amount allowed = params_.subsidy_at(height) + total_fees;
-        if (block.txs[0].total_output_value() > allowed)
-            return util::Unexpected{
-                EbvValidationFailure{EbvError::kCoinbaseValueTooHigh, 0}};
-    }
-
-    // SV verdicts form their own phase after all EV/UV/value checks, keeping
-    // the historical phase order of the serial pipeline.
-    if (verify_scripts) {
-        const std::size_t j = first_sv_fail.load(std::memory_order_relaxed);
-        if (j < jobs.size()) {
-            return util::Unexpected{EbvValidationFailure{
-                EbvError::kScriptFailure, jobs[j].tx_index, jobs[j].input_index,
-                results[j].script}};
-        }
-    }
-
-    // ---- Block storage: update the bit-vector set (§IV-E1) -----------------
-    {
-        PhaseTimer timer(timings.update);
-        status_.insert_block(height, static_cast<std::uint32_t>(block.output_count()));
-        for (std::size_t t = 1; t < block.txs.size(); ++t) {
-            for (const EbvInput& in : block.txs[t].inputs) {
-                const auto spent = status_.spend(in.height, in.absolute_position());
-                EBV_ASSERT(spent.has_value());  // UV above guarantees this
-            }
-        }
-    }
-
-    return timings;
 }
 
 }  // namespace ebv::core

@@ -1,4 +1,4 @@
-// The EBV block-validation pipeline (paper §IV-D): per input,
+// The per-input checks of EBV block validation (paper §IV-D): per input,
 //   EV — fold the Merkle branch from the ELs leaf and compare against the
 //        stored header's root at the claimed height;
 //   UV — test the bit at the input's absolute position in the bit-vector
@@ -6,20 +6,19 @@
 //   SV — run Us against the locking script inside ELs.
 // No step touches the disk: headers and bit-vectors are memory-resident and
 // the proof data arrives with the transaction. Block storage then updates
-// the bit-vector set (§IV-E).
+// the bit-vector set (§IV-E). The engine that runs these checks over whole
+// blocks is ibd::Pipeline (ibd/pipeline.hpp); TxPool runs them per
+// transaction.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 
-#include "chain/header_index.hpp"
 #include "chain/params.hpp"
-#include "core/bitvector_set.hpp"
 #include "core/ebv_transaction.hpp"
 #include "core/sighash_cache.hpp"
 #include "script/interpreter.hpp"
-#include "util/result.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
@@ -61,17 +60,13 @@ struct EbvValidationFailure {
                            const EbvValidationFailure&) = default;
 };
 
-// ---- Shared per-input / per-block checks -----------------------------------
-// The serial validator below and the inter-block IBD pipeline (`ebv::ibd`)
-// run exactly these checks; sharing them is what makes "pipelined rejects
-// identically to serial" a structural property rather than a test-enforced
-// coincidence.
+// ---- Per-input / per-block checks -------------------------------------------
 
 /// Per-input Existence Validation verdict, recorded out of order by the
 /// parallel pass and resolved in input order afterwards.
 enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExistenceFailed };
 
-/// Map a non-kOk EV verdict to the error a serial pipeline reports.
+/// Map a non-kOk EV verdict to the error a block validation reports.
 [[nodiscard]] EbvError to_ebv_error(EvStatus status);
 
 /// EV for one input: the spent output must live in a block strictly below
@@ -94,12 +89,16 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
 
 /// The stateless structural pass: coinbase shape, stake-position
 /// assignment, output-value ranges, and the block's own Merkle root.
-/// Returns the failure a serial connect_block would report, or nullopt.
+/// Returns the first structural failure, or nullopt.
 [[nodiscard]] std::optional<EbvValidationFailure> check_block_structure(
     const EbvBlock& block, const chain::ChainParams& params);
 
-/// Per-block timing breakdown, the unit of Figs 15/16b/17b. `update` is the
-/// bit-vector maintenance of block storage; figures fold it into "others".
+/// Timing breakdown of a block (or a window of blocks), the unit of Figs
+/// 15/16b/17b. EV and SV split the fused parallel pass's wall time by
+/// per-slot busy time; UV is the in-block double-spend set + bit test;
+/// `update` is bit-vector maintenance only; `other` is the structural
+/// checks + maturity/value/fee/coinbase rules. Figures fold `update` into
+/// "others".
 struct EbvTimings {
     util::TimeCost ev;
     util::TimeCost uv;
@@ -171,29 +170,6 @@ private:
     std::size_t input_index_;
     const TxSighashCache* cache_;
     SigCache* sigcache_;
-};
-
-class EbvValidator {
-public:
-    EbvValidator(const chain::ChainParams& params, const chain::HeaderIndex& headers,
-                 BitVectorSet& status, EbvValidatorOptions options = {})
-        : params_(params), headers_(headers), status_(status), options_(options) {}
-
-    /// Validate the block at `height` and, on success, apply it to the
-    /// bit-vector set. The set is untouched on failure. Publishes per-stage
-    /// histograms and per-block counters under `ebv.block.*` and emits one
-    /// span per stage (see docs/OBSERVABILITY.md).
-    util::Result<EbvTimings, EbvValidationFailure> connect_block(const EbvBlock& block,
-                                                                 std::uint32_t height);
-
-private:
-    util::Result<EbvTimings, EbvValidationFailure> connect_block_impl(
-        const EbvBlock& block, std::uint32_t height);
-
-    const chain::ChainParams& params_;
-    const chain::HeaderIndex& headers_;
-    BitVectorSet& status_;
-    EbvValidatorOptions options_;
 };
 
 }  // namespace ebv::core

@@ -15,16 +15,21 @@ EbvNode::EbvNode(const EbvNodeOptions& options) : options_(options) {
 
 util::Result<EbvTimings, EbvValidationFailure> EbvNode::submit_block(
     const EbvBlock& block) {
-    const std::uint32_t height = next_height();
-    EbvValidator validator(options_.params, headers_, status_, options_.validator);
-    auto result = validator.connect_block(block, height);
-    if (!result) return result;
+    const ibd::BatchResult result = connect(std::span(&block, 1), 1);
+    if (result.failure) return util::Unexpected{result.failure->failure};
+    return result.timings;
+}
 
-    const bool linked = headers_.append(block.header);
-    EBV_ENSURES(linked);
-    output_counts_.push_back(static_cast<std::uint32_t>(block.output_count()));
-    if (block_store_) block_store_->append(block);
-    return result;
+ibd::BatchResult EbvNode::submit_blocks(std::span<const EbvBlock> blocks) {
+    return connect(blocks, options_.pipeline.enabled ? options_.pipeline.window : 1);
+}
+
+ibd::BatchResult EbvNode::connect(std::span<const EbvBlock> blocks, std::size_t window) {
+    ibd::Pipeline engine(options_.params, headers_, status_, options_.validator, window);
+    return engine.run(blocks, [&](const EbvBlock& block, std::uint32_t) {
+        output_counts_.push_back(static_cast<std::uint32_t>(block.output_count()));
+        if (block_store_) block_store_->append(block);
+    });
 }
 
 void EbvNode::save_snapshot(const std::string& path) const {

@@ -11,7 +11,7 @@
 #include "chain/params.hpp"
 #include "core/bitvector_set.hpp"
 #include "core/ebv_validator.hpp"
-#include "ibd/options.hpp"
+#include "ibd/pipeline.hpp"
 #include "storage/flat_store.hpp"
 
 namespace ebv::core {
@@ -21,8 +21,7 @@ struct EbvNodeOptions {
     /// Directory for block bodies; empty = don't persist blocks.
     std::string data_dir;
     EbvValidatorOptions validator;
-    /// Inter-block IBD pipelining for submit_blocks (EBV_PIPELINE /
-    /// EBV_PIPELINE_WINDOW override at runtime).
+    /// The window submit_blocks validates at (submit_block always uses 1).
     ibd::PipelineOptions pipeline;
 };
 
@@ -30,14 +29,14 @@ class EbvNode {
 public:
     explicit EbvNode(const EbvNodeOptions& options);
 
-    /// Validate and connect the next block (height = tip + 1).
+    /// Validate and connect the next block (height = tip + 1): the
+    /// validation engine (ibd::Pipeline) at window 1.
     util::Result<EbvTimings, EbvValidationFailure> submit_block(const EbvBlock& block);
 
-    /// Validate and connect a batch of consecutive blocks, pipelined across
-    /// blocks when options.pipeline (after EBV_PIPELINE et al.) enables it,
-    /// serial block-at-a-time otherwise. Both paths accept/reject the same
-    /// blocks with the same failure tuple (docs/PIPELINE.md). Defined in
-    /// src/ibd/submit.cpp — callers must link ebv_ibd.
+    /// Validate and connect a batch of consecutive blocks on the same
+    /// engine, at window options.pipeline.window when options.pipeline is
+    /// enabled and 1 otherwise. Every window size accepts/rejects the same
+    /// blocks with the same failure tuple (docs/PIPELINE.md).
     ibd::BatchResult submit_blocks(std::span<const EbvBlock> blocks);
 
     /// Reorg support: disconnect the tip. The caller supplies the tip block
@@ -73,6 +72,8 @@ public:
     }
 
 private:
+    ibd::BatchResult connect(std::span<const EbvBlock> blocks, std::size_t window);
+
     EbvNodeOptions options_;
     chain::HeaderIndex headers_;
     BitVectorSet status_;

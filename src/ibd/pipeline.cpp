@@ -1,8 +1,9 @@
 #include "ibd/pipeline.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include "core/sig_cache.hpp"
 #include "core/sighash_cache.hpp"
 #include "core/sv_batcher.hpp"
+#include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -33,52 +35,82 @@ using core::EvStatus;
 
 constexpr std::size_t kNoFail = std::numeric_limits<std::size_t>::max();
 
-/// Registry handles, resolved once (values survive Registry::reset()).
-struct IbdMetrics {
-    obs::Counter& windows;
+/// Registry handles of every `ebv.block.*`, `ebv.pool.*` and `ebv.ibd.*`
+/// instrument, resolved once (values survive Registry::reset()).
+struct EngineMetrics {
     obs::Counter& connects;
     obs::Counter& rejects;
     obs::Counter& txs;
     obs::Counter& inputs;
     obs::Counter& outputs;
     obs::Counter& proof_bytes;
+    obs::Histogram& ev_ns;
+    obs::Histogram& uv_ns;
+    obs::Histogram& sv_ns;
+    obs::Histogram& update_ns;
+    obs::Histogram& other_ns;
+    obs::Histogram& total_ns;
+    obs::Histogram& sv_parallel_ns;
     obs::Counter& pool_tasks;
     obs::Counter& pool_local_pops;
     obs::Counter& pool_steals;
     obs::Counter& pool_steal_attempts;
-    obs::Histogram& window_occupancy;
-    obs::Histogram& stall_ns;
-    obs::Histogram& commit_ns;
     obs::Histogram& pool_steal_ns;
     obs::Histogram& pool_barrier_wait_ns;
     obs::Histogram& pool_wakeup_ns;
+    obs::Counter& windows;
+    obs::Histogram& window_occupancy;
+    obs::Histogram& stall_ns;
+    obs::Histogram& commit_ns;
     obs::Gauge& blocks_inflight;
+    obs::Counter& sighash_bytes_saved;
+    obs::Gauge& sha256_impl;
 
-    static IbdMetrics& get() {
-        static IbdMetrics m{
-            obs::Registry::global().counter("ebv.ibd.windows"),
-            obs::Registry::global().counter("ebv.block.connects"),
-            obs::Registry::global().counter("ebv.block.rejects"),
-            obs::Registry::global().counter("ebv.block.txs"),
-            obs::Registry::global().counter("ebv.block.inputs"),
-            obs::Registry::global().counter("ebv.block.outputs"),
-            obs::Registry::global().counter("ebv.block.proof_bytes"),
-            obs::Registry::global().counter("ebv.pool.tasks"),
-            obs::Registry::global().counter("ebv.pool.local_pops"),
-            obs::Registry::global().counter("ebv.pool.steals"),
-            obs::Registry::global().counter("ebv.pool.steal_attempts"),
-            obs::Registry::global().histogram(
-                "ebv.ibd.window_occupancy",
-                obs::Histogram::exponential_bounds(1, 2.0, 10)),
-            obs::Registry::global().histogram("ebv.ibd.stall_ns"),
-            obs::Registry::global().histogram("ebv.ibd.commit_ns"),
-            obs::Registry::global().histogram("ebv.pool.steal_ns"),
-            obs::Registry::global().histogram("ebv.pool.barrier_wait_ns"),
-            obs::Registry::global().histogram("ebv.pool.wakeup_ns"),
-            obs::Registry::global().gauge("ebv.ibd.blocks_inflight"),
+    static EngineMetrics& get() {
+        obs::Registry& r = obs::Registry::global();
+        static EngineMetrics m{
+            r.counter("ebv.block.connects"),
+            r.counter("ebv.block.rejects"),
+            r.counter("ebv.block.txs"),
+            r.counter("ebv.block.inputs"),
+            r.counter("ebv.block.outputs"),
+            r.counter("ebv.block.proof_bytes"),
+            r.histogram("ebv.block.ev_ns"),
+            r.histogram("ebv.block.uv_ns"),
+            r.histogram("ebv.block.sv_ns"),
+            r.histogram("ebv.block.update_ns"),
+            r.histogram("ebv.block.other_ns"),
+            r.histogram("ebv.block.total_ns"),
+            r.histogram("ebv.block.sv_parallel_ns"),
+            r.counter("ebv.pool.tasks"),
+            r.counter("ebv.pool.local_pops"),
+            r.counter("ebv.pool.steals"),
+            r.counter("ebv.pool.steal_attempts"),
+            r.histogram("ebv.pool.steal_ns"),
+            r.histogram("ebv.pool.barrier_wait_ns"),
+            r.histogram("ebv.pool.wakeup_ns"),
+            r.counter("ebv.ibd.windows"),
+            r.histogram("ebv.ibd.window_occupancy",
+                        obs::Histogram::exponential_bounds(1, 2.0, 10)),
+            r.histogram("ebv.ibd.stall_ns"),
+            r.histogram("ebv.ibd.commit_ns"),
+            r.gauge("ebv.ibd.blocks_inflight"),
+            r.counter("ebv.crypto.sighash_bytes_saved"),
+            r.gauge("ebv.crypto.sha256_impl"),
         };
         return m;
     }
+};
+
+/// Adds the wall time of its scope to one stage of an EbvTimings.
+class PhaseTimer {
+public:
+    explicit PhaseTimer(util::TimeCost& target) : target_(target) {}
+    ~PhaseTimer() { target_.wall_ns += watch_.elapsed_ns(); }
+
+private:
+    util::TimeCost& target_;
+    util::Stopwatch watch_;
 };
 
 std::uint64_t spent_key(std::uint32_t height, std::uint32_t position) {
@@ -129,44 +161,38 @@ struct DeferredSpends {
 
 }  // namespace
 
-PipelineOptions PipelineOptions::from_env(PipelineOptions base) {
-    if (const char* v = std::getenv("EBV_PIPELINE"))
-        base.enabled = std::strtoul(v, nullptr, 10) != 0;
-    if (const char* v = std::getenv("EBV_PIPELINE_WINDOW")) {
-        const unsigned long w = std::strtoul(v, nullptr, 10);
-        if (w > 0) base.window = static_cast<std::size_t>(w);
-    }
-    return base;
-}
-
 BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks) {
     return run(blocks, [](const core::EbvBlock&, std::uint32_t) {});
 }
 
 BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_commit) {
     BatchResult result;
-    result.pipelined = true;
     util::Stopwatch run_watch;
-    IbdMetrics& m = IbdMetrics::get();
+    EngineMetrics& m = EngineMetrics::get();
+    m.sha256_impl.set(crypto::sha256_impl_index());
 
-    // Causal root for the whole IBD run: every window span nests under it,
+    // Causal root for the whole run: every window span nests under it,
     // blocks under their window, worker-side EV/SV/shard spans under their
     // block (see docs/OBSERVABILITY.md).
     obs::ScopedSpan run_span("ebv.ibd.run", "ibd");
     run_span.set_value(static_cast<std::int64_t>(blocks.size()));
 
-    const std::size_t W = options_.window == 0 ? 1 : options_.window;
-    const std::size_t slots = pool_ != nullptr ? pool_->thread_count() : 1;
+    util::ThreadPool* const pool = options_.script_pool;
+    const std::size_t slots = pool != nullptr ? pool->thread_count() : 1;
+    const bool verify_scripts = options_.verify_scripts;
+    const bool batch_verify = verify_scripts && core::batch_verify_enabled(options_);
+    const bool use_template = verify_scripts && core::sighash_template_enabled(options_);
 
     // Spends of already-committed blocks, to be applied inside the next
     // window's parallel pass ("stage 3 joins the parallel region").
     DeferredSpends deferred;
 
     // Applies `deferred` on the calling thread, skipping shards a parallel
-    // pass already handled. Used for the final flush and for completing a
-    // cancelled pass — committed blocks must always end up fully applied.
+    // pass already handled. Used after the last window and for completing
+    // a cancelled pass — committed blocks must always end up fully applied.
     std::array<std::atomic<bool>, BitVectorSet::kShardCount> shard_done{};
-    const auto flush_deferred_serial = [&] {
+    const auto flush_deferred_serial = [&](util::TimeCost& update) {
+        if (deferred.empty()) return;
         util::Stopwatch watch;
         for (std::size_t s = 0; s < BitVectorSet::kShardCount; ++s) {
             if (deferred.by_shard[s].empty()) continue;
@@ -175,21 +201,23 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         }
         deferred.clear();
         const auto ns = watch.elapsed_ns();
-        result.timings.update.wall_ns += ns;
+        update.wall_ns += ns;
         m.commit_ns.observe(static_cast<std::uint64_t>(ns));
     };
 
     std::size_t batch_index = 0;
     while (batch_index < blocks.size()) {
         if (cancel_.cancelled()) {
-            flush_deferred_serial();
             result.aborted = true;
             break;
         }
 
         const std::uint32_t window_base = static_cast<std::uint32_t>(headers_.size());
-        const std::size_t window_len = std::min(W, blocks.size() - batch_index);
+        const std::size_t window_len = std::min(window_, blocks.size() - batch_index);
         const std::span<const EbvBlock> window = blocks.subspan(batch_index, window_len);
+        // This window's stage times (core::EbvTimings). Header install and
+        // the commit hook are in no stage.
+        core::EbvTimings timings;
 
         obs::ScopedSpan window_span("ebv.ibd.window", "ibd");
         window_span.set_value(window_base);
@@ -200,18 +228,20 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
 
         // ---- Stage 1: structural pass, serial block order ------------------
         // Intra-block only, so running it for the whole window up front
-        // cannot change any verdict a serial loop would reach. The window is
-        // truncated at the first structural failure; its tuple is reported
-        // only if every earlier block commits (a serial loop would have
-        // stopped at an earlier resolution failure otherwise).
+        // cannot change any verdict a block-at-a-time loop would reach. The
+        // window is truncated at the first structural failure; its tuple is
+        // reported only if every earlier block commits.
         util::Stopwatch stall_watch;
         std::size_t accepted = window_len;
         std::optional<EbvValidationFailure> structural_failure;
-        for (std::size_t b = 0; b < window_len; ++b) {
-            if (auto failure = core::check_block_structure(window[b], params_)) {
-                structural_failure = *failure;
-                accepted = b;
-                break;
+        {
+            PhaseTimer timer(timings.other);
+            for (std::size_t b = 0; b < window_len; ++b) {
+                if (auto failure = core::check_block_structure(window[b], params_)) {
+                    structural_failure = *failure;
+                    accepted = b;
+                    break;
+                }
             }
         }
 
@@ -269,12 +299,11 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             cas_min(min_fail_block, job.block);
         };
         std::optional<core::SvBatcher> batcher;
-        if (verify_scripts_ && batch_verify_) batcher.emplace(slots, resolve_sv, sigcache_);
+        if (batch_verify) batcher.emplace(slots, resolve_sv, options_.sigcache);
 
         // Per-transaction sighash templates (core::TxSighashCache), lazily
         // built by whichever worker first reaches one of the transaction's
         // inputs and shared by the rest across the window's parallel pass.
-        const bool use_template = verify_scripts_ && sighash_template_;
         std::vector<std::vector<std::unique_ptr<core::TxSighashCache>>> caches(
             use_template ? accepted : 0);
         std::vector<std::unique_ptr<std::once_flag[]>> cache_once(use_template ? accepted : 0);
@@ -320,10 +349,10 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
 
             // Stage 2: fused EV+SV for one input, possibly out of block
-            // order. Skip rules mirror the serial validator's: a job may be
-            // skipped only when a *lower* (block, ordinal) failure is
-            // already recorded, so every verdict the resolution pass reads
-            // was fully evaluated regardless of thread count.
+            // order. A job may be skipped only when a *lower* (block,
+            // ordinal) failure is already recorded: the minima only ever
+            // decrease, so every verdict the resolution pass reads was fully
+            // evaluated regardless of thread count.
             const ProofJob& job = jobs[index - shard_jobs];
             if (job.block > min_fail_block.load(std::memory_order_relaxed)) return;
             std::atomic<std::size_t>& block_ev_min = ev_min[job.block].value;
@@ -357,12 +386,15 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 return;
             }
 
-            if (!verify_scripts_) return;
+            // SV, fused into the same job while the input is cache-hot.
+            if (!verify_scripts) return;
             std::atomic<std::size_t>& block_sv_min = sv_min[job.block].value;
             if (job.ordinal > block_sv_min.load(std::memory_order_relaxed)) return;
             watch.restart();
             const core::TxSighashCache* cache = nullptr;
             if (use_template && tx.inputs.size() >= core::kSighashCacheMinInputs) {
+                // Template construction counts as SV time (it replaces the
+                // per-input serialization the naive path would spend there).
                 std::call_once(cache_once[job.block][job.tx_index], [&] {
                     caches[job.block][job.tx_index] =
                         std::make_unique<core::TxSighashCache>(tx);
@@ -373,7 +405,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 batcher->check(slot, index - shard_jobs, tx, job.input_index, cache);
             } else {
                 resolve_sv(index - shard_jobs,
-                           core::sv_check_input(tx, job.input_index, cache, sigcache_));
+                           core::sv_check_input(tx, job.input_index, cache,
+                                                options_.sigcache));
             }
             const auto sv_ns = watch.elapsed_ns();
             sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
@@ -391,20 +424,20 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
 
         util::PoolStats pool_before{};
         std::vector<std::uint64_t> slot_busy_before;
-        if (pool_ != nullptr) {
-            pool_before = pool_->stats();
-            if (tracing) slot_busy_before = pool_->slot_busy_ns();
+        if (pool != nullptr) {
+            pool_before = pool->stats();
+            if (tracing) slot_busy_before = pool->slot_busy_ns();
         }
         const util::Nanoseconds pass_start_ns = tracing ? obs::Tracer::now_ns() : 0;
         util::Stopwatch pass_watch;
         if (pass_total > 0) {
-            if (pool_ != nullptr) {
+            if (pool != nullptr) {
                 try {
-                    pool_->parallel_for_slots(pass_total, pass_body, &cancel_);
+                    pool->parallel_for_slots(pass_total, pass_body, &cancel_);
                 } catch (...) {
                     // A proof body threw (e.g. bad_alloc): committed blocks
                     // must still end up fully applied before unwinding.
-                    flush_deferred_serial();
+                    flush_deferred_serial(result.timings.update);
                     m.blocks_inflight.set(0);
                     throw;
                 }
@@ -423,17 +456,15 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             sv_busy[0] += static_cast<std::uint64_t>(flush_watch.elapsed_ns());
         }
         if (use_template) {
-            static obs::Counter& bytes_saved =
-                obs::Registry::global().counter("ebv.crypto.sighash_bytes_saved");
             std::uint64_t saved = 0;
             for (const auto& block_caches : caches)
                 for (const auto& cache : block_caches)
                     if (cache) saved += cache->bytes_saved();
-            if (saved > 0) bytes_saved.inc(saved);
+            if (saved > 0) m.sighash_bytes_saved.inc(saved);
         }
         const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
-        if (pool_ != nullptr) {
-            const util::PoolStats pool_after = pool_->stats();
+        if (pool != nullptr) {
+            const util::PoolStats pool_after = pool->stats();
             m.pool_tasks.inc(pool_after.tasks - pool_before.tasks);
             // `barrier_wait_ns` was exported as ebv.pool.steal_ns before the
             // stealing scheduler existed; the latter now reports real steal
@@ -446,23 +477,10 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             m.pool_steal_attempts.inc(pool_after.steal_attempts -
                                       pool_before.steal_attempts);
             m.pool_wakeup_ns.observe(pool_after.wakeup_ns - pool_before.wakeup_ns);
-            {
-                // Per-slot queue-depth gauge: peak deque occupancy over the
-                // pass (stealing scheduler; zeros under counter mode).
-                const std::vector<std::uint64_t> queue_peak =
-                    pool_->slot_queue_depth_peak();
-                for (std::size_t s = 0; s < queue_peak.size(); ++s) {
-                    char name[48];
-                    std::snprintf(name, sizeof name, "ebv.pool.queue_depth.slot%zu",
-                                  s);
-                    obs::Registry::global().gauge(name).set(
-                        static_cast<std::int64_t>(queue_peak[s]));
-                }
-            }
+            obs::Tracer& tracer = obs::Tracer::global();
             if (tracing) {
                 // Dedicated counter tracks: queue latency this pass and each
                 // slot's utilization (busy/wall, percent) over the pass.
-                obs::Tracer& tracer = obs::Tracer::global();
                 const std::uint64_t wakeups = pool_after.wakeups - pool_before.wakeups;
                 if (wakeups > 0)
                     tracer.record_counter(
@@ -470,7 +488,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                         static_cast<std::int64_t>(
                             (pool_after.wakeup_ns - pool_before.wakeup_ns) / wakeups /
                             1000));
-                const std::vector<std::uint64_t> slot_busy_after = pool_->slot_busy_ns();
+                const std::vector<std::uint64_t> slot_busy_after = pool->slot_busy_ns();
                 for (std::size_t s = 0;
                      s < slot_busy_after.size() && s < slot_busy_before.size() &&
                      pass_wall > 0;
@@ -483,17 +501,17 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                                    100.0 * static_cast<double>(busy) /
                                    static_cast<double>(pass_wall)));
                 }
-                // Peak per-slot deque depth over the pass (stealing
-                // scheduler; all zeros under counter mode).
-                const std::vector<std::uint64_t> queue_peak =
-                    pool_->slot_queue_depth_peak();
-                for (std::size_t s = 0; s < queue_peak.size(); ++s) {
-                    char track[48];
-                    std::snprintf(track, sizeof track, "ebv.pool.queue_depth.slot%zu",
-                                  s);
-                    tracer.record_counter(
-                        track, static_cast<std::int64_t>(queue_peak[s]));
-                }
+            }
+            // Peak per-slot deque depth over the pass (stealing scheduler;
+            // all zeros under counter mode): a gauge, and a counter track
+            // when tracing.
+            const std::vector<std::uint64_t> queue_peak = pool->slot_queue_depth_peak();
+            for (std::size_t s = 0; s < queue_peak.size(); ++s) {
+                char name[48];
+                std::snprintf(name, sizeof name, "ebv.pool.queue_depth.slot%zu", s);
+                const auto peak = static_cast<std::int64_t>(queue_peak[s]);
+                obs::Registry::global().gauge(name).set(peak);
+                if (tracing) tracer.record_counter(name, peak);
             }
         }
 
@@ -508,6 +526,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 ev_total += ev_busy[s];
                 sv_total += sv_busy[s];
                 commit_total += commit_busy[s];
+                if (sv_busy[s] > 0) m.sv_parallel_ns.observe(sv_busy[s]);
             }
             const std::uint64_t busy_total = ev_total + sv_total + commit_total;
             if (busy_total > 0) {
@@ -518,38 +537,37 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 };
                 const util::Nanoseconds ev_share = share(ev_total);
                 const util::Nanoseconds sv_share = share(sv_total);
-                result.timings.ev.wall_ns += ev_share;
-                result.timings.sv.wall_ns += sv_share;
-                result.timings.update.wall_ns += pass_wall - ev_share - sv_share;
-            } else {
-                result.timings.other.wall_ns += pass_wall;
+                timings.ev.wall_ns += ev_share;
+                timings.sv.wall_ns += sv_share;
+                timings.update.wall_ns += pass_wall - ev_share - sv_share;
             }
             if (commit_total > 0) m.commit_ns.observe(commit_total);
         }
 
-        if (cancel_.cancelled()) {
-            // The pass may have skipped both shard and proof chunks: finish
-            // applying committed blocks' spends, discard the window.
-            flush_deferred_serial();
-            m.blocks_inflight.set(0);
+        // A cancelled pass may have skipped both shard and proof chunks:
+        // the window is discarded and `deferred` keeps whatever shards it
+        // did not apply. Otherwise the previous window's spends are in.
+        const bool pass_cancelled = cancel_.cancelled();
+        if (pass_cancelled) {
             result.aborted = true;
-            break;
+        } else {
+            deferred.clear();
         }
-        deferred.clear();  // fully applied by the pass
 
         // ---- Stage 3: resolve + commit, serial block order -----------------
         // Walks each block's inputs in order, interleaving the parallel
         // pass's EV verdicts with UV (against the pending-spend overlay),
-        // maturity and value rules — exactly the serial validator's
-        // resolution order, so the first failure is the serial one.
+        // maturity and value rules, so the first failure is the same at
+        // every window size.
         stall_watch.restart();
         DeferredSpends fresh;                          // spends of blocks committed below
         std::unordered_set<std::uint64_t> overlay_spent;  // this window's committed spends
-        bool window_failed = false;
-        bool aborted_mid_window = false;
-        for (std::size_t b = 0; b < accepted && !window_failed; ++b) {
+        for (std::size_t b = 0; b < accepted && !pass_cancelled; ++b) {
             if (cancel_.cancelled()) {
-                aborted_mid_window = true;
+                // Cancelled between blocks (e.g. from the commit hook):
+                // blocks already committed this window keep their spends;
+                // the rest of the window is discarded unvalidated.
+                result.aborted = true;
                 break;
             }
             const EbvBlock& block = window[b];
@@ -561,13 +579,12 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                                   script::ScriptError script = script::ScriptError::kOk) {
                 result.failure = PipelineFailure{
                     batch_index + b, height, EbvValidationFailure{error, t, i, script}};
-                window_failed = true;
             };
 
             std::unordered_set<std::uint64_t> spent_in_block;
             chain::Amount total_fees = 0;
             std::size_t j = job_begin[b];
-            for (std::size_t t = 1; t < block.txs.size() && !window_failed; ++t) {
+            for (std::size_t t = 1; t < block.txs.size() && !result.failure; ++t) {
                 const EbvTransaction& tx = block.txs[t];
                 chain::Amount value_in = 0;
                 for (std::size_t i = 0; i < tx.inputs.size(); ++i, ++j) {
@@ -576,54 +593,60 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                         fail(core::to_ebv_error(verdicts[j].ev), t, i);
                         break;
                     }
-                    // UV: the bit at the authenticated absolute position
-                    // must still be 1 — in the committed set or, for an
-                    // output spent earlier inside this window, not in the
-                    // pending-spend overlay.
-                    const std::uint32_t position = in.absolute_position();
-                    const std::uint64_t key = spent_key(in.height, position);
-                    if (!spent_in_block.insert(key).second) {
-                        fail(EbvError::kDoubleSpendInBlock, t, i);
-                        break;
+                    {
+                        // UV: the bit at the authenticated absolute position
+                        // must still be 1 — in the committed set or, for an
+                        // output spent earlier inside this window, not in
+                        // the pending-spend overlay.
+                        PhaseTimer timer(timings.uv);
+                        const std::uint32_t position = in.absolute_position();
+                        const std::uint64_t key = spent_key(in.height, position);
+                        if (!spent_in_block.insert(key).second) {
+                            fail(EbvError::kDoubleSpendInBlock, t, i);
+                            break;
+                        }
+                        if (overlay_spent.count(key) != 0 ||
+                            !status_.check_unspent(in.height, position)) {
+                            fail(EbvError::kUnspentFailed, t, i);
+                            break;
+                        }
                     }
-                    if (overlay_spent.count(key) != 0 ||
-                        !status_.check_unspent(in.height, position)) {
-                        fail(EbvError::kUnspentFailed, t, i);
-                        break;
-                    }
+                    PhaseTimer timer(timings.other);
                     if (in.els.is_coinbase() &&
                         height < in.height + params_.coinbase_maturity) {
                         fail(EbvError::kImmatureCoinbaseSpend, t, i);
                         break;
                     }
-                    // Mirrors the serial validator's guarded accumulation
-                    // exactly (failure-tuple parity).
+                    // Guarded accumulation: the referenced values are
+                    // EV-authenticated, but nothing bounds their *sum* —
+                    // unchecked += is the classic inflation overflow.
                     if (!chain::add_money(value_in, in.els.outputs[in.out_index].value)) {
                         fail(EbvError::kValueOutOfRange, t, i);
                         break;
                     }
                 }
-                if (window_failed) break;
+                if (result.failure) break;
+                PhaseTimer timer(timings.other);
                 const chain::Amount value_out = tx.total_output_value();
                 if (value_in < value_out) {
                     fail(EbvError::kNegativeFee, t, 0);
-                    break;
-                }
-                if (!chain::add_money(total_fees, value_in - value_out)) {
+                } else if (!chain::add_money(total_fees, value_in - value_out)) {
                     fail(EbvError::kValueOutOfRange, t, 0);
+                }
+            }
+            if (result.failure) break;
+
+            {
+                PhaseTimer timer(timings.other);
+                const chain::Amount allowed = params_.subsidy_at(height) + total_fees;
+                if (block.txs[0].total_output_value() > allowed) {
+                    fail(EbvError::kCoinbaseValueTooHigh, 0, 0);
                     break;
                 }
             }
-            if (window_failed) break;
 
-            const chain::Amount allowed = params_.subsidy_at(height) + total_fees;
-            if (block.txs[0].total_output_value() > allowed) {
-                fail(EbvError::kCoinbaseValueTooHigh, 0, 0);
-                break;
-            }
-
-            // SV verdicts resolve last, as their own phase (serial parity).
-            if (verify_scripts_) {
+            // SV verdicts resolve last, as their own phase.
+            if (verify_scripts) {
                 const std::size_t sj = sv_min[b].value.load(std::memory_order_relaxed);
                 if (sj < jobs_in_block) {
                     const ProofJob& sv_job = jobs[job_begin[b] + sj];
@@ -633,23 +656,25 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 }
             }
 
-            // Commit: install header + status vector now; spent bits join
-            // the next window's parallel pass via `fresh`.
-            util::Stopwatch commit_watch;
-            const bool linked = headers_.append(block.header);
-            EBV_ENSURES(linked);
-            status_.insert_block(height, static_cast<std::uint32_t>(block.output_count()));
-            std::uint64_t proof_bytes = 0;
-            for (std::size_t t = 1; t < block.txs.size(); ++t) {
-                for (const EbvInput& in : block.txs[t].inputs) {
-                    const std::uint32_t position = in.absolute_position();
-                    fresh.add(in.height, position);
-                    overlay_spent.insert(spent_key(in.height, position));
-                    proof_bytes += in.mbr.byte_size() + in.els.serialized_size();
+            // Commit: install the status vector now; spent bits join the
+            // next window's parallel pass via `fresh` (the last window
+            // applies them below, on this thread). Only later blocks of this
+            // window read the overlay.
+            {
+                PhaseTimer timer(timings.update);
+                status_.insert_block(height, static_cast<std::uint32_t>(block.output_count()));
+                const bool overlay_read = b + 1 < accepted;
+                for (std::size_t t = 1; t < block.txs.size(); ++t) {
+                    for (const EbvInput& in : block.txs[t].inputs) {
+                        const std::uint32_t position = in.absolute_position();
+                        fresh.add(in.height, position);
+                        if (overlay_read) overlay_spent.insert(spent_key(in.height, position));
+                    }
                 }
             }
+            const bool linked = headers_.append(block.header);
+            EBV_ENSURES(linked);
             on_commit(block, height);
-            result.timings.update.wall_ns += commit_watch.elapsed_ns();
 
             if (tracing) {
                 // The block's causal interval: from the start of the parallel
@@ -667,9 +692,13 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 obs::Tracer::global().record(std::move(block_span));
             }
 
+            std::uint64_t proof_bytes = 0;
+            for (std::size_t t = 1; t < block.txs.size(); ++t)
+                for (const EbvInput& in : block.txs[t].inputs)
+                    proof_bytes += in.mbr.byte_size() + in.els.serialized_size();
             ++result.connected;
-            result.timings.inputs += block.input_count();
-            result.timings.outputs += block.output_count();
+            timings.inputs += block.input_count();
+            timings.outputs += block.output_count();
             m.connects.inc();
             m.txs.inc(block.txs.size());
             m.inputs.inc(block.input_count());
@@ -677,60 +706,51 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             m.proof_bytes.inc(proof_bytes);
         }
 
-        if (aborted_mid_window) {
-            // Cancelled between blocks (e.g. from the commit hook): blocks
-            // already committed this window keep their spends applied; the
-            // rest of the window is discarded unvalidated.
-            deferred = std::move(fresh);
-            for (auto& flag : shard_done) flag.store(false, std::memory_order_relaxed);
-            flush_deferred_serial();
-            m.blocks_inflight.set(0);
-            result.aborted = true;
-            break;
-        }
-
         // A structural failure is reported only when every block before it
         // committed — otherwise the earlier resolution failure won, exactly
-        // as in the serial loop.
-        if (!window_failed && structural_failure.has_value()) {
+        // as in a block-at-a-time loop.
+        if (!result.aborted && !result.failure && structural_failure.has_value()) {
             result.failure = PipelineFailure{batch_index + accepted,
                                              window_base + static_cast<std::uint32_t>(accepted),
                                              *structural_failure};
-            window_failed = true;
         }
-
-        const std::int64_t stall_after_pass = stall_watch.elapsed_ns();
-        m.stall_ns.observe(static_cast<std::uint64_t>(stall_before_pass + stall_after_pass));
-        result.timings.other.wall_ns += stall_before_pass;
-        result.timings.uv.wall_ns += stall_after_pass;
+        if (result.failure) m.rejects.inc();
+        m.stall_ns.observe(
+            static_cast<std::uint64_t>(stall_before_pass + stall_watch.elapsed_ns()));
         m.blocks_inflight.set(0);
 
-        if (window_failed) {
-            m.rejects.inc();
+        if (!pass_cancelled) {
             deferred = std::move(fresh);
             for (auto& flag : shard_done) flag.store(false, std::memory_order_relaxed);
-            flush_deferred_serial();
-            break;
         }
-
-        deferred = std::move(fresh);
-        for (auto& flag : shard_done) flag.store(false, std::memory_order_relaxed);
         batch_index += window_len;
+        const bool last = result.aborted || result.failure || batch_index == blocks.size();
+        // The last window's spends have no next pass to ride: apply them
+        // here, on the calling thread, so this window's stages cover them.
+        if (last) flush_deferred_serial(timings.update);
+
+        m.ev_ns.observe(static_cast<std::uint64_t>(timings.ev.total_ns()));
+        m.uv_ns.observe(static_cast<std::uint64_t>(timings.uv.total_ns()));
+        m.sv_ns.observe(static_cast<std::uint64_t>(timings.sv.total_ns()));
+        m.update_ns.observe(static_cast<std::uint64_t>(timings.update.total_ns()));
+        m.other_ns.observe(static_cast<std::uint64_t>(timings.other.total_ns()));
+        m.total_ns.observe(static_cast<std::uint64_t>(timings.total().total_ns()));
+        if (tracing) {
+            // Post-hoc stage aggregates, children of the window span.
+            obs::Tracer& tracer = obs::Tracer::global();
+            tracer.record("ebv.block.ev", timings.ev);
+            tracer.record("ebv.block.uv", timings.uv);
+            tracer.record("ebv.block.sv", timings.sv);
+            tracer.record("ebv.block.update", timings.update);
+            tracer.record("ebv.block.total", timings.total());
+        }
+        result.timings += timings;
+        if (last) break;
     }
 
-    // Final flush: the last window's spends haven't ridden a pass yet.
-    if (!deferred.empty()) {
-        util::Stopwatch watch;
-        std::vector<BitVectorSet::SpentRecord> all;
-        all.reserve(deferred.total);
-        for (const auto& shard : deferred.by_shard)
-            all.insert(all.end(), shard.begin(), shard.end());
-        status_.spend_batch(all, pool_);
-        deferred.clear();
-        const auto ns = watch.elapsed_ns();
-        result.timings.update.wall_ns += ns;
-        m.commit_ns.observe(static_cast<std::uint64_t>(ns));
-    }
+    // Cancelled at a window boundary: the previous window's spends are
+    // still pending.
+    flush_deferred_serial(result.timings.update);
 
     result.wall_ns = static_cast<std::uint64_t>(run_watch.elapsed_ns());
     return result;

@@ -1,10 +1,8 @@
-// ebv::ibd — pipelined inter-block validation for initial block download.
-//
-// The serial IBD loop (EbvNode::submit_block per block) leaves the thread
-// pool idle between blocks: block N+1 cannot start until block N's
-// spent-bit update finishes, even though proof checking (EV+SV) touches no
-// shared state. This subsystem overlaps work *across* blocks with a
-// bounded-lookahead window W:
+// ebv::ibd — the EBV block-validation engine (paper §IV-D), run over a
+// bounded lookahead window of W blocks. EbvNode::submit_block runs it on one
+// block at W = 1; EbvNode::submit_blocks runs it on a batch at the
+// configured window, so initial block download keeps the thread pool busy
+// across block boundaries:
 //
 //   stage 1  structural pass       serial, in block order
 //            (coinbase shape, stake positions, Merkle root, value ranges)
@@ -20,31 +18,60 @@
 // that spends an output created inside the window resolves its header from
 // the window's pending headers (EV), and one spending an output *spent*
 // earlier in the window is caught by the pending-spend overlay (UV) —
-// validation runs against the state a serial loop would have committed.
+// validation runs against the state a block-at-a-time loop would have
+// committed.
 //
 // Failure semantics are deterministic: the first failing block (in height
-// order) reports exactly the EbvValidationFailure tuple the serial loop
-// reports, blocks before it commit, blocks after it never touch state.
-// Pipeline::cancel() aborts an in-flight run between chunks (CancelToken):
-// the current window is unwound (never committed) and every
+// order) reports the same EbvValidationFailure tuple at every window size
+// and thread count, blocks before it commit, blocks after it never touch
+// state. Pipeline::cancel() aborts an in-flight run between chunks
+// (CancelToken): the current window is unwound (never committed) and every
 // already-committed block is left fully applied, so a cancelled run can be
 // resumed with a fresh run() on the same state.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <span>
 
 #include "chain/header_index.hpp"
 #include "chain/params.hpp"
 #include "core/bitvector_set.hpp"
 #include "core/ebv_transaction.hpp"
-#include "ibd/options.hpp"
+#include "core/ebv_validator.hpp"
 #include "util/thread_pool.hpp"
 
-namespace ebv::core {
-class SigCache;
-}  // namespace ebv::core
-
 namespace ebv::ibd {
+
+/// How EbvNode::submit_blocks sizes its window (submit_block always runs
+/// at W = 1).
+struct PipelineOptions {
+    /// false = W = 1 (block at a time); true = W = `window`.
+    bool enabled = false;
+
+    /// Lookahead window W: how many blocks may have proof checks in flight
+    /// at once when `enabled`.
+    std::size_t window = 16;
+};
+
+/// Where and why a batch stopped. `failure` is the same tuple at every
+/// window size (docs/PIPELINE.md).
+struct PipelineFailure {
+    std::size_t block_index = 0;  ///< index into the submitted batch
+    std::uint32_t height = 0;     ///< absolute chain height of that block
+    core::EbvValidationFailure failure;
+};
+
+struct BatchResult {
+    std::size_t connected = 0;  ///< blocks validated and committed
+    std::optional<PipelineFailure> failure;
+    bool aborted = false;       ///< stopped by Pipeline::cancel(), state consistent
+    core::EbvTimings timings;   ///< aggregate per-stage breakdown
+    std::uint64_t wall_ns = 0;  ///< end-to-end wall time of the batch
+
+    [[nodiscard]] bool ok() const { return !failure.has_value() && !aborted; }
+};
 
 class Pipeline {
 public:
@@ -55,30 +82,22 @@ public:
     /// block reported in BatchResult as never committed — by return.
     using CommitHook = util::FunctionRef<void(const core::EbvBlock&, std::uint32_t)>;
 
-    /// `batch_verify` routes SV through the deferred batched-signature
-    /// path (core::SvBatcher + crypto::verify_batch, docs/CRYPTO.md);
-    /// failure parity with the inline path is preserved by its fallback.
-    /// `sighash_template` shares one O(n) sighash template per transaction
-    /// across its inputs' SV jobs (core::TxSighashCache, docs/CRYPTO.md).
-    /// `sigcache` short-circuits signatures verified at mempool admission
-    /// (core::SigCache, docs/MEMPOOL.md); nullptr = no reuse.
+    /// `options` configures every per-input check: the thread pool, SV on
+    /// or off, batched signature checks, sighash templates and the shared
+    /// signature cache (core::EbvValidatorOptions). `window` is W; 0 is
+    /// treated as 1.
     Pipeline(const chain::ChainParams& params, chain::HeaderIndex& headers,
-             core::BitVectorSet& status, PipelineOptions options,
-             util::ThreadPool* pool, bool verify_scripts = true,
-             bool batch_verify = false, bool sighash_template = true,
-             core::SigCache* sigcache = nullptr)
+             core::BitVectorSet& status, const core::EbvValidatorOptions& options,
+             std::size_t window = 1)
         : params_(params),
           headers_(headers),
           status_(status),
           options_(options),
-          pool_(pool),
-          verify_scripts_(verify_scripts),
-          batch_verify_(batch_verify),
-          sighash_template_(sighash_template),
-          sigcache_(sigcache) {}
+          window_(window == 0 ? 1 : window) {}
 
     /// Validate and connect `blocks` on top of the current tip. Publishes
-    /// `ebv.ibd.*` metrics (docs/OBSERVABILITY.md). Not re-entrant.
+    /// `ebv.block.*`, `ebv.pool.*` and `ebv.ibd.*` metrics
+    /// (docs/OBSERVABILITY.md). Not re-entrant.
     BatchResult run(std::span<const core::EbvBlock> blocks, CommitHook on_commit);
     BatchResult run(std::span<const core::EbvBlock> blocks);
 
@@ -94,12 +113,8 @@ private:
     const chain::ChainParams& params_;
     chain::HeaderIndex& headers_;
     core::BitVectorSet& status_;
-    PipelineOptions options_;
-    util::ThreadPool* pool_;
-    bool verify_scripts_;
-    bool batch_verify_;
-    bool sighash_template_;
-    core::SigCache* sigcache_;
+    core::EbvValidatorOptions options_;
+    std::size_t window_;
     util::CancelToken cancel_;
 };
 

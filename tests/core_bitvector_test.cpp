@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <set>
 #include <unistd.h>
+#include <vector>
 
 #include "core/bitvector.hpp"
 #include "core/bitvector_set.hpp"
@@ -219,6 +221,23 @@ struct BatchFixture {
     }
 };
 
+/// Apply `spends` the way the validation engine does: partitioned by shard,
+/// one spend_shard call per shard — serially, or as parallel pool tasks
+/// when `pool` is given.
+void spend_by_shard(BitVectorSet& set, const std::vector<BitVectorSet::SpentRecord>& spends,
+                    util::ThreadPool* pool = nullptr) {
+    std::array<std::vector<BitVectorSet::SpentRecord>, BitVectorSet::kShardCount> by_shard;
+    for (const auto& rec : spends) by_shard[BitVectorSet::shard_of(rec.height)].push_back(rec);
+    const auto apply = [&](std::size_t s) {
+        set.spend_shard(s, by_shard[s].data(), by_shard[s].size());
+    };
+    if (pool != nullptr) {
+        pool->parallel_for(BitVectorSet::kShardCount, apply);
+    } else {
+        for (std::size_t s = 0; s < BitVectorSet::kShardCount; ++s) apply(s);
+    }
+}
+
 TEST(BitVectorSet, SpendBatchMatchesIndividualSpends) {
     const BatchFixture fx;
     BitVectorSet one_by_one = fx.fresh_set();
@@ -226,7 +245,7 @@ TEST(BitVectorSet, SpendBatchMatchesIndividualSpends) {
         ASSERT_TRUE(one_by_one.spend(s.height, s.position).has_value());
 
     BitVectorSet batched = fx.fresh_set();
-    batched.spend_batch(fx.spends);  // serial path (no pool)
+    spend_by_shard(batched, fx.spends);  // serial path (no pool)
 
     EXPECT_TRUE(batched == one_by_one);
     EXPECT_EQ(batched.memory_bytes(), one_by_one.memory_bytes());
@@ -237,12 +256,12 @@ TEST(BitVectorSet, SpendBatchMatchesIndividualSpends) {
 TEST(BitVectorSet, SpendBatchParallelMatchesSerial) {
     const BatchFixture fx;
     BitVectorSet serial = fx.fresh_set();
-    serial.spend_batch(fx.spends);
+    spend_by_shard(serial, fx.spends);
 
     for (const std::size_t threads : {2u, 4u, 8u}) {
         util::ThreadPool pool(threads);
         BitVectorSet parallel = fx.fresh_set();
-        parallel.spend_batch(fx.spends, &pool);
+        spend_by_shard(parallel, fx.spends, &pool);
         EXPECT_TRUE(parallel == serial) << "threads=" << threads;
         EXPECT_EQ(parallel.memory_bytes(), serial.memory_bytes()) << "threads=" << threads;
         EXPECT_EQ(parallel.vector_count(), serial.vector_count()) << "threads=" << threads;

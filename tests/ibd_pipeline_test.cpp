@@ -1,14 +1,16 @@
-// ebv::ibd determinism fixtures: the pipelined IBD path must accept and
-// reject exactly the blocks the serial submit_block loop does — same
-// connected count, same failing block, bit-for-bit the same
-// EbvValidationFailure tuple — for every window size and thread count,
-// including chains where a block spends an output created (or spent) by an
-// earlier block inside the same lookahead window.
+// ebv::ibd determinism fixtures: the validation engine must accept and
+// reject exactly the same blocks at every window size and thread count as
+// the single-threaded W = 1 run — same connected count, same failing block,
+// bit-for-bit the same EbvValidationFailure tuple — including chains where a
+// block spends an output created (or spent) by an earlier block inside the
+// same lookahead window. Also pins the engine's stage timings and its
+// once-per-block metric accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <chrono>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "core/node.hpp"
@@ -45,11 +47,6 @@ struct FinalState {
 class IbdPipeline : public ::testing::Test {
 protected:
     void SetUp() override {
-        // The node-level entry point consults EBV_PIPELINE / _WINDOW; make
-        // sure the ambient environment can't flip which path runs.
-        ::unsetenv("EBV_PIPELINE");
-        ::unsetenv("EBV_PIPELINE_WINDOW");
-
         gen_options_ = options_for(7);
         workload::ChainGenerator gen(gen_options_);
         intermediary::Converter converter;
@@ -70,7 +67,6 @@ protected:
         options.pipeline.window = window;
         core::EbvNode node(options);
         ibd::BatchResult result = node.submit_blocks(blocks);
-        EXPECT_EQ(result.pipelined, pipelined);
         if (out != nullptr) {
             out->memory_bytes = node.status().memory_bytes();
             out->vector_count = node.status().vector_count();
@@ -296,13 +292,12 @@ TEST_F(IbdPipeline, StructuralFailureTupleMatches) {
 
 TEST_F(IbdPipeline, CancelUnwindsWindowAndResumesCleanly) {
     util::ThreadPool pool(4);
-    ibd::PipelineOptions options;
-    options.enabled = true;
-    options.window = 8;
+    core::EbvValidatorOptions options;
+    options.script_pool = &pool;
 
     chain::HeaderIndex headers;
     core::BitVectorSet status;
-    ibd::Pipeline pipeline(gen_options_.params, headers, status, options, &pool);
+    ibd::Pipeline pipeline(gen_options_.params, headers, status, options, /*window=*/8);
 
     std::size_t commits = 0;
     const ibd::BatchResult first =
@@ -329,6 +324,99 @@ TEST_F(IbdPipeline, CancelUnwindsWindowAndResumesCleanly) {
     EXPECT_EQ(status.memory_bytes(), serial_state.memory_bytes);
     EXPECT_EQ(status.vector_count(), serial_state.vector_count);
     EXPECT_EQ(headers.tip_hash(), serial_state.tip);
+}
+
+TEST_F(IbdPipeline, CommitHookTimeIsInNoStage) {
+    // The commit hook (a block store append on a persisting node) and the
+    // header install belong to no stage: the stages partition validation
+    // time, so they never sum past the run's wall time, and a slow hook
+    // cannot land in UV.
+    util::ThreadPool pool(2);
+    core::EbvValidatorOptions options;
+    options.script_pool = &pool;
+    chain::HeaderIndex headers;
+    core::BitVectorSet status;
+    ibd::Pipeline pipeline(gen_options_.params, headers, status, options, /*window=*/4);
+
+    constexpr auto kSleep = std::chrono::milliseconds(2);
+    const ibd::BatchResult result =
+        pipeline.run(chain_, [&](const core::EbvBlock&, std::uint32_t) {
+            std::this_thread::sleep_for(kSleep);
+        });
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result.connected, chain_.size());
+
+    const std::int64_t total_sleep_ns =
+        std::chrono::nanoseconds(kSleep).count() * static_cast<std::int64_t>(chain_.size());
+    EXPECT_LE(result.timings.total().wall_ns, static_cast<std::int64_t>(result.wall_ns));
+    EXPECT_LT(result.timings.uv.wall_ns, total_sleep_ns);
+    EXPECT_LT(result.timings.update.wall_ns, total_sleep_ns);
+}
+
+TEST_F(IbdPipeline, BlockMetricsCountEachBlockOnce) {
+    obs::Registry& registry = obs::Registry::global();
+    const char* const kCounters[] = {"ebv.block.connects", "ebv.block.rejects",
+                                     "ebv.block.txs", "ebv.block.inputs",
+                                     "ebv.block.outputs"};
+    std::uint64_t txs = 0;
+    std::uint64_t inputs = 0;
+    std::uint64_t outputs = 0;
+    for (const core::EbvBlock& block : chain_) {
+        txs += block.txs.size();
+        inputs += block.input_count();
+        outputs += block.output_count();
+    }
+    // Replayed on top of the chain, a block with inputs re-spends them:
+    // one reject after the chain's connects.
+    const core::EbvBlock& replay = chain_[block_with_inputs(1)];
+
+    struct Snapshot {
+        std::uint64_t counters[5];
+        std::uint64_t total_ns_count;
+        std::uint64_t windows;
+    };
+    const auto snapshot = [&] {
+        Snapshot s{};
+        for (std::size_t i = 0; i < 5; ++i)
+            s.counters[i] = registry.counter(kCounters[i]).value();
+        s.total_ns_count = registry.histogram("ebv.block.total_ns").count();
+        s.windows = registry.counter("ebv.ibd.windows").value();
+        return s;
+    };
+    const auto expect_deltas = [&](const Snapshot& before, std::uint64_t observations) {
+        const Snapshot after = snapshot();
+        const std::uint64_t expected[5] = {chain_.size(), 1, txs, inputs, outputs};
+        for (std::size_t i = 0; i < 5; ++i)
+            EXPECT_EQ(after.counters[i] - before.counters[i], expected[i]) << kCounters[i];
+        EXPECT_EQ(after.total_ns_count - before.total_ns_count, observations);
+        EXPECT_EQ(after.windows - before.windows, observations);
+    };
+
+    util::ThreadPool pool(2);
+    core::EbvNodeOptions options;
+    options.params = gen_options_.params;
+    options.validator.script_pool = &pool;
+    {
+        SCOPED_TRACE("submit_block");
+        core::EbvNode node(options);
+        const Snapshot before = snapshot();
+        for (const core::EbvBlock& block : chain_) ASSERT_TRUE(node.submit_block(block));
+        ASSERT_FALSE(node.submit_block(replay));
+        // One stage observation (and one window) per submit_block.
+        expect_deltas(before, chain_.size() + 1);
+    }
+    for (const std::size_t window : {1u, 16u}) {
+        SCOPED_TRACE(::testing::Message() << "submit_blocks window=" << window);
+        options.pipeline.enabled = true;
+        options.pipeline.window = window;
+        core::EbvNode node(options);
+        const Snapshot before = snapshot();
+        ASSERT_TRUE(node.submit_blocks(chain_).ok());
+        ASSERT_FALSE(node.submit_blocks(std::span(&replay, 1)).ok());
+        // One stage observation per window.
+        const std::uint64_t windows = (chain_.size() + window - 1) / window + 1;
+        expect_deltas(before, windows);
+    }
 }
 
 }  // namespace

@@ -55,8 +55,6 @@ private:
 /// The environment can flip which validation path runs; every test here
 /// pins the configuration explicitly instead.
 void scrub_env() {
-    ::unsetenv("EBV_PIPELINE");
-    ::unsetenv("EBV_PIPELINE_WINDOW");
     ::unsetenv("EBV_BATCH_VERIFY");
     ::unsetenv("EBV_SIGHASH_TEMPLATE");
 }
