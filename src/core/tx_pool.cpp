@@ -202,7 +202,7 @@ void TxPool::insert_entry(const crypto::Hash256& leaf, Entry entry) {
     pool_.emplace(leaf, std::move(entry));
 }
 
-void TxPool::erase_entry(const crypto::Hash256& leaf) {
+void TxPool::erase_entry(crypto::Hash256 leaf) {
     const auto it = pool_.find(leaf);
     if (it == pool_.end()) return;
     const Entry& entry = it->second;

@@ -174,7 +174,9 @@ private:
     void prevalidate(const EbvTransaction& tx, Prevalidation& out) const;
     TxAdmission resolve(const EbvTransaction& tx, const Prevalidation& pre);
     void insert_entry(const crypto::Hash256& leaf, Entry entry);
-    void erase_entry(const crypto::Hash256& leaf);
+    /// Takes the leaf by value: callers pass references into spends_ and
+    /// ranked_, whose nodes this erases.
+    void erase_entry(crypto::Hash256 leaf);
     /// Evict lowest-feerate entries until bytes_ fits the budget.
     std::size_t trim_to_budget();
 

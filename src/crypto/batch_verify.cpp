@@ -5,14 +5,15 @@
 namespace ebv::crypto {
 
 BatchVerifyStats verify_batch(std::span<const VerifyJob> jobs, bool* verdicts) {
+    using secp256k1::kGroupOrder;
+    using secp256k1::Scalar;
     BatchVerifyStats stats;
     stats.checked = jobs.size();
-    const ModArith& n = secp256k1::order();
 
     // Stage 1: the same early rejects as PublicKey::verify, collecting the
     // s values of surviving jobs for one shared inversion.
     std::vector<std::size_t> live;
-    std::vector<U256> s_inv;
+    std::vector<Scalar> s_inv;
     live.reserve(jobs.size());
     s_inv.reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -20,31 +21,20 @@ BatchVerifyStats verify_batch(std::span<const VerifyJob> jobs, bool* verdicts) {
         const VerifyJob& job = jobs[i];
         if (!job.key.valid()) continue;
         if (job.sig.r.is_zero() || job.sig.s.is_zero()) continue;
-        if (!u256_less(job.sig.r, n.modulus()) || !u256_less(job.sig.s, n.modulus()))
-            continue;
+        if (!u256_less(job.sig.r, kGroupOrder) || !u256_less(job.sig.s, kGroupOrder)) continue;
         live.push_back(i);
-        s_inv.push_back(job.sig.s);
+        s_inv.push_back(Scalar(job.sig.s));
     }
-    if (s_inv.size() > 1) stats.inversions_saved += s_inv.size() - 1;
-    n.inverse_batch(s_inv.data(), s_inv.size());
+    if (s_inv.size() > 1) stats.inversions_saved = s_inv.size() - 1;
+    secp256k1::batch_inverse(s_inv);
 
-    // Stage 2: u1 = z·s⁻¹, u2 = r·s⁻¹, then R = u1·G + u2·P per job, with
-    // all Jacobian→affine conversions sharing one batched field inversion.
-    std::vector<secp256k1::DoubleScalar> muls(live.size());
+    // Stage 2: u1 = z·s⁻¹, u2 = r·s⁻¹, and the Jacobian r-check per job.
     for (std::size_t k = 0; k < live.size(); ++k) {
         const VerifyJob& job = jobs[live[k]];
-        const U256 z = n.reduce(U256::from_be_bytes(job.digest.span()));
-        muls[k] = secp256k1::DoubleScalar{job.key.point(), n.mul(z, s_inv[k]),
-                                          n.mul(job.sig.r, s_inv[k])};
-    }
-    std::vector<secp256k1::Point> points(live.size());
-    stats.inversions_saved +=
-        secp256k1::multiply_double_generator_batch(muls, points.data());
-
-    for (std::size_t k = 0; k < live.size(); ++k) {
-        const secp256k1::Point& R = points[k];
-        if (R.infinity) continue;
-        if (n.reduce(R.x) == jobs[live[k]].sig.r) {
+        const Scalar z(U256::from_be_bytes(job.digest.span()));
+        const Scalar r(job.sig.r);
+        if (secp256k1::double_multiply_x_matches(job.key.point(), z * s_inv[k], r * s_inv[k],
+                                                 r)) {
             verdicts[live[k]] = true;
             ++stats.accepted;
         }

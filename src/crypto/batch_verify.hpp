@@ -1,13 +1,12 @@
-// Batched ECDSA verification: amortizes the two per-signature modular
-// inversions (s⁻¹ over the group order, the Jacobian z⁻¹ over the field)
-// across N signatures via Montgomery batch inversion, and replaces the two
-// independent scalar multiplications of a one-at-a-time verify with one
-// Strauss/Shamir double-scalar pass per signature.
+// Batched ECDSA verification: amortizes the per-signature scalar inversion
+// s⁻¹ across N signatures via Montgomery batch inversion; each signature
+// then runs the same double-scalar pass and Jacobian r-check as
+// PublicKey::verify.
 //
 // Verdicts are bit-identical to PublicKey::verify per job — every early
 // reject (invalid key, r or s out of [1, n-1]) is replicated in the same
-// order, and the batched field/scalar operations compute the same canonical
-// values (modular inverses and affine coordinates are unique). That
+// order, and the batched inversion computes the same canonical values
+// (modular inverses are unique). That
 // equivalence is what lets the script layer's deferred-check mode fall back
 // to inline verification without changing any accept/reject outcome; see
 // docs/CRYPTO.md for the contract.

@@ -9,17 +9,8 @@ namespace ebv::crypto {
 
 namespace {
 
-using secp256k1::order;
-
-/// n/2, for low-s normalization.
-U256 half_order() {
-    U256 half = order().modulus();
-    for (int i = 0; i < 4; ++i) {
-        half.limbs[i] >>= 1;
-        if (i + 1 < 4) half.limbs[i] |= half.limbs[i + 1] << 63;
-    }
-    return half;
-}
+using secp256k1::kGroupOrder;
+using secp256k1::Scalar;
 
 /// RFC 6979 deterministic nonce for (secret, msg_hash); retries handled by
 /// the caller via the counter-free k-update step.
@@ -45,7 +36,7 @@ public:
             std::memcpy(v_, t.data(), 32);
 
             const U256 k = U256::from_be_bytes({v_, 32});
-            if (!k.is_zero() && u256_less(k, order().modulus())) return k;
+            if (!k.is_zero() && u256_less(k, kGroupOrder)) return k;
 
             // k = HMAC(k, V || 0x00); V = HMAC(k, V) — the retry step.
             HmacSha256 h2({k_, 32});
@@ -124,8 +115,7 @@ std::optional<U256> der_get_integer(util::ByteSpan der, std::size_t& pos) {
 }  // namespace
 
 bool Signature::is_low_s() const {
-    static const U256 kHalf = half_order();
-    return u256_less_equal(s, kHalf);
+    return u256_less(s, kGroupOrder) && !Scalar(s).is_high();
 }
 
 util::Bytes Signature::to_der() const {
@@ -158,8 +148,7 @@ std::optional<Signature> Signature::from_der(util::ByteSpan der) {
     // accept/reject verdict — it only moves the rejection earlier, before a
     // 33-byte zero-padded integer body could smuggle in a value >= n.
     if (r->is_zero() || s->is_zero()) return std::nullopt;
-    if (!u256_less(*r, order().modulus()) || !u256_less(*s, order().modulus()))
-        return std::nullopt;
+    if (!u256_less(*r, kGroupOrder) || !u256_less(*s, kGroupOrder)) return std::nullopt;
 
     return Signature{*r, *s};
 }
@@ -181,27 +170,21 @@ Hash160 PublicKey::id() const { return hash160(serialize()); }
 
 bool PublicKey::verify(const Hash256& msg_hash, const Signature& sig) const {
     if (!valid()) return false;
-    const ModArith& n = order();
 
     // r, s in [1, n-1].
     if (sig.r.is_zero() || sig.s.is_zero()) return false;
-    if (!u256_less(sig.r, n.modulus()) || !u256_less(sig.s, n.modulus())) return false;
+    if (!u256_less(sig.r, kGroupOrder) || !u256_less(sig.s, kGroupOrder)) return false;
 
-    const U256 z = n.reduce(U256::from_be_bytes(msg_hash.span()));
-    const U256 s_inv = n.inverse(sig.s);
-    const U256 u1 = n.mul(z, s_inv);
-    const U256 u2 = n.mul(sig.r, s_inv);
-
-    const secp256k1::Point R = secp256k1::multiply_double_generator(point_, u1, u2);
-    if (R.infinity) return false;
-
-    return n.reduce(R.x) == sig.r;
+    const Scalar z(U256::from_be_bytes(msg_hash.span()));
+    const Scalar r(sig.r);
+    const Scalar s_inv = Scalar(sig.s).inverse();
+    return secp256k1::double_multiply_x_matches(point_, z * s_inv, r * s_inv, r);
 }
 
 std::optional<PrivateKey> PrivateKey::from_bytes(util::ByteSpan bytes32) {
     if (bytes32.size() != 32) return std::nullopt;
     const U256 secret = U256::from_be_bytes(bytes32);
-    if (secret.is_zero() || !u256_less(secret, order().modulus())) return std::nullopt;
+    if (secret.is_zero() || !u256_less(secret, kGroupOrder)) return std::nullopt;
     return PrivateKey(secret);
 }
 
@@ -220,8 +203,8 @@ PublicKey PrivateKey::public_key() const {
 
 Signature PrivateKey::sign(const Hash256& msg_hash) const {
     EBV_EXPECTS(valid());
-    const ModArith& n = order();
-    const U256 z = n.reduce(U256::from_be_bytes(msg_hash.span()));
+    const Scalar z(U256::from_be_bytes(msg_hash.span()));
+    const Scalar d(secret_);
 
     Rfc6979 nonce_gen(secret_, msg_hash);
     for (;;) {
@@ -229,16 +212,14 @@ Signature PrivateKey::sign(const Hash256& msg_hash) const {
         const secp256k1::Point R = secp256k1::multiply_generator(k);
         if (R.infinity) continue;
 
-        const U256 r = n.reduce(R.x);
+        const Scalar r(R.x);
         if (r.is_zero()) continue;
 
-        const U256 k_inv = n.inverse(k);
-        U256 s = n.mul(k_inv, n.add(z, n.mul(r, secret_)));
+        const Scalar s = Scalar(k).inverse() * (z + r * d);
         if (s.is_zero()) continue;
 
-        Signature sig{r, s};
-        if (!sig.is_low_s()) sig.s = n.neg(sig.s);
-        return sig;
+        // Low-s normalization: of s and n − s, emit the one <= n/2.
+        return Signature{r.value(), s.is_high() ? (-s).value() : s.value()};
     }
 }
 

@@ -1,9 +1,8 @@
 #include "crypto/secp256k1.hpp"
 
 #include <algorithm>
-#include <array>
+#include <cstdint>
 #include <cstdlib>
-#include <vector>
 
 #include "util/assert.hpp"
 
@@ -11,138 +10,151 @@ namespace ebv::crypto::secp256k1 {
 
 namespace {
 
-const U256 kP =
-    U256::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f");
-const U256 kN =
-    U256::from_hex("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141");
+using Fe = FieldElement;
 
-const U256 kGx =
-    U256::from_hex("79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798");
-const U256 kGy =
-    U256::from_hex("483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8");
+constexpr U256 kGx{{0x59f2815b16f81798ULL, 0x029bfcdb2dce28d9ULL, 0x55a06295ce870b07ULL,
+                    0x79be667ef9dcbbacULL}};
+constexpr U256 kGy{{0x9c47d08ffb10d4b8ULL, 0xfd17b448a6855419ULL, 0x5da4fbfc0e1108a8ULL,
+                    0x483ada7726a3c465ULL}};
+/// β, the cube root of unity mod p with λ·(x, y) = (β·x, y).
+constexpr U256 kBeta{{0xc1396c28719501eeULL, 0x9cf0497512f58995ULL, 0x6e64479eac3434e9ULL,
+                      0x7ae96a2b657c0710ULL}};
 
 /// Jacobian coordinates: (X, Y, Z) represents (X/Z², Y/Z³); Z == 0 is the
 /// point at infinity.
 struct Jacobian {
-    U256 x{};
-    U256 y{};
-    U256 z{};  // zero => infinity
+    Fe x{};
+    Fe y{};
+    Fe z{};
 
     [[nodiscard]] bool infinity() const { return z.is_zero(); }
-    static Jacobian at_infinity() { return {}; }
 };
 
 Jacobian to_jacobian(const Point& p) {
-    if (p.infinity) return Jacobian::at_infinity();
-    return Jacobian{p.x, p.y, U256::one()};
+    if (p.infinity) return {};
+    return Jacobian{Fe(p.x), Fe(p.y), Fe::from_u64(1)};
 }
 
 Point to_affine(const Jacobian& j) {
     if (j.infinity()) return Point::at_infinity();
-    const ModArith& f = field();
-    const U256 zinv = f.inverse(j.z);
-    const U256 zinv2 = f.sqr(zinv);
-    const U256 zinv3 = f.mul(zinv2, zinv);
-    return Point{f.mul(j.x, zinv2), f.mul(j.y, zinv3), false};
+    const Fe zinv = j.z.inverse();
+    const Fe zinv2 = zinv.sqr();
+    return Point{(j.x * zinv2).value(), (j.y * zinv2 * zinv).value(), false};
 }
 
-Jacobian jdouble(const Jacobian& a) {
+/// 2·A, dbl-2009-l for a = 0: 2 products, 5 squarings.
+Jacobian dbl(const Jacobian& a) {
     if (a.infinity()) return a;
-    const ModArith& f = field();
-    if (a.y.is_zero()) return Jacobian::at_infinity();
-
-    const U256 y2 = f.sqr(a.y);
-    const U256 s = f.mul(f.mul(U256::from_u64(4), a.x), y2);       // 4·X·Y²
-    const U256 m = f.mul(U256::from_u64(3), f.sqr(a.x));           // 3·X² (a = 0)
-    const U256 x3 = f.sub(f.sqr(m), f.mul(U256::from_u64(2), s));  // M² − 2S
-    const U256 y4 = f.sqr(y2);
-    const U256 y3 = f.sub(f.mul(m, f.sub(s, x3)), f.mul(U256::from_u64(8), y4));
-    const U256 z3 = f.mul(f.mul(U256::from_u64(2), a.y), a.z);
-    return Jacobian{x3, y3, z3};
+    const Fe xx = a.x.sqr();
+    const Fe yy = a.y.sqr();
+    const Fe yyyy = yy.sqr();
+    const Fe d = ((a.x + yy).sqr() - xx - yyyy).twice();  // 4·X·Y²
+    const Fe e = xx.twice() + xx;                         // 3·X²
+    const Fe x3 = e.sqr() - d.twice();
+    const Fe y3 = e * (d - x3) - yyyy.twice().twice().twice();
+    return Jacobian{x3, y3, (a.y * a.z).twice()};
 }
 
-Jacobian jadd(const Jacobian& a, const Jacobian& b) {
+/// A + B for B = (bx, by) affine and finite: 8 products, 3 squarings.
+Jacobian add_affine(const Jacobian& a, const Fe& bx, const Fe& by) {
+    if (a.infinity()) return Jacobian{bx, by, Fe::from_u64(1)};
+    const Fe z1z1 = a.z.sqr();
+    const Fe h = bx * z1z1 - a.x;
+    const Fe r = by * z1z1 * a.z - a.y;
+    if (h.is_zero()) return r.is_zero() ? dbl(a) : Jacobian{};
+    const Fe hh = h.sqr();
+    const Fe hhh = h * hh;
+    const Fe v = a.x * hh;
+    const Fe x3 = r.sqr() - hhh - v.twice();
+    return Jacobian{x3, r * (v - x3) - a.y * hhh, a.z * h};
+}
+
+/// A + B, both Jacobian: 12 products, 4 squarings.
+Jacobian add(const Jacobian& a, const Jacobian& b) {
     if (a.infinity()) return b;
     if (b.infinity()) return a;
-    const ModArith& f = field();
-
-    const U256 z1z1 = f.sqr(a.z);
-    const U256 z2z2 = f.sqr(b.z);
-    const U256 u1 = f.mul(a.x, z2z2);
-    const U256 u2 = f.mul(b.x, z1z1);
-    const U256 s1 = f.mul(a.y, f.mul(z2z2, b.z));
-    const U256 s2 = f.mul(b.y, f.mul(z1z1, a.z));
-
-    if (u1 == u2) {
-        if (s1 == s2) return jdouble(a);
-        return Jacobian::at_infinity();  // P + (−P)
-    }
-
-    const U256 h = f.sub(u2, u1);
-    const U256 r = f.sub(s2, s1);
-    const U256 h2 = f.sqr(h);
-    const U256 h3 = f.mul(h2, h);
-    const U256 u1h2 = f.mul(u1, h2);
-
-    const U256 x3 = f.sub(f.sub(f.sqr(r), h3), f.mul(U256::from_u64(2), u1h2));
-    const U256 y3 = f.sub(f.mul(r, f.sub(u1h2, x3)), f.mul(s1, h3));
-    const U256 z3 = f.mul(h, f.mul(a.z, b.z));
-    return Jacobian{x3, y3, z3};
+    const Fe z1z1 = a.z.sqr();
+    const Fe z2z2 = b.z.sqr();
+    const Fe u1 = a.x * z2z2;
+    const Fe s1 = a.y * z2z2 * b.z;
+    const Fe h = b.x * z1z1 - u1;
+    const Fe r = b.y * z1z1 * a.z - s1;
+    if (h.is_zero()) return r.is_zero() ? dbl(a) : Jacobian{};
+    const Fe hh = h.sqr();
+    const Fe hhh = h * hh;
+    const Fe v = u1 * hh;
+    const Fe x3 = r.sqr() - hhh - v.twice();
+    return Jacobian{x3, r * (v - x3) - s1 * hhh, a.z * b.z * h};
 }
 
-/// 4-bit windowed multiply for an arbitrary base point.
-Jacobian jmultiply(const Jacobian& p, const U256& k) {
-    // table[i] = i·P for i in [1, 15].
-    std::array<Jacobian, 16> table;
-    table[0] = Jacobian::at_infinity();
-    table[1] = p;
-    for (int i = 2; i < 16; ++i) table[i] = jadd(table[i - 1], p);
+// ---- GLV-split interleaved wNAF ----------------------------------------------
+// u1·G + u2·P = a1·G + a2·(λG) + b1·P + b2·(λP) with a1, a2, b1, b2 about
+// 128 bits each (split_lambda), so one shared chain of ~128 doublings serves
+// all four terms. Each term is recoded in width-w NAF: signed odd digits,
+// at most one nonzero digit per w consecutive positions. λ costs nothing
+// extra on the curve: λ·(X, Y, Z) = (β·X, Y, Z).
 
-    Jacobian acc = Jacobian::at_infinity();
-    for (int nibble = 63; nibble >= 0; --nibble) {
-        if (!acc.infinity()) {
-            acc = jdouble(acc);
-            acc = jdouble(acc);
-            acc = jdouble(acc);
-            acc = jdouble(acc);
+constexpr int kWindowP = 5;                          // per-call table for P
+constexpr int kTableSizeP = 1 << (kWindowP - 2);     // P, 3P, ..., 15P
+constexpr int kWindowG = 12;                         // process-wide table for G
+constexpr int kTableSizeG = 1 << (kWindowG - 2);     // G, 3G, ..., 2047G
+constexpr int kMaxDigits = 257;                      // any 256-bit magnitude
+
+std::uint64_t bits_at(const U256& k, int bit, int count) {
+    const int limb = bit / 64;
+    const int offset = bit % 64;
+    if (limb >= 4) return 0;
+    std::uint64_t v = k.limbs[limb] >> offset;
+    if (offset + count > 64 && limb + 1 < 4) v |= k.limbs[limb + 1] << (64 - offset);
+    return v & ((std::uint64_t{1} << count) - 1);
+}
+
+/// Width-w NAF of ±k, choosing the sign so the recoded magnitude is the
+/// shorter of k and n − k: sum(digits[i]·2^i) ≡ k (mod n), every nonzero
+/// digit odd with |digit| < 2^(w−1). Returns the number of positions used.
+int wnaf(const Scalar& k, int w, std::int16_t digits[kMaxDigits]) {
+    std::fill(digits, digits + kMaxDigits, std::int16_t{0});
+    const bool negate = k.is_high();
+    const U256 m = negate ? (-k).value() : k.value();
+    int len = 0;
+    int carry = 0;
+    for (int bit = 0; bit < kMaxDigits;) {
+        if (static_cast<int>(bits_at(m, bit, 1)) == carry) {
+            ++bit;
+            continue;
         }
-        const unsigned limb = static_cast<unsigned>(nibble / 16);
-        const unsigned shift = static_cast<unsigned>(nibble % 16) * 4;
-        const unsigned digit = static_cast<unsigned>(k.limbs[limb] >> shift) & 0xf;
-        if (digit != 0) acc = jadd(acc, table[digit]);
+        const int count = std::min(w, kMaxDigits - bit);
+        int word = static_cast<int>(bits_at(m, bit, count)) + carry;
+        carry = (word >> (w - 1)) & 1;
+        word -= carry << w;
+        digits[bit] = static_cast<std::int16_t>(negate ? -word : word);
+        len = bit + 1;
+        bit += count;
     }
-    return acc;
+    EBV_ASSERT(carry == 0);
+    return len;
 }
 
-/// Fixed-base table for G: kGenTable[j][i-1] = i · 16^j · G, so k·G is a
-/// sum of one table entry per nibble of k — no doublings at all.
-class GeneratorTable {
-public:
+/// Odd multiples of G and of λG in affine form, built once per process:
+/// entry i is (2i+1)·G = (x[i], y[i]) and (2i+1)·λG = (beta_x[i], y[i]).
+struct GeneratorTable {
+    Fe x[kTableSizeG];
+    Fe y[kTableSizeG];
+    Fe beta_x[kTableSizeG];
+
     GeneratorTable() {
-        Jacobian base{kGx, kGy, U256::one()};  // 16^j · G
-        for (int j = 0; j < 64; ++j) {
-            Jacobian cur = base;
-            for (int i = 0; i < 15; ++i) {
-                entries_[j][i] = cur;
-                cur = jadd(cur, base);
-            }
-            base = cur;  // after 15 additions cur == 16 · base
+        const Jacobian g{Fe(kGx), Fe(kGy), Fe::from_u64(1)};
+        const Jacobian g2 = dbl(g);
+        const Fe beta(kBeta);
+        Jacobian cur = g;
+        for (int i = 0; i < kTableSizeG; ++i) {
+            const Point p = to_affine(cur);
+            x[i] = Fe(p.x);
+            y[i] = Fe(p.y);
+            beta_x[i] = beta * x[i];
+            cur = add(cur, g2);
         }
     }
-
-    [[nodiscard]] Jacobian multiply(const U256& k) const {
-        Jacobian acc = Jacobian::at_infinity();
-        for (int nibble = 0; nibble < 64; ++nibble) {
-            const unsigned limb = static_cast<unsigned>(nibble / 16);
-            const unsigned shift = static_cast<unsigned>(nibble % 16) * 4;
-            const unsigned digit = static_cast<unsigned>(k.limbs[limb] >> shift) & 0xf;
-            if (digit != 0) acc = jadd(acc, entries_[nibble][digit - 1]);
-        }
-        return acc;
-    }
-
-private:
-    Jacobian entries_[64][15];
 };
 
 const GeneratorTable& generator_table() {
@@ -150,111 +162,54 @@ const GeneratorTable& generator_table() {
     return table;
 }
 
-// ---- Strauss/Shamir interleaved double-scalar multiplication ---------------
-// u1·G + u2·P shares one doubling chain across both scalars; each scalar is
-// recoded in width-5 NAF (odd digits in ±{1,3,...,15}), so on average one
-// table addition every w+1 = 6 doublings per scalar.
+/// The shared core: u1·G + u2·P in Jacobian coordinates.
+Jacobian ecmult(const Point& p, const Scalar& u1, const Scalar& u2) {
+    const GeneratorTable& gt = generator_table();
+    const LambdaSplit a = split_lambda(u1);
+    std::int16_t da1[kMaxDigits];
+    std::int16_t da2[kMaxDigits];
+    int len = std::max(wnaf(a.k1, kWindowG, da1), wnaf(a.k2, kWindowG, da2));
 
-constexpr int kWnafWidth = 5;
-constexpr int kWnafTableSize = 1 << (kWnafWidth - 2);  // 8 odd multiples
-constexpr int kWnafMaxDigits = 260;                    // 257 needed; slack for safety
-
-Jacobian jnegate(const Jacobian& a) {
-    if (a.infinity()) return a;
-    return Jacobian{a.x, field().neg(a.y), a.z};
-}
-
-/// table[i] = (2i+1)·P — the odd multiples P, 3P, ..., 15P.
-void odd_multiples(const Jacobian& p, Jacobian table[kWnafTableSize]) {
-    table[0] = p;
-    const Jacobian p2 = jdouble(p);
-    for (int i = 1; i < kWnafTableSize; ++i) table[i] = jadd(table[i - 1], p2);
-}
-
-/// Width-w NAF recoding: sum(digits[i] * 2^i) == k, every nonzero digit odd
-/// with |digit| < 2^(w-1), at most one nonzero digit per w consecutive
-/// positions. Returns the digit count (<= 257 for k < n).
-int wnaf_recode(U256 k, std::int8_t digits[kWnafMaxDigits]) {
-    int len = 0;
-    while (!k.is_zero()) {
-        std::int8_t digit = 0;
-        if (k.is_odd()) {
-            const unsigned window =
-                static_cast<unsigned>(k.limbs[0]) & ((1u << kWnafWidth) - 1);
-            int d = static_cast<int>(window);
-            if (d >= (1 << (kWnafWidth - 1))) d -= 1 << kWnafWidth;
-            // k -= d. After the subtraction k is divisible by 2^w, so the
-            // next w-1 digits are zero. A negative digit adds |d| <= 15;
-            // k < n < 2^256 - 2^128 keeps the sum below 2^256.
-            if (d > 0) {
-                u256_sub(k, U256::from_u64(static_cast<std::uint64_t>(d)), k);
-            } else {
-                const std::uint64_t carry =
-                    u256_add(k, U256::from_u64(static_cast<std::uint64_t>(-d)), k);
-                EBV_ASSERT(carry == 0);
-            }
-            digit = static_cast<std::int8_t>(d);
-        }
-        EBV_ASSERT(len < kWnafMaxDigits);
-        digits[len++] = digit;
-        // k >>= 1.
-        for (int i = 0; i < 4; ++i) {
-            k.limbs[i] >>= 1;
-            if (i + 1 < 4) k.limbs[i] |= k.limbs[i + 1] << 63;
+    const bool use_p = !p.infinity && !u2.is_zero();
+    std::int16_t db1[kMaxDigits];
+    std::int16_t db2[kMaxDigits];
+    Jacobian table_p[kTableSizeP];
+    Jacobian table_lp[kTableSizeP];
+    if (use_p) {
+        const LambdaSplit b = split_lambda(u2);
+        len = std::max({len, wnaf(b.k1, kWindowP, db1), wnaf(b.k2, kWindowP, db2)});
+        table_p[0] = to_jacobian(p);
+        const Jacobian p2 = dbl(table_p[0]);
+        for (int i = 1; i < kTableSizeP; ++i) table_p[i] = add(table_p[i - 1], p2);
+        const Fe beta(kBeta);
+        for (int i = 0; i < kTableSizeP; ++i) {
+            table_lp[i] = Jacobian{beta * table_p[i].x, table_p[i].y, table_p[i].z};
         }
     }
-    return len;
-}
 
-/// Odd multiples of G, computed once.
-struct GeneratorWnafTable {
-    Jacobian entries[kWnafTableSize];
-    GeneratorWnafTable() { odd_multiples(Jacobian{kGx, kGy, U256::one()}, entries); }
-};
+    auto add_g = [](const Jacobian& acc, const Fe* xs, const Fe* ys, int d) {
+        const int i = (std::abs(d) - 1) / 2;
+        return add_affine(acc, xs[i], d > 0 ? ys[i] : -ys[i]);
+    };
+    auto add_p = [](const Jacobian& acc, const Jacobian* table, int d) {
+        const Jacobian& e = table[(std::abs(d) - 1) / 2];
+        return add(acc, d > 0 ? e : Jacobian{e.x, -e.y, e.z});
+    };
 
-const GeneratorWnafTable& generator_wnaf_table() {
-    static const GeneratorWnafTable table;
-    return table;
-}
-
-/// The shared core: u1·G + u2·P in Jacobian coordinates (so batch callers
-/// can amortize the affine conversion).
-Jacobian strauss_double_multiply(const Point& p, const U256& u1, const U256& u2) {
-    std::int8_t dg[kWnafMaxDigits];
-    std::int8_t dp[kWnafMaxDigits];
-    const int lg = wnaf_recode(order().reduce(u1), dg);
-    const int lp = p.infinity ? 0 : wnaf_recode(order().reduce(u2), dp);
-
-    Jacobian table_p[kWnafTableSize];
-    if (lp > 0) odd_multiples(to_jacobian(p), table_p);
-    const Jacobian* table_g = generator_wnaf_table().entries;
-
-    Jacobian acc = Jacobian::at_infinity();
-    for (int i = std::max(lg, lp) - 1; i >= 0; --i) {
-        acc = jdouble(acc);
-        if (i < lg && dg[i] != 0) {
-            const Jacobian& entry = table_g[(std::abs(dg[i]) - 1) / 2];
-            acc = jadd(acc, dg[i] > 0 ? entry : jnegate(entry));
-        }
-        if (i < lp && dp[i] != 0) {
-            const Jacobian& entry = table_p[(std::abs(dp[i]) - 1) / 2];
-            acc = jadd(acc, dp[i] > 0 ? entry : jnegate(entry));
+    Jacobian acc;
+    for (int i = len - 1; i >= 0; --i) {
+        acc = dbl(acc);
+        if (da1[i] != 0) acc = add_g(acc, gt.x, gt.y, da1[i]);
+        if (da2[i] != 0) acc = add_g(acc, gt.beta_x, gt.y, da2[i]);
+        if (use_p) {
+            if (db1[i] != 0) acc = add_p(acc, table_p, db1[i]);
+            if (db2[i] != 0) acc = add_p(acc, table_lp, db2[i]);
         }
     }
     return acc;
 }
 
 }  // namespace
-
-const ModArith& field() {
-    static const ModArith f(kP);
-    return f;
-}
-
-const ModArith& order() {
-    static const ModArith n(kN);
-    return n;
-}
 
 const Point& generator() {
     static const Point g{kGx, kGy, false};
@@ -263,62 +218,42 @@ const Point& generator() {
 
 bool Point::on_curve() const {
     if (infinity) return false;
-    const ModArith& f = field();
-    const U256 lhs = f.sqr(y);
-    const U256 rhs = f.add(f.mul(f.sqr(x), x), U256::from_u64(7));
-    return lhs == rhs;
+    const Fe fx(x);
+    return Fe(y).sqr() == fx.sqr() * fx + Fe::from_u64(7);
 }
 
 Point add(const Point& a, const Point& b) {
-    return to_affine(jadd(to_jacobian(a), to_jacobian(b)));
+    return to_affine(add(to_jacobian(a), to_jacobian(b)));
 }
 
 Point negate(const Point& a) {
     if (a.infinity) return a;
-    return Point{a.x, field().neg(a.y), false};
+    return Point{a.x, (-Fe(a.y)).value(), false};
 }
 
 Point multiply(const Point& p, const U256& k) {
-    const U256 k_reduced = order().reduce(k);
-    if (p.infinity || k_reduced.is_zero()) return Point::at_infinity();
-    return to_affine(jmultiply(to_jacobian(p), k_reduced));
+    return to_affine(ecmult(p, Scalar(), Scalar(k)));
 }
 
 Point multiply_generator(const U256& k) {
-    const U256 k_reduced = order().reduce(k);
-    if (k_reduced.is_zero()) return Point::at_infinity();
-    return to_affine(generator_table().multiply(k_reduced));
+    return to_affine(ecmult(Point::at_infinity(), Scalar(k), Scalar()));
 }
 
 Point multiply_double_generator(const Point& p, const U256& u1, const U256& u2) {
-    return to_affine(strauss_double_multiply(p, u1, u2));
+    return to_affine(ecmult(p, Scalar(u1), Scalar(u2)));
 }
 
-std::size_t multiply_double_generator_batch(std::span<const DoubleScalar> jobs,
-                                            Point* out) {
-    std::vector<Jacobian> raw(jobs.size());
-    std::vector<U256> zs;
-    zs.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        raw[i] = strauss_double_multiply(jobs[i].p, jobs[i].u1, jobs[i].u2);
-        if (!raw[i].infinity()) zs.push_back(raw[i].z);
+bool double_multiply_x_matches(const Point& p, const Scalar& u1, const Scalar& u2,
+                               const Scalar& r) {
+    const Jacobian R = ecmult(p, u1, u2);
+    if (R.infinity()) return false;
+    const Fe zz = R.z.sqr();
+    if (Fe(r.value()) * zz == R.x) return true;
+    U256 wrapped;  // r + n, a candidate only while it stays below p
+    if (u256_add(r.value(), kGroupOrder, wrapped) || !u256_less(wrapped, kFieldPrime)) {
+        return false;
     }
-
-    field().inverse_batch(zs.data(), zs.size());
-
-    const ModArith& f = field();
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        if (raw[i].infinity()) {
-            out[i] = Point::at_infinity();
-            continue;
-        }
-        const U256& zinv = zs[next++];
-        const U256 zinv2 = f.sqr(zinv);
-        const U256 zinv3 = f.mul(zinv2, zinv);
-        out[i] = Point{f.mul(raw[i].x, zinv2), f.mul(raw[i].y, zinv3), false};
-    }
-    return zs.size() > 1 ? zs.size() - 1 : 0;
+    return Fe(wrapped) * zz == R.x;
 }
 
 void serialize_compressed(const Point& p, util::MutableByteSpan out33) {
@@ -332,30 +267,16 @@ std::optional<Point> parse_compressed(util::ByteSpan in33) {
     if (in33.size() != 33) return std::nullopt;
     if (in33[0] != 0x02 && in33[0] != 0x03) return std::nullopt;
 
-    const U256 x = U256::from_be_bytes(in33.subspan(1));
-    if (!u256_less(x, kP)) return std::nullopt;
+    const U256 raw_x = U256::from_be_bytes(in33.subspan(1));
+    if (!u256_less(raw_x, kFieldPrime)) return std::nullopt;
 
-    const ModArith& f = field();
-    const U256 rhs = f.add(f.mul(f.sqr(x), x), U256::from_u64(7));
-
-    // p ≡ 3 (mod 4), so sqrt(a) = a^((p+1)/4) when a is a square.
-    U256 exp = kP;
-    U256 carry_dummy;
-    u256_add(exp, U256::one(), carry_dummy);
-    exp = carry_dummy;
-    // Shift right by 2 bits.
-    for (int i = 0; i < 4; ++i) {
-        exp.limbs[i] >>= 2;
-        if (i + 1 < 4) exp.limbs[i] |= exp.limbs[i + 1] << 62;
-    }
-
-    U256 y = f.pow(rhs, exp);
-    if (f.sqr(y) != rhs) return std::nullopt;  // not a quadratic residue
+    const Fe x(raw_x);
+    const std::optional<Fe> root = (x.sqr() * x + Fe::from_u64(7)).sqrt();
+    if (!root) return std::nullopt;  // x³ + 7 is not a square: no such point
 
     const bool want_odd = in33[0] == 0x03;
-    if (y.is_odd() != want_odd) y = f.neg(y);
-
-    Point p{x, y, false};
+    const Fe y = root->is_odd() == want_odd ? *root : -*root;
+    Point p{raw_x, y.value(), false};
     EBV_ENSURES(p.on_curve());
     return p;
 }

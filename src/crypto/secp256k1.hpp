@@ -1,6 +1,7 @@
 // The secp256k1 curve: y² = x³ + 7 over F_p, the curve Bitcoin signs with.
-// Points use Jacobian coordinates internally; scalar multiplication uses a
-// 4-bit window, with a precomputed table for the generator.
+// Points use Jacobian coordinates internally. Every scalar multiplication
+// is one GLV-split, interleaved wNAF pass (see docs/CRYPTO.md), with a
+// precomputed affine table for the generator.
 //
 // This implementation is *not* constant-time. It exists so Script
 // Validation in the reproduction costs real, representative CPU work; it is
@@ -8,19 +9,14 @@
 #pragma once
 
 #include <optional>
-#include <span>
 
-#include "crypto/u256.hpp"
+#include "crypto/field.hpp"
+#include "crypto/scalar.hpp"
 #include "util/span.hpp"
 
 namespace ebv::crypto::secp256k1 {
 
-/// Field arithmetic mod p = 2^256 - 2^32 - 977.
-const ModArith& field();
-/// Scalar arithmetic mod the group order n.
-const ModArith& order();
-
-/// Affine point; infinity is modelled explicitly.
+/// Affine point with coordinates in [0, p); infinity is modelled explicitly.
 struct Point {
     U256 x{};
     U256 y{};
@@ -39,30 +35,21 @@ const Point& generator();
 Point add(const Point& a, const Point& b);
 Point negate(const Point& a);
 
-/// k * P for arbitrary P.
+/// k · P for arbitrary P; k is reduced mod n.
 Point multiply(const Point& p, const U256& k);
-/// k * G using the fixed-base table (much faster; used by signing).
+/// k · G through the generator's precomputed table (used by signing).
 Point multiply_generator(const U256& k);
 
-/// u1·G + u2·P in one interleaved Strauss/Shamir wNAF pass (shared double
-/// chain, precomputed odd-multiple tables for G and P) — the ECDSA
-/// verification workhorse. Scalars are reduced mod n; equals
-/// add(multiply_generator(u1), multiply(p, u2)) for every input.
+/// u1·G + u2·P in one pass sharing a single double chain; scalars are
+/// reduced mod n. Equals add(multiply_generator(u1), multiply(p, u2)).
 Point multiply_double_generator(const Point& p, const U256& u1, const U256& u2);
 
-/// One u1·G + u2·P job for the batch form below.
-struct DoubleScalar {
-    Point p;
-    U256 u1;
-    U256 u2;
-};
-
-/// Batch multiply_double_generator: out[i] = jobs[i].u1·G + jobs[i].u2·P,
-/// with every Jacobian→affine conversion sharing one Montgomery-batched
-/// field inversion. Returns the number of modular inversions saved relative
-/// to per-job calls (0 when fewer than two results are finite points).
-std::size_t multiply_double_generator_batch(std::span<const DoubleScalar> jobs,
-                                            Point* out);
+/// ECDSA's final check without leaving Jacobian coordinates: whether
+/// R = u1·G + u2·P is finite and R.x ≡ r (mod n). R.x lies in [0, p) and
+/// p > n, so R.x is either r or, when r + n < p, r + n; each is compared
+/// as r·Z² == X, which needs no field inversion.
+bool double_multiply_x_matches(const Point& p, const Scalar& u1, const Scalar& u2,
+                               const Scalar& r);
 
 /// 33-byte compressed SEC1 encoding (02/03 prefix + big-endian x).
 void serialize_compressed(const Point& p, util::MutableByteSpan out33);

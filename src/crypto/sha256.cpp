@@ -87,7 +87,7 @@ Sha256& Sha256::update(util::ByteSpan data) {
     total_len_ += data.size();
     std::size_t offset = 0;
 
-    if (buffer_len_ > 0) {
+    if (buffer_len_ > 0 && !data.empty()) {  // an empty span may carry a null data()
         const std::size_t take = std::min(data.size(), 64 - buffer_len_);
         std::memcpy(buffer_ + buffer_len_, data.data(), take);
         buffer_len_ += take;

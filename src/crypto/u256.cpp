@@ -1,13 +1,9 @@
 #include "crypto/u256.hpp"
 
-#include <vector>
-
 #include "util/assert.hpp"
 #include "util/endian.hpp"
 
 namespace ebv::crypto {
-
-using u128 = unsigned __int128;
 
 U256 U256::from_be_bytes(util::ByteSpan bytes32) {
     EBV_EXPECTS(bytes32.size() == 32);
@@ -37,178 +33,6 @@ U256 U256::from_hex(std::string_view hex64) {
         v.limbs[3 - limb] = acc;
     }
     return v;
-}
-
-bool u256_less(const U256& a, const U256& b) {
-    for (int i = 3; i >= 0; --i) {
-        if (a.limbs[i] != b.limbs[i]) return a.limbs[i] < b.limbs[i];
-    }
-    return false;
-}
-
-std::uint64_t u256_add(const U256& a, const U256& b, U256& out) {
-    u128 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-        const u128 sum = static_cast<u128>(a.limbs[i]) + b.limbs[i] + carry;
-        out.limbs[i] = static_cast<std::uint64_t>(sum);
-        carry = sum >> 64;
-    }
-    return static_cast<std::uint64_t>(carry);
-}
-
-std::uint64_t u256_sub(const U256& a, const U256& b, U256& out) {
-    std::uint64_t borrow = 0;
-    for (int i = 0; i < 4; ++i) {
-        const u128 diff = static_cast<u128>(a.limbs[i]) - b.limbs[i] - borrow;
-        out.limbs[i] = static_cast<std::uint64_t>(diff);
-        borrow = static_cast<std::uint64_t>((diff >> 64) & 1);
-    }
-    return borrow;
-}
-
-void u256_mul_wide(const U256& a, const U256& b, std::uint64_t out[8]) {
-    for (int i = 0; i < 8; ++i) out[i] = 0;
-    for (int i = 0; i < 4; ++i) {
-        u128 carry = 0;
-        for (int j = 0; j < 4; ++j) {
-            const u128 cur =
-                static_cast<u128>(a.limbs[i]) * b.limbs[j] + out[i + j] + carry;
-            out[i + j] = static_cast<std::uint64_t>(cur);
-            carry = cur >> 64;
-        }
-        out[i + 4] = static_cast<std::uint64_t>(carry);
-    }
-}
-
-ModArith::ModArith(const U256& modulus) : m_(modulus) {
-    // complement = 2^256 - m, computed as (~m) + 1 over 4 limbs.
-    U256 not_m;
-    for (int i = 0; i < 4; ++i) not_m.limbs[i] = ~m_.limbs[i];
-    u256_add(not_m, U256::one(), complement_);
-    // The folding reduction below converges only when the complement is
-    // small; both secp256k1 moduli have complements under 2^130. Anything
-    // below 2^192 converges geometrically.
-    EBV_EXPECTS(complement_.limbs[3] == 0);
-    EBV_EXPECTS(m_.limbs[3] >= (1ULL << 63));  // m > 2^255
-}
-
-U256 ModArith::reduce(const U256& a) const {
-    U256 out = a;
-    while (!u256_less(out, m_)) u256_sub(out, m_, out);
-    return out;
-}
-
-U256 ModArith::add(const U256& a, const U256& b) const {
-    U256 sum;
-    const std::uint64_t carry = u256_add(a, b, sum);
-    if (carry) {
-        // sum overflowed 2^256: true value is sum + 2^256 ≡ sum + complement.
-        // complement < 2^130 so this addition cannot overflow again after
-        // one further fold.
-        std::uint64_t carry2 = u256_add(sum, complement_, sum);
-        if (carry2) u256_add(sum, complement_, sum);
-    }
-    return reduce(sum);
-}
-
-U256 ModArith::sub(const U256& a, const U256& b) const {
-    U256 diff;
-    const std::uint64_t borrow = u256_sub(a, b, diff);
-    if (borrow) u256_add(diff, m_, diff);
-    return reduce(diff);
-}
-
-U256 ModArith::neg(const U256& a) const {
-    if (a.is_zero()) return a;
-    U256 out;
-    u256_sub(m_, reduce(a), out);
-    return out;
-}
-
-U256 ModArith::reduce_wide(const std::uint64_t limbs[8]) const {
-    std::uint64_t acc[8];
-    for (int i = 0; i < 8; ++i) acc[i] = limbs[i];
-
-    auto high_is_zero = [&] { return (acc[4] | acc[5] | acc[6] | acc[7]) == 0; };
-
-    while (!high_is_zero()) {
-        const U256 hi{{acc[4], acc[5], acc[6], acc[7]}};
-        const U256 lo{{acc[0], acc[1], acc[2], acc[3]}};
-
-        // acc = hi * complement + lo. With complement < 2^130 the product is
-        // at most ~2^386, so the loop shrinks the high half geometrically.
-        std::uint64_t prod[8];
-        u256_mul_wide(hi, complement_, prod);
-
-        u128 carry = 0;
-        for (int i = 0; i < 4; ++i) {
-            const u128 sum = static_cast<u128>(prod[i]) + lo.limbs[i] + carry;
-            acc[i] = static_cast<std::uint64_t>(sum);
-            carry = sum >> 64;
-        }
-        for (int i = 4; i < 8; ++i) {
-            const u128 sum = static_cast<u128>(prod[i]) + carry;
-            acc[i] = static_cast<std::uint64_t>(sum);
-            carry = sum >> 64;
-        }
-        EBV_ASSERT(carry == 0);
-    }
-
-    return reduce(U256{{acc[0], acc[1], acc[2], acc[3]}});
-}
-
-U256 ModArith::mul(const U256& a, const U256& b) const {
-    std::uint64_t wide[8];
-    u256_mul_wide(a, b, wide);
-    return reduce_wide(wide);
-}
-
-U256 ModArith::pow(const U256& base, const U256& exponent) const {
-    U256 result = U256::one();
-    const U256 b = reduce(base);
-    bool started = false;
-    for (int i = 255; i >= 0; --i) {
-        if (started) result = sqr(result);
-        if (exponent.bit(static_cast<unsigned>(i))) {
-            if (started) {
-                result = mul(result, b);
-            } else {
-                result = b;
-                started = true;
-            }
-        }
-    }
-    return started ? result : U256::one();
-}
-
-U256 ModArith::inverse(const U256& a) const {
-    EBV_EXPECTS(!reduce(a).is_zero());
-    U256 exp;
-    u256_sub(m_, U256::from_u64(2), exp);
-    return pow(a, exp);
-}
-
-void ModArith::inverse_batch(U256* values, std::size_t n) const {
-    if (n == 0) return;
-    if (n == 1) {
-        values[0] = inverse(values[0]);
-        return;
-    }
-
-    // prefix[i] = values[0] * ... * values[i]. The product is nonzero iff
-    // every factor is (m is prime), so inverse() below doubles as the
-    // all-nonzero precondition check.
-    std::vector<U256> prefix(n);
-    prefix[0] = reduce(values[0]);
-    for (std::size_t i = 1; i < n; ++i) prefix[i] = mul(prefix[i - 1], values[i]);
-
-    U256 inv = inverse(prefix[n - 1]);
-    for (std::size_t i = n - 1; i > 0; --i) {
-        const U256 value = values[i];
-        values[i] = mul(inv, prefix[i - 1]);
-        inv = mul(inv, value);
-    }
-    values[0] = inv;
 }
 
 }  // namespace ebv::crypto

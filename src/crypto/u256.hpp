@@ -1,7 +1,6 @@
-// 256-bit unsigned integers (4×64-bit little-endian limbs) and modular
-// arithmetic over an arbitrary 256-bit modulus whose complement
-// C = 2^256 - m is small (true for both the secp256k1 field prime p and the
-// group order n). Reduction uses repeated folding: hi*2^256 + lo ≡ hi*C + lo.
+// 256-bit unsigned integers (4×64-bit little-endian limbs): the raw carrier
+// for hashes, targets and the secp256k1 field and scalar types
+// (crypto/field.hpp, crypto/scalar.hpp), which own all modular arithmetic.
 #pragma once
 
 #include <array>
@@ -38,46 +37,80 @@ struct U256 {
 };
 
 /// a < b, a <= b as unsigned 256-bit integers.
-bool u256_less(const U256& a, const U256& b);
+inline bool u256_less(const U256& a, const U256& b) {
+    for (int i = 3; i >= 0; --i) {
+        if (a.limbs[i] != b.limbs[i]) return a.limbs[i] < b.limbs[i];
+    }
+    return false;
+}
 inline bool u256_less_equal(const U256& a, const U256& b) { return !u256_less(b, a); }
 
 /// a + b, returning the carry-out bit.
-std::uint64_t u256_add(const U256& a, const U256& b, U256& out);
+inline std::uint64_t u256_add(const U256& a, const U256& b, U256& out) {
+    unsigned __int128 carry = 0;
+    for (int i = 0; i < 4; ++i) {
+        carry += static_cast<unsigned __int128>(a.limbs[i]) + b.limbs[i];
+        out.limbs[i] = static_cast<std::uint64_t>(carry);
+        carry >>= 64;
+    }
+    return static_cast<std::uint64_t>(carry);
+}
+
 /// a - b, returning the borrow-out bit.
-std::uint64_t u256_sub(const U256& a, const U256& b, U256& out);
+inline std::uint64_t u256_sub(const U256& a, const U256& b, U256& out) {
+    std::uint64_t borrow = 0;
+    for (int i = 0; i < 4; ++i) {
+        const unsigned __int128 diff =
+            static_cast<unsigned __int128>(a.limbs[i]) - b.limbs[i] - borrow;
+        out.limbs[i] = static_cast<std::uint64_t>(diff);
+        borrow = static_cast<std::uint64_t>((diff >> 64) & 1);
+    }
+    return borrow;
+}
+
 /// Full 512-bit product as 8 limbs (little-endian).
-void u256_mul_wide(const U256& a, const U256& b, std::uint64_t out[8]);
+inline void u256_mul_wide(const U256& a, const U256& b, std::uint64_t out[8]) {
+    for (int i = 0; i < 4; ++i) {
+        unsigned __int128 carry = 0;
+        for (int j = 0; j < 4; ++j) {
+            carry += static_cast<unsigned __int128>(a.limbs[i]) * b.limbs[j] +
+                     (i == 0 ? 0 : out[i + j]);
+            out[i + j] = static_cast<std::uint64_t>(carry);
+            carry >>= 64;
+        }
+        out[i + 4] = static_cast<std::uint64_t>(carry);
+    }
+}
 
-/// Fixed-modulus arithmetic. The modulus must satisfy 2^255 < m < 2^256 so
-/// that its complement C = 2^256 - m is < 2^255 (both secp256k1 moduli do).
-class ModArith {
-public:
-    explicit ModArith(const U256& modulus);
-
-    [[nodiscard]] const U256& modulus() const { return m_; }
-
-    [[nodiscard]] U256 add(const U256& a, const U256& b) const;
-    [[nodiscard]] U256 sub(const U256& a, const U256& b) const;
-    [[nodiscard]] U256 neg(const U256& a) const;
-    [[nodiscard]] U256 mul(const U256& a, const U256& b) const;
-    [[nodiscard]] U256 sqr(const U256& a) const { return mul(a, a); }
-    [[nodiscard]] U256 pow(const U256& base, const U256& exponent) const;
-    /// Inverse via Fermat's little theorem (modulus must be prime);
-    /// input must be nonzero.
-    [[nodiscard]] U256 inverse(const U256& a) const;
-    /// Montgomery batch inversion: replace each of the n values with its
-    /// inverse using ONE Fermat inversion plus 3(n-1) multiplications.
-    /// Every value must be nonzero mod m; results are bit-identical to n
-    /// independent inverse() calls (the inverse in [0, m) is unique).
-    void inverse_batch(U256* values, std::size_t n) const;
-    /// Reduce an arbitrary 256-bit value into [0, m).
-    [[nodiscard]] U256 reduce(const U256& a) const;
-    /// Reduce a 512-bit value (8 limbs) into [0, m).
-    [[nodiscard]] U256 reduce_wide(const std::uint64_t limbs[8]) const;
-
-private:
-    U256 m_;
-    U256 complement_;  // 2^256 - m, fits well below 2^255
-};
+/// Full 512-bit square: each cross product a[i]·a[j] (i < j) once, doubled
+/// by a shift, plus the squares a[i]² on the diagonal — 10 limb products
+/// instead of u256_mul_wide's 16.
+inline void u256_sqr_wide(const U256& a, std::uint64_t out[8]) {
+    using u128 = unsigned __int128;
+    const auto& x = a.limbs;
+    out[0] = 0;
+    for (int i = 0; i < 3; ++i) {
+        u128 carry = 0;
+        for (int j = i + 1; j < 4; ++j) {
+            carry += static_cast<u128>(x[i]) * x[j] + (i == 0 ? 0 : out[i + j]);
+            out[i + j] = static_cast<std::uint64_t>(carry);
+            carry >>= 64;
+        }
+        out[i + 4] = static_cast<std::uint64_t>(carry);
+    }
+    out[7] = out[6] >> 63;
+    for (int i = 6; i > 1; --i) out[i] = out[i] << 1 | out[i - 1] >> 63;
+    out[1] <<= 1;
+    u128 carry = 0;
+    for (int i = 0; i < 4; ++i) {
+        const u128 sq = static_cast<u128>(x[i]) * x[i];
+        carry += static_cast<u128>(out[2 * i]) + static_cast<std::uint64_t>(sq);
+        out[2 * i] = static_cast<std::uint64_t>(carry);
+        carry >>= 64;
+        carry += static_cast<u128>(out[2 * i + 1]) + static_cast<std::uint64_t>(sq >> 64);
+        out[2 * i + 1] = static_cast<std::uint64_t>(carry);
+        carry >>= 64;
+    }
+}
 
 }  // namespace ebv::crypto

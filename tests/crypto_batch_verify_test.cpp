@@ -1,6 +1,6 @@
 // Batched ECDSA verification: Montgomery batch inversion, the
-// Strauss/Shamir double-scalar multiply, and crypto::verify_batch must all
-// be bit-identical to their one-at-a-time counterparts — the acceptance
+// double-scalar multiply, and crypto::verify_batch must all be
+// bit-identical to their one-at-a-time counterparts — the acceptance
 // criterion is a randomized 10k-signature corpus (valid and corrupted)
 // whose batch verdicts match PublicKey::verify exactly.
 #include <gtest/gtest.h>
@@ -32,56 +32,45 @@ U256 random_u256(util::Rng& rng) {
     return v;
 }
 
-U256 random_nonzero(util::Rng& rng, const ModArith& m) {
+k1::Scalar random_nonzero(util::Rng& rng) {
     for (;;) {
-        const U256 v = m.reduce(random_u256(rng));
+        const k1::Scalar v(random_u256(rng));
         if (!v.is_zero()) return v;
     }
 }
 
 // ---------------------------------------------------------------------------
-// Montgomery batch inversion
-
-void check_inverse_batch(const ModArith& m, std::size_t n, std::uint64_t seed) {
-    util::Rng rng(seed);
-    std::vector<U256> values(n);
-    for (auto& v : values) v = random_nonzero(rng, m);
-    std::vector<U256> expected(n);
-    for (std::size_t i = 0; i < n; ++i) expected[i] = m.inverse(values[i]);
-    m.inverse_batch(values.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(values[i], expected[i]) << "modulus mismatch at index " << i;
-    }
-}
-
-TEST(InverseBatch, MatchesScalarInverseOverField) {
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                                std::size_t{64}}) {
-        check_inverse_batch(k1::field(), n, 100 + n);
-    }
-}
+// Montgomery batch inversion of s values
 
 TEST(InverseBatch, MatchesScalarInverseOverOrder) {
     for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
                                 std::size_t{64}}) {
-        check_inverse_batch(k1::order(), n, 200 + n);
+        util::Rng rng(200 + n);
+        std::vector<k1::Scalar> values(n);
+        for (auto& v : values) v = random_nonzero(rng);
+        std::vector<k1::Scalar> expected(n);
+        for (std::size_t i = 0; i < n; ++i) expected[i] = values[i].inverse();
+        k1::batch_inverse(values);
+        for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(values[i], expected[i]) << "mismatch at index " << i;
+        }
     }
 }
 
 TEST(InverseBatch, EmptyIsNoop) {
-    k1::field().inverse_batch(nullptr, 0);  // must not crash
+    k1::batch_inverse({});  // must not crash
 }
 
 TEST(InverseBatch, UnreducedInputsAreReducedFirst) {
-    // inverse() accepts unreduced inputs (it reduces internally); the batch
-    // form must agree even when a value exceeds the modulus.
-    const ModArith& m = k1::order();
-    U256 big = m.modulus();
-    big.limbs[0] += 5;  // modulus + 5, no carry (order is far below 2^256-5)
-    U256 values[2] = {big, U256::from_u64(7)};
-    const U256 expected0 = m.inverse(big);
-    const U256 expected1 = m.inverse(U256::from_u64(7));
-    m.inverse_batch(values, 2);
+    // A value above the order enters as its residue; the batch form must
+    // agree with inverse() of that residue.
+    U256 big = k1::kGroupOrder;
+    big.limbs[0] += 5;  // n + 5, no carry (the order is far below 2^256 - 5)
+    k1::Scalar values[2] = {k1::Scalar(big), k1::Scalar(U256::from_u64(7))};
+    EXPECT_EQ(values[0], k1::Scalar(U256::from_u64(5)));
+    const k1::Scalar expected0 = k1::Scalar(U256::from_u64(5)).inverse();
+    const k1::Scalar expected1 = k1::Scalar(U256::from_u64(7)).inverse();
+    k1::batch_inverse(values);
     EXPECT_EQ(values[0], expected0);
     EXPECT_EQ(values[1], expected1);
 }
@@ -108,7 +97,7 @@ TEST(StraussShamir, MatchesIndependentMultiplies) {
 TEST(StraussShamir, EdgeScalars) {
     util::Rng rng(8);
     const k1::Point p = PrivateKey::generate(rng).public_key().point();
-    const U256 n = k1::order().modulus();
+    const U256 n = k1::kGroupOrder;
     U256 n_minus_1;
     u256_sub(n, U256::one(), n_minus_1);
     const U256 edges[] = {U256::zero(), U256::one(), U256::from_u64(2),
@@ -127,36 +116,6 @@ TEST(StraussShamir, InfinityPointUsesOnlyGeneratorTerm) {
     const U256 u2 = random_u256(rng);
     EXPECT_EQ(k1::multiply_double_generator(k1::Point::at_infinity(), u1, u2),
               k1::multiply_generator(u1));
-}
-
-TEST(StraussShamir, BatchMatchesSingleCalls) {
-    util::Rng rng(10);
-    std::vector<k1::DoubleScalar> jobs;
-    for (int i = 0; i < 9; ++i) {
-        jobs.push_back({PrivateKey::generate(rng).public_key().point(),
-                        random_u256(rng), random_u256(rng)});
-    }
-    // Mix in results that land at infinity (u1 = u2 = 0) between finite ones.
-    jobs.insert(jobs.begin() + 3,
-                {k1::Point::at_infinity(), U256::zero(), U256::zero()});
-    std::vector<k1::Point> out(jobs.size());
-    const std::size_t saved =
-        k1::multiply_double_generator_batch(jobs, out.data());
-    EXPECT_EQ(saved, jobs.size() - 2);  // 10 jobs, 9 finite ⇒ 8 saved
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(out[i],
-                  k1::multiply_double_generator(jobs[i].p, jobs[i].u1, jobs[i].u2))
-            << "batch job " << i;
-    }
-}
-
-TEST(StraussShamir, BatchOfOneSavesNothing) {
-    util::Rng rng(11);
-    const k1::DoubleScalar job{PrivateKey::generate(rng).public_key().point(),
-                               random_u256(rng), random_u256(rng)};
-    k1::Point out;
-    EXPECT_EQ(k1::multiply_double_generator_batch({&job, 1}, &out), 0u);
-    EXPECT_EQ(out, k1::multiply_double_generator(job.p, job.u1, job.u2));
 }
 
 // ---------------------------------------------------------------------------
@@ -196,14 +155,14 @@ VerifyJob make_job(util::Rng& rng, const std::vector<PrivateKey>& keys,
             job.sig.r = U256::zero();
             break;
         case 6:  // early reject: r >= n
-            job.sig.r = k1::order().modulus();
+            job.sig.r = k1::kGroupOrder;
             break;
         case 7:  // early reject: invalid (default-constructed) public key
             job.key = PublicKey();
             break;
         case 8: {  // high-s variant of a valid signature: n - s
             U256 high_s;
-            u256_sub(k1::order().modulus(), job.sig.s, high_s);
+            u256_sub(k1::kGroupOrder, job.sig.s, high_s);
             job.sig.s = high_s;  // verify() accepts both s and n - s
             break;
         }
@@ -256,7 +215,7 @@ TEST(VerifyBatch, TenThousandSignatureCorpusMatchesSerialVerify) {
     EXPECT_GT(total.inversions_saved, 0u);
 }
 
-TEST(VerifyBatch, AllValidBatchSavesTwoInversionsPerExtraSignature) {
+TEST(VerifyBatch, AllValidBatchSavesOneInversionPerExtraSignature) {
     util::Rng rng(31);
     const PrivateKey key = PrivateKey::generate(rng);
     constexpr std::size_t kJobs = 8;
@@ -269,8 +228,9 @@ TEST(VerifyBatch, AllValidBatchSavesTwoInversionsPerExtraSignature) {
     const BatchVerifyStats stats = verify_batch(jobs, verdicts);
     EXPECT_EQ(stats.checked, kJobs);
     EXPECT_EQ(stats.accepted, kJobs);
-    // One s⁻¹ batch and one z⁻¹ batch, each saving kJobs - 1 inversions.
-    EXPECT_EQ(stats.inversions_saved, 2 * (kJobs - 1));
+    // One s⁻¹ batch saving kJobs - 1 inversions; the r-check is done in
+    // Jacobian form, so there is no z⁻¹ to amortize.
+    EXPECT_EQ(stats.inversions_saved, kJobs - 1);
     for (const bool v : verdicts) EXPECT_TRUE(v);
 }
 

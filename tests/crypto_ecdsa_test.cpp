@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "crypto/ecdsa.hpp"
 #include "crypto/hash_types.hpp"
@@ -43,7 +44,7 @@ TEST(Secp256k1, AddingInverseYieldsInfinity) {
 }
 
 TEST(Secp256k1, OrderTimesGeneratorIsInfinity) {
-    const U256 n = k1::order().modulus();
+    const U256 n = k1::kGroupOrder;
     // n ≡ 0 (mod n) so multiply() reduces it to zero ⇒ infinity.
     EXPECT_TRUE(k1::multiply(k1::generator(), n).infinity);
     // (n-1)·G == -G.
@@ -63,12 +64,11 @@ TEST(Secp256k1, GeneratorTableMatchesGenericMultiply) {
 
 TEST(Secp256k1, MultiplyDistributesOverScalarAddition) {
     util::Rng rng(43);
-    const auto& n = k1::order();
     for (int i = 0; i < 5; ++i) {
         U256 a, b;
         for (auto& limb : a.limbs) limb = rng.next();
         for (auto& limb : b.limbs) limb = rng.next();
-        const U256 sum = n.add(n.reduce(a), n.reduce(b));
+        const U256 sum = (k1::Scalar(a) + k1::Scalar(b)).value();
         const k1::Point lhs = k1::multiply_generator(sum);
         const k1::Point rhs = k1::add(k1::multiply_generator(a), k1::multiply_generator(b));
         EXPECT_EQ(lhs, rhs);
@@ -95,7 +95,9 @@ TEST(Secp256k1, ParseRejectsBadEncodings) {
     EXPECT_FALSE(k1::parse_compressed({buf, 33}).has_value());
     buf[0] = 0x02;  // x = 0: 0³+7 = 7 is a QR? parse must verify on-curve
     const auto p = k1::parse_compressed({buf, 33});
-    if (p) EXPECT_TRUE(p->on_curve());
+    if (p) {
+        EXPECT_TRUE(p->on_curve());
+    }
 }
 
 TEST(Ecdsa, SignVerifyRoundTrip) {
@@ -132,7 +134,7 @@ TEST(Ecdsa, VerifyRejectsMangledSignature) {
     Signature sig = key.sign(digest);
 
     Signature bad_r = sig;
-    bad_r.r = k1::order().add(bad_r.r, U256::one());
+    bad_r.r = (k1::Scalar(bad_r.r) + k1::Scalar(U256::one())).value();
     EXPECT_FALSE(key.public_key().verify(digest, bad_r));
 
     Signature zero_s = sig;
@@ -202,20 +204,20 @@ TEST(Ecdsa, DerRejectsMalformed) {
 TEST(Ecdsa, LowSBoundaryIsExactlyHalfTheOrder) {
     // n is odd, so the canonical threshold is floor(n/2) = (n-1)/2:
     // s == n/2 is the largest accepted value, n/2 + 1 the smallest rejected.
-    U256 half = k1::order().modulus();
+    U256 half = k1::kGroupOrder;
     for (int i = 0; i < 4; ++i) {
         half.limbs[i] >>= 1;
         if (i + 1 < 4) half.limbs[i] |= half.limbs[i + 1] << 63;
     }
     Signature sig{U256::one(), half};
     EXPECT_TRUE(sig.is_low_s());
-    sig.s = k1::order().add(half, U256::one());
+    sig.s = (k1::Scalar(half) + k1::Scalar(U256::one())).value();
     EXPECT_FALSE(sig.is_low_s());
     // And a signature plus its negation straddle the boundary.
     util::Rng rng(53);
     const Signature low = PrivateKey::generate(rng).sign(msg_hash("low-s"));
     EXPECT_TRUE(low.is_low_s());
-    const Signature high{low.r, k1::order().neg(low.s)};
+    const Signature high{low.r, (-k1::Scalar(low.s)).value()};
     EXPECT_FALSE(high.is_low_s());
 }
 
@@ -257,7 +259,7 @@ TEST(Ecdsa, DerRejectsOutOfRangeScalars) {
     // group order itself, which from_der must now reject at parse time.
     util::Bytes der{0x30, 0x26, 0x02, 0x21, 0x00};
     std::uint8_t n_bytes[32];
-    k1::order().modulus().to_be_bytes(n_bytes);
+    k1::kGroupOrder.to_be_bytes(n_bytes);
     der.insert(der.end(), n_bytes, n_bytes + 32);  // r = n
     der.insert(der.end(), {0x02, 0x01, 0x01});     // s = 1
     ASSERT_EQ(der.size(), der[1] + 2u);
@@ -265,7 +267,7 @@ TEST(Ecdsa, DerRejectsOutOfRangeScalars) {
 
     // Same shape with r = n - 1 (in range) must parse.
     U256 n_minus_1;
-    u256_sub(k1::order().modulus(), U256::one(), n_minus_1);
+    u256_sub(k1::kGroupOrder, U256::one(), n_minus_1);
     n_minus_1.to_be_bytes(n_bytes);
     std::copy(n_bytes, n_bytes + 32, der.begin() + 5);
     const auto parsed = Signature::from_der(der);
@@ -278,11 +280,11 @@ TEST(Ecdsa, VerifyReducesRxModOrderAndRejectsUnreducedR) {
     // verify() accepts iff reduce(R.x) == r. R.x lives in the field
     // [0, p) where p > n, so values in [n, p) must fold down by exactly n —
     // pin that reduction contract on the order arithmetic directly.
-    const ModArith& n = k1::order();
-    U256 x = n.modulus();
+    const U256& n = k1::kGroupOrder;
+    U256 x = n;
     x.limbs[0] += 5;  // n + 5 < p, representative of an unreduced R.x
-    EXPECT_EQ(n.reduce(x), U256::from_u64(5));
-    EXPECT_EQ(n.reduce(n.modulus()), U256::zero());
+    EXPECT_EQ(k1::Scalar(x).value(), U256::from_u64(5));
+    EXPECT_TRUE(k1::Scalar(n).is_zero());
 
     // The flip side: a signature presenting the *unreduced* value as r is
     // outside [1, n-1] and dies in the range check, never at the curve.
@@ -293,11 +295,11 @@ TEST(Ecdsa, VerifyReducesRxModOrderAndRejectsUnreducedR) {
     ASSERT_TRUE(key.public_key().verify(digest, sig));
 
     Signature unreduced = sig;
-    unreduced.r = n.modulus();  // smallest value reduce() would fold
+    unreduced.r = n;  // smallest value the reduction would fold
     EXPECT_FALSE(key.public_key().verify(digest, unreduced));
 
     // High-s acceptance: verify is policy-free, so n - s also verifies.
-    const Signature high{sig.r, n.neg(sig.s)};
+    const Signature high{sig.r, (-k1::Scalar(sig.s)).value()};
     EXPECT_TRUE(key.public_key().verify(digest, high));
 }
 
@@ -306,7 +308,7 @@ TEST(Ecdsa, PrivateKeyFromBytesRejectsOutOfRange) {
     EXPECT_FALSE(PrivateKey::from_bytes({zero, 32}).has_value());
 
     std::uint8_t big[32];
-    k1::order().modulus().to_be_bytes(big);
+    k1::kGroupOrder.to_be_bytes(big);
     EXPECT_FALSE(PrivateKey::from_bytes({big, 32}).has_value());  // == n
 
     EXPECT_FALSE(PrivateKey::from_bytes({zero, 31}).has_value());  // short
@@ -321,6 +323,43 @@ TEST(Ecdsa, PublicKeySerializeParseRoundTrip) {
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->point(), key.public_key().point());
     EXPECT_EQ(parsed->id(), key.public_key().id());
+}
+
+TEST(Ecdsa, JacobianRCheckMatchesAffineReference) {
+    // verify() compares r with R.x in Jacobian form (r·Z² == X, and
+    // (r + n)·Z² == X when r + n < p). The reference computes the affine R
+    // through the public multiply and reduces R.x mod n; both must agree on
+    // valid, corrupted, high-s and cross-key signatures.
+    util::Rng rng(55);
+    std::vector<PrivateKey> keys;
+    for (int i = 0; i < 4; ++i) keys.push_back(PrivateKey::generate(rng));
+    int accepted = 0;
+    for (int i = 0; i < 200; ++i) {
+        const PrivateKey& key = keys[i % keys.size()];
+        PublicKey pub = key.public_key();
+        Hash256 digest;
+        rng.fill({digest.bytes().data(), 32});
+        Signature sig = key.sign(digest);
+        switch (i % 5) {
+            case 1: sig.s = (-k1::Scalar(sig.s)).value(); break;
+            case 2: sig.r.limbs[rng.next() % 4] ^= 1ULL << (rng.next() % 64); break;
+            case 3: pub = keys[(i + 1) % keys.size()].public_key(); break;
+            case 4: digest.bytes()[rng.next() % 32] ^= 0x01; break;
+            default: break;
+        }
+        bool expected = false;
+        if (!sig.r.is_zero() && u256_less(sig.r, k1::kGroupOrder)) {
+            const k1::Scalar s_inv = k1::Scalar(sig.s).inverse();
+            const k1::Scalar z(U256::from_be_bytes(digest.span()));
+            const k1::Scalar r(sig.r);
+            const k1::Point R = k1::multiply_double_generator(
+                pub.point(), (z * s_inv).value(), (r * s_inv).value());
+            expected = !R.infinity && k1::Scalar(R.x) == r;
+        }
+        EXPECT_EQ(pub.verify(digest, sig), expected) << "case " << i;
+        accepted += expected ? 1 : 0;
+    }
+    EXPECT_EQ(accepted, 80);  // cases 0 and 1 of every five
 }
 
 }  // namespace

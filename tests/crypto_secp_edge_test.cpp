@@ -1,6 +1,7 @@
 // Edge cases of the curve and signature layers beyond the happy path.
 #include <gtest/gtest.h>
 
+#include "crypto/batch_verify.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/secp256k1.hpp"
 #include "util/rng.hpp"
@@ -27,7 +28,7 @@ TEST(SecpEdge, DoublingMatchesAdditionChains) {
 
 TEST(SecpEdge, ScalarMultipleWrapsModOrder) {
     // (n + 5)·G == 5·G.
-    const auto& n = k1::order().modulus();
+    const U256& n = k1::kGroupOrder;
     U256 n_plus_5 = n;
     U256 five = U256::from_u64(5);
     u256_add(n_plus_5, five, n_plus_5);
@@ -65,7 +66,7 @@ TEST(SecpEdge, ParityPrefixSelectsCorrectY) {
 TEST(SecpEdge, XBeyondFieldRejected) {
     std::uint8_t buf[33];
     buf[0] = 0x02;
-    k1::field().modulus().to_be_bytes({buf + 1, 32});  // x == p
+    k1::kFieldPrime.to_be_bytes({buf + 1, 32});  // x == p
     EXPECT_FALSE(k1::parse_compressed({buf, 33}).has_value());
 }
 
@@ -80,7 +81,7 @@ TEST(EcdsaEdge, SignaturesAreLowSNormalized) {
         // The high-s counterpart also verifies mathematically (malleability)
         // but is non-canonical; we only guarantee we never *emit* it.
         Signature high = sig;
-        high.s = k1::order().neg(high.s);
+        high.s = (-k1::Scalar(high.s)).value();
         EXPECT_FALSE(high.is_low_s());
         EXPECT_TRUE(key.public_key().verify(digest, high));
     }
@@ -105,11 +106,11 @@ TEST(EcdsaEdge, VerifyRejectsROrSEqualToOrder) {
     Signature sig = key.sign(digest);
 
     Signature r_n = sig;
-    r_n.r = k1::order().modulus();
+    r_n.r = k1::kGroupOrder;
     EXPECT_FALSE(key.public_key().verify(digest, r_n));
 
     Signature s_n = sig;
-    s_n.s = k1::order().modulus();
+    s_n.s = k1::kGroupOrder;
     EXPECT_FALSE(key.public_key().verify(digest, s_n));
 }
 
@@ -128,6 +129,126 @@ TEST(EcdsaEdge, DerRejectsNonMinimalPadding) {
     // 0x00 prefix on a value whose top bit is clear is non-minimal.
     const util::Bytes bad = {0x30, 0x08, 0x02, 0x02, 0x00, 0x01, 0x02, 0x02, 0x00, 0x01};
     EXPECT_FALSE(Signature::from_der(bad).has_value());
+}
+
+// ---- verify() cases whose verdict is known by construction -----------------
+// For chosen u1, u2 and r, the signature s = r·u2⁻¹ over digest z = u1·s
+// makes verify() compute exactly R = u1·G + u2·P; P = u2⁻¹·(R − u1·G) then
+// places R anywhere on the curve.
+
+struct Constructed {
+    PublicKey key;
+    Hash256 digest;
+    Signature sig;
+};
+
+Hash256 digest_of(const k1::Scalar& z) {
+    Hash256 h;
+    z.value().to_be_bytes({h.bytes().data(), 32});
+    return h;
+}
+
+Constructed construct(const k1::Point& R, const k1::Scalar& u1, const k1::Scalar& u2,
+                      const k1::Scalar& r) {
+    const k1::Scalar u2_inv = u2.inverse();
+    const k1::Point minus_u1g = k1::negate(k1::multiply_generator(u1.value()));
+    const k1::Point p = k1::multiply(k1::add(R, minus_u1g), u2_inv.value());
+    const k1::Scalar s = r * u2_inv;
+    return {PublicKey(p), digest_of(u1 * s), Signature{r.value(), s.value()}};
+}
+
+/// verify() and the batch path must agree on every constructed case.
+bool verdict(const PublicKey& key, const Hash256& digest, const Signature& sig) {
+    const bool inline_verdict = key.verify(digest, sig);
+    const VerifyJob job{key, sig, digest};
+    bool batched = !inline_verdict;
+    verify_batch({&job, 1}, &batched);
+    EXPECT_EQ(batched, inline_verdict);
+    return inline_verdict;
+}
+
+k1::Scalar random_scalar(util::Rng& rng) {
+    for (;;) {
+        U256 v;
+        for (auto& limb : v.limbs) limb = rng.next();
+        const k1::Scalar s(v);
+        if (!s.is_zero()) return s;
+    }
+}
+
+TEST(EcdsaEdge, RxBetweenOrderAndPrimeMatchesROnlyReduced) {
+    // R.x = n + k lies in [n, p): verify must accept r = k (R.x mod n) and
+    // reject r = n + k, which is outside [1, n − 1].
+    util::Rng rng(6);
+    int built = 0;
+    for (std::uint64_t k = 1; built < 3; ++k) {
+        U256 x;
+        u256_add(k1::kGroupOrder, U256::from_u64(k), x);
+        std::uint8_t buf[33];
+        buf[0] = static_cast<std::uint8_t>(0x02 + (k & 1));
+        x.to_be_bytes({buf + 1, 32});
+        const auto R = k1::parse_compressed({buf, 33});
+        if (!R) continue;  // n + k is not an x-coordinate on the curve
+        ++built;
+
+        const k1::Scalar r(U256::from_u64(k));
+        const Constructed c = construct(*R, random_scalar(rng), random_scalar(rng), r);
+        ASSERT_TRUE(c.key.valid());
+        EXPECT_TRUE(verdict(c.key, c.digest, c.sig)) << "k = " << k;
+
+        Signature unreduced = c.sig;
+        unreduced.r = x;
+        EXPECT_FALSE(verdict(c.key, c.digest, unreduced)) << "k = " << k;
+
+        // A neighbouring r is a plain mismatch in both comparisons.
+        Signature off_by_one = c.sig;
+        off_by_one.r = U256::from_u64(k + 1);
+        EXPECT_FALSE(verdict(c.key, c.digest, off_by_one)) << "k = " << k;
+    }
+}
+
+TEST(EcdsaEdge, RAtInfinityRejected) {
+    // P = −(u1/u2)·G makes u1·G + u2·P the point at infinity.
+    util::Rng rng(7);
+    for (int i = 0; i < 4; ++i) {
+        const k1::Scalar u1 = random_scalar(rng);
+        const k1::Scalar u2 = i == 0 ? u1 : random_scalar(rng);  // i = 0: P = −G
+        const PublicKey key(k1::multiply_generator((-(u1 * u2.inverse())).value()));
+        ASSERT_TRUE(key.valid());
+        const k1::Scalar r = random_scalar(rng);
+        const k1::Scalar s = r * u2.inverse();
+        EXPECT_FALSE(verdict(key, digest_of(u1 * s), Signature{r.value(), s.value()}));
+    }
+}
+
+TEST(EcdsaEdge, DigestZeroModOrderAccepted) {
+    // z ≡ 0 (mod n) makes u1 = 0: R = u2·P alone. The digests 0 and n are
+    // the same scalar, so one signature verifies under both.
+    util::Rng rng(8);
+    const auto key = PrivateKey::generate(rng);
+    const Hash256 zero{};
+    const Signature sig = key.sign(zero);
+    EXPECT_TRUE(verdict(key.public_key(), zero, sig));
+    Hash256 n_digest;
+    k1::kGroupOrder.to_be_bytes({n_digest.bytes().data(), 32});
+    EXPECT_TRUE(verdict(key.public_key(), n_digest, sig));
+    const Signature resigned = key.sign(n_digest);
+    EXPECT_TRUE(verdict(key.public_key(), zero, resigned));
+}
+
+TEST(EcdsaEdge, HighSAcceptedAndOutOfRangeScalarsRejected) {
+    util::Rng rng(9);
+    const auto key = PrivateKey::generate(rng);
+    Hash256 digest;
+    rng.fill({digest.bytes().data(), 32});
+    const Signature sig = key.sign(digest);
+    ASSERT_TRUE(verdict(key.public_key(), digest, sig));
+    EXPECT_TRUE(verdict(key.public_key(), digest,
+                        Signature{sig.r, (-k1::Scalar(sig.s)).value()}));
+    for (const U256& bad : {U256::zero(), k1::kGroupOrder}) {
+        EXPECT_FALSE(verdict(key.public_key(), digest, Signature{bad, sig.s}));
+        EXPECT_FALSE(verdict(key.public_key(), digest, Signature{sig.r, bad}));
+    }
 }
 
 class ScalarMulSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -165,7 +165,7 @@ TEST(Sha256Batch, Sha256d64MatchesSingleShotOnEveryImpl) {
             ASSERT_TRUE(sha256_force_batch_impl(impl)) << impl;
             std::vector<std::uint8_t> out(n * 32);
             sha256d64_many(out.data(), in.data(), n);
-            EXPECT_EQ(0, std::memcmp(out.data(), want.data(), n * 32)) << impl << " n=" << n;
+            EXPECT_EQ(out, want) << impl << " n=" << n;
         }
     }
 }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <vector>
+
+#include "crypto/field.hpp"
+#include "crypto/scalar.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/u256.hpp"
 #include "util/rng.hpp"
@@ -103,52 +108,140 @@ TEST(U256, MulWideLowLimbsMatchNativeMul) {
     }
 }
 
+/// The field or scalar type's operations on raw values, chosen by modulus,
+/// so one suite checks both against the same shift-add oracle.
+struct ModOps {
+    U256 modulus;
+    U256 (*reduce)(const U256&);
+    U256 (*mul)(const U256&, const U256&);
+    U256 (*sqr)(const U256&);
+    U256 (*add)(const U256&, const U256&);
+    U256 (*sub)(const U256&, const U256&);
+    U256 (*neg)(const U256&);
+    U256 (*inverse)(const U256&);
+};
+
+template <class T>
+ModOps ops_for(const U256& modulus) {
+    return ModOps{
+        modulus,
+        [](const U256& a) { return T(a).value(); },
+        [](const U256& a, const U256& b) { return (T(a) * T(b)).value(); },
+        [](const U256& a) {
+            if constexpr (std::is_same_v<T, secp256k1::FieldElement>) {
+                return T(a).sqr().value();
+            } else {
+                return (T(a) * T(a)).value();
+            }
+        },
+        [](const U256& a, const U256& b) { return (T(a) + T(b)).value(); },
+        [](const U256& a, const U256& b) { return (T(a) - T(b)).value(); },
+        [](const U256& a) { return (-T(a)).value(); },
+        [](const U256& a) { return T(a).inverse().value(); },
+    };
+}
+
+U256 minus(const U256& a, std::uint64_t k) {
+    U256 out;
+    u256_sub(a, U256::from_u64(k), out);
+    return out;
+}
+
+/// 0, 1, m − 1, m, m + 1 and 2^256 − 1: the reduced edges and unreduced
+/// values in [m, 2^256).
+std::vector<U256> boundary_values(const U256& m) {
+    U256 m_plus_1;
+    u256_add(m, U256::one(), m_plus_1);
+    U256 max;
+    for (auto& limb : max.limbs) limb = ~0ULL;
+    return {U256::zero(), U256::one(), minus(m, 1), m, m_plus_1, max};
+}
+
+/// Square-and-multiply on the reference multiply: base^exponent mod m.
+U256 reference_pow(const U256& base, const U256& exponent, const U256& m) {
+    U256 acc = U256::one();
+    for (int bit = 255; bit >= 0; --bit) {
+        acc = reference_modmul(acc, acc, m);
+        if (exponent.bit(static_cast<unsigned>(bit))) acc = reference_modmul(acc, base, m);
+    }
+    return acc;
+}
+
 class ModArithAgainstReference : public ::testing::TestWithParam<const char*> {
 protected:
-    ModArith arith() const { return ModArith(U256::from_hex(GetParam())); }
+    ModOps ops() const {
+        const U256 m = U256::from_hex(GetParam());
+        if (m == secp256k1::kFieldPrime) return ops_for<secp256k1::FieldElement>(m);
+        EXPECT_EQ(m, secp256k1::kGroupOrder);
+        return ops_for<secp256k1::Scalar>(m);
+    }
 };
 
 TEST_P(ModArithAgainstReference, MulMatchesShiftAddReference) {
-    const ModArith m = arith();
+    const ModOps m = ops();
     util::Rng rng(4);
+    std::vector<U256> inputs = boundary_values(m.modulus);
+    for (int i = 0; i < 60; ++i) inputs.push_back(random_u256(rng));
+    for (const U256& a : inputs) {
+        EXPECT_EQ(m.sqr(a), reference_modmul(a, a, m.modulus));
+        for (const U256& b : boundary_values(m.modulus)) {
+            EXPECT_EQ(m.mul(a, b), reference_modmul(a, b, m.modulus));
+        }
+    }
     for (int i = 0; i < 60; ++i) {
-        const U256 a = m.reduce(random_u256(rng));
-        const U256 b = m.reduce(random_u256(rng));
-        EXPECT_EQ(m.mul(a, b), reference_modmul(a, b, m.modulus()));
+        const U256 a = random_u256(rng);
+        const U256 b = random_u256(rng);
+        EXPECT_EQ(m.mul(a, b), reference_modmul(a, b, m.modulus));
     }
 }
 
 TEST_P(ModArithAgainstReference, AddSubNegConsistent) {
-    const ModArith m = arith();
+    const ModOps m = ops();
     util::Rng rng(5);
-    for (int i = 0; i < 100; ++i) {
-        const U256 a = m.reduce(random_u256(rng));
-        const U256 b = m.reduce(random_u256(rng));
-        // (a + b) - b == a
-        EXPECT_EQ(m.sub(m.add(a, b), b), a);
+    std::vector<U256> inputs = boundary_values(m.modulus);
+    for (int i = 0; i < 100; ++i) inputs.push_back(random_u256(rng));
+    for (const U256& raw : inputs) {
+        const U256 a = m.reduce(raw);
+        EXPECT_TRUE(u256_less(a, m.modulus));
+        // reduce() agrees with the oracle: a·1 == a mod m.
+        EXPECT_EQ(a, reference_modmul(raw, U256::one(), m.modulus));
+        for (const U256& b : {m.reduce(random_u256(rng)), minus(m.modulus, 1)}) {
+            // (a + b) - b == a
+            EXPECT_EQ(m.sub(m.add(a, b), b), a);
+        }
         // a + (-a) == 0
         EXPECT_TRUE(m.add(a, m.neg(a)).is_zero());
     }
+    // (m − 1) + (m − 1) wraps to m − 2; 0 − 1 wraps to m − 1.
+    EXPECT_EQ(m.add(minus(m.modulus, 1), minus(m.modulus, 1)), minus(m.modulus, 2));
+    EXPECT_EQ(m.sub(U256::zero(), U256::one()), minus(m.modulus, 1));
 }
 
 TEST_P(ModArithAgainstReference, InverseIsMultiplicativeInverse) {
-    const ModArith m = arith();
+    const ModOps m = ops();
     util::Rng rng(6);
-    for (int i = 0; i < 20; ++i) {
-        U256 a = m.reduce(random_u256(rng));
-        if (a.is_zero()) a = U256::one();
-        EXPECT_EQ(m.mul(a, m.inverse(a)), U256::one());
+    std::vector<U256> inputs = {U256::one(), minus(m.modulus, 1), m.modulus};
+    for (int i = 0; i < 20; ++i) inputs.push_back(random_u256(rng));
+    for (const U256& raw : inputs) {
+        const U256 a = m.reduce(raw);
+        if (a.is_zero()) {
+            EXPECT_TRUE(m.inverse(raw).is_zero());  // m itself reduces to zero
+            continue;
+        }
+        EXPECT_EQ(m.mul(a, m.inverse(raw)), U256::one());
     }
+    EXPECT_EQ(m.inverse(minus(m.modulus, 1)), minus(m.modulus, 1));  // (−1)⁻¹ = −1
 }
 
 TEST_P(ModArithAgainstReference, PowMatchesRepeatedMul) {
-    const ModArith m = arith();
+    // The inverse is a fixed addition chain for a^(m − 2): it must equal
+    // square-and-multiply on the reference multiply.
+    const ModOps m = ops();
     util::Rng rng(7);
-    const U256 base = m.reduce(random_u256(rng));
-    U256 acc = U256::one();
-    for (std::uint64_t e = 0; e <= 20; ++e) {
-        EXPECT_EQ(m.pow(base, U256::from_u64(e)), acc) << "exponent " << e;
-        acc = m.mul(acc, base);
+    const U256 exponent = minus(m.modulus, 2);
+    for (const U256& base : {U256::from_u64(2), minus(m.modulus, 1), random_u256(rng),
+                             random_u256(rng)}) {
+        EXPECT_EQ(m.inverse(base), reference_pow(m.reduce(base), exponent, m.modulus));
     }
 }
 
@@ -160,22 +253,100 @@ INSTANTIATE_TEST_SUITE_P(
         // group order n
         "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"));
 
-TEST(ModArith, ReduceWideHandlesMaxValue) {
-    const ModArith f = secp256k1::field();
-    std::uint64_t wide[8];
-    for (auto& limb : wide) limb = ~0ULL;  // 2^512 - 1
-    const U256 reduced = f.reduce_wide(wide);
-    EXPECT_TRUE(u256_less(reduced, f.modulus()));
-    // Cross-check: (2^256-1)*(2^256-1) + 2*(2^256-1) = 2^512-1, so
-    // reduce(2^512-1) == mul(m-1+..) — verify via reference on the identity
-    // (x*y) where x=y=2^256-1 reduced first.
+TEST(SecpField, MulReducesMaxUnreducedInputs) {
+    // (2^256 − 1)² is the largest 512-bit product the one-pass reduction
+    // sees; both operands are unreduced.
     U256 max256;
     for (auto& l : max256.limbs) l = ~0ULL;
-    const U256 x = f.reduce(max256);
-    const U256 expect_prod = reference_modmul(x, x, f.modulus());
-    const U256 two_x = f.add(x, x);
-    // 2^512 - 1 = (2^256-1)^2 + 2*(2^256-1)
-    EXPECT_EQ(reduced, f.add(expect_prod, two_x));
+    const secp256k1::FieldElement x(max256);
+    EXPECT_EQ((x * x).value(), reference_modmul(max256, max256, secp256k1::kFieldPrime));
+    EXPECT_EQ(x.sqr(), x * x);
+    const secp256k1::Scalar s(max256);
+    EXPECT_EQ((s * s).value(), reference_modmul(max256, max256, secp256k1::kGroupOrder));
+}
+
+TEST(SecpField, SqrtMatchesReferenceAndRejectsNonResidues) {
+    using secp256k1::FieldElement;
+    const U256& p = secp256k1::kFieldPrime;
+    U256 exponent;  // (p + 1) / 4
+    u256_add(p, U256::one(), exponent);
+    for (int i = 0; i < 4; ++i) {
+        exponent.limbs[i] >>= 2;
+        if (i + 1 < 4) exponent.limbs[i] |= exponent.limbs[i + 1] << 62;
+    }
+
+    // p ≡ 3 (mod 4), so −1 is a non-residue.
+    EXPECT_FALSE((-FieldElement::from_u64(1)).sqrt().has_value());
+    EXPECT_EQ(FieldElement().sqrt(), FieldElement());
+
+    // For a ≠ 0 exactly one of a and −a is a square.
+    util::Rng rng(8);
+    int residues = 0;
+    for (int i = 0; i < 16; ++i) {
+        const FieldElement a(random_u256(rng));
+        const auto root = a.sqrt();
+        const auto neg_root = (-a).sqrt();
+        ASSERT_NE(root.has_value(), neg_root.has_value());
+        const FieldElement square = root ? a : -a;
+        const FieldElement r = root ? *root : *neg_root;
+        EXPECT_EQ(r.sqr(), square);
+        EXPECT_EQ(r.value(), reference_pow(square.value(), exponent, p));
+        residues += root ? 1 : 0;
+        EXPECT_EQ(a.sqr().sqrt()->sqr(), a.sqr());
+    }
+    EXPECT_GT(residues, 0);
+    EXPECT_LT(residues, 16);
+}
+
+bool within_2_128(const secp256k1::Scalar& k) {
+    const U256 magnitude = k.is_high() ? (-k).value() : k.value();
+    return magnitude.limbs[2] == 0 && magnitude.limbs[3] == 0;
+}
+
+TEST(Glv, SplitRecombinesWithHalfLengthParts) {
+    using secp256k1::Scalar;
+    const U256& n = secp256k1::kGroupOrder;
+    const Scalar lambda(secp256k1::kLambda);
+    EXPECT_EQ(lambda * lambda * lambda, Scalar(U256::one()));  // λ³ = 1
+
+    U256 half = n;
+    for (int i = 0; i < 4; ++i) {
+        half.limbs[i] >>= 1;
+        if (i + 1 < 4) half.limbs[i] |= half.limbs[i + 1] << 63;
+    }
+    U256 two_128;
+    two_128.limbs[2] = 1;
+    U256 two_255;
+    two_255.limbs[3] = 1ULL << 63;
+    std::vector<U256> ks = {U256::zero(), U256::one(), minus(n, 1), half,
+                            minus(half, 1), two_128, minus(two_128, 1), two_255,
+                            secp256k1::kLambda, minus(n, 2)};
+    util::Rng rng(9);
+    for (int i = 0; i < 200; ++i) ks.push_back(random_u256(rng));
+
+    for (const U256& raw : ks) {
+        const Scalar k(raw);
+        const secp256k1::LambdaSplit split = secp256k1::split_lambda(k);
+        EXPECT_EQ(split.k1 + split.k2 * lambda, k);
+        EXPECT_TRUE(within_2_128(split.k1));
+        EXPECT_TRUE(within_2_128(split.k2));
+    }
+}
+
+TEST(Glv, BetaTimesXIsLambdaTimesPoint) {
+    // The endomorphism pairs λ with β: λ·(x, y) = (β·x, y).
+    const secp256k1::FieldElement beta(U256::from_hex(
+        "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee"));
+    EXPECT_EQ(beta * beta * beta, secp256k1::FieldElement::from_u64(1));
+    util::Rng rng(10);
+    std::vector<secp256k1::Point> points = {secp256k1::generator()};
+    for (int i = 0; i < 4; ++i) points.push_back(secp256k1::multiply_generator(random_u256(rng)));
+    for (const secp256k1::Point& p : points) {
+        const secp256k1::Point expected{(beta * secp256k1::FieldElement(p.x)).value(), p.y,
+                                        false};
+        EXPECT_TRUE(expected.on_curve());
+        EXPECT_EQ(secp256k1::multiply(p, secp256k1::kLambda), expected);
+    }
 }
 
 }  // namespace

@@ -35,7 +35,8 @@ private:
 
 util::Bytes key_of(int i) {
     util::Bytes k(8);
-    for (int b = 0; b < 8; ++b) k[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    const auto v = static_cast<std::uint64_t>(i);
+    for (int b = 0; b < 8; ++b) k[b] = static_cast<std::uint8_t>(v >> (8 * b));
     return k;
 }
 
