@@ -119,6 +119,18 @@ crypto::U256 bench_u256(std::uint64_t seed) {
     return v;
 }
 
+// Limb-wise on the lazily reduced type. The sum is left unreduced, so it
+// cannot feed the next iteration: this is a throughput, not a latency.
+void BM_FieldAdd(benchmark::State& state) {
+    const crypto::secp256k1::FieldElement a(bench_u256(25));
+    crypto::secp256k1::FieldElement b(bench_u256(26));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(b);
+        benchmark::DoNotOptimize(a + b);
+    }
+}
+BENCHMARK(BM_FieldAdd);
+
 void BM_FieldMul(benchmark::State& state) {
     crypto::secp256k1::FieldElement a(bench_u256(20));
     const crypto::secp256k1::FieldElement b(bench_u256(21));
@@ -147,6 +159,16 @@ void BM_FieldInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldInverse);
 
+// The addition chain behind decompression: ~250 dependent squarings.
+void BM_FieldSqrt(benchmark::State& state) {
+    const crypto::secp256k1::FieldElement a =
+        crypto::secp256k1::FieldElement(bench_u256(27)).sqr();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(a.sqrt());
+    }
+}
+BENCHMARK(BM_FieldSqrt);
+
 void BM_ScalarInverse(benchmark::State& state) {
     crypto::secp256k1::Scalar a(bench_u256(24));
     for (auto _ : state) {
@@ -155,6 +177,16 @@ void BM_ScalarInverse(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ScalarInverse);
+
+// k·G through the process-wide table: ~128 doublings and ~20 mixed
+// additions, then one field inversion to affine.
+void BM_MultiplyGenerator(benchmark::State& state) {
+    const crypto::U256 k = bench_u256(28);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::secp256k1::multiply_generator(k));
+    }
+}
+BENCHMARK(BM_MultiplyGenerator);
 
 void BM_EcdsaSign(benchmark::State& state) {
     util::Rng rng(5);

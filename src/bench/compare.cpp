@@ -23,6 +23,7 @@ bool is_identity_key(std::string_view key) {
         "threads", "window", "height", "period", "blocks",
         "seed",    "reps",   "mode",   "batch",  "shards",
         "skew",    "clients", "queries_per_block", "arrival",
+        "sighash_phase_inputs",
     };
     for (const std::string_view k : kKeys) {
         if (key == k) return true;

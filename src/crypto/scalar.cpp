@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "crypto/modinv.hpp"
 #include "util/assert.hpp"
 
 namespace ebv::crypto::secp256k1 {
@@ -54,17 +55,6 @@ Scalar reduce_wide(const std::uint64_t t[8]) {
     return Scalar(v);
 }
 
-Scalar sqr(const Scalar& a) {
-    std::uint64_t wide[8];
-    u256_sqr_wide(a.value(), wide);
-    return reduce_wide(wide);
-}
-
-Scalar sqr_n(Scalar a, int n) {
-    for (int i = 0; i < n; ++i) a = sqr(a);
-    return a;
-}
-
 /// round(k·g / 2^384) for the GLV rounding constants g < 2^256.
 Scalar mul_shift_384(const Scalar& k, const U256& g) {
     std::uint64_t wide[8];
@@ -98,35 +88,7 @@ Scalar operator*(const Scalar& a, const Scalar& b) {
     return reduce_wide(wide);
 }
 
-Scalar Scalar::inverse() const {
-    // n − 2 = [127 ones] 0 [0xbaaedce6af48a03bbfd25e8cd036413f]: the ones by
-    // an addition chain, the low 128 bits by a fixed 4-bit window.
-    const Scalar& a = *this;
-    const Scalar x2 = sqr(a) * a;
-    const Scalar x3 = sqr(x2) * a;
-    const Scalar x6 = sqr_n(x3, 3) * x3;
-    const Scalar x7 = sqr(x6) * a;
-    const Scalar x14 = sqr_n(x7, 7) * x7;
-    const Scalar x28 = sqr_n(x14, 14) * x14;
-    const Scalar x56 = sqr_n(x28, 28) * x28;
-    const Scalar x112 = sqr_n(x56, 56) * x56;
-    const Scalar x126 = sqr_n(x112, 14) * x14;
-    const Scalar x127 = sqr(x126) * a;
-    Scalar t = sqr(x127);
-
-    constexpr std::uint64_t kLowBits[2] = {0xbfd25e8cd036413fULL, 0xbaaedce6af48a03bULL};
-
-    Scalar powers[16];  // powers[i] = a^i
-    powers[1] = a;
-    for (int i = 2; i < 16; ++i) powers[i] = powers[i - 1] * a;
-    for (int nibble = 31; nibble >= 0; --nibble) {
-        const unsigned shift = static_cast<unsigned>(nibble % 16) * 4;
-        const unsigned digit = static_cast<unsigned>(kLowBits[nibble / 16] >> shift) & 0xf;
-        t = sqr_n(t, 4);
-        if (digit != 0) t = t * powers[digit];
-    }
-    return t;
-}
+Scalar Scalar::inverse() const { return Scalar(modinv(v_, kGroupOrder)); }
 
 void batch_inverse(std::span<Scalar> values) {
     const std::size_t n = values.size();

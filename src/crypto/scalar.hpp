@@ -1,7 +1,7 @@
 // Scalars mod the secp256k1 group order n: ECDSA's r, s, u1, u2 and nonces.
 // Elements are kept fully reduced in [0, n). A 512-bit product reduces in
-// three fixed folds by 2^256 − n (129 bits), and inversion is a fixed
-// addition chain for n − 2.
+// three fixed folds by 2^256 − n (129 bits); inversion is safegcd
+// (crypto/modinv.hpp).
 //
 // Not constant-time (see secp256k1.hpp).
 #pragma once
@@ -41,7 +41,7 @@ public:
     Scalar operator-() const { return Scalar() - *this; }
     friend Scalar operator*(const Scalar& a, const Scalar& b);
 
-    /// a^(n−2), the inverse of a nonzero scalar; zero maps to zero.
+    /// The inverse of a nonzero scalar; zero maps to zero.
     [[nodiscard]] Scalar inverse() const;
 
     friend bool operator==(const Scalar&, const Scalar&) = default;

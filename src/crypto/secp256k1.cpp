@@ -4,13 +4,87 @@
 #include <cstdint>
 #include <cstdlib>
 
+#include "crypto/jacobian.hpp"
 #include "util/assert.hpp"
 
 namespace ebv::crypto::secp256k1 {
 
-namespace {
-
 using Fe = FieldElement;
+
+Jacobian to_jacobian(const Point& p) {
+    if (p.infinity) return {};
+    return Jacobian{Fe(p.x), Fe(p.y), Fe::from_u64(1), false};
+}
+
+Point to_affine(const Jacobian& j) {
+    if (j.infinity) return Point::at_infinity();
+    const Fe zinv = j.z.inverse();
+    const Fe zinv2 = zinv.sqr();
+    return Point{(j.x * zinv2).value(), (j.y * zinv2 * zinv).value(), false};
+}
+
+/// 2·A in 3 products and 4 squarings (a = 0): with L = 3/2·X², S = Y² and
+/// T = −X·S, X3 = L² + 2T, Y3 = −(L·(X3 + T) + S²), Z3 = Y·Z. This is the
+/// textbook doubling (Z3 = 2·Y·Z) with the point scaled by 1/2. Y is never
+/// zero: secp256k1 has no point of order 2.
+Jacobian dbl(const Jacobian& a) {
+    if (a.infinity) return a;
+    Jacobian r;
+    r.infinity = false;
+    r.z = a.z * a.y;                            // Z3 = Y·Z [1]
+    const Fe s = a.y.sqr();                     // S = Y² [1]
+    const Fe l = a.x.sqr().mul_int(3).half();   // L = 3/2·X² [3 → 2]
+    Fe t = s.negate(1) * a.x;                   // T = −X·S [1]
+    r.x = l.sqr() + t + t;                      // X3 = L² + 2T [3]
+    t = t + r.x;                                // X3 + T [4]
+    r.y = (t * l + s.sqr()).negate(2);          // Y3 = −(L·(X3 + T) + S²) [3]
+    return r;
+}
+
+/// A + B for B = (bx, by) affine and finite, bx of magnitude 1 and by <= 2:
+/// 8 products and 3 squarings. With U2 = bx·Z², S2 = by·Z³, H = U2 − X and
+/// I = Y − S2: X3 = I² − H³ − 2·X·H², Y3 = I·(X3 − X·H²) − Y·H³, Z3 = Z·H.
+Jacobian add_affine(const Jacobian& a, const Fe& bx, const Fe& by) {
+    if (a.infinity) return Jacobian{bx, by, Fe::from_u64(1), false};
+    const Fe zz = a.z.sqr();                            // Z² [1]
+    const Fe h = a.x.negate(kMaxMagX) + bx * zz;        // H = U2 − X [6]
+    const Fe i = a.y + (by * zz * a.z).negate(1);       // I = Y − S2 [6]
+    if (h.is_zero()) return i.is_zero() ? dbl(a) : Jacobian{};
+    Jacobian r;
+    r.infinity = false;
+    r.z = a.z * h;                                      // Z3 = Z·H [1]
+    const Fe h2 = h.sqr().negate(1);                    // −H² [2]
+    const Fe h3 = h2 * h;                               // −H³ [1]
+    const Fe t = a.x * h2;                              // −X·H² [1]
+    r.x = i.sqr() + h3 + t + t;                         // X3 [4]
+    r.y = (t + r.x) * i + h3 * a.y;                     // Y3 [2]
+    return r;
+}
+
+/// A + B, both Jacobian: 12 products and 4 squarings, add_affine's formulas
+/// with U1 = X1·Z2² and S1 = Y1·Z2³ in place of X and Y.
+Jacobian add(const Jacobian& a, const Jacobian& b) {
+    if (a.infinity) return b;
+    if (b.infinity) return a;
+    const Fe z1z1 = a.z.sqr();                          // [1]
+    const Fe z2z2 = b.z.sqr();                          // [1]
+    const Fe u1 = a.x * z2z2;                           // U1 [1]
+    const Fe s1 = a.y * z2z2 * b.z;                     // S1 [1]
+    const Fe h = u1.negate(1) + b.x * z1z1;             // H = U2 − U1 [3]
+    const Fe i = s1 + (b.y * z1z1 * a.z).negate(1);     // I = S1 − S2 [3]
+    if (h.is_zero()) return i.is_zero() ? dbl(a) : Jacobian{};
+    Jacobian r;
+    r.infinity = false;
+    r.z = a.z * b.z * h;                                // Z3 = Z1·Z2·H [1]
+    const Fe h2 = h.sqr().negate(1);                    // −H² [2]
+    const Fe h3 = h2 * h;                               // −H³ [1]
+    const Fe t = u1 * h2;                               // −U1·H² [1]
+    r.x = i.sqr() + h3 + t + t;                         // X3 [4]
+    r.y = (t + r.x) * i + h3 * s1;                      // Y3 [2]
+    return r;
+}
+
+namespace {
 
 constexpr U256 kGx{{0x59f2815b16f81798ULL, 0x029bfcdb2dce28d9ULL, 0x55a06295ce870b07ULL,
                     0x79be667ef9dcbbacULL}};
@@ -19,73 +93,6 @@ constexpr U256 kGy{{0x9c47d08ffb10d4b8ULL, 0xfd17b448a6855419ULL, 0x5da4fbfc0e11
 /// β, the cube root of unity mod p with λ·(x, y) = (β·x, y).
 constexpr U256 kBeta{{0xc1396c28719501eeULL, 0x9cf0497512f58995ULL, 0x6e64479eac3434e9ULL,
                       0x7ae96a2b657c0710ULL}};
-
-/// Jacobian coordinates: (X, Y, Z) represents (X/Z², Y/Z³); Z == 0 is the
-/// point at infinity.
-struct Jacobian {
-    Fe x{};
-    Fe y{};
-    Fe z{};
-
-    [[nodiscard]] bool infinity() const { return z.is_zero(); }
-};
-
-Jacobian to_jacobian(const Point& p) {
-    if (p.infinity) return {};
-    return Jacobian{Fe(p.x), Fe(p.y), Fe::from_u64(1)};
-}
-
-Point to_affine(const Jacobian& j) {
-    if (j.infinity()) return Point::at_infinity();
-    const Fe zinv = j.z.inverse();
-    const Fe zinv2 = zinv.sqr();
-    return Point{(j.x * zinv2).value(), (j.y * zinv2 * zinv).value(), false};
-}
-
-/// 2·A, dbl-2009-l for a = 0: 2 products, 5 squarings.
-Jacobian dbl(const Jacobian& a) {
-    if (a.infinity()) return a;
-    const Fe xx = a.x.sqr();
-    const Fe yy = a.y.sqr();
-    const Fe yyyy = yy.sqr();
-    const Fe d = ((a.x + yy).sqr() - xx - yyyy).twice();  // 4·X·Y²
-    const Fe e = xx.twice() + xx;                         // 3·X²
-    const Fe x3 = e.sqr() - d.twice();
-    const Fe y3 = e * (d - x3) - yyyy.twice().twice().twice();
-    return Jacobian{x3, y3, (a.y * a.z).twice()};
-}
-
-/// A + B for B = (bx, by) affine and finite: 8 products, 3 squarings.
-Jacobian add_affine(const Jacobian& a, const Fe& bx, const Fe& by) {
-    if (a.infinity()) return Jacobian{bx, by, Fe::from_u64(1)};
-    const Fe z1z1 = a.z.sqr();
-    const Fe h = bx * z1z1 - a.x;
-    const Fe r = by * z1z1 * a.z - a.y;
-    if (h.is_zero()) return r.is_zero() ? dbl(a) : Jacobian{};
-    const Fe hh = h.sqr();
-    const Fe hhh = h * hh;
-    const Fe v = a.x * hh;
-    const Fe x3 = r.sqr() - hhh - v.twice();
-    return Jacobian{x3, r * (v - x3) - a.y * hhh, a.z * h};
-}
-
-/// A + B, both Jacobian: 12 products, 4 squarings.
-Jacobian add(const Jacobian& a, const Jacobian& b) {
-    if (a.infinity()) return b;
-    if (b.infinity()) return a;
-    const Fe z1z1 = a.z.sqr();
-    const Fe z2z2 = b.z.sqr();
-    const Fe u1 = a.x * z2z2;
-    const Fe s1 = a.y * z2z2 * b.z;
-    const Fe h = b.x * z1z1 - u1;
-    const Fe r = b.y * z1z1 * a.z - s1;
-    if (h.is_zero()) return r.is_zero() ? dbl(a) : Jacobian{};
-    const Fe hh = h.sqr();
-    const Fe hhh = h * hh;
-    const Fe v = u1 * hh;
-    const Fe x3 = r.sqr() - hhh - v.twice();
-    return Jacobian{x3, r * (v - x3) - s1 * hhh, a.z * b.z * h};
-}
 
 // ---- GLV-split interleaved wNAF ----------------------------------------------
 // u1·G + u2·P = a1·G + a2·(λG) + b1·P + b2·(λP) with a1, a2, b1, b2 about
@@ -143,7 +150,7 @@ struct GeneratorTable {
     Fe beta_x[kTableSizeG];
 
     GeneratorTable() {
-        const Jacobian g{Fe(kGx), Fe(kGy), Fe::from_u64(1)};
+        const Jacobian g{Fe(kGx), Fe(kGy), Fe::from_u64(1), false};
         const Jacobian g2 = dbl(g);
         const Fe beta(kBeta);
         Jacobian cur = g;
@@ -183,17 +190,20 @@ Jacobian ecmult(const Point& p, const Scalar& u1, const Scalar& u2) {
         for (int i = 1; i < kTableSizeP; ++i) table_p[i] = add(table_p[i - 1], p2);
         const Fe beta(kBeta);
         for (int i = 0; i < kTableSizeP; ++i) {
-            table_lp[i] = Jacobian{beta * table_p[i].x, table_p[i].y, table_p[i].z};
+            table_lp[i] = Jacobian{beta * table_p[i].x, table_p[i].y, table_p[i].z, false};
         }
     }
 
+    // G table entries have magnitude 1, so a negated y has 2. P table
+    // entries have Y <= 3 (to_jacobian 1, add 2, dbl 3), so a negated Y
+    // has <= 4 = kMaxMagY.
     auto add_g = [](const Jacobian& acc, const Fe* xs, const Fe* ys, int d) {
         const int i = (std::abs(d) - 1) / 2;
-        return add_affine(acc, xs[i], d > 0 ? ys[i] : -ys[i]);
+        return add_affine(acc, xs[i], d > 0 ? ys[i] : ys[i].negate(1));
     };
     auto add_p = [](const Jacobian& acc, const Jacobian* table, int d) {
         const Jacobian& e = table[(std::abs(d) - 1) / 2];
-        return add(acc, d > 0 ? e : Jacobian{e.x, -e.y, e.z});
+        return add(acc, d > 0 ? e : Jacobian{e.x, e.y.negate(3), e.z, false});
     };
 
     Jacobian acc;
@@ -228,7 +238,7 @@ Point add(const Point& a, const Point& b) {
 
 Point negate(const Point& a) {
     if (a.infinity) return a;
-    return Point{a.x, (-Fe(a.y)).value(), false};
+    return Point{a.x, Fe(a.y).negate(1).value(), false};
 }
 
 Point multiply(const Point& p, const U256& k) {
@@ -246,7 +256,7 @@ Point multiply_double_generator(const Point& p, const U256& u1, const U256& u2) 
 bool double_multiply_x_matches(const Point& p, const Scalar& u1, const Scalar& u2,
                                const Scalar& r) {
     const Jacobian R = ecmult(p, u1, u2);
-    if (R.infinity()) return false;
+    if (R.infinity) return false;
     const Fe zz = R.z.sqr();
     if (Fe(r.value()) * zz == R.x) return true;
     U256 wrapped;  // r + n, a candidate only while it stays below p
@@ -275,7 +285,7 @@ std::optional<Point> parse_compressed(util::ByteSpan in33) {
     if (!root) return std::nullopt;  // x³ + 7 is not a square: no such point
 
     const bool want_odd = in33[0] == 0x03;
-    const Fe y = root->is_odd() == want_odd ? *root : -*root;
+    const Fe y = root->is_odd() == want_odd ? *root : root->negate(1);
     Point p{raw_x, y.value(), false};
     EBV_ENSURES(p.on_curve());
     return p;

@@ -82,35 +82,4 @@ inline void u256_mul_wide(const U256& a, const U256& b, std::uint64_t out[8]) {
     }
 }
 
-/// Full 512-bit square: each cross product a[i]·a[j] (i < j) once, doubled
-/// by a shift, plus the squares a[i]² on the diagonal — 10 limb products
-/// instead of u256_mul_wide's 16.
-inline void u256_sqr_wide(const U256& a, std::uint64_t out[8]) {
-    using u128 = unsigned __int128;
-    const auto& x = a.limbs;
-    out[0] = 0;
-    for (int i = 0; i < 3; ++i) {
-        u128 carry = 0;
-        for (int j = i + 1; j < 4; ++j) {
-            carry += static_cast<u128>(x[i]) * x[j] + (i == 0 ? 0 : out[i + j]);
-            out[i + j] = static_cast<std::uint64_t>(carry);
-            carry >>= 64;
-        }
-        out[i + 4] = static_cast<std::uint64_t>(carry);
-    }
-    out[7] = out[6] >> 63;
-    for (int i = 6; i > 1; --i) out[i] = out[i] << 1 | out[i - 1] >> 63;
-    out[1] <<= 1;
-    u128 carry = 0;
-    for (int i = 0; i < 4; ++i) {
-        const u128 sq = static_cast<u128>(x[i]) * x[i];
-        carry += static_cast<u128>(out[2 * i]) + static_cast<std::uint64_t>(sq);
-        out[2 * i] = static_cast<std::uint64_t>(carry);
-        carry >>= 64;
-        carry += static_cast<u128>(out[2 * i + 1]) + static_cast<std::uint64_t>(sq >> 64);
-        out[2 * i + 1] = static_cast<std::uint64_t>(carry);
-        carry >>= 64;
-    }
-}
-
 }  // namespace ebv::crypto

@@ -244,6 +244,32 @@ TEST(BenchCompare, ArrivalIsIdentityNotMetric) {
     for (const MetricDelta& d : matched.deltas) EXPECT_NE(d.metric, "arrival");
 }
 
+TEST(BenchCompare, SighashPhaseInputsIsIdentityNotMetric) {
+    // The fig16 sighash-phase rows differ only in `sighash_phase_inputs`
+    // (their string fields are the same ISA names), so each must compare
+    // against its own baseline row rather than all against the first.
+    const auto row = [](int inputs, double speedup) {
+        return std::string(R"({"sighash_phase_inputs":)") + std::to_string(inputs) +
+               R"(,"txs":64,"naive_ms":1.0,"template_ms":1.0,"speedup":)" +
+               std::to_string(speedup) + R"(,"sha256_impl":"sha-ni"})";
+    };
+    const auto report = [&](double s1, double s16) {
+        return doc(R"({"bench":"fig16_validation_compare","provenance":{},"rows":[)" +
+                   row(1, s1) + "," + row(16, s16) + R"(],"aborted":false})");
+    };
+    // The 16-input row keeps its 2.4× while the 1-input row stays at 1.0×.
+    const auto result = compare_reports(report(1.0, 2.4), report(1.0, 2.4));
+    EXPECT_TRUE(result.ok) << format_report(result);
+    EXPECT_EQ(result.deltas.size(), 8u);  // 4 numeric fields on each of 2 rows
+    for (const MetricDelta& d : result.deltas) {
+        EXPECT_NE(d.metric, "sighash_phase_inputs");
+        EXPECT_NEAR(d.current, d.baseline, 1e-9) << d.row << " " << d.metric;
+    }
+    // A real drop on the 16-input row is caught on that row.
+    const auto dropped = compare_reports(report(1.0, 2.4), report(1.0, 1.0));
+    EXPECT_FALSE(dropped.ok) << format_report(dropped);
+}
+
 TEST(BenchCompare, MetricDirectionTable) {
     EXPECT_EQ(metric_direction("ibd_ms"), Direction::kLowerBetter);
     EXPECT_EQ(metric_direction("ev_ns"), Direction::kLowerBetter);

@@ -3,7 +3,9 @@
 
 #include "crypto/batch_verify.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/jacobian.hpp"
 #include "crypto/secp256k1.hpp"
+#include "crypto_reference.hpp"
 #include "util/rng.hpp"
 
 namespace ebv::crypto {
@@ -68,6 +70,111 @@ TEST(SecpEdge, XBeyondFieldRejected) {
     buf[0] = 0x02;
     k1::kFieldPrime.to_be_bytes({buf + 1, 32});  // x == p
     EXPECT_FALSE(k1::parse_compressed({buf, 33}).has_value());
+}
+
+// ---- The lazily reduced group law against the affine oracle ------------------
+// dbl, add_affine and add run on inputs re-encoded at the largest
+// magnitudes the formulas accept (jacobian.hpp), must return coordinates
+// within the magnitudes they promise, and must match the affine group law
+// computed on the shift-add oracle (crypto_reference.hpp).
+
+using reference::AffinePoint;
+using reference::inflate;
+using reference::within_magnitude;
+using Fe = k1::FieldElement;
+
+/// a with X and Y re-encoded at kMaxMagX and kMaxMagY.
+k1::Jacobian at_max_magnitude(k1::Jacobian a) {
+    if (a.infinity) return a;
+    a.x = inflate(a.x, k1::kMaxMagX);
+    a.y = inflate(a.y, k1::kMaxMagY);
+    return a;
+}
+
+/// The same point with Z scaled by t: (X·t², Y·t³, Z·t).
+k1::Jacobian rescaled(const k1::Jacobian& a, const Fe& t) {
+    const Fe tt = t.sqr();
+    return {a.x * tt, a.y * tt * t, a.z * t, a.infinity};
+}
+
+void expect_within_bounds(const k1::Jacobian& r) {
+    EXPECT_TRUE(within_magnitude(r.x, k1::kMaxMagX));
+    EXPECT_TRUE(within_magnitude(r.y, k1::kMaxMagY));
+    EXPECT_TRUE(within_magnitude(r.z, 1));
+}
+
+TEST(SecpGroup, ChainedDoublingsAndMixedAddsMatchAffineReference) {
+    util::Rng rng(21);
+    for (const k1::Point& start : {k1::generator(),
+                                   k1::multiply_generator(reference::random_u256(rng))}) {
+        k1::Jacobian acc = k1::to_jacobian(start);
+        AffinePoint expected = reference::affine_of(start);
+        // One verify's worth of doublings with a mixed addition after every
+        // fourth, some with the negated y a negative wNAF digit selects.
+        for (int step = 0; step < 160; ++step) {
+            acc = at_max_magnitude(acc);
+            if (step % 5 == 4) {
+                const k1::Point b = k1::multiply_generator(reference::random_u256(rng));
+                ASSERT_TRUE(b.on_curve());
+                const bool negative = rng.next() & 1;
+                acc = k1::add_affine(acc, Fe(b.x), negative ? Fe(b.y).negate(1) : Fe(b.y));
+                const AffinePoint rb = reference::affine_of(b);
+                expected = reference::affine_add(expected,
+                                                 negative ? reference::affine_negate(rb) : rb);
+            } else {
+                acc = k1::dbl(acc);
+                expected = reference::affine_double(expected);
+            }
+            expect_within_bounds(acc);
+            ASSERT_EQ(k1::to_affine(acc), expected.point()) << "step " << step;
+        }
+    }
+}
+
+TEST(SecpGroup, JacobianAddMatchesAffineReference) {
+    util::Rng rng(22);
+    for (int i = 0; i < 24; ++i) {
+        const k1::Point a = k1::multiply_generator(reference::random_u256(rng));
+        const k1::Point b = k1::multiply_generator(reference::random_u256(rng));
+        // Non-trivial Z on both sides, inputs at the largest magnitudes.
+        const k1::Jacobian ja = at_max_magnitude(
+            rescaled(k1::to_jacobian(a), Fe(reference::random_u256(rng))));
+        const k1::Jacobian jb = at_max_magnitude(
+            rescaled(k1::to_jacobian(b), Fe(reference::random_u256(rng))));
+        const k1::Jacobian sum = k1::add(ja, jb);
+        expect_within_bounds(sum);
+        EXPECT_EQ(k1::to_affine(sum),
+                  reference::affine_add(reference::affine_of(a), reference::affine_of(b)).point());
+    }
+}
+
+TEST(SecpGroup, InfinityAndEqualXCasesOfEveryAddition) {
+    util::Rng rng(23);
+    const k1::Point p = k1::multiply_generator(reference::random_u256(rng));
+    const AffinePoint rp = reference::affine_of(p);
+    const Fe px(p.x);
+    const Fe py(p.y);
+    // P with Z ≠ 1, so h = 0 is reached through different encodings of X.
+    const k1::Jacobian jp =
+        at_max_magnitude(rescaled(k1::to_jacobian(p), Fe(reference::random_u256(rng))));
+    const k1::Jacobian jp2 = rescaled(k1::to_jacobian(p), Fe(reference::random_u256(rng)));
+    k1::Jacobian jneg = jp2;
+    jneg.y = jneg.y.negate(1);
+    const k1::Jacobian inf;
+
+    EXPECT_TRUE(k1::dbl(inf).infinity);
+    // The point at infinity on either side of each addition.
+    EXPECT_EQ(k1::to_affine(k1::add_affine(inf, px, py)), p);
+    EXPECT_EQ(k1::to_affine(k1::add(inf, jp)), p);
+    EXPECT_EQ(k1::to_affine(k1::add(jp, inf)), p);
+    EXPECT_TRUE(k1::add(inf, inf).infinity);
+    // h = 0 and i = 0: the same point, so the sum is a doubling.
+    const secp256k1::Point doubled = reference::affine_double(rp).point();
+    EXPECT_EQ(k1::to_affine(k1::add_affine(jp, px, py)), doubled);
+    EXPECT_EQ(k1::to_affine(k1::add(jp, jp2)), doubled);
+    // h = 0 and i ≠ 0: P + (−P) is the point at infinity.
+    EXPECT_TRUE(k1::add_affine(jp, px, py.negate(1)).infinity);
+    EXPECT_TRUE(k1::add(jp, jneg).infinity);
 }
 
 TEST(EcdsaEdge, SignaturesAreLowSNormalized) {

@@ -4,51 +4,17 @@
 #include <vector>
 
 #include "crypto/field.hpp"
+#include "crypto/modinv.hpp"
 #include "crypto/scalar.hpp"
 #include "crypto/secp256k1.hpp"
 #include "crypto/u256.hpp"
+#include "crypto_reference.hpp"
 #include "util/rng.hpp"
 
 namespace ebv::crypto {
 namespace {
 
-U256 random_u256(util::Rng& rng) {
-    U256 v;
-    for (auto& limb : v.limbs) limb = rng.next();
-    return v;
-}
-
-/// Reference modular multiplication: shift-and-add with a reduction step
-/// after every shift. O(256) but obviously correct.
-U256 reference_modmul(const U256& a, const U256& b, const U256& m) {
-    auto mod_reduce = [&](U256& x) {
-        while (!u256_less(x, m)) u256_sub(x, m, x);
-    };
-
-    // x + 2^256 ≡ x + (2^256 - m) (mod m): fold a carry-out back in.
-    U256 complement;
-    {
-        U256 not_m;
-        for (int i = 0; i < 4; ++i) not_m.limbs[i] = ~m.limbs[i];
-        u256_add(not_m, U256::one(), complement);
-    }
-    auto mod_add = [&](const U256& x, const U256& y) {
-        U256 sum;
-        if (u256_add(x, y, sum)) u256_add(sum, complement, sum);
-        mod_reduce(sum);
-        return sum;
-    };
-
-    U256 acc = U256::zero();
-    U256 addend = a;
-    mod_reduce(addend);
-
-    for (int bit = 0; bit < 256; ++bit) {
-        if (b.bit(static_cast<unsigned>(bit))) acc = mod_add(acc, addend);
-        addend = mod_add(addend, addend);
-    }
-    return acc;
-}
+using namespace reference;
 
 TEST(U256, BytesRoundTrip) {
     util::Rng rng(1);
@@ -121,6 +87,17 @@ struct ModOps {
     U256 (*inverse)(const U256&);
 };
 
+/// −a: the field type's negate takes a magnitude bound (1 for a freshly
+/// constructed element); the scalar type is always fully reduced.
+template <class T>
+T negated(const T& a) {
+    if constexpr (std::is_same_v<T, secp256k1::FieldElement>) {
+        return a.negate(1);
+    } else {
+        return -a;
+    }
+}
+
 template <class T>
 ModOps ops_for(const U256& modulus) {
     return ModOps{
@@ -135,16 +112,10 @@ ModOps ops_for(const U256& modulus) {
             }
         },
         [](const U256& a, const U256& b) { return (T(a) + T(b)).value(); },
-        [](const U256& a, const U256& b) { return (T(a) - T(b)).value(); },
-        [](const U256& a) { return (-T(a)).value(); },
+        [](const U256& a, const U256& b) { return (T(a) + negated(T(b))).value(); },
+        [](const U256& a) { return negated(T(a)).value(); },
         [](const U256& a) { return T(a).inverse().value(); },
     };
-}
-
-U256 minus(const U256& a, std::uint64_t k) {
-    U256 out;
-    u256_sub(a, U256::from_u64(k), out);
-    return out;
 }
 
 /// 0, 1, m − 1, m, m + 1 and 2^256 − 1: the reduced edges and unreduced
@@ -155,16 +126,6 @@ std::vector<U256> boundary_values(const U256& m) {
     U256 max;
     for (auto& limb : max.limbs) limb = ~0ULL;
     return {U256::zero(), U256::one(), minus(m, 1), m, m_plus_1, max};
-}
-
-/// Square-and-multiply on the reference multiply: base^exponent mod m.
-U256 reference_pow(const U256& base, const U256& exponent, const U256& m) {
-    U256 acc = U256::one();
-    for (int bit = 255; bit >= 0; --bit) {
-        acc = reference_modmul(acc, acc, m);
-        if (exponent.bit(static_cast<unsigned>(bit))) acc = reference_modmul(acc, base, m);
-    }
-    return acc;
 }
 
 class ModArithAgainstReference : public ::testing::TestWithParam<const char*> {
@@ -234,7 +195,7 @@ TEST_P(ModArithAgainstReference, InverseIsMultiplicativeInverse) {
 }
 
 TEST_P(ModArithAgainstReference, PowMatchesRepeatedMul) {
-    // The inverse is a fixed addition chain for a^(m − 2): it must equal
+    // By Fermat the inverse is a^(m − 2): safegcd must equal
     // square-and-multiply on the reference multiply.
     const ModOps m = ops();
     util::Rng rng(7);
@@ -276,7 +237,7 @@ TEST(SecpField, SqrtMatchesReferenceAndRejectsNonResidues) {
     }
 
     // p ≡ 3 (mod 4), so −1 is a non-residue.
-    EXPECT_FALSE((-FieldElement::from_u64(1)).sqrt().has_value());
+    EXPECT_FALSE(FieldElement::from_u64(1).negate(1).sqrt().has_value());
     EXPECT_EQ(FieldElement().sqrt(), FieldElement());
 
     // For a ≠ 0 exactly one of a and −a is a square.
@@ -285,9 +246,9 @@ TEST(SecpField, SqrtMatchesReferenceAndRejectsNonResidues) {
     for (int i = 0; i < 16; ++i) {
         const FieldElement a(random_u256(rng));
         const auto root = a.sqrt();
-        const auto neg_root = (-a).sqrt();
+        const auto neg_root = a.negate(1).sqrt();
         ASSERT_NE(root.has_value(), neg_root.has_value());
-        const FieldElement square = root ? a : -a;
+        const FieldElement square = root ? a : a.negate(1);
         const FieldElement r = root ? *root : *neg_root;
         EXPECT_EQ(r.sqr(), square);
         EXPECT_EQ(r.value(), reference_pow(square.value(), exponent, p));
@@ -297,6 +258,159 @@ TEST(SecpField, SqrtMatchesReferenceAndRejectsNonResidues) {
     EXPECT_GT(residues, 0);
     EXPECT_LT(residues, 16);
 }
+
+// ---- The lazily reduced field at its magnitude bounds ----------------------
+// Each operation runs on limbs at the largest value its callers may pass
+// (max_limbs) and on random limbs within that bound, is checked against
+// the oracle on the raw limb value, and must return limbs within the
+// magnitude field.hpp promises.
+
+/// Inputs at magnitude m: every limb at the bound, the same with an odd
+/// low limb, and random limbs within the bound.
+std::vector<FieldElement> inputs_at(std::uint64_t m, util::Rng& rng) {
+    FieldElement::Limbs odd = max_limbs(m).limbs();
+    odd[0] -= 1;
+    std::vector<FieldElement> v = {max_limbs(m), FieldElement::from_limbs(odd)};
+    for (int i = 0; i < 24; ++i) v.push_back(random_limbs(rng, m));
+    return v;
+}
+
+TEST(SecpField, MulAndSqrAtMagnitudeEight) {
+    const U256& p = secp256k1::kFieldPrime;
+    util::Rng rng(12);
+    const std::vector<FieldElement> xs = inputs_at(8, rng);
+    for (const FieldElement& a : xs) {
+        const U256 ra = reference_value(a);
+        const FieldElement sq = a.sqr();
+        EXPECT_TRUE(within_magnitude(sq, 1));
+        EXPECT_EQ(sq.value(), reference_modmul(ra, ra, p));
+        for (const FieldElement& b : {xs[0], xs[1], xs[2]}) {
+            const FieldElement prod = a * b;
+            EXPECT_TRUE(within_magnitude(prod, 1));
+            EXPECT_EQ(prod.value(), reference_modmul(ra, reference_value(b), p));
+        }
+    }
+}
+
+TEST(SecpField, AddMulIntNegateHalfAtTheirBounds) {
+    const U256& p = secp256k1::kFieldPrime;
+    util::Rng rng(13);
+    // a + b: magnitudes add; 4 + 4 is the largest sum a formula feeds to *.
+    for (const FieldElement& a : inputs_at(4, rng)) {
+        const FieldElement b = random_limbs(rng, 4);
+        const FieldElement sum = a + b;
+        EXPECT_TRUE(within_magnitude(sum, 8));
+        EXPECT_EQ(sum.value(), reference_modadd(reference_value(a), reference_value(b), p));
+        EXPECT_EQ((sum * sum).value(), reference_modmul(sum.value(), sum.value(), p));
+    }
+    // mul_int(k): magnitude times k, up to 8.
+    for (const std::uint64_t k : {2u, 3u, 8u}) {
+        for (const FieldElement& a : inputs_at(8 / k, rng)) {
+            const FieldElement r = a.mul_int(k);
+            EXPECT_TRUE(within_magnitude(r, 8 / k * k));
+            EXPECT_EQ(r.value(), reference_modmul(reference_value(a), U256::from_u64(k), p));
+        }
+    }
+    // negate(m) at magnitude m returns m + 1; 7 keeps the result within 8.
+    for (std::uint64_t m = 1; m <= 7; ++m) {
+        for (const FieldElement& a : inputs_at(m, rng)) {
+            const FieldElement r = a.negate(m);
+            EXPECT_TRUE(within_magnitude(r, m + 1)) << "m = " << m;
+            EXPECT_TRUE((r + a).is_zero()) << "m = " << m;
+            EXPECT_EQ(r.value(), fneg(reference_value(a)));
+        }
+    }
+    // half at magnitude m returns m/2 + 1, and twice the half is the input.
+    for (std::uint64_t m = 1; m <= 8; ++m) {
+        for (const FieldElement& a : inputs_at(m, rng)) {
+            const FieldElement h = a.half();
+            EXPECT_TRUE(within_magnitude(h, m / 2 + 1)) << "m = " << m;
+            EXPECT_EQ((h + h).value(), reference_value(a));
+        }
+    }
+}
+
+TEST(SecpField, NormalizeCanonicalizesEveryEncoding) {
+    const U256& p = secp256k1::kFieldPrime;
+    const U256 p_minus_1 = minus(p, 1);
+    // Zero: p and 2^256-wrapping encodings; −0 at several magnitudes is the
+    // limb-wise 2(m + 1)·p.
+    std::vector<FieldElement> zeros = {FieldElement(p)};
+    for (std::uint64_t m = 0; m <= 7; ++m) zeros.push_back(FieldElement().negate(m));
+    for (const FieldElement& z : zeros) {
+        EXPECT_TRUE(z.is_zero());
+        EXPECT_FALSE(z.is_odd());
+        EXPECT_EQ(z, FieldElement());
+        EXPECT_EQ(z.value(), U256::zero());
+        EXPECT_EQ(z.normalized().limbs(), FieldElement().limbs());
+    }
+    // p − 1 plus each encoding of zero.
+    const FieldElement canonical(p_minus_1);
+    for (const FieldElement& z : zeros) {
+        const FieldElement v = canonical + z;
+        EXPECT_FALSE(v.is_zero());
+        EXPECT_FALSE(v.is_odd());  // p − 1 is even
+        EXPECT_EQ(v, canonical);
+        EXPECT_EQ(v.value(), p_minus_1);
+    }
+    // Values in [p, 2^256) as constructed from a U256.
+    U256 max256;
+    for (auto& l : max256.limbs) l = ~0ULL;
+    U256 p_plus_1;
+    u256_add(p, U256::one(), p_plus_1);
+    U256 p_plus_2_32;
+    u256_add(p, U256::from_u64(1ULL << 32), p_plus_2_32);
+    for (const U256& raw : {p, p_plus_1, p_plus_2_32, max256, minus(max256, 1)}) {
+        const FieldElement v(raw);
+        const U256 expected = reference_reduce(raw, p);
+        EXPECT_EQ(v.value(), expected);
+        EXPECT_EQ(v.is_odd(), expected.is_odd());
+        EXPECT_EQ(v.is_zero(), expected.is_zero());
+        EXPECT_EQ(v, FieldElement(expected));
+    }
+    // Random encodings up to magnitude 8.
+    util::Rng rng(14);
+    for (std::uint64_t m = 1; m <= 8; ++m) {
+        for (const FieldElement& v : inputs_at(m, rng)) {
+            const U256 expected = reference_value(v);
+            EXPECT_EQ(v.value(), expected);
+            EXPECT_EQ(v, FieldElement(expected));
+            EXPECT_EQ(v.is_odd(), expected.is_odd());
+        }
+    }
+}
+
+// ---- safegcd inversion ---------------------------------------------------------
+
+class ModInvAgainstReference : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ModInvAgainstReference, InverseTimesValueIsOne) {
+    const U256 m = U256::from_hex(GetParam());
+    util::Rng rng(15);
+    std::vector<U256> inputs = {U256::one(), U256::from_u64(2), minus(m, 1), minus(m, 2)};
+    for (unsigned k = 1; k < 256; ++k) {
+        U256 pow2;
+        pow2.limbs[k / 64] = 1ULL << (k % 64);
+        inputs.push_back(pow2);
+        inputs.push_back(minus(pow2, 1));
+    }
+    for (int i = 0; i < 200; ++i) inputs.push_back(reference_reduce(random_u256(rng), m));
+    for (const U256& x : inputs) {
+        if (x.is_zero()) continue;
+        const U256 inv = modinv(x, m);
+        EXPECT_TRUE(u256_less(inv, m));
+        EXPECT_EQ(reference_modmul(x, inv, m), U256::one());
+    }
+    EXPECT_EQ(modinv(U256::zero(), m), U256::zero());
+    EXPECT_EQ(modinv(U256::one(), m), U256::one());
+    EXPECT_EQ(modinv(minus(m, 1), m), minus(m, 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Secp256k1Moduli, ModInvAgainstReference,
+    ::testing::Values(
+        "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f",
+        "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141"));
 
 bool within_2_128(const secp256k1::Scalar& k) {
     const U256 magnitude = k.is_high() ? (-k).value() : k.value();
