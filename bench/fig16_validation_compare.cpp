@@ -120,47 +120,38 @@ int main() {
                 best_reduction);
 
     // ---- Thread-count sweep: fused parallel EV+SV -------------------------
-    // A fresh node per (thread count, batch mode) replays the prefix, then
-    // the same ten measured blocks; ev_sv_ms sums the proof-bound
-    // (parallelized) phases. The batched rows defer OP_CHECKSIG triples into
-    // crypto::verify_batch; the sweep pins both modes explicitly so an
-    // EBV_BATCH_VERIFY ambient setting cannot collapse the comparison.
+    // A fresh node per thread count replays the prefix, then the same ten
+    // measured blocks; ev_sv_ms sums the proof-bound (parallelized) phases.
     std::printf("\nEBV thread-count sweep — EV+SV wall time over the measured blocks\n");
-    std::printf("%-8s %8s %12s %10s\n", "threads", "batch", "ev_sv_ms", "speedup");
-    bench::print_rule(40);
+    std::printf("%-8s %12s %10s\n", "threads", "ev_sv_ms", "speedup");
+    bench::print_rule(32);
 
     double base_ev_sv_ms = 0;
-    for (const bool batched : {false, true}) {
-        for (const std::size_t threads : bench::env_thread_sweep()) {
-            util::ThreadPool pool(threads);
-            core::EbvNodeOptions sweep_options = ebv_options;
-            sweep_options.validator.script_pool = &pool;
-            sweep_options.validator.batch_verify = batched;
-            core::EbvNode sweep_node(sweep_options);
-            for (std::uint32_t i = 0; i + measured < blocks; ++i)
-                if (!sweep_node.submit_block(ebv_chain[i])) {
-                    report.aborted("block rejected during thread sweep");
-                    return 1;
-                }
-
-            double ev_sv_ms = 0;
-            for (std::uint32_t i = blocks - measured; i < blocks; ++i) {
-                auto r = sweep_node.submit_block(ebv_chain[i]);
-                if (!r) {
-                    report.aborted("block rejected during thread sweep");
-                    return 1;
-                }
-                ev_sv_ms += bench::ms(r->ev) + bench::ms(r->sv);
+    for (const std::size_t threads : bench::env_thread_sweep()) {
+        util::ThreadPool pool(threads);
+        core::EbvNodeOptions sweep_options = ebv_options;
+        sweep_options.validator.script_pool = &pool;
+        core::EbvNode sweep_node(sweep_options);
+        for (std::uint32_t i = 0; i + measured < blocks; ++i)
+            if (!sweep_node.submit_block(ebv_chain[i])) {
+                report.aborted("block rejected during thread sweep");
+                return 1;
             }
-            // Speedup is relative to the serial inline row in both modes.
-            if (threads == 1 && !batched) base_ev_sv_ms = ev_sv_ms;
-            const double speedup = ev_sv_ms > 0 ? base_ev_sv_ms / ev_sv_ms : 0.0;
-            std::printf("%-8zu %8s %12.2f %9.2fx\n", threads,
-                        batched ? "on" : "off", ev_sv_ms, speedup);
-            report.row(
-                "{\"threads\":%zu,\"batch\":%s,\"ev_sv_ms\":%.3f,\"speedup\":%.3f}",
-                threads, batched ? "true" : "false", ev_sv_ms, speedup);
+
+        double ev_sv_ms = 0;
+        for (std::uint32_t i = blocks - measured; i < blocks; ++i) {
+            auto r = sweep_node.submit_block(ebv_chain[i]);
+            if (!r) {
+                report.aborted("block rejected during thread sweep");
+                return 1;
+            }
+            ev_sv_ms += bench::ms(r->ev) + bench::ms(r->sv);
         }
+        if (threads == 1) base_ev_sv_ms = ev_sv_ms;
+        const double speedup = ev_sv_ms > 0 ? base_ev_sv_ms / ev_sv_ms : 0.0;
+        std::printf("%-8zu %12.2f %9.2fx\n", threads, ev_sv_ms, speedup);
+        report.row("{\"threads\":%zu,\"ev_sv_ms\":%.3f,\"speedup\":%.3f}", threads,
+                   ev_sv_ms, speedup);
     }
 
     // ---- Scheduler × skew sweep: work stealing vs shared counter ----------
@@ -169,11 +160,9 @@ int main() {
     // multisig, signer last — see workload::GeneratorOptions::skew). Under
     // uniform cost the schedulers should tie; under skew the stealing
     // scheduler's finer splits bound the straggler tail the shared counter
-    // pays in barrier_wait. Inline verification on both sides (batch mode's
-    // optimistic run re-verifies wrong-key multisig attempts inline anyway,
-    // which would blur the comparison). Speedup is relative to the
-    // counter/1-thread row of the same skew level, so steal-vs-counter is a
-    // direct ratio within a level.
+    // pays in barrier_wait. Speedup is relative to the counter/1-thread row
+    // of the same skew level, so steal-vs-counter is a direct ratio within a
+    // level.
     const double skew = bench::env_double("EBV_SKEW", 1.0);
     std::printf("\nScheduler sweep — EV+SV wall time, uniform vs skewed cost "
                 "(EBV_SKEW=%.2f)\n",
@@ -203,7 +192,6 @@ int main() {
                 util::ThreadPool pool(util::ThreadPool::Options{threads, mode, {}});
                 core::EbvNodeOptions sched_options = ebv_options;
                 sched_options.validator.script_pool = &pool;
-                sched_options.validator.batch_verify = false;
                 core::EbvNode sched_node(sched_options);
                 for (std::uint32_t i = 0; i + measured < blocks; ++i)
                     if (!sched_node.submit_block(level_chain[i])) {
@@ -231,57 +219,6 @@ int main() {
                            util::to_string(mode), level, threads, ev_sv_ms, speedup);
             }
         }
-    }
-
-    // ---- Sighash-template sweep -------------------------------------------
-    // Same replay, toggling the O(n) per-transaction sighash template
-    // (core::TxSighashCache) that replaces the naive O(n · tx_size)
-    // re-serializing path inside SV. Serial, inline signatures, so the
-    // delta is the template's alone. ECDSA dominates SV (~0.4 ms/input vs
-    // ~2 µs/input of sighash), so the honest end-to-end expectation is
-    // parity — no regression — with the template's win isolated by the
-    // sighash-phase rows below. Min-of-reps tames single-core timing noise.
-    // The active SHA-256 row is reported too: EBV_SHA256_IMPL=sha-ni /
-    // avx512 reruns land in the same JSON.
-    const auto reps = static_cast<std::uint32_t>(bench::env_u64("EBV_REPS", 3));
-    std::printf("\nEBV sighash-template sweep — EV+SV wall time, min of %u reps "
-                "(sha256: %s / %s)\n",
-                reps, crypto::sha256_impl(), crypto::sha256_batch_impl());
-    std::printf("%-10s %12s %10s\n", "template", "ev_sv_ms", "speedup");
-    bench::print_rule(36);
-
-    double naive_ev_sv_ms = 0;
-    for (const bool tpl : {false, true}) {
-        double best_ms = 0;
-        for (std::uint32_t rep = 0; rep < reps; ++rep) {
-            core::EbvNodeOptions tpl_options = ebv_options;
-            tpl_options.validator.batch_verify = false;
-            tpl_options.validator.sighash_template = tpl;
-            core::EbvNode tpl_node(tpl_options);
-            for (std::uint32_t i = 0; i + measured < blocks; ++i)
-                if (!tpl_node.submit_block(ebv_chain[i])) {
-                    report.aborted("block rejected during sighash-template sweep");
-                    return 1;
-                }
-
-            double ev_sv_ms = 0;
-            for (std::uint32_t i = blocks - measured; i < blocks; ++i) {
-                auto r = tpl_node.submit_block(ebv_chain[i]);
-                if (!r) {
-                    report.aborted("block rejected during sighash-template sweep");
-                    return 1;
-                }
-                ev_sv_ms += bench::ms(r->ev) + bench::ms(r->sv);
-            }
-            if (rep == 0 || ev_sv_ms < best_ms) best_ms = ev_sv_ms;
-        }
-        if (!tpl) naive_ev_sv_ms = best_ms;
-        const double speedup = best_ms > 0 ? naive_ev_sv_ms / best_ms : 0.0;
-        std::printf("%-10s %12.2f %9.2fx\n", tpl ? "on" : "off", best_ms, speedup);
-        report.row("{\"sighash_template\":%s,\"ev_sv_ms\":%.3f,\"speedup\":%.3f,"
-                   "\"sha256_impl\":\"%s\",\"sha256_batch_impl\":\"%s\"}",
-                   tpl ? "true" : "false", best_ms, speedup, crypto::sha256_impl(),
-                   crypto::sha256_batch_impl());
     }
 
     // ---- Sighash-phase isolation ------------------------------------------

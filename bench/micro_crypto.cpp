@@ -6,7 +6,6 @@
 
 #include "chain/sighash.hpp"
 #include "chain/sighash_template.hpp"
-#include "crypto/batch_verify.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/parse_memo.hpp"
@@ -214,29 +213,6 @@ void BM_EcdsaVerify(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EcdsaVerify);
-
-// Batched verification: one s⁻¹ inversion amortized across the batch, then
-// the same per-signature curve work as BM_EcdsaVerify. Arg is the batch
-// size; items-per-second makes the per-signature cost comparable with
-// BM_EcdsaVerify at Arg(1).
-void BM_EcdsaVerifyBatch(benchmark::State& state) {
-    util::Rng rng(8);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    std::vector<crypto::VerifyJob> jobs;
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto key = crypto::PrivateKey::generate(rng);
-        crypto::Hash256 digest;
-        rng.fill({digest.bytes().data(), 32});
-        jobs.push_back({key.public_key(), key.sign(digest), digest});
-    }
-    const std::unique_ptr<bool[]> verdicts(new bool[n]);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(crypto::verify_batch(jobs, verdicts.get()));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EcdsaVerifyBatch)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 // Decompression (square root of x³ + 7) on every call, no memo.
 void BM_PubkeyDecompress(benchmark::State& state) {

@@ -20,9 +20,8 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 /// and bool fields are always identity.
 bool is_identity_key(std::string_view key) {
     static constexpr std::string_view kKeys[] = {
-        "threads", "window", "height", "period", "blocks",
-        "seed",    "reps",   "mode",   "batch",  "shards",
-        "skew",    "clients", "queries_per_block", "arrival",
+        "threads", "window", "height", "period", "blocks", "seed", "reps",
+        "mode", "shards", "skew", "clients", "queries_per_block", "arrival",
         "sighash_phase_inputs",
     };
     for (const std::string_view k : kKeys) {

@@ -148,6 +148,8 @@ util::Result<BitVectorSet, util::DecodeError> BitVectorSet::deserialize(util::Re
         auto vector = BitVector::deserialize(r);
         if (!vector) return util::Unexpected{vector.error()};
         Shard& shard = set.shards_[shard_of(*height)];
+        if (shard.vectors.count(*height) != 0)
+            return util::Unexpected{util::DecodeError::kMalformed};
         account_add(shard, *vector);
         shard.vectors.emplace(*height, std::move(*vector));
     }
@@ -178,6 +180,16 @@ util::Result<BitVectorSet, util::DecodeError> BitVectorSet::load(const std::stri
 
     util::Reader r(data);
     return deserialize(r);
+}
+
+bool BitVectorSet::fits(std::span<const std::uint32_t> output_counts) const {
+    for (const Shard& shard : shards_) {
+        for (const auto& [height, vector] : shard.vectors) {
+            if (height >= output_counts.size() || vector.size() != output_counts[height])
+                return false;
+        }
+    }
+    return true;
 }
 
 bool operator==(const BitVectorSet& a, const BitVectorSet& b) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -92,6 +93,11 @@ public:
     /// In-stream forms (used by node-level snapshots).
     void serialize(util::Writer& w) const;
     static util::Result<BitVectorSet, util::DecodeError> deserialize(util::Reader& r);
+
+    /// Whether every vector belongs to a block of `output_counts` (indexed
+    /// by height) and holds exactly that block's output count — the check a
+    /// loaded snapshot must pass before UV or disconnect_tip may trust it.
+    [[nodiscard]] bool fits(std::span<const std::uint32_t> output_counts) const;
 
     friend bool operator==(const BitVectorSet&, const BitVectorSet&);
 

@@ -1,7 +1,5 @@
 #include "core/ebv_validator.hpp"
 
-#include <cstdlib>
-
 #include "chain/amount.hpp"
 #include "core/sig_cache.hpp"
 #include "crypto/ecdsa.hpp"
@@ -114,50 +112,26 @@ std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,
 
 bool EbvSignatureChecker::check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                           util::ByteSpan script_code) const {
-    const auto job = prepare_signature(signature, pubkey, script_code);
-    if (!job) return false;
-    // Cache hit = this exact (sighash, pubkey, sig) triple already verified
-    // TRUE (only successes are ever inserted), so the curve check is
-    // redundant. Misses verify inline and, on success, warm the cache.
-    if (sigcache_ != nullptr && sigcache_->contains(*job)) return true;
-    const bool ok = job->key.verify(job->digest, job->sig);
-    if (ok && sigcache_ != nullptr) sigcache_->insert(*job);
-    return ok;
-}
-
-std::optional<crypto::VerifyJob> EbvSignatureChecker::prepare_signature(
-    util::ByteSpan signature, util::ByteSpan pubkey, util::ByteSpan script_code) const {
-    if (signature.empty()) return std::nullopt;
+    if (signature.empty()) return false;
     const std::uint8_t hash_type = signature.back();
-    if (hash_type != 0x01) return std::nullopt;  // SIGHASH_ALL only
+    if (hash_type != 0x01) return false;  // SIGHASH_ALL only
 
     const auto sig = crypto::parse_signature_der_memo(signature.first(signature.size() - 1));
-    if (!sig) return std::nullopt;
+    if (!sig) return false;
     const auto key = crypto::parse_public_key_memo(pubkey);
-    if (!key) return std::nullopt;
+    if (!key) return false;
 
-    return crypto::VerifyJob{
+    const crypto::VerifyJob job{
         *key, *sig,
         cache_ != nullptr ? cache_->digest(input_index_, script_code, hash_type)
                           : ebv_signature_hash(tx_, input_index_, script_code, hash_type)};
-}
-
-bool batch_verify_enabled(const EbvValidatorOptions& options) {
-    if (options.batch_verify.has_value()) return *options.batch_verify;
-    static const bool env_default = [] {
-        const char* v = std::getenv("EBV_BATCH_VERIFY");
-        return v != nullptr && std::strtoul(v, nullptr, 10) != 0;
-    }();
-    return env_default;
-}
-
-bool sighash_template_enabled(const EbvValidatorOptions& options) {
-    if (options.sighash_template.has_value()) return *options.sighash_template;
-    static const bool env_default = [] {
-        const char* v = std::getenv("EBV_SIGHASH_TEMPLATE");
-        return v == nullptr || std::strtoul(v, nullptr, 10) != 0;  // default ON
-    }();
-    return env_default;
+    // Cache hit = this exact (sighash, pubkey, sig) triple already verified
+    // TRUE (only successes are ever inserted), so the curve check is
+    // redundant. Misses verify inline and, on success, warm the cache.
+    if (sigcache_ != nullptr && sigcache_->contains(job)) return true;
+    const bool ok = job.key.verify(job.digest, job.sig);
+    if (ok && sigcache_ != nullptr) sigcache_->insert(job);
+    return ok;
 }
 
 }  // namespace ebv::core

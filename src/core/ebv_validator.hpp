@@ -126,26 +126,11 @@ struct EbvTimings {
 struct EbvValidatorOptions {
     bool verify_scripts = true;
     util::ThreadPool* script_pool = nullptr;
-    /// Deferred batched ECDSA verification for the fused EV+SV pass (see
-    /// docs/CRYPTO.md). nullopt defers to the EBV_BATCH_VERIFY environment
-    /// knob (off when unset); an explicit value always wins over the env.
-    std::optional<bool> batch_verify;
-    /// O(n) per-transaction sighash templates for SV (docs/CRYPTO.md).
-    /// nullopt defers to the EBV_SIGHASH_TEMPLATE environment knob (ON when
-    /// unset); an explicit value always wins over the env.
-    std::optional<bool> sighash_template;
     /// Shared signature-verification cache: signatures the mempool already
     /// verified at admission short-circuit SV here (docs/MEMPOOL.md).
     /// nullptr = every signature pays the full curve check.
     SigCache* sigcache = nullptr;
 };
-
-/// Resolve the tri-state batch_verify option against EBV_BATCH_VERIFY.
-[[nodiscard]] bool batch_verify_enabled(const EbvValidatorOptions& options);
-
-/// Resolve the tri-state sighash_template option against
-/// EBV_SIGHASH_TEMPLATE (default ON).
-[[nodiscard]] bool sighash_template_enabled(const EbvValidatorOptions& options);
 
 /// SignatureChecker binding the script VM to EBV's signature-hash rules.
 class EbvSignatureChecker final : public script::SignatureChecker {
@@ -157,13 +142,6 @@ public:
 
     [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                        util::ByteSpan script_code) const override;
-
-    /// The deferred-mode twin of check_signature: same parse-time rejects
-    /// (DER strictness, SIGHASH_ALL only, compressed-key parse), but the
-    /// curve work is left to crypto::verify_batch.
-    [[nodiscard]] std::optional<crypto::VerifyJob> prepare_signature(
-        util::ByteSpan signature, util::ByteSpan pubkey,
-        util::ByteSpan script_code) const override;
 
 private:
     const EbvTransaction& tx_;

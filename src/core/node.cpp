@@ -76,6 +76,10 @@ util::Result<std::unique_ptr<EbvNode>, util::DecodeError> EbvNode::load_snapshot
 
     auto status = BitVectorSet::deserialize(r);
     if (!status) return util::Unexpected{status.error()};
+    // Nothing may follow the set, and every vector must match a loaded
+    // header's output count: UV verdicts and disconnect_tip trust both.
+    if (!r.empty() || !status->fits(node->output_counts_))
+        return util::Unexpected{util::DecodeError::kMalformed};
     node->status_ = std::move(*status);
     return node;
 }

@@ -27,7 +27,7 @@
 #include <mutex>
 #include <unordered_set>
 
-#include "crypto/batch_verify.hpp"
+#include "crypto/ecdsa.hpp"
 #include "crypto/hash_types.hpp"
 
 namespace ebv::core {

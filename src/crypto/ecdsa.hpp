@@ -68,4 +68,12 @@ private:
     U256 secret_{};
 };
 
+/// One signature check: the (pubkey, signature, sighash) triple an
+/// OP_CHECKSIG-family opcode verifies.
+struct VerifyJob {
+    PublicKey key;
+    Signature sig;
+    Hash256 digest;
+};
+
 }  // namespace ebv::crypto

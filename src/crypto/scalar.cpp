@@ -1,9 +1,6 @@
 #include "crypto/scalar.hpp"
 
-#include <vector>
-
 #include "crypto/modinv.hpp"
-#include "util/assert.hpp"
 
 namespace ebv::crypto::secp256k1 {
 
@@ -89,24 +86,6 @@ Scalar operator*(const Scalar& a, const Scalar& b) {
 }
 
 Scalar Scalar::inverse() const { return Scalar(modinv(v_, kGroupOrder)); }
-
-void batch_inverse(std::span<Scalar> values) {
-    const std::size_t n = values.size();
-    if (n == 0) return;
-    // prefix[i] = values[0]·…·values[i]; one inversion of the full product,
-    // then walk back peeling one factor per step.
-    std::vector<Scalar> prefix(n);
-    prefix[0] = values[0];
-    for (std::size_t i = 1; i < n; ++i) prefix[i] = prefix[i - 1] * values[i];
-    Scalar inv = prefix[n - 1].inverse();
-    EBV_EXPECTS(!inv.is_zero());
-    for (std::size_t i = n - 1; i > 0; --i) {
-        const Scalar value = values[i];
-        values[i] = inv * prefix[i - 1];
-        inv = inv * value;
-    }
-    values[0] = inv;
-}
 
 LambdaSplit split_lambda(const Scalar& k) {
     // Babai rounding against the reduced lattice basis {(a1, b1), (a2, b2)}

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 #include "crypto/u256.hpp"
 
@@ -49,11 +48,6 @@ public:
 private:
     U256 v_{};
 };
-
-/// Montgomery batch inversion: replaces every value with its inverse using
-/// one inverse() and 3(n − 1) products. Every value must be nonzero; the
-/// results equal per-element inverse() calls (the inverse is unique).
-void batch_inverse(std::span<Scalar> values);
 
 /// The GLV decomposition k ≡ k1 + k2·λ (mod n) with k1 and k2 within 2^128
 /// of zero (a negative part is held as n − |part|, see Scalar::is_high).

@@ -14,7 +14,6 @@
 #include "chain/amount.hpp"
 #include "core/sig_cache.hpp"
 #include "core/sighash_cache.hpp"
-#include "core/sv_batcher.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -180,8 +179,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     util::ThreadPool* const pool = options_.script_pool;
     const std::size_t slots = pool != nullptr ? pool->thread_count() : 1;
     const bool verify_scripts = options_.verify_scripts;
-    const bool batch_verify = verify_scripts && core::batch_verify_enabled(options_);
-    const bool use_template = verify_scripts && core::sighash_template_enabled(options_);
 
     // Spends of already-committed blocks, to be applied inside the next
     // window's parallel pass ("stage 3 joins the parallel region").
@@ -287,27 +284,14 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         std::vector<std::uint64_t> sv_busy(slots, 0);
         std::vector<std::uint64_t> commit_busy(slots, 0);
 
-        // Deferred batched signature checking (docs/CRYPTO.md): SV verdicts
-        // may resolve late (at a batch drain) but land in the same verdict
-        // slots + per-block CAS-mins the inline path uses, so stage-3
-        // resolution is identical either way.
-        const auto resolve_sv = [&](std::size_t tag, script::ScriptError err) {
-            if (err == script::ScriptError::kOk) return;
-            const ProofJob& job = jobs[tag];
-            verdicts[tag].script = err;
-            cas_min(sv_min[job.block].value, job.ordinal);
-            cas_min(min_fail_block, job.block);
-        };
-        std::optional<core::SvBatcher> batcher;
-        if (batch_verify) batcher.emplace(slots, resolve_sv, options_.sigcache);
-
-        // Per-transaction sighash templates (core::TxSighashCache), lazily
+        // Per-transaction sighash templates (core::TxSighashCache) for
+        // transactions of kSighashCacheMinInputs or more inputs, lazily
         // built by whichever worker first reaches one of the transaction's
         // inputs and shared by the rest across the window's parallel pass.
         std::vector<std::vector<std::unique_ptr<core::TxSighashCache>>> caches(
-            use_template ? accepted : 0);
-        std::vector<std::unique_ptr<std::once_flag[]>> cache_once(use_template ? accepted : 0);
-        if (use_template) {
+            verify_scripts ? accepted : 0);
+        std::vector<std::unique_ptr<std::once_flag[]>> cache_once(verify_scripts ? accepted : 0);
+        if (verify_scripts) {
             for (std::size_t b = 0; b < accepted; ++b) {
                 caches[b].resize(window[b].txs.size());
                 cache_once[b] = std::make_unique<std::once_flag[]>(window[b].txs.size());
@@ -392,7 +376,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             if (job.ordinal > block_sv_min.load(std::memory_order_relaxed)) return;
             watch.restart();
             const core::TxSighashCache* cache = nullptr;
-            if (use_template && tx.inputs.size() >= core::kSighashCacheMinInputs) {
+            if (tx.inputs.size() >= core::kSighashCacheMinInputs) {
                 // Template construction counts as SV time (it replaces the
                 // per-input serialization the naive path would spend there).
                 std::call_once(cache_once[job.block][job.tx_index], [&] {
@@ -401,12 +385,12 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 });
                 cache = caches[job.block][job.tx_index].get();
             }
-            if (batcher) {
-                batcher->check(slot, index - shard_jobs, tx, job.input_index, cache);
-            } else {
-                resolve_sv(index - shard_jobs,
-                           core::sv_check_input(tx, job.input_index, cache,
-                                                options_.sigcache));
+            const script::ScriptError err =
+                core::sv_check_input(tx, job.input_index, cache, options_.sigcache);
+            if (err != script::ScriptError::kOk) {
+                verdicts[index - shard_jobs].script = err;
+                cas_min(block_sv_min, job.ordinal);
+                cas_min(min_fail_block, job.block);
             }
             const auto sv_ns = watch.elapsed_ns();
             sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
@@ -448,20 +432,11 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 }
             }
         }
-        if (batcher) {
-            // Resolve the below-target remainders before stage 3 reads any
-            // verdict; still SV work, so it stays inside the pass wall.
-            util::Stopwatch flush_watch;
-            batcher->flush_all();
-            sv_busy[0] += static_cast<std::uint64_t>(flush_watch.elapsed_ns());
-        }
-        if (use_template) {
-            std::uint64_t saved = 0;
-            for (const auto& block_caches : caches)
-                for (const auto& cache : block_caches)
-                    if (cache) saved += cache->bytes_saved();
-            if (saved > 0) m.sighash_bytes_saved.inc(saved);
-        }
+        std::uint64_t saved = 0;
+        for (const auto& block_caches : caches)
+            for (const auto& cache : block_caches)
+                if (cache) saved += cache->bytes_saved();
+        if (saved > 0) m.sighash_bytes_saved.inc(saved);
         const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
         if (pool != nullptr) {
             const util::PoolStats pool_after = pool->stats();

@@ -83,9 +83,8 @@ public:
     using CommitHook = util::FunctionRef<void(const core::EbvBlock&, std::uint32_t)>;
 
     /// `options` configures every per-input check: the thread pool, SV on
-    /// or off, batched signature checks, sighash templates and the shared
-    /// signature cache (core::EbvValidatorOptions). `window` is W; 0 is
-    /// treated as 1.
+    /// or off and the shared signature cache (core::EbvValidatorOptions).
+    /// `window` is W; 0 is treated as 1.
     Pipeline(const chain::ChainParams& params, chain::HeaderIndex& headers,
              core::BitVectorSet& status, const core::EbvValidatorOptions& options,
              std::size_t window = 1)

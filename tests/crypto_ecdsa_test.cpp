@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdio>
 #include <vector>
 
 #include "crypto/ecdsa.hpp"
@@ -360,6 +362,138 @@ TEST(Ecdsa, JacobianRCheckMatchesAffineReference) {
         accepted += expected ? 1 : 0;
     }
     EXPECT_EQ(accepted, 80);  // cases 0 and 1 of every five
+}
+
+// ---------------------------------------------------------------------------
+// Strauss/Shamir double-scalar multiplication
+
+U256 random_u256(util::Rng& rng) {
+    U256 v;
+    for (auto& limb : v.limbs) limb = rng.next();
+    return v;
+}
+
+k1::Point reference_double_mul(const k1::Point& p, const U256& u1, const U256& u2) {
+    return k1::add(k1::multiply_generator(u1), k1::multiply(p, u2));
+}
+
+TEST(StraussShamir, MatchesIndependentMultiplies) {
+    util::Rng rng(7);
+    for (int i = 0; i < 16; ++i) {
+        const PrivateKey key = PrivateKey::generate(rng);
+        const k1::Point p = key.public_key().point();
+        const U256 u1 = random_u256(rng);
+        const U256 u2 = random_u256(rng);
+        EXPECT_EQ(k1::multiply_double_generator(p, u1, u2),
+                  reference_double_mul(p, u1, u2));
+    }
+}
+
+TEST(StraussShamir, EdgeScalars) {
+    util::Rng rng(8);
+    const k1::Point p = PrivateKey::generate(rng).public_key().point();
+    const U256 n = k1::kGroupOrder;
+    U256 n_minus_1;
+    u256_sub(n, U256::one(), n_minus_1);
+    const U256 edges[] = {U256::zero(), U256::one(), U256::from_u64(2),
+                          n_minus_1, n};
+    for (const U256& u1 : edges) {
+        for (const U256& u2 : edges) {
+            EXPECT_EQ(k1::multiply_double_generator(p, u1, u2),
+                      reference_double_mul(p, u1, u2));
+        }
+    }
+}
+
+TEST(StraussShamir, InfinityPointUsesOnlyGeneratorTerm) {
+    util::Rng rng(9);
+    const U256 u1 = random_u256(rng);
+    const U256 u2 = random_u256(rng);
+    EXPECT_EQ(k1::multiply_double_generator(k1::Point::at_infinity(), u1, u2),
+              k1::multiply_generator(u1));
+}
+
+// ---------------------------------------------------------------------------
+// A 10k-signature corpus whose verdicts are known by construction
+
+enum class Corruption {
+    kNone,
+    kFlipR,
+    kFlipS,
+    kOtherDigest,
+    kWrongKey,
+    kZeroR,
+    kZeroS,
+    kROrder,
+    kInvalidKey,
+    kHighS,
+    kCount,
+};
+
+/// Only an untouched signature and its high-s twin (n − s) verify.
+bool accepted_by_construction(Corruption c) {
+    return c == Corruption::kNone || c == Corruption::kHighS;
+}
+
+/// One corpus job: a valid signature, then one corruption class applied.
+/// Rolls 0-8 pick a corruption each; the rest (~2/3 of jobs) stay valid.
+VerifyJob make_job(util::Rng& rng, const std::vector<PrivateKey>& keys, std::size_t i,
+                   Corruption& kind) {
+    const PrivateKey& signer = keys[i % keys.size()];
+    char tag[32];
+    std::snprintf(tag, sizeof tag, "corpus message %zu", i);
+    VerifyJob job;
+    job.key = signer.public_key();
+    job.digest = msg_hash(tag);
+    job.sig = signer.sign(job.digest);
+
+    const std::uint64_t roll = rng.next() % 27;
+    kind = roll < 9 ? static_cast<Corruption>(roll + 1) : Corruption::kNone;
+    switch (kind) {
+        case Corruption::kFlipR:
+            job.sig.r.limbs[rng.next() % 4] ^= std::uint64_t{1} << (rng.next() % 64);
+            break;
+        case Corruption::kFlipS:
+            job.sig.s.limbs[rng.next() % 4] ^= std::uint64_t{1} << (rng.next() % 64);
+            break;
+        case Corruption::kOtherDigest:
+            job.digest = msg_hash("a different message entirely");
+            break;
+        case Corruption::kWrongKey:
+            job.key = keys[(i + 1) % keys.size()].public_key();
+            break;
+        case Corruption::kZeroR: job.sig.r = U256::zero(); break;
+        case Corruption::kZeroS: job.sig.s = U256::zero(); break;
+        case Corruption::kROrder: job.sig.r = k1::kGroupOrder; break;
+        case Corruption::kInvalidKey: job.key = PublicKey(); break;
+        case Corruption::kHighS: {
+            U256 high_s;
+            u256_sub(k1::kGroupOrder, job.sig.s, high_s);
+            job.sig.s = high_s;
+            break;
+        }
+        case Corruption::kNone:
+        case Corruption::kCount: break;
+    }
+    return job;
+}
+
+TEST(EcdsaCorpus, TenThousandSignaturesMatchConstructedVerdicts) {
+    util::Rng rng(4242);
+    std::vector<PrivateKey> keys;
+    for (int i = 0; i < 32; ++i) keys.push_back(PrivateKey::generate(rng));
+
+    constexpr std::size_t kCorpus = 10'000;
+    std::array<std::size_t, static_cast<std::size_t>(Corruption::kCount)> seen{};
+    for (std::size_t i = 0; i < kCorpus; ++i) {
+        Corruption kind{};
+        const VerifyJob job = make_job(rng, keys, i, kind);
+        ++seen[static_cast<std::size_t>(kind)];
+        EXPECT_EQ(job.key.verify(job.digest, job.sig), accepted_by_construction(kind))
+            << "corpus index " << i << ", class " << static_cast<int>(kind);
+    }
+    for (std::size_t c = 0; c < seen.size(); ++c)
+        EXPECT_GT(seen[c], 0u) << "class " << c << " never drawn";
 }
 
 }  // namespace

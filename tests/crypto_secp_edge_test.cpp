@@ -1,7 +1,6 @@
 // Edge cases of the curve and signature layers beyond the happy path.
 #include <gtest/gtest.h>
 
-#include "crypto/batch_verify.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/jacobian.hpp"
 #include "crypto/secp256k1.hpp"
@@ -264,14 +263,8 @@ Constructed construct(const k1::Point& R, const k1::Scalar& u1, const k1::Scalar
     return {PublicKey(p), digest_of(u1 * s), Signature{r.value(), s.value()}};
 }
 
-/// verify() and the batch path must agree on every constructed case.
 bool verdict(const PublicKey& key, const Hash256& digest, const Signature& sig) {
-    const bool inline_verdict = key.verify(digest, sig);
-    const VerifyJob job{key, sig, digest};
-    bool batched = !inline_verdict;
-    verify_batch({&job, 1}, &batched);
-    EXPECT_EQ(batched, inline_verdict);
-    return inline_verdict;
+    return key.verify(digest, sig);
 }
 
 k1::Scalar random_scalar(util::Rng& rng) {

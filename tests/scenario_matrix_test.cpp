@@ -1,6 +1,6 @@
 // Adversarial & reorg scenario matrix (docs/SCENARIOS.md): every hostile
-// mutation the workload::Adversary can produce runs through all four
-// validator configurations — serial, parallel, batched-SV, pipelined-IBD —
+// mutation the workload::Adversary can produce runs through all three
+// validator configurations — serial, parallel, pipelined-IBD —
 // and must be rejected with bit-identical EbvValidationFailure tuples and
 // bit-identical post-run state (bit-vector shards, tip, height). Reorgs,
 // including deep ones crossing pipeline window boundaries and hostile
@@ -52,13 +52,6 @@ private:
     static inline int counter_ = 0;
 };
 
-/// The environment can flip which validation path runs; every test here
-/// pins the configuration explicitly instead.
-void scrub_env() {
-    ::unsetenv("EBV_BATCH_VERIFY");
-    ::unsetenv("EBV_SIGHASH_TEMPLATE");
-}
-
 workload::GeneratorOptions matrix_gen_options(std::uint64_t seed) {
     workload::GeneratorOptions options;
     options.seed = seed;
@@ -70,20 +63,18 @@ workload::GeneratorOptions matrix_gen_options(std::uint64_t seed) {
     return options;
 }
 
-/// The four validator configurations of the failure-parity contract.
+/// The three validator configurations of the failure-parity contract.
 struct Config {
     const char* name;
     bool use_pool;
-    bool batch_verify;
     bool pipelined;
     std::size_t window;
 };
 
 constexpr Config kConfigs[] = {
-    {"serial", false, false, false, 1},
-    {"parallel", true, false, false, 1},
-    {"batched-sv", true, true, false, 1},
-    {"pipelined", true, false, true, 4},
+    {"serial", false, false, 1},
+    {"parallel", true, false, 1},
+    {"pipelined", true, true, 4},
 };
 constexpr std::size_t kConfigCount = sizeof(kConfigs) / sizeof(kConfigs[0]);
 
@@ -95,8 +86,6 @@ std::unique_ptr<core::EbvNode> make_node(const Config& cfg, util::ThreadPool* po
     options.params = params;
     options.data_dir = data_dir;
     options.validator.script_pool = cfg.use_pool ? pool : nullptr;
-    options.validator.batch_verify = cfg.batch_verify;
-    options.validator.sighash_template = true;
     options.validator.sigcache = sigcache;
     options.pipeline.enabled = cfg.pipelined;
     options.pipeline.window = cfg.window;
@@ -189,7 +178,6 @@ protected:
     static constexpr std::size_t kChainLen = 30;
 
     void SetUp() override {
-        scrub_env();
         gen_options_ = matrix_gen_options(7);
         workload::ChainGenerator gen(gen_options_);
         for (std::size_t i = 0; i < kChainLen; ++i) {
@@ -249,7 +237,7 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyAcrossConfigs) {
 // cache cannot vouch for, and failed checks always re-verify. Re-run the
 // whole mutation catalogue with a cache warmed on the clean chain and
 // compare against a cold serial baseline — tuples and state bit-identical
-// across all four configurations (the "cache on" half of the on/off/evicted
+// across all three configurations (the "cache on" half of the on/off/evicted
 // guarantee; targeted poisoning/eviction lives in core_sigcache_test).
 TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
     util::ThreadPool pool(4);
@@ -297,7 +285,6 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
 // 4 — must land every configuration on the same branch state, identical to
 // validating the winning chain directly.
 TEST(ScenarioReorg, DeepReorgCrossesWindowBoundariesIdentically) {
-    scrub_env();
     const auto gen_options = matrix_gen_options(11);
     workload::ChainGenerator gen(gen_options);
     intermediary::Converter converter;
@@ -355,7 +342,6 @@ TEST(ScenarioReorg, DeepReorgCrossesWindowBoundariesIdentically) {
 // the same tuple under every configuration and roll back to exactly the
 // pre-reorg state.
 TEST(ScenarioReorg, HostileBranchRollsBackIdenticallyAcrossConfigs) {
-    scrub_env();
     const auto gen_options = matrix_gen_options(13);
     workload::ChainGenerator gen(gen_options);
     intermediary::Converter converter;
@@ -422,7 +408,6 @@ TEST(ScenarioReorg, HostileBranchRollsBackIdenticallyAcrossConfigs) {
 // suffix being replaced (external truncation/tampering), reorg_to refuses
 // up front and the node state is untouched.
 TEST(ScenarioReorg, EbvTamperedStoreRefusesReorg) {
-    scrub_env();
     const auto gen_options = matrix_gen_options(17);
     workload::ChainGenerator gen(gen_options);
     intermediary::Converter converter;
@@ -466,7 +451,6 @@ TEST(ScenarioReorg, EbvTamperedStoreRefusesReorg) {
 }
 
 TEST(ScenarioReorg, BaselineTamperedStoreRefusesReorg) {
-    scrub_env();
     const auto gen_options = matrix_gen_options(19);
     workload::ChainGenerator gen(gen_options);
 
@@ -509,7 +493,6 @@ TEST(ScenarioReorg, BaselineTamperedStoreRefusesReorg) {
 // reject a block that re-creates a still-unspent txid (the coins would
 // otherwise be silently overwritten).
 TEST(ScenarioDuplicateTxid, BaselineRejectsRecreatedTxid) {
-    scrub_env();
     chain::BitcoinNodeOptions options;  // simnet, in-memory
     chain::BitcoinNode node(options);
 
@@ -537,7 +520,6 @@ TEST(ScenarioDuplicateTxid, BaselineRejectsRecreatedTxid) {
 // txid, so the same duplicate is *accepted* — identically by every
 // configuration — and clobbers nothing.
 TEST(ScenarioDuplicateTxid, EbvAcceptsRecreatedTxidIdentically) {
-    scrub_env();
     const chain::ChainParams params = chain::ChainParams::simnet();
     intermediary::Converter converter;
 
@@ -577,7 +559,6 @@ TEST(ScenarioDuplicateTxid, EbvAcceptsRecreatedTxidIdentically) {
 class ScenarioInflation : public ::testing::Test {
 protected:
     void SetUp() override {
-        scrub_env();
         params_ = chain::ChainParams::simnet();
         params_.coinbase_maturity = 2;
         params_.initial_subsidy = chain::kMaxMoney - 5;
@@ -705,12 +686,11 @@ TEST_F(ScenarioInflation, OutputSumOverflowRejectedEverywhere) {
 
 // Seed-logged randomized soak: hundreds of blocks of valid traffic
 // interleaved with random mutations, deep reorgs (sometimes past the
-// pipeline window), reorg-backs, and hostile branches — all four
+// pipeline window), reorg-backs, and hostile branches — all three
 // configurations must agree on every accept, every reject tuple, and every
 // intermediate state. Override EBV_SOAK_SEED / EBV_SOAK_BLOCKS to replay a
 // failure or to scale up (the nightly CI job runs a fresh seed each time).
 TEST(ScenarioSoak, RandomizedSoak) {
-    scrub_env();
     std::uint64_t seed = 0x5eed2026ULL;
     if (const char* env = std::getenv("EBV_SOAK_SEED")) {
         seed = std::strtoull(env, nullptr, 0);
@@ -768,7 +748,7 @@ TEST(ScenarioSoak, RandomizedSoak) {
             all.push_back(*converted);
         }
 
-        // Sometimes a hostile copy of the segment arrives first: all four
+        // Sometimes a hostile copy of the segment arrives first: all three
         // nodes must reject it at the same block with the same tuple, then
         // accept the clean remainder.
         if (dice.chance(0.35)) {

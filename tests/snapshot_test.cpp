@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "core/node.hpp"
@@ -88,6 +90,101 @@ TEST(Snapshot, CorruptSnapshotRejected) {
     std::filesystem::remove(path);
 
     EXPECT_FALSE(EbvNode::load_snapshot("/nonexistent/snapshot", options).has_value());
+}
+
+/// A five-block node plus its snapshot split into the header section and
+/// the bit-vector set, so each hostile case can swap in its own set bytes.
+class HostileSnapshot : public ::testing::Test {
+protected:
+    void SetUp() override {
+        workload::GeneratorOptions gen_options;
+        gen_options.seed = 29;
+        gen_options.params.coinbase_maturity = 5;
+        workload::ChainGenerator gen(gen_options);
+        intermediary::Converter converter;
+        options_.params = gen_options.params;
+        node_ = std::make_unique<EbvNode>(options_);
+        for (int i = 0; i < 5; ++i) {
+            auto converted = converter.convert_block(gen.next_block());
+            ASSERT_TRUE(converted.has_value());
+            ASSERT_TRUE(node_->submit_block(*converted).has_value());
+            output_counts_.push_back(static_cast<std::uint32_t>(converted->output_count()));
+        }
+        node_->save_snapshot(path_);
+        std::ifstream in(path_, std::ios::binary);
+        util::Bytes file{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+        util::Writer status;
+        node_->status().serialize(status);
+        ASSERT_GT(file.size(), status.size());
+        headers_.assign(file.begin(), file.end() - static_cast<std::ptrdiff_t>(status.size()));
+    }
+    void TearDown() override { std::filesystem::remove(path_); }
+
+    /// Load a snapshot made of the real header section followed by `tail`.
+    util::Result<std::unique_ptr<EbvNode>, util::DecodeError> load_with(
+        const util::Bytes& tail) {
+        std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(headers_.data()),
+                  static_cast<std::streamsize>(headers_.size()));
+        out.write(reinterpret_cast<const char*>(tail.data()),
+                  static_cast<std::streamsize>(tail.size()));
+        out.close();
+        return EbvNode::load_snapshot(path_, options_);
+    }
+    static util::Bytes bytes_of(const BitVectorSet& set) {
+        util::Writer w;
+        set.serialize(w);
+        return w.data();
+    }
+    void expect_malformed(const util::Bytes& tail) {
+        auto loaded = load_with(tail);
+        ASSERT_FALSE(loaded.has_value());
+        EXPECT_EQ(loaded.error(), util::DecodeError::kMalformed);
+    }
+
+    const std::string path_ = snapshot_path();
+    EbvNodeOptions options_;
+    std::unique_ptr<EbvNode> node_;
+    std::vector<std::uint32_t> output_counts_;
+    util::Bytes headers_;
+};
+
+TEST_F(HostileSnapshot, UntouchedSetLoads) {
+    auto loaded = load_with(bytes_of(node_->status()));
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ((*loaded)->status(), node_->status());
+}
+
+TEST_F(HostileSnapshot, TrailingBytesRejected) {
+    util::Bytes tail = bytes_of(node_->status());
+    tail.push_back(0);
+    expect_malformed(tail);
+}
+
+TEST_F(HostileSnapshot, VectorBeyondHeaderCountRejected) {
+    BitVectorSet set = node_->status();
+    set.insert_block(static_cast<std::uint32_t>(output_counts_.size()), 1);
+    expect_malformed(bytes_of(set));
+}
+
+TEST_F(HostileSnapshot, VectorSizeMismatchRejected) {
+    // The tip's outputs are all unspent, so its vector is present.
+    const auto tip = static_cast<std::uint32_t>(output_counts_.size() - 1);
+    BitVectorSet set = node_->status();
+    ASSERT_TRUE(set.has_vector(tip));
+    set.remove_block(tip);
+    set.insert_block(tip, output_counts_[tip] + 1);
+    expect_malformed(bytes_of(set));
+}
+
+TEST_F(HostileSnapshot, DuplicateHeightRejected) {
+    util::Writer w;
+    w.u64(2);
+    for (int i = 0; i < 2; ++i) {
+        w.u32(0);
+        BitVector::all_ones(output_counts_[0]).serialize(w);
+    }
+    expect_malformed(w.data());
 }
 
 }  // namespace
