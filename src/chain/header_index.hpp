@@ -40,6 +40,8 @@ public:
         return static_cast<std::uint32_t>(it->second);
     }
 
+    /// The tip header's hash; the zero hash (a genesis header's prev_hash)
+    /// when the index is empty.
     [[nodiscard]] const crypto::Hash256& tip_hash() const { return tip_hash_; }
 
     /// Remove the tip header (reorg support). No-op on an empty index.

@@ -28,6 +28,8 @@ BitcoinNode::BitcoinNode(const BitcoinNodeOptions& options) : options_(options) 
 }
 
 util::Result<BlockTimings, ValidationFailure> BitcoinNode::submit_block(const Block& block) {
+    if (block.header.prev_hash != headers_.tip_hash())
+        return util::Unexpected{ValidationFailure{BlockError::kBadPrevHash}};
     const std::uint32_t height = next_height();
     BitcoinValidator validator(options_.params, *utxo_, options_.validator);
     BlockUndo undo;

@@ -26,6 +26,7 @@ const char* to_string(BlockError e) {
         case BlockError::kNegativeFee: return "negative fee";
         case BlockError::kCoinbaseValueTooHigh: return "coinbase value too high";
         case BlockError::kScriptFailure: return "script validation failed";
+        case BlockError::kBadPrevHash: return "previous block hash is not the tip";
     }
     return "unknown block error";
 }

@@ -33,6 +33,7 @@ enum class BlockError {
     kNegativeFee,
     kCoinbaseValueTooHigh,
     kScriptFailure,  ///< ② SV failed
+    kBadPrevHash,    ///< header does not extend the tip it is connected on
 };
 
 [[nodiscard]] const char* to_string(BlockError e);

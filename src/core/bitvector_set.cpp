@@ -168,18 +168,14 @@ void BitVectorSet::save(const std::string& path) const {
 }
 
 util::Result<BitVectorSet, util::DecodeError> BitVectorSet::load(const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return util::Unexpected{util::DecodeError::kTruncated};
-    std::fseek(f, 0, SEEK_END);
-    const long file_size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    util::Bytes data(static_cast<std::size_t>(file_size));
-    const bool read_ok = std::fread(data.data(), 1, data.size(), f) == data.size();
-    std::fclose(f);
-    if (!read_ok) return util::Unexpected{util::DecodeError::kTruncated};
-
-    util::Reader r(data);
-    return deserialize(r);
+    auto data = util::read_file(path);
+    if (!data) return util::Unexpected{data.error()};
+    util::Reader r(*data);
+    auto set = deserialize(r);
+    // Nothing may follow the set: trailing bytes mean a hostile or
+    // mis-framed file, not a set with extra room.
+    if (set && !r.empty()) return util::Unexpected{util::DecodeError::kMalformed};
+    return set;
 }
 
 bool BitVectorSet::fits(std::span<const std::uint32_t> output_counts) const {

@@ -86,7 +86,9 @@ public:
     /// optimization").
     [[nodiscard]] std::size_t dense_memory_bytes() const;
 
-    /// Snapshot persistence (one record per surviving vector).
+    /// Snapshot persistence (one record per surviving vector). load()
+    /// returns kTruncated for a file it cannot read whole and kMalformed
+    /// for one with bytes after the set.
     void save(const std::string& path) const;
     static util::Result<BitVectorSet, util::DecodeError> load(const std::string& path);
 

@@ -1,6 +1,7 @@
 #include "core/ebv_transaction.hpp"
 
 #include "crypto/sha256.hpp"
+#include "util/assert.hpp"
 
 namespace ebv::core {
 
@@ -37,19 +38,36 @@ std::size_t txouts_size(const std::vector<chain::TxOut>& outs) {
     return size;
 }
 
+/// The tidy wire format, shared by TidyTransaction and the Merkle leaves
+/// EbvBlock builds straight from an EbvTransaction plus its input hashes.
+template <typename Tx>
+void serialize_tidy(util::Writer& w, const Tx& tx,
+                    std::span<const crypto::Hash256> input_hashes) {
+    w.u32(tx.version);
+    w.compact_size(input_hashes.size());
+    for (const auto& h : input_hashes) w.bytes(h.span());
+    w.compact_size(tx.outputs.size());
+    for (const auto& out : tx.outputs) serialize_txout(w, out);
+    w.u32(tx.locktime);
+    w.var_bytes(tx.coinbase_data);
+    w.u32(tx.stake_position);
+}
+
+std::size_t tidy_size(std::size_t input_count, const std::vector<chain::TxOut>& outputs,
+                      const util::Bytes& coinbase_data) {
+    return 4 /* version */
+           + util::compact_size_length(input_count) + 32 * input_count
+           + txouts_size(outputs) + 4 /* locktime */
+           + util::compact_size_length(coinbase_data.size()) + coinbase_data.size()
+           + 4 /* stake_position */;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Tidy ----
 
 void TidyTransaction::serialize(util::Writer& w) const {
-    w.u32(version);
-    w.compact_size(input_hashes.size());
-    for (const auto& h : input_hashes) w.bytes(h.span());
-    w.compact_size(outputs.size());
-    for (const auto& out : outputs) serialize_txout(w, out);
-    w.u32(locktime);
-    w.var_bytes(coinbase_data);
-    w.u32(stake_position);
+    serialize_tidy(w, *this, input_hashes);
 }
 
 util::Result<TidyTransaction, util::DecodeError> TidyTransaction::deserialize(
@@ -103,11 +121,7 @@ crypto::Hash256 TidyTransaction::leaf_hash() const {
 std::size_t TidyTransaction::serialized_size() const {
     // Analytic mirror of serialize(): leaf_hash() and proof-byte accounting
     // call this on hot paths, so no throwaway serialization pass.
-    return 4 /* version */
-           + util::compact_size_length(input_hashes.size()) + 32 * input_hashes.size()
-           + txouts_size(outputs) + 4 /* locktime */
-           + util::compact_size_length(coinbase_data.size()) + coinbase_data.size()
-           + 4 /* stake_position */;
+    return tidy_size(input_hashes.size(), outputs, coinbase_data);
 }
 
 // --------------------------------------------------------------- Input ----
@@ -280,17 +294,11 @@ crypto::Hash256 ebv_signature_hash(const EbvTransaction& tx, std::size_t input_i
 // --------------------------------------------------------------- Block ----
 
 std::vector<crypto::Hash256> EbvBlock::merkle_leaves() const {
-    const std::size_t n = txs.size();
-    std::vector<crypto::Hash256> leaves(n);
-    if (n == 0) return leaves;
-
-    // Stage 1: all input-body hashes across the block in one batch.
-    std::size_t total_inputs = 0;
-    for (const auto& tx : txs) total_inputs += tx.inputs.size();
+    // All input-body hashes across the block in one batch.
     std::vector<util::Bytes> input_bufs;
     std::vector<util::ByteSpan> spans;
-    input_bufs.reserve(total_inputs);
-    spans.reserve(total_inputs);
+    input_bufs.reserve(input_count());
+    spans.reserve(input_count());
     for (const auto& tx : txs) {
         for (const auto& in : tx.inputs) {
             util::Writer w(in.serialized_size());
@@ -299,35 +307,37 @@ std::vector<crypto::Hash256> EbvBlock::merkle_leaves() const {
             spans.emplace_back(input_bufs.back().data(), input_bufs.back().size());
         }
     }
-    std::vector<crypto::Sha256::Digest> input_digests(total_inputs);
-    crypto::sha256d_many(spans.data(), input_digests.data(), total_inputs);
+    std::vector<crypto::Sha256::Digest> digests(spans.size());
+    crypto::sha256d_many(spans.data(), digests.data(), spans.size());
 
-    // Stage 2: tidy serializations over the precomputed hashes, then all
-    // leaf hashes in a second batch.
+    std::vector<crypto::Hash256> input_hashes;
+    input_hashes.reserve(digests.size());
+    for (const auto& d : digests)
+        input_hashes.push_back(crypto::Hash256::from_span({d.data(), d.size()}));
+    return merkle_leaves(input_hashes);
+}
+
+std::vector<crypto::Hash256> EbvBlock::merkle_leaves(
+    std::span<const crypto::Hash256> input_hashes) const {
+    EBV_EXPECTS(input_hashes.size() == input_count());
+    // Tidy serializations over the given input hashes, then all leaf
+    // hashes in one batch.
+    const std::size_t n = txs.size();
     std::vector<util::Bytes> leaf_bufs(n);
     std::vector<util::ByteSpan> leaf_spans(n);
     std::size_t cursor = 0;
     for (std::size_t t = 0; t < n; ++t) {
         const EbvTransaction& tx = txs[t];
-        TidyTransaction tidy;
-        tidy.version = tx.version;
-        tidy.input_hashes.reserve(tx.inputs.size());
-        for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
-            const auto& d = input_digests[cursor++];
-            tidy.input_hashes.push_back(crypto::Hash256::from_span({d.data(), d.size()}));
-        }
-        tidy.outputs = tx.outputs;
-        tidy.locktime = tx.locktime;
-        tidy.coinbase_data = tx.coinbase_data;
-        tidy.stake_position = tx.stake_position;
-
-        util::Writer w(tidy.serialized_size());
-        tidy.serialize(w);
+        const auto hashes = input_hashes.subspan(cursor, tx.inputs.size());
+        cursor += tx.inputs.size();
+        util::Writer w(tidy_size(hashes.size(), tx.outputs, tx.coinbase_data));
+        serialize_tidy(w, tx, hashes);
         leaf_bufs[t] = w.take();
         leaf_spans[t] = {leaf_bufs[t].data(), leaf_bufs[t].size()};
     }
     std::vector<crypto::Sha256::Digest> leaf_digests(n);
     crypto::sha256d_many(leaf_spans.data(), leaf_digests.data(), n);
+    std::vector<crypto::Hash256> leaves(n);
     for (std::size_t t = 0; t < n; ++t)
         leaves[t] = crypto::Hash256::from_span({leaf_digests[t].data(), leaf_digests[t].size()});
     return leaves;

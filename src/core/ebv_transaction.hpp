@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "chain/block.hpp"
@@ -127,6 +128,10 @@ struct EbvBlock {
 
     /// Merkle leaves are tidy-transaction hashes.
     [[nodiscard]] std::vector<crypto::Hash256> merkle_leaves() const;
+    /// The same leaves from precomputed input hashes (EbvInput::input_hash()
+    /// of every input, in block order): the one place leaves are built.
+    [[nodiscard]] std::vector<crypto::Hash256> merkle_leaves(
+        std::span<const crypto::Hash256> input_hashes) const;
     [[nodiscard]] crypto::Hash256 compute_merkle_root() const;
 
     /// Miner step (§IV-D2): set each transaction's stake position to the

@@ -28,6 +28,7 @@ const char* to_string(EbvError e) {
         case EbvError::kNegativeFee: return "negative fee";
         case EbvError::kCoinbaseValueTooHigh: return "coinbase value too high";
         case EbvError::kScriptFailure: return "script validation failed";
+        case EbvError::kBadPrevHash: return "previous block hash is not the tip";
     }
     return "unknown EBV error";
 }
@@ -73,6 +74,14 @@ script::ScriptError sv_check_input(const EbvTransaction& tx, std::size_t input_i
 
 std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,
                                                           const chain::ChainParams& params) {
+    if (auto failure = check_block_shape(block, params)) return failure;
+    if (block.compute_merkle_root() != block.header.merkle_root)
+        return EbvValidationFailure{EbvError::kMerkleRootMismatch};
+    return check_block_values(block);
+}
+
+std::optional<EbvValidationFailure> check_block_shape(const EbvBlock& block,
+                                                      const chain::ChainParams& params) {
     if (block.txs.empty()) return EbvValidationFailure{EbvError::kEmptyBlock};
     if (!block.txs[0].is_coinbase())
         return EbvValidationFailure{EbvError::kFirstTxNotCoinbase};
@@ -93,10 +102,10 @@ std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,
             return EbvValidationFailure{EbvError::kBadStakePosition, i};
         running += static_cast<std::uint32_t>(block.txs[i].outputs.size());
     }
+    return std::nullopt;
+}
 
-    if (block.compute_merkle_root() != block.header.merkle_root)
-        return EbvValidationFailure{EbvError::kMerkleRootMismatch};
-
+std::optional<EbvValidationFailure> check_block_values(const EbvBlock& block) {
     for (std::size_t t = 0; t < block.txs.size(); ++t) {
         chain::Amount total_out = 0;
         for (const auto& out : block.txs[t].outputs) {

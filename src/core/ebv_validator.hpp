@@ -44,6 +44,7 @@ enum class EbvError {
     kNegativeFee,
     kCoinbaseValueTooHigh,
     kScriptFailure,      ///< SV failed
+    kBadPrevHash,        ///< header does not extend the tip it is connected on
 };
 
 [[nodiscard]] const char* to_string(EbvError e);
@@ -87,11 +88,20 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
                                                  const TxSighashCache* cache = nullptr,
                                                  SigCache* sigcache = nullptr);
 
-/// The stateless structural pass: coinbase shape, stake-position
-/// assignment, output-value ranges, and the block's own Merkle root.
-/// Returns the first structural failure, or nullopt.
+/// The stateless structural pass, in check order: shape, then the block's
+/// own Merkle root, then values. Returns the first structural failure, or
+/// nullopt. The single-threaded reference; ibd::Pipeline runs the same
+/// three steps with the input hashing spread over its thread pool.
 [[nodiscard]] std::optional<EbvValidationFailure> check_block_structure(
     const EbvBlock& block, const chain::ChainParams& params);
+
+/// Structural step 1, no hashing: coinbase shape, inputs present, the
+/// output count and the stake-position assignment.
+[[nodiscard]] std::optional<EbvValidationFailure> check_block_shape(
+    const EbvBlock& block, const chain::ChainParams& params);
+
+/// Structural step 3: every transaction's output sum stays in money range.
+[[nodiscard]] std::optional<EbvValidationFailure> check_block_values(const EbvBlock& block);
 
 /// Timing breakdown of a block (or a window of blocks), the unit of Figs
 /// 15/16b/17b. EV and SV split the fused parallel pass's wall time by

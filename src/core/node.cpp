@@ -49,17 +49,10 @@ void EbvNode::save_snapshot(const std::string& path) const {
 
 util::Result<std::unique_ptr<EbvNode>, util::DecodeError> EbvNode::load_snapshot(
     const std::string& path, const EbvNodeOptions& options) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) return util::Unexpected{util::DecodeError::kTruncated};
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    util::Bytes data(static_cast<std::size_t>(size));
-    const bool read_ok = std::fread(data.data(), 1, data.size(), f) == data.size();
-    std::fclose(f);
-    if (!read_ok) return util::Unexpected{util::DecodeError::kTruncated};
+    auto data = util::read_file(path);
+    if (!data) return util::Unexpected{data.error()};
 
-    util::Reader r(data);
+    util::Reader r(*data);
     auto count = r.u32();
     if (!count) return util::Unexpected{count.error()};
 

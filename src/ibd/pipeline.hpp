@@ -4,8 +4,14 @@
 // configured window, so initial block download keeps the thread pool busy
 // across block boundaries:
 //
-//   stage 1  structural pass       serial, in block order
-//            (coinbase shape, stake positions, Merkle root, value ranges)
+//   stage 1  structural pass       in block order, in three steps:
+//            shape + link          serial: each block extends the one
+//                                  before it (block 0 the tip); coinbase
+//                                  shape, output count, stake positions
+//            hash pass             every input body hashed on
+//                                  util::ThreadPool, one job per input
+//            root fold + values    serial: Merkle root from those hashes,
+//                                  then per-transaction output sums
 //   stage 2  fused EV+SV proofs    out of order, all W blocks at once, on
 //                                  util::ThreadPool — plus the *previous*
 //                                  window's sharded spent-bit application,

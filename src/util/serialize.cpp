@@ -1,5 +1,7 @@
 #include "util/serialize.hpp"
 
+#include <cstdio>
+
 namespace ebv::util {
 
 void Writer::u16(std::uint16_t v) {
@@ -116,6 +118,23 @@ Result<Bytes, DecodeError> Reader::var_bytes(std::size_t limit) {
     if (!n) return Unexpected{n.error()};
     if (*n > limit) return Unexpected{DecodeError::kOversizedField};
     return bytes(static_cast<std::size_t>(*n));
+}
+
+Result<Bytes, DecodeError> read_file(const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr) return Unexpected{DecodeError::kTruncated};
+    // Read to EOF rather than trusting fseek/ftell for the size: ftell
+    // fails with -1 on a pipe and reports LONG_MAX for a directory, and
+    // either, cast to size_t, would be a hostile allocation.
+    Bytes data;
+    std::uint8_t chunk[1 << 16];
+    std::size_t n = 0;
+    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)
+        data.insert(data.end(), chunk, chunk + n);
+    const bool read_ok = std::ferror(f) == 0;
+    std::fclose(f);
+    if (!read_ok) return Unexpected{DecodeError::kTruncated};
+    return data;
 }
 
 }  // namespace ebv::util

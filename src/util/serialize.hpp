@@ -87,4 +87,8 @@ private:
     std::size_t pos_ = 0;
 };
 
+/// The whole file at `path`. kTruncated when it cannot be opened or read
+/// to its end (a directory, an I/O error) — never a partial buffer.
+[[nodiscard]] Result<Bytes, DecodeError> read_file(const std::string& path);
+
 }  // namespace ebv::util

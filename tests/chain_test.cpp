@@ -397,5 +397,38 @@ TEST(BitcoinNode, EndToEndInMemory) {
     EXPECT_GT(node.status_payload_bytes(), 0u);
 }
 
+TEST(BitcoinNode, RejectsBlockNotExtendingTip) {
+    BitcoinNodeOptions options;
+    options.params.coinbase_maturity = 1;
+    BitcoinNode node(options);
+
+    util::Rng rng(6);
+    const auto key = crypto::PrivateKey::generate(rng);
+    const auto lock = script::make_p2pkh(key.public_key().id());
+    const Block b0 =
+        assemble_block(crypto::Hash256{}, make_coinbase(0, 50 * kCoin, lock), {}, 0);
+
+    // Genesis must link to the zero hash.
+    const Block orphan =
+        assemble_block(b0.header.hash(), make_coinbase(0, 50 * kCoin, lock), {}, 0);
+    auto r = node.submit_block(orphan);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().error, BlockError::kBadPrevHash);
+    EXPECT_EQ(node.headers().size(), 0u);
+    EXPECT_EQ(node.utxo().size(), 0u);
+
+    ASSERT_TRUE(node.submit_block(b0).has_value());
+    // A valid coinbase-only block on the wrong parent: every other check
+    // passes, so only the link check stands between it and the tip.
+    const Block sibling =
+        assemble_block(crypto::Hash256{}, make_coinbase(1, 50 * kCoin, lock), {}, 1);
+    r = node.submit_block(sibling);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().error, BlockError::kBadPrevHash);
+    EXPECT_EQ(node.next_height(), 1u);
+    EXPECT_EQ(node.headers().tip_hash(), b0.header.hash());
+    EXPECT_EQ(node.utxo().size(), 1u);
+}
+
 }  // namespace
 }  // namespace ebv::chain

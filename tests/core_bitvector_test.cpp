@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
 #include <filesystem>
 #include <set>
 #include <unistd.h>
@@ -188,6 +189,43 @@ TEST(BitVectorSet, SaveLoadRoundTrip) {
     EXPECT_EQ(*loaded, set);
     EXPECT_EQ(loaded->memory_bytes(), set.memory_bytes());
     EXPECT_EQ(loaded->dense_memory_bytes(), set.dense_memory_bytes());
+}
+
+TEST(BitVectorSet, LoadRejectsTrailingByte) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("ebv_bvs_trailing_" + std::to_string(::getpid()) + ".bin"))
+            .string();
+    BitVectorSet set;
+    set.insert_block(0, 10);
+    set.insert_block(1, 3);
+    ASSERT_TRUE(set.spend(0, 4).has_value());
+    set.save(path);
+    ASSERT_TRUE(BitVectorSet::load(path).has_value());
+
+    {
+        std::FILE* f = std::fopen(path.c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        std::fputc(0, f);
+        std::fclose(f);
+    }
+    const auto loaded = BitVectorSet::load(path);
+    std::filesystem::remove(path);
+    ASSERT_FALSE(loaded.has_value());
+    EXPECT_EQ(loaded.error(), util::DecodeError::kMalformed);
+}
+
+TEST(BitVectorSet, LoadRejectsUnreadablePaths) {
+    // A directory opens, but its size via ftell is LONG_MAX on common file
+    // systems: load must fail cleanly instead of allocating it.
+    const auto dir = BitVectorSet::load(std::filesystem::temp_directory_path().string());
+    ASSERT_FALSE(dir.has_value());
+    EXPECT_EQ(dir.error(), util::DecodeError::kTruncated);
+
+    const auto missing = BitVectorSet::load(
+        (std::filesystem::temp_directory_path() / "ebv_bvs_no_such_file.bin").string());
+    ASSERT_FALSE(missing.has_value());
+    EXPECT_EQ(missing.error(), util::DecodeError::kTruncated);
 }
 
 // ---- Sharded spent-bit application (the IBD pipeline's stage 3) ------------

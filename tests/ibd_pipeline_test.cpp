@@ -3,8 +3,9 @@
 // the single-threaded W = 1 run — same connected count, same failing block,
 // bit-for-bit the same EbvValidationFailure tuple — including chains where a
 // block spends an output created (or spent) by an earlier block inside the
-// same lookahead window. Also pins the engine's stage timings and its
-// once-per-block metric accounting.
+// same lookahead window. Also pins stage 1's check order (shape, then
+// root, then values), the link of every block to the one before it, the
+// engine's stage timings and its once-per-block metric accounting.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "chain/amount.hpp"
 #include "core/node.hpp"
 #include "ibd/pipeline.hpp"
 #include "intermediary/converter.hpp"
@@ -109,12 +111,38 @@ protected:
         }
     }
 
+    /// The serial W = 1 run must stop at `block` with exactly `expected`,
+    /// and every window size and thread count must agree with it.
+    void expect_serial_failure(const std::vector<core::EbvBlock>& blocks, std::size_t block,
+                               const core::EbvValidationFailure& expected) {
+        const ibd::BatchResult serial = run_batch(blocks, nullptr, false, 1);
+        ASSERT_TRUE(serial.failure.has_value());
+        EXPECT_EQ(serial.connected, block);
+        EXPECT_EQ(serial.failure->block_index, block);
+        EXPECT_TRUE(serial.failure->failure == expected)
+            << "serial=" << serial.failure->failure.describe()
+            << " expected=" << expected.describe();
+        expect_parity(blocks);
+    }
+
     /// Index of a block at or after `from` with at least one real input.
     std::size_t block_with_inputs(std::size_t from) {
         for (std::size_t i = from; i < chain_.size(); ++i)
             if (chain_[i].input_count() > 0) return i;
         ADD_FAILURE() << "no block with inputs at or after " << from;
         return from;
+    }
+
+    /// Flip a byte of the first real input's unlocking script in `block`
+    /// without touching its header: a bad signature under a stale root.
+    static void break_first_signature(core::EbvBlock& block) {
+        for (auto& tx : block.txs) {
+            if (tx.inputs.empty()) continue;
+            ASSERT_GT(tx.inputs.front().unlock_script.size(), 6u);
+            tx.inputs.front().unlock_script[5] ^= 0x11;
+            return;
+        }
+        ADD_FAILURE() << "block has no inputs";
     }
 
     workload::GeneratorOptions gen_options_;
@@ -287,6 +315,171 @@ TEST_F(IbdPipeline, StructuralFailureTupleMatches) {
     ASSERT_TRUE(serial.failure.has_value());
     EXPECT_EQ(serial.failure->block_index, k);
     EXPECT_EQ(serial.failure->failure.error, core::EbvError::kBadStakePosition);
+    expect_parity(blocks);
+}
+
+// ---- Check order across stage 1's split (shape -> root -> values) --------
+// These pin the order core::check_block_structure defines: the pipeline
+// runs shape serially, hashes input bodies on the pool, then folds each
+// root before checking values, and must never reorder what a serial loop
+// reports.
+
+TEST_F(IbdPipeline, StaleRootOutranksBadSignature) {
+    std::vector<core::EbvBlock> blocks = chain_;
+    const std::size_t k = block_with_inputs(kChainLen / 2);
+    break_first_signature(blocks[k]);
+    expect_serial_failure(blocks, k, {core::EbvError::kMerkleRootMismatch, 0, 0});
+}
+
+TEST_F(IbdPipeline, StaleRootOutranksOutputSumOverflow) {
+    std::vector<core::EbvBlock> blocks = chain_;
+    std::size_t k = kChainLen / 2;
+    std::size_t t = 0;
+    for (; k < blocks.size(); ++k) {
+        for (t = 0; t < blocks[k].txs.size(); ++t)
+            if (blocks[k].txs[t].outputs.size() >= 2) break;
+        if (t < blocks[k].txs.size()) break;
+    }
+    ASSERT_LT(k, blocks.size()) << "no transaction with two outputs";
+    // Each output is in range; their sum is not.
+    for (auto& out : blocks[k].txs[t].outputs) out.value = chain::kMaxMoney;
+
+    core::EbvBlock rerooted = blocks[k];
+    rerooted.header.merkle_root = rerooted.compute_merkle_root();
+    const auto values = core::check_block_structure(rerooted, gen_options_.params);
+    ASSERT_TRUE(values.has_value());
+    EXPECT_TRUE((*values == core::EbvValidationFailure{core::EbvError::kValueOutOfRange, t}));
+
+    expect_serial_failure(blocks, k, {core::EbvError::kMerkleRootMismatch, 0, 0});
+}
+
+TEST_F(IbdPipeline, BadStakePositionOutranksStaleRoot) {
+    std::vector<core::EbvBlock> blocks = chain_;
+    const std::size_t k = block_with_inputs(kChainLen / 2);
+    ASSERT_GE(blocks[k].txs.size(), 2u);
+    blocks[k].txs[1].stake_position += 1;  // root left stale
+    expect_serial_failure(blocks, k, {core::EbvError::kBadStakePosition, 1, 0});
+}
+
+TEST_F(IbdPipeline, EarlierDoubleSpendOutranksLaterStaleRoot) {
+    // Block v re-spends an input block k already spent (its root rebuilt
+    // and the chain relinked after it); a later block w in reach of the
+    // same window carries a stale root. v's UV failure must win although
+    // stage 1 sees w's root first.
+    std::vector<core::EbvBlock> blocks = chain_;
+    const std::size_t k = block_with_inputs(kChainLen / 2);
+    const std::size_t v = block_with_inputs(k + 1);
+    const std::size_t w = block_with_inputs(v + 1);
+    ASSERT_LT(w, blocks.size());
+
+    const core::EbvInput* spent = nullptr;
+    for (const auto& tx : blocks[k].txs)
+        if (!tx.inputs.empty()) spent = &tx.inputs.front();
+    ASSERT_NE(spent, nullptr);
+    std::size_t victim_tx = 0;
+    for (std::size_t t = 1; t < blocks[v].txs.size(); ++t)
+        if (!blocks[v].txs[t].inputs.empty()) victim_tx = t;
+    ASSERT_GT(victim_tx, 0u);
+    const std::size_t victim_input = blocks[v].txs[victim_tx].inputs.size();
+    blocks[v].txs[victim_tx].inputs.push_back(*spent);
+    blocks[v].assign_stake_positions();
+    // v's header changed: relink the rest so w fails on its root alone.
+    for (std::size_t i = v + 1; i < blocks.size(); ++i)
+        blocks[i].header.prev_hash = blocks[i - 1].header.hash();
+    break_first_signature(blocks[w]);
+
+    expect_serial_failure(blocks, v,
+                          {core::EbvError::kUnspentFailed, victim_tx, victim_input});
+}
+
+TEST_F(IbdPipeline, StaleRootRunsNoProofPass) {
+    // A structurally rejected block never reaches EV or SV: a stale root
+    // must cost no ECDSA work, so a one-block batch reports no EV/SV time.
+    const std::size_t k = block_with_inputs(kChainLen / 2);
+    core::EbvBlock stale = chain_[k];
+    break_first_signature(stale);
+
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        util::ThreadPool pool(threads);
+        core::EbvNodeOptions options;
+        options.params = gen_options_.params;
+        options.validator.script_pool = &pool;
+        options.pipeline.enabled = true;
+        core::EbvNode node(options);
+        ASSERT_TRUE(node.submit_blocks(std::span(chain_).first(k)).ok());
+
+        const ibd::BatchResult result = node.submit_blocks(std::span(&stale, 1));
+        ASSERT_TRUE(result.failure.has_value());
+        EXPECT_EQ(result.failure->failure.error, core::EbvError::kMerkleRootMismatch);
+        EXPECT_EQ(result.connected, 0u);
+        EXPECT_EQ(result.timings.ev.total_ns(), 0);
+        EXPECT_EQ(result.timings.sv.total_ns(), 0);
+    }
+}
+
+// ---- Blocks that do not extend the tip -------------------------------------
+
+TEST_F(IbdPipeline, BlockNotExtendingTipLeavesStateUnchanged) {
+    // Each rejected block is the chain's own next block with only its
+    // prev_hash changed: every other check passes, so the link check alone
+    // keeps it off the tip.
+    util::ThreadPool pool(2);
+    core::EbvNodeOptions options;
+    options.params = gen_options_.params;
+    options.validator.script_pool = &pool;
+    core::EbvNode node(options);
+    const core::EbvValidationFailure bad_prev{core::EbvError::kBadPrevHash};
+
+    // Genesis must link to the zero hash.
+    core::EbvBlock genesis = chain_[0];
+    genesis.header.prev_hash.bytes()[0] = 0x01;
+    auto rejected = node.submit_block(genesis);
+    ASSERT_FALSE(rejected.has_value());
+    EXPECT_TRUE(rejected.error() == bad_prev);
+    EXPECT_EQ(node.next_height(), 0u);
+    EXPECT_EQ(node.status().vector_count(), 0u);
+
+    const std::size_t k = block_with_inputs(kChainLen / 2);
+    for (std::size_t i = 0; i < k; ++i) ASSERT_TRUE(node.submit_block(chain_[i]));
+    const crypto::Hash256 tip = node.headers().tip_hash();
+    const core::BitVectorSet status = node.status();
+
+    core::EbvBlock fork = chain_[k];  // a sibling of the tip
+    fork.header.prev_hash = chain_[k - 2].header.hash();
+    core::EbvBlock stray = chain_[k];  // links to no known block
+    stray.header.prev_hash.bytes()[0] ^= 0x01;
+    for (const core::EbvBlock* bad : {&fork, &stray}) {
+        SCOPED_TRACE(bad == &fork ? "fork" : "stray");
+        rejected = node.submit_block(*bad);
+        ASSERT_FALSE(rejected.has_value());
+        EXPECT_TRUE(rejected.error() == bad_prev);
+        EXPECT_EQ(node.next_height(), k);
+        EXPECT_EQ(node.headers().tip_hash(), tip);
+        EXPECT_TRUE(node.status() == status);
+    }
+    EXPECT_TRUE(node.submit_block(chain_[k]));
+}
+
+TEST_F(IbdPipeline, BrokenLinkInsideWindowCommitsPrefix) {
+    std::vector<core::EbvBlock> blocks(chain_.begin(), chain_.begin() + 16);
+    const std::size_t k = 9;
+    blocks[k].header.prev_hash.bytes()[0] ^= 0x01;
+
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+        util::ThreadPool pool(threads);
+        FinalState state;
+        const ibd::BatchResult result = run_batch(blocks, &pool, true, 16, &state);
+        EXPECT_EQ(result.connected, k);
+        ASSERT_TRUE(result.failure.has_value());
+        EXPECT_EQ(result.failure->block_index, k);
+        EXPECT_EQ(result.failure->height, k);
+        EXPECT_TRUE(result.failure->failure ==
+                    core::EbvValidationFailure{core::EbvError::kBadPrevHash});
+        EXPECT_EQ(state.next_height, k);
+        EXPECT_EQ(state.tip, blocks[k - 1].header.hash());
+    }
     expect_parity(blocks);
 }
 
