@@ -3,10 +3,12 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "chain/sighash.hpp"
 #include "chain/sighash_template.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/parse_memo.hpp"
 #include "crypto/scalar.hpp"
@@ -140,6 +142,36 @@ void BM_FieldMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMul);
 
+// The 8-lane product of crypto::verify_lanes (IFMA when the CPU has it,
+// else the portable backend): chains of 64 dependent products per lane,
+// reported per lane-product, so the rate compares with BM_FieldMul's.
+const char* lanes_backend() {
+    if (!crypto::lanes_enabled()) crypto::lanes_force_impl("portable");
+    return crypto::lanes_impl();
+}
+
+void BM_FieldMulLanes(benchmark::State& state) {
+    state.SetLabel(lanes_backend());
+    std::uint64_t a[5][crypto::kVerifyLanes];
+    std::uint64_t b[5][crypto::kVerifyLanes];
+    for (std::size_t lane = 0; lane < crypto::kVerifyLanes; ++lane) {
+        const crypto::secp256k1::FieldElement x(bench_u256(30 + lane));
+        const crypto::secp256k1::FieldElement y(bench_u256(40 + lane));
+        for (int l = 0; l < 5; ++l) {
+            a[l][lane] = x.limbs()[l];
+            b[l][lane] = y.limbs()[l];
+        }
+    }
+    constexpr std::size_t kChain = 64;
+    for (auto _ : state) {
+        crypto::detail::field_mul_lanes(a, b, kChain);
+        benchmark::DoNotOptimize(a);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kChain *
+                                                      crypto::kVerifyLanes));
+}
+BENCHMARK(BM_FieldMulLanes);
+
 void BM_FieldSqr(benchmark::State& state) {
     crypto::secp256k1::FieldElement a(bench_u256(22));
     for (auto _ : state) {
@@ -213,6 +245,26 @@ void BM_EcdsaVerify(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_EcdsaVerify);
+
+// One 8-job group through crypto::verify_lanes per iteration, reported per
+// verify: eight keys, each with its own valid signature.
+void BM_EcdsaVerifyLanes(benchmark::State& state) {
+    state.SetLabel(lanes_backend());
+    util::Rng rng(6);
+    std::vector<crypto::VerifyJob> jobs;
+    for (std::size_t i = 0; i < crypto::kVerifyLanes; ++i) {
+        const auto key = crypto::PrivateKey::generate(rng);
+        crypto::Hash256 digest;
+        rng.fill({digest.bytes().data(), 32});
+        jobs.push_back({key.public_key(), key.sign(digest), digest});
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::verify_lanes(jobs));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      crypto::kVerifyLanes));
+}
+BENCHMARK(BM_EcdsaVerifyLanes);
 
 // Decompression (square root of x³ + 7) on every call, no memo.
 void BM_PubkeyDecompress(benchmark::State& state) {

@@ -50,7 +50,10 @@ int main() {
          ("ebv_snapbench_" + std::to_string(::getpid()) + ".bin"))
             .string();
     util::Stopwatch save_watch;
-    node.save_snapshot(path);
+    if (!node.save_snapshot(path)) {
+        report.aborted("snapshot save failed");
+        return 1;
+    }
     const double save_ms = util::to_ms(save_watch.elapsed_ns());
     const auto snapshot_bytes = std::filesystem::file_size(path);
 

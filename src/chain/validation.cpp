@@ -1,6 +1,7 @@
 #include "chain/validation.hpp"
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -264,12 +265,16 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
             return util::Unexpected{ValidationFailure{BlockError::kCoinbaseValueTooHigh, 0}};
     }
 
-    // ② SV — serial or pooled.
+    // ② SV — serial or pooled. The reported failure is the lowest failing
+    // job (tx-major input order), as a serial loop would find it: a job is
+    // skipped only when a lower one has already failed, and the failure
+    // index only ever decreases (CAS-min), so every job below the final
+    // minimum ran to its verdict whatever the scheduling.
     if (options_.verify_scripts && !script_jobs.empty()) {
         PhaseTimer timer(timings.sv);
-        std::atomic<bool> failed{false};
-        std::optional<ValidationFailure> failure;
-        std::mutex failure_mutex;
+        constexpr std::size_t kNoFail = std::numeric_limits<std::size_t>::max();
+        std::atomic<std::size_t> first_fail{kNoFail};
+        std::vector<script::ScriptError> errors(script_jobs.size(), script::ScriptError::kOk);
 
         // One sighash template per transaction, shared by all of its input
         // jobs and built lazily inside the parallel region by whichever
@@ -280,7 +285,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         const auto tpl_once = std::make_unique<std::once_flag[]>(block.txs.size());
 
         auto check_one = [&](std::size_t j) {
-            if (failed.load(std::memory_order_relaxed)) return;
+            if (j > first_fail.load(std::memory_order_relaxed)) return;
             const PendingScript& job = script_jobs[j];
             const Transaction& tx = block.txs[job.tx_index];
             std::call_once(tpl_once[job.tx_index],
@@ -290,13 +295,11 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
             const script::ScriptError err =
                 script::verify_script(tx.vin[job.input_index].unlock_script,
                                       job.coin.lock_script, checker);
-            if (err != script::ScriptError::kOk) {
-                failed.store(true, std::memory_order_relaxed);
-                std::lock_guard lock(failure_mutex);
-                if (!failure) {
-                    failure = ValidationFailure{BlockError::kScriptFailure, job.tx_index,
-                                                job.input_index, err};
-                }
+            if (err == script::ScriptError::kOk) return;
+            errors[j] = err;
+            std::size_t cur = first_fail.load(std::memory_order_relaxed);
+            while (j < cur &&
+                   !first_fail.compare_exchange_weak(cur, j, std::memory_order_relaxed)) {
             }
         };
 
@@ -305,7 +308,12 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         } else {
             for (std::size_t j = 0; j < script_jobs.size(); ++j) check_one(j);
         }
-        if (failure) return util::Unexpected{*failure};
+        const std::size_t j = first_fail.load(std::memory_order_relaxed);
+        if (j != kNoFail) {
+            return util::Unexpected{ValidationFailure{BlockError::kScriptFailure,
+                                                      script_jobs[j].tx_index,
+                                                      script_jobs[j].input_index, errors[j]}};
+        }
     }
 
     // Record undo data (spent coins, tx-major in input order) before apply.

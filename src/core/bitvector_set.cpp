@@ -1,6 +1,5 @@
 #include "core/bitvector_set.hpp"
 
-#include <cstdio>
 #include <memory>
 
 #include "util/assert.hpp"
@@ -156,15 +155,10 @@ util::Result<BitVectorSet, util::DecodeError> BitVectorSet::deserialize(util::Re
     return set;
 }
 
-void BitVectorSet::save(const std::string& path) const {
+bool BitVectorSet::save(const std::string& path) const {
     util::Writer w;
     serialize(w);
-
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    EBV_ENSURES(f != nullptr);
-    const auto& data = w.data();
-    EBV_ASSERT(std::fwrite(data.data(), 1, data.size(), f) == data.size());
-    std::fclose(f);
+    return util::write_file_atomic(path, w.data());
 }
 
 util::Result<BitVectorSet, util::DecodeError> BitVectorSet::load(const std::string& path) {

@@ -86,10 +86,12 @@ public:
     /// optimization").
     [[nodiscard]] std::size_t dense_memory_bytes() const;
 
-    /// Snapshot persistence (one record per surviving vector). load()
-    /// returns kTruncated for a file it cannot read whole and kMalformed
-    /// for one with bytes after the set.
-    void save(const std::string& path) const;
+    /// Snapshot persistence (one record per surviving vector). save()
+    /// replaces the file atomically and returns false when the write fails
+    /// (util::write_file_atomic).
+    /// load() returns kTruncated for a file it cannot read whole and
+    /// kMalformed for one with bytes after the set.
+    [[nodiscard]] bool save(const std::string& path) const;
     static util::Result<BitVectorSet, util::DecodeError> load(const std::string& path);
 
     /// In-stream forms (used by node-level snapshots).

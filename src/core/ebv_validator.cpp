@@ -5,6 +5,7 @@
 #include "crypto/ecdsa.hpp"
 #include "crypto/parse_memo.hpp"
 #include "crypto/sha256.hpp"
+#include "script/opcodes.hpp"
 #include "util/assert.hpp"
 
 namespace ebv::core {
@@ -70,6 +71,37 @@ script::ScriptError sv_check_input(const EbvTransaction& tx, std::size_t input_i
     EbvSignatureChecker checker(tx, input_index, cache, sigcache);
     return script::verify_script(in.unlock_script, in.els.outputs[in.out_index].lock_script,
                                  checker);
+}
+
+bool is_standard_p2pkh(const EbvInput& in) {
+    // Byte patterns, no decoding: this runs serially over every input of a
+    // pipeline window.
+    if (in.out_index >= in.els.outputs.size()) return false;
+    const util::Bytes& lock = in.els.outputs[in.out_index].lock_script;
+    if (lock.size() != 25 || lock[0] != script::OP_DUP || lock[1] != script::OP_HASH160 ||
+        lock[2] != 20 || lock[23] != script::OP_EQUALVERIFY || lock[24] != script::OP_CHECKSIG)
+        return false;
+    const util::Bytes& unlock = in.unlock_script;
+    const auto direct_push = [](std::uint8_t op) { return op >= 1 && op <= 75; };
+    if (unlock.empty() || !direct_push(unlock[0])) return false;
+    const std::size_t second = 1 + std::size_t{unlock[0]};
+    return second < unlock.size() && direct_push(unlock[second]) &&
+           second + 1 + unlock[second] == unlock.size();
+}
+
+script::ScriptError sv_collect_input(const EbvTransaction& tx, std::size_t input_index,
+                                     const TxSighashCache* cache, SigCache* sigcache,
+                                     std::optional<crypto::VerifyJob>& deferred) {
+    deferred.reset();
+    const EbvInput& in = tx.inputs[input_index];
+    EbvSignatureChecker checker(tx, input_index, cache, sigcache, &deferred);
+    const script::ScriptError err = script::verify_script(
+        in.unlock_script, in.els.outputs[in.out_index].lock_script, checker);
+    if (err == script::ScriptError::kOk || !deferred) return err;
+    // The assumed-valid signature may have steered the failing run, so
+    // only an inline run gives the exact error.
+    deferred.reset();
+    return sv_check_input(tx, input_index, cache, sigcache);
 }
 
 std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,
@@ -138,6 +170,10 @@ bool EbvSignatureChecker::check_signature(util::ByteSpan signature, util::ByteSp
     // TRUE (only successes are ever inserted), so the curve check is
     // redundant. Misses verify inline and, on success, warm the cache.
     if (sigcache_ != nullptr && sigcache_->contains(job)) return true;
+    if (deferred_ != nullptr && !deferred_->has_value()) {
+        *deferred_ = job;
+        return true;
+    }
     const bool ok = job.key.verify(job.digest, job.sig);
     if (ok && sigcache_ != nullptr) sigcache_->insert(job);
     return ok;

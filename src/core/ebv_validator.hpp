@@ -18,6 +18,7 @@
 #include "chain/params.hpp"
 #include "core/ebv_transaction.hpp"
 #include "core/sighash_cache.hpp"
+#include "crypto/ecdsa.hpp"
 #include "script/interpreter.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -88,6 +89,26 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
                                                  const TxSighashCache* cache = nullptr,
                                                  SigCache* sigcache = nullptr);
 
+/// Whether the input is a standard P2PKH spend: out_index names the
+/// 25-byte `OP_DUP OP_HASH160 <20> OP_EQUALVERIFY OP_CHECKSIG` locking
+/// script in its ELs, and the unlocking script is exactly two direct
+/// pushes (signature, pubkey).
+[[nodiscard]] bool is_standard_p2pkh(const EbvInput& in);
+
+/// sv_check_input for a caller that verifies the signature itself, later
+/// (ibd::Pipeline hands the triples to crypto::verify_lanes). The checker
+/// parses, digests and consults `sigcache` as sv_check_input's does, but
+/// a sigcache miss is recorded in `deferred` and reported as a success
+/// instead of being verified. When the result is kOk and `deferred` is
+/// set, the input passes iff the triple verifies; if it does not, re-run
+/// sv_check_input for the exact ScriptError. Any other result is already
+/// sv_check_input's (a failing run that deferred a triple is re-run here).
+[[nodiscard]] script::ScriptError sv_collect_input(const EbvTransaction& tx,
+                                                   std::size_t input_index,
+                                                   const TxSighashCache* cache,
+                                                   SigCache* sigcache,
+                                                   std::optional<crypto::VerifyJob>& deferred);
+
 /// The stateless structural pass, in check order: shape, then the block's
 /// own Merkle root, then values. Returns the first structural failure, or
 /// nullopt. The single-threaded reference; ibd::Pipeline runs the same
@@ -145,10 +166,17 @@ struct EbvValidatorOptions {
 /// SignatureChecker binding the script VM to EBV's signature-hash rules.
 class EbvSignatureChecker final : public script::SignatureChecker {
 public:
+    /// With `deferred`, the first signature that misses `sigcache` is
+    /// recorded there and reported valid (see sv_collect_input).
     EbvSignatureChecker(const EbvTransaction& tx, std::size_t input_index,
                         const TxSighashCache* cache = nullptr,
-                        SigCache* sigcache = nullptr)
-        : tx_(tx), input_index_(input_index), cache_(cache), sigcache_(sigcache) {}
+                        SigCache* sigcache = nullptr,
+                        std::optional<crypto::VerifyJob>* deferred = nullptr)
+        : tx_(tx),
+          input_index_(input_index),
+          cache_(cache),
+          sigcache_(sigcache),
+          deferred_(deferred) {}
 
     [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                        util::ByteSpan script_code) const override;
@@ -158,6 +186,7 @@ private:
     std::size_t input_index_;
     const TxSighashCache* cache_;
     SigCache* sigcache_;
+    std::optional<crypto::VerifyJob>* deferred_;
 };
 
 }  // namespace ebv::core

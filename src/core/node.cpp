@@ -1,7 +1,5 @@
 #include "core/node.hpp"
 
-#include <cstdio>
-
 #include "util/assert.hpp"
 
 namespace ebv::core {
@@ -32,7 +30,7 @@ ibd::BatchResult EbvNode::connect(std::span<const EbvBlock> blocks, std::size_t 
     });
 }
 
-void EbvNode::save_snapshot(const std::string& path) const {
+bool EbvNode::save_snapshot(const std::string& path) const {
     util::Writer w;
     w.u32(static_cast<std::uint32_t>(headers_.size()));
     for (std::uint32_t h = 0; h < headers_.size(); ++h) {
@@ -40,11 +38,7 @@ void EbvNode::save_snapshot(const std::string& path) const {
         w.u32(output_counts_[h]);
     }
     status_.serialize(w);
-
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    EBV_ENSURES(f != nullptr);
-    EBV_ASSERT(std::fwrite(w.data().data(), 1, w.size(), f) == w.size());
-    std::fclose(f);
+    return util::write_file_atomic(path, w.data());
 }
 
 util::Result<std::unique_ptr<EbvNode>, util::DecodeError> EbvNode::load_snapshot(

@@ -58,8 +58,11 @@ public:
     /// Snapshot persistence ("assumeutxo"-style fast restart): the entire
     /// node state an EBV validator needs — headers, per-height output
     /// counts, and the bit-vector set — is small enough to write and read
-    /// in milliseconds, so a restarting node skips IBD entirely.
-    void save_snapshot(const std::string& path) const;
+    /// in milliseconds, so a restarting node skips IBD entirely. The file
+    /// is replaced atomically; false means the write failed, and before
+    /// the rename that leaves the previous snapshot untouched
+    /// (util::write_file_atomic).
+    [[nodiscard]] bool save_snapshot(const std::string& path) const;
     static util::Result<std::unique_ptr<EbvNode>, util::DecodeError> load_snapshot(
         const std::string& path, const EbvNodeOptions& options);
 

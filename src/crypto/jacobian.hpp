@@ -38,4 +38,8 @@ Jacobian add_affine(const Jacobian& a, const FieldElement& bx, const FieldElemen
 /// infinity (then the other input) or the sum is a doubling (dbl's result).
 Jacobian add(const Jacobian& a, const Jacobian& b);
 
+/// ECDSA's final check on R = u1·G + u2·P: whether R is finite and
+/// R.x ≡ r (mod n), compared as r·Z² == X without a field inversion.
+bool x_matches(const Jacobian& R, const Scalar& r);
+
 }  // namespace ebv::crypto::secp256k1

@@ -255,7 +255,10 @@ Point multiply_double_generator(const Point& p, const U256& u1, const U256& u2) 
 
 bool double_multiply_x_matches(const Point& p, const Scalar& u1, const Scalar& u2,
                                const Scalar& r) {
-    const Jacobian R = ecmult(p, u1, u2);
+    return x_matches(ecmult(p, u1, u2), r);
+}
+
+bool x_matches(const Jacobian& R, const Scalar& r) {
     if (R.infinity) return false;
     const Fe zz = R.z.sqr();
     if (Fe(r.value()) * zz == R.x) return true;

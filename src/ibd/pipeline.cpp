@@ -14,6 +14,7 @@
 #include "chain/amount.hpp"
 #include "core/sig_cache.hpp"
 #include "core/sighash_cache.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
@@ -137,6 +138,14 @@ struct Verdict {
     script::ScriptError script = script::ScriptError::kOk;
 };
 
+/// A claimer's deferred signatures (crypto::verify_lanes input) and the
+/// proof jobs they came from.
+struct LaneGroup {
+    std::array<crypto::VerifyJob, crypto::kVerifyLanes> triples;
+    std::array<std::size_t, crypto::kVerifyLanes> job;
+    std::size_t size = 0;
+};
+
 /// CAS-min holder that can live in a vector sized at runtime.
 struct AtomicMin {
     std::atomic<std::size_t> value{kNoFail};
@@ -180,6 +189,9 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     util::ThreadPool* const pool = options_.script_pool;
     const std::size_t slots = pool != nullptr ? pool->thread_count() : 1;
     const bool verify_scripts = options_.verify_scripts;
+    // With a lane backend, standard P2PKH inputs share pool tasks and
+    // verify their signatures together (see the proof tasks below).
+    const bool lanes = verify_scripts && crypto::lanes_enabled();
 
     // Spends of already-committed blocks, to be applied inside the next
     // window's parallel pass ("stage 3 joins the parallel region").
@@ -332,6 +344,43 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
+        // Proof tasks, the pool's unit of stage 2. Without lanes a task is
+        // one proof job. With lanes, every job that is not standard P2PKH
+        // is still a task of its own, and the P2PKH jobs go to up to
+        // `slots` claimer tasks instead: each takes them one at a time, in
+        // job order, from the shared cursor `next_p2pkh` and verifies the
+        // signatures it deferred kVerifyLanes at a time (the 8-input SV
+        // job), then its last partial group. Claiming one input at a time
+        // keeps the pool balanced at input grain, also when SigCache hits
+        // leave nothing to defer (docs/PIPELINE.md). tasks[t] is a job
+        // index or kClaimer; the claimers are spread through the list so
+        // that the slots start them in parallel.
+        constexpr std::uint32_t kClaimer = std::numeric_limits<std::uint32_t>::max();
+        std::vector<std::uint32_t> tasks;
+        std::vector<std::uint32_t> p2pkh;
+        std::atomic<std::size_t> next_p2pkh{0};
+        if (lanes) {
+            std::vector<std::uint32_t> others;
+            for (std::uint32_t j = 0; j < jobs.size(); ++j) {
+                const ProofJob& job = jobs[j];
+                const EbvInput& in = window[job.block].txs[job.tx_index].inputs[job.input_index];
+                (core::is_standard_p2pkh(in) ? p2pkh : others).push_back(j);
+            }
+            const std::size_t claimers = std::min(slots, p2pkh.size());
+            tasks.reserve(others.size() + claimers);
+            std::size_t placed = 0;
+            for (std::size_t c = 0; c < claimers; ++c) {
+                tasks.push_back(kClaimer);
+                const std::size_t until = others.size() * (c + 1) / claimers;
+                tasks.insert(tasks.end(), others.begin() + static_cast<std::ptrdiff_t>(placed),
+                             others.begin() + static_cast<std::ptrdiff_t>(until));
+                placed = until;
+            }
+            tasks.insert(tasks.end(), others.begin() + static_cast<std::ptrdiff_t>(placed),
+                         others.end());
+        }
+        const std::size_t proof_tasks = lanes ? tasks.size() : jobs.size();
+
         std::vector<Verdict> verdicts(jobs.size());
         std::vector<AtomicMin> ev_min(accepted);
         std::vector<AtomicMin> sv_min(accepted);
@@ -391,28 +440,32 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             obs::Tracer::global().record(std::move(span));
         };
 
-        const auto pass_body = [&](std::size_t slot, std::size_t index) {
-            if (index < shard_jobs) {
-                // Stage 3 (previous window): sharded spent-bit application.
-                util::Stopwatch watch;
-                const std::size_t s = active_shards[index];
-                status_.spend_shard(s, deferred.by_shard[s].data(),
-                                    deferred.by_shard[s].size());
-                shard_done[s].store(true, std::memory_order_relaxed);
-                const auto shard_ns = watch.elapsed_ns();
-                commit_busy[slot] += static_cast<std::uint64_t>(shard_ns);
-                if (trace_detail)
-                    record_detail("ebv.ibd.shard_apply", "commit", window_span_id,
-                                  shard_ns, static_cast<std::int64_t>(s));
-                return;
-            }
+        // The transaction's template from `caches`, built on first use; its
+        // construction counts as SV time (it replaces the per-input
+        // serialization the naive path would spend there).
+        const auto sighash_cache = [&](const ProofJob& job) -> const core::TxSighashCache* {
+            const EbvTransaction& tx = window[job.block].txs[job.tx_index];
+            if (tx.inputs.size() < core::kSighashCacheMinInputs) return nullptr;
+            std::call_once(cache_once[job.block][job.tx_index], [&] {
+                caches[job.block][job.tx_index] = std::make_unique<core::TxSighashCache>(tx);
+            });
+            return caches[job.block][job.tx_index].get();
+        };
+        const auto record_sv = [&](std::size_t j, script::ScriptError err) {
+            if (err == script::ScriptError::kOk) return;
+            verdicts[j].script = err;
+            cas_min(sv_min[jobs[j].block].value, jobs[j].ordinal);
+            cas_min(min_fail_block, jobs[j].block);
+        };
 
-            // Stage 2: fused EV+SV for one input, possibly out of block
-            // order. A job may be skipped only when a *lower* (block,
-            // ordinal) failure is already recorded: the minima only ever
-            // decrease, so every verdict the resolution pass reads was fully
-            // evaluated regardless of thread count.
-            const ProofJob& job = jobs[index - shard_jobs];
+        // EV, then SV, for proof job j, possibly out of block order. A job
+        // may be skipped only when a *lower* (block, ordinal) failure is
+        // already recorded: the minima only ever decrease, so every verdict
+        // the resolution pass reads was fully evaluated regardless of
+        // thread count. Given `lane_jobs` (the job is standard P2PKH), the
+        // input's signature joins it instead of being verified here.
+        const auto check_proof = [&](std::size_t slot, std::size_t j, LaneGroup* lane_jobs) {
+            const ProofJob& job = jobs[j];
             if (job.block > min_fail_block.load(std::memory_order_relaxed)) return;
             std::atomic<std::size_t>& block_ev_min = ev_min[job.block].value;
             if (job.ordinal > block_ev_min.load(std::memory_order_relaxed)) return;
@@ -439,7 +492,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 record_detail("ebv.ev.input", "ev", block_span_ids[job.block], ev_ns,
                               job.ordinal);
             if (ev != EvStatus::kOk) {
-                verdicts[index - shard_jobs].ev = ev;
+                verdicts[j].ev = ev;
                 cas_min(block_ev_min, job.ordinal);
                 cas_min(min_fail_block, job.block);
                 return;
@@ -447,25 +500,20 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
 
             // SV, fused into the same job while the input is cache-hot.
             if (!verify_scripts) return;
-            std::atomic<std::size_t>& block_sv_min = sv_min[job.block].value;
-            if (job.ordinal > block_sv_min.load(std::memory_order_relaxed)) return;
+            if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
             watch.restart();
-            const core::TxSighashCache* cache = nullptr;
-            if (tx.inputs.size() >= core::kSighashCacheMinInputs) {
-                // Template construction counts as SV time (it replaces the
-                // per-input serialization the naive path would spend there).
-                std::call_once(cache_once[job.block][job.tx_index], [&] {
-                    caches[job.block][job.tx_index] =
-                        std::make_unique<core::TxSighashCache>(tx);
-                });
-                cache = caches[job.block][job.tx_index].get();
-            }
-            const script::ScriptError err =
-                core::sv_check_input(tx, job.input_index, cache, options_.sigcache);
-            if (err != script::ScriptError::kOk) {
-                verdicts[index - shard_jobs].script = err;
-                cas_min(block_sv_min, job.ordinal);
-                cas_min(min_fail_block, job.block);
+            const core::TxSighashCache* cache = sighash_cache(job);
+            if (lane_jobs != nullptr) {
+                std::optional<crypto::VerifyJob> triple;
+                record_sv(j, core::sv_collect_input(tx, job.input_index, cache,
+                                                    options_.sigcache, triple));
+                if (triple) {
+                    lane_jobs->job[lane_jobs->size] = j;
+                    lane_jobs->triples[lane_jobs->size++] = *triple;
+                }
+            } else {
+                record_sv(j, core::sv_check_input(tx, job.input_index, cache,
+                                                  options_.sigcache));
             }
             const auto sv_ns = watch.elapsed_ns();
             sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
@@ -474,11 +522,66 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                               job.ordinal);
         };
 
+        // Verifies a claimer's deferred signatures in one verify_lanes call
+        // and empties the group. A false lane re-runs its input inline, so
+        // its ScriptError is the scalar one.
+        const auto verify_deferred = [&](std::size_t slot, LaneGroup& lane_jobs) {
+            util::Stopwatch watch;
+            const std::uint8_t valid =
+                crypto::verify_lanes({lane_jobs.triples.data(), lane_jobs.size});
+            for (std::size_t k = 0; k < lane_jobs.size; ++k) {
+                const std::size_t j = lane_jobs.job[k];
+                if ((valid >> k & 1) != 0) {
+                    if (options_.sigcache != nullptr)
+                        options_.sigcache->insert(lane_jobs.triples[k]);
+                    continue;
+                }
+                const ProofJob& job = jobs[j];
+                record_sv(j, core::sv_check_input(window[job.block].txs[job.tx_index],
+                                                  job.input_index, sighash_cache(job),
+                                                  options_.sigcache));
+            }
+            lane_jobs.size = 0;
+            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
+        };
+
+        const auto pass_body = [&](std::size_t slot, std::size_t index) {
+            if (index < shard_jobs) {
+                // Stage 3 (previous window): sharded spent-bit application.
+                util::Stopwatch watch;
+                const std::size_t s = active_shards[index];
+                status_.spend_shard(s, deferred.by_shard[s].data(),
+                                    deferred.by_shard[s].size());
+                shard_done[s].store(true, std::memory_order_relaxed);
+                const auto shard_ns = watch.elapsed_ns();
+                commit_busy[slot] += static_cast<std::uint64_t>(shard_ns);
+                if (trace_detail)
+                    record_detail("ebv.ibd.shard_apply", "commit", window_span_id,
+                                  shard_ns, static_cast<std::int64_t>(s));
+                return;
+            }
+
+            // Stage 2: one proof task (see `tasks` above).
+            const std::size_t t = index - shard_jobs;
+            if (!lanes || tasks[t] != kClaimer) {
+                check_proof(slot, lanes ? tasks[t] : t, nullptr);
+                return;
+            }
+            LaneGroup lane_jobs;
+            while (!cancel_.cancelled()) {
+                const std::size_t k = next_p2pkh.fetch_add(1, std::memory_order_relaxed);
+                if (k >= p2pkh.size()) break;
+                check_proof(slot, p2pkh[k], &lane_jobs);
+                if (lane_jobs.size == crypto::kVerifyLanes) verify_deferred(slot, lane_jobs);
+            }
+            if (lane_jobs.size > 0) verify_deferred(slot, lane_jobs);
+        };
+
         // ---- Stage 2 + deferred stage 3: one parallel region ---------------
         m.windows.inc();
         m.window_occupancy.observe(static_cast<std::uint64_t>(accepted));
         m.blocks_inflight.set(static_cast<std::int64_t>(accepted));
-        const std::size_t pass_total = shard_jobs + jobs.size();
+        const std::size_t pass_total = shard_jobs + proof_tasks;
         const std::int64_t stall_before_pass = stall_watch.elapsed_ns() - hash_wall;
 
         std::vector<std::uint64_t> slot_busy_before;

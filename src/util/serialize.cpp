@@ -1,5 +1,8 @@
 #include "util/serialize.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 
 namespace ebv::util {
@@ -135,6 +138,28 @@ Result<Bytes, DecodeError> read_file(const std::string& path) {
     std::fclose(f);
     if (!read_ok) return Unexpected{DecodeError::kTruncated};
     return data;
+}
+
+bool write_file_atomic(const std::string& path, ByteSpan data) {
+    const std::string tmp = path + ".tmp";
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
+    if (f == nullptr) return false;  // nothing of ours to remove
+    bool ok = std::fwrite(data.data(), 1, data.size(), f) == data.size();
+    ok = std::fflush(f) == 0 && ok;
+    ok = ::fsync(::fileno(f)) == 0 && ok;
+    ok = std::fclose(f) == 0 && ok;
+    if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        return false;
+    }
+    // The rename itself is durable only once the directory entry is.
+    const std::size_t slash = path.rfind('/');
+    const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
+    const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dir_fd < 0) return false;
+    const bool synced = ::fsync(dir_fd) == 0;
+    ::close(dir_fd);
+    return synced;
 }
 
 }  // namespace ebv::util

@@ -91,4 +91,12 @@ private:
 /// to its end (a directory, an I/O error) — never a partial buffer.
 [[nodiscard]] Result<Bytes, DecodeError> read_file(const std::string& path);
 
+/// Replaces the file at `path` with `data` atomically: writes `path.tmp`,
+/// flushes and fsyncs it, renames it over `path` and fsyncs the directory.
+/// Returns false on any failure. Up to the rename, a failure removes the
+/// temp file and leaves the previous file at `path` untouched; after it,
+/// only the directory fsync can fail, and the new file is then in place
+/// but not known to be durable.
+[[nodiscard]] bool write_file_atomic(const std::string& path, ByteSpan data);
+
 }  // namespace ebv::util

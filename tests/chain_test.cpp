@@ -11,6 +11,7 @@
 #include "script/standard.hpp"
 #include "storage/mem_kvstore.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace ebv::chain {
 namespace {
@@ -325,6 +326,46 @@ TEST_F(ValidatorTest, RejectsBadSignature) {
     auto r = connect(make_block({tx}, params_.subsidy_at(height_)));
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().error, BlockError::kScriptFailure);
+}
+
+TEST_F(ValidatorTest, ScriptFailureTupleIsTheSerialOneAtAnyThreadCount) {
+    // Two bad inputs: a corrupted signature (a full ECDSA verify, then
+    // false) in tx 3 and a wrong pubkey (an early EQUALVERIFY failure) in
+    // tx 9. Whichever worker finishes first, the reported tuple must be the
+    // one a serial loop finds: tx 3.
+    for (int i = 0; i < 14; ++i) {
+        ASSERT_TRUE(connect_tracking(make_block({}, params_.subsidy_at(height_))));
+    }
+    std::vector<Transaction> txs;
+    for (std::uint32_t h = 0; h < 12; ++h) txs.push_back(spend_coinbase_of(h, 50 * kCoin));
+    txs[2].vin[0].unlock_script[3] ^= 0x40;
+    const auto other = crypto::PrivateKey::generate(rng_).public_key();
+    txs[8].vin[0].unlock_script = script::make_p2pkh_unlock(
+        sign_input(txs[8], 0, lock(), key_), other);
+    for (auto& tx : txs) tx.invalidate_cache();
+    const Block block = make_block(txs, params_.subsidy_at(height_));
+
+    const auto serial = connect(block);
+    ASSERT_FALSE(serial.has_value());
+    EXPECT_EQ(serial.error().error, BlockError::kScriptFailure);
+    EXPECT_EQ(serial.error().tx_index, 3u);
+    EXPECT_EQ(serial.error().script_error, script::ScriptError::kEvalFalse);
+
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+        util::ThreadPool pool(threads);
+        ValidatorOptions options;
+        options.script_pool = &pool;
+        BitcoinValidator validator(params_, utxo_, options);
+        for (int rep = 0; rep < 20; ++rep) {
+            const auto r = validator.connect_block(block, height_);
+            ASSERT_FALSE(r.has_value());
+            EXPECT_EQ(r.error().error, serial.error().error);
+            EXPECT_EQ(r.error().tx_index, serial.error().tx_index)
+                << threads << " threads, rep " << rep;
+            EXPECT_EQ(r.error().input_index, serial.error().input_index);
+            EXPECT_EQ(r.error().script_error, serial.error().script_error);
+        }
+    }
 }
 
 TEST_F(ValidatorTest, RejectsMerkleMismatch) {

@@ -10,6 +10,7 @@
 #include "core/bitvector.hpp"
 #include "core/bitvector_set.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ebv::core {
@@ -182,13 +183,40 @@ TEST(BitVectorSet, SaveLoadRoundTrip) {
         (void)set.spend(h, static_cast<std::uint32_t>(rng.below(600)));
     }
 
-    set.save(path);
+    ASSERT_TRUE(set.save(path));
     auto loaded = BitVectorSet::load(path);
     std::filesystem::remove(path);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(*loaded, set);
     EXPECT_EQ(loaded->memory_bytes(), set.memory_bytes());
     EXPECT_EQ(loaded->dense_memory_bytes(), set.dense_memory_bytes());
+}
+
+TEST(BitVectorSet, FailedSaveLeavesPreviousFileIntact) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("ebv_bvs_atomic_" + std::to_string(::getpid()) + ".bin"))
+            .string();
+    BitVectorSet set;
+    set.insert_block(0, 10);
+    ASSERT_TRUE(set.save(path));
+    const auto before = util::read_file(path);
+    ASSERT_TRUE(before.has_value());
+
+    // The temp file cannot be created: its name is an existing directory.
+    set.insert_block(1, 3);
+    std::filesystem::create_directory(path + ".tmp");
+    EXPECT_FALSE(set.save(path));
+    std::filesystem::remove(path + ".tmp");
+
+    const auto after = util::read_file(path);
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(*after, *before);
+    const auto loaded = BitVectorSet::load(path);
+    std::filesystem::remove(path);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_TRUE(loaded->has_vector(0));
+    EXPECT_FALSE(loaded->has_vector(1));
 }
 
 TEST(BitVectorSet, LoadRejectsTrailingByte) {
@@ -200,7 +228,7 @@ TEST(BitVectorSet, LoadRejectsTrailingByte) {
     set.insert_block(0, 10);
     set.insert_block(1, 3);
     ASSERT_TRUE(set.spend(0, 4).has_value());
-    set.save(path);
+    ASSERT_TRUE(set.save(path));
     ASSERT_TRUE(BitVectorSet::load(path).has_value());
 
     {

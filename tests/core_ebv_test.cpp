@@ -9,6 +9,7 @@
 #include "core/ebv_transaction.hpp"
 #include "core/ebv_validator.hpp"
 #include "core/node.hpp"
+#include "core/sig_cache.hpp"
 #include "script/standard.hpp"
 #include "util/rng.hpp"
 
@@ -283,6 +284,50 @@ TEST_F(EbvValidatorTest, BadSignatureFailsSv) {
     auto r = h_.submit(h_.package({spend}));
     ASSERT_FALSE(r.has_value());
     EXPECT_EQ(r.error().error, EbvError::kScriptFailure);
+}
+
+TEST_F(EbvValidatorTest, CollectDefersTheSignatureAndKeepsEveryOtherVerdict) {
+    h_.mine_empty(3);
+    const EbvTransaction spend = h_.make_spend(0, 0, 0, 25 * kCoin);
+    ASSERT_TRUE(is_standard_p2pkh(spend.inputs[0]));
+
+    // A standard spend defers its one signature and reports success; the
+    // deferred triple is what sv_check_input would have verified.
+    std::optional<crypto::VerifyJob> deferred;
+    EXPECT_EQ(sv_collect_input(spend, 0, nullptr, nullptr, deferred), script::ScriptError::kOk);
+    ASSERT_TRUE(deferred.has_value());
+    EXPECT_TRUE(deferred->key.verify(deferred->digest, deferred->sig));
+
+    // A signature with a flipped bit in r still parses, so it defers, and
+    // its triple is false; a wrong pubkey fails before OP_CHECKSIG,
+    // exactly as inline.
+    EbvTransaction bad_sig = spend;
+    bad_sig.inputs[0].unlock_script[10] ^= 0x01;
+    EXPECT_EQ(sv_collect_input(bad_sig, 0, nullptr, nullptr, deferred), script::ScriptError::kOk);
+    ASSERT_TRUE(deferred.has_value());
+    EXPECT_FALSE(deferred->key.verify(deferred->digest, deferred->sig));
+    EXPECT_EQ(sv_check_input(bad_sig, 0), script::ScriptError::kEvalFalse);
+    EbvTransaction wrong_key = spend;
+    const auto other = crypto::PrivateKey::generate(h_.rng_).public_key();
+    const util::Bytes sig(spend.inputs[0].unlock_script.begin() + 1,
+                          spend.inputs[0].unlock_script.begin() + 1 +
+                              spend.inputs[0].unlock_script[0]);
+    wrong_key.inputs[0].unlock_script = script::make_p2pkh_unlock(sig, other);
+    EXPECT_EQ(sv_collect_input(wrong_key, 0, nullptr, nullptr, deferred),
+              script::ScriptError::kEqualVerifyFailed);
+    EXPECT_FALSE(deferred.has_value());
+
+    // A sigcache hit needs no deferral.
+    SigCache cache;
+    ASSERT_EQ(sv_check_input(spend, 0, nullptr, &cache), script::ScriptError::kOk);
+    EXPECT_EQ(sv_collect_input(spend, 0, nullptr, &cache, deferred), script::ScriptError::kOk);
+    EXPECT_FALSE(deferred.has_value());
+
+    // Three pushes is not the standard template.
+    EbvTransaction extra_push = spend;
+    extra_push.inputs[0].unlock_script.insert(extra_push.inputs[0].unlock_script.begin(),
+                                              {0x01, 0x01});
+    EXPECT_FALSE(is_standard_p2pkh(extra_push.inputs[0]));
 }
 
 TEST_F(EbvValidatorTest, SignatureCoversOutputs) {

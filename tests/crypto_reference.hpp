@@ -1,12 +1,14 @@
 // Test oracles for the secp256k1 arithmetic: shift-add modular arithmetic
 // on plain 256-bit integers, an affine group law on top of it, and helpers
-// that build lazily reduced field elements at a chosen magnitude.
+// that build lazily reduced field elements at a chosen magnitude, plus
+// ECDSA signatures whose verification is steered to a chosen sum.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
+#include "crypto/ecdsa.hpp"
 #include "crypto/field.hpp"
 #include "crypto/modinv.hpp"
 #include "crypto/secp256k1.hpp"
@@ -194,5 +196,53 @@ inline AffinePoint affine_add(const AffinePoint& a, const AffinePoint& b) {
 }
 
 inline AffinePoint affine_of(const secp256k1::Point& p) { return {p.x, p.y, p.infinity}; }
+
+// ---- verify() cases whose verdict is known by construction -----------------
+// For chosen u1, u2 and r, the signature s = r·u2⁻¹ over digest z = u1·s
+// makes verify() compute exactly R = u1·G + u2·P; P = u2⁻¹·(R − u1·G) then
+// places R anywhere on the curve.
+
+struct Constructed {
+    PublicKey key;
+    Hash256 digest;
+    Signature sig;
+};
+
+inline Hash256 digest_of(const secp256k1::Scalar& z) {
+    Hash256 h;
+    z.value().to_be_bytes({h.bytes().data(), 32});
+    return h;
+}
+
+inline secp256k1::Scalar random_scalar(util::Rng& rng) {
+    for (;;) {
+        const secp256k1::Scalar s(random_u256(rng));
+        if (!s.is_zero()) return s;
+    }
+}
+
+inline Constructed construct(const secp256k1::Point& R, const secp256k1::Scalar& u1,
+                             const secp256k1::Scalar& u2, const secp256k1::Scalar& r) {
+    namespace k1 = secp256k1;
+    const k1::Scalar u2_inv = u2.inverse();
+    const k1::Point minus_u1g = k1::negate(k1::multiply_generator(u1.value()));
+    const k1::Point p = k1::multiply(k1::add(R, minus_u1g), u2_inv.value());
+    const k1::Scalar s = r * u2_inv;
+    return {PublicKey(p), digest_of(u1 * s), Signature{r.value(), s.value()}};
+}
+
+/// The signature under key d·G that makes verify() compute u1·G + u2·(d·G)
+/// for the chosen u1 and u2 (u2 ≠ 0): r is that sum's x mod n, or, when the
+/// sum is at infinity or its x is ≡ 0, `fallback_r` (the verdict is false).
+inline Constructed steered(const secp256k1::Scalar& d, const secp256k1::Scalar& u1,
+                           const secp256k1::Scalar& u2, const secp256k1::Scalar& fallback_r) {
+    namespace k1 = secp256k1;
+    const k1::Point R = k1::multiply_generator((u1 + d * u2).value());
+    k1::Scalar r = R.infinity ? fallback_r : k1::Scalar(R.x);
+    if (r.is_zero()) r = fallback_r;
+    const k1::Scalar s = r * u2.inverse();
+    return {PublicKey(k1::multiply_generator(d.value())), digest_of(u1 * s),
+            Signature{r.value(), s.value()}};
+}
 
 }  // namespace ebv::crypto::reference

@@ -238,42 +238,14 @@ TEST(EcdsaEdge, DerRejectsNonMinimalPadding) {
 }
 
 // ---- verify() cases whose verdict is known by construction -----------------
-// For chosen u1, u2 and r, the signature s = r·u2⁻¹ over digest z = u1·s
-// makes verify() compute exactly R = u1·G + u2·P; P = u2⁻¹·(R − u1·G) then
-// places R anywhere on the curve.
 
-struct Constructed {
-    PublicKey key;
-    Hash256 digest;
-    Signature sig;
-};
-
-Hash256 digest_of(const k1::Scalar& z) {
-    Hash256 h;
-    z.value().to_be_bytes({h.bytes().data(), 32});
-    return h;
-}
-
-Constructed construct(const k1::Point& R, const k1::Scalar& u1, const k1::Scalar& u2,
-                      const k1::Scalar& r) {
-    const k1::Scalar u2_inv = u2.inverse();
-    const k1::Point minus_u1g = k1::negate(k1::multiply_generator(u1.value()));
-    const k1::Point p = k1::multiply(k1::add(R, minus_u1g), u2_inv.value());
-    const k1::Scalar s = r * u2_inv;
-    return {PublicKey(p), digest_of(u1 * s), Signature{r.value(), s.value()}};
-}
+using reference::construct;
+using reference::Constructed;
+using reference::digest_of;
+using reference::random_scalar;
 
 bool verdict(const PublicKey& key, const Hash256& digest, const Signature& sig) {
     return key.verify(digest, sig);
-}
-
-k1::Scalar random_scalar(util::Rng& rng) {
-    for (;;) {
-        U256 v;
-        for (auto& limb : v.limbs) limb = rng.next();
-        const k1::Scalar s(v);
-        if (!s.is_zero()) return s;
-    }
 }
 
 TEST(EcdsaEdge, RxBetweenOrderAndPrimeMatchesROnlyReduced) {

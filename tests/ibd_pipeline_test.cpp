@@ -5,7 +5,9 @@
 // block spends an output created (or spent) by an earlier block inside the
 // same lookahead window. Also pins stage 1's check order (shape, then
 // root, then values), the link of every block to the one before it, the
-// engine's stage timings and its once-per-block metric accounting.
+// engine's stage timings and its once-per-block metric accounting. The
+// serial reference checks signatures one by one; the grid runs with the
+// CPU's lane backend and again with the portable lanes forced.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,6 +18,7 @@
 
 #include "chain/amount.hpp"
 #include "core/node.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "ibd/pipeline.hpp"
 #include "intermediary/converter.hpp"
 #include "obs/metrics.hpp"
@@ -38,6 +41,16 @@ workload::GeneratorOptions options_for(std::uint64_t seed) {
     options.key_pool_size = 8;
     return options;
 }
+
+/// Pins the signature-lane backend (crypto::lanes_force_impl) for a scope;
+/// "auto" keeps what the CPU selects.
+class LanesScope {
+public:
+    explicit LanesScope(const char* impl) { EXPECT_TRUE(crypto::lanes_force_impl(impl)); }
+    ~LanesScope() { crypto::lanes_force_impl("auto"); }
+    LanesScope(const LanesScope&) = delete;
+    LanesScope& operator=(const LanesScope&) = delete;
+};
 
 struct FinalState {
     std::size_t memory_bytes = 0;
@@ -78,36 +91,51 @@ protected:
         return result;
     }
 
-    /// Serial vs pipelined over the W × threads grid, expecting identical
-    /// accept/reject behaviour and failure tuples.
+    /// Serial with scalar signature checks vs pipelined over the W × threads
+    /// grid with the default lane backend, then over part of it with the
+    /// portable lanes forced, expecting identical accept/reject behaviour
+    /// and failure tuples.
     void expect_parity(const std::vector<core::EbvBlock>& blocks) {
         FinalState serial_state;
-        const ibd::BatchResult serial = run_batch(blocks, nullptr, false, 1, &serial_state);
+        const ibd::BatchResult serial = [&] {
+            const LanesScope scalar("none");
+            return run_batch(blocks, nullptr, false, 1, &serial_state);
+        }();
 
-        for (const std::size_t window : {1u, 4u, 16u}) {
-            for (const std::size_t threads : {1u, 2u, 8u}) {
-                util::ThreadPool pool(threads);
-                FinalState state;
-                const ibd::BatchResult piped =
-                    run_batch(blocks, &pool, true, window, &state);
+        struct Cell {
+            std::size_t window;
+            std::size_t threads;
+            const char* lanes;
+        };
+        std::vector<Cell> cells;
+        for (const std::size_t window : {1u, 4u, 16u})
+            for (const std::size_t threads : {1u, 2u, 8u})
+                cells.push_back({window, threads, "auto"});
+        cells.push_back({4, 2, "portable"});
+        cells.push_back({16, 8, "portable"});
 
-                const auto label = ::testing::Message()
-                                   << "window=" << window << " threads=" << threads;
-                EXPECT_EQ(serial.connected, piped.connected) << label;
-                ASSERT_EQ(serial.failure.has_value(), piped.failure.has_value()) << label;
-                if (serial.failure.has_value()) {
-                    EXPECT_EQ(serial.failure->block_index, piped.failure->block_index)
-                        << label;
-                    EXPECT_EQ(serial.failure->height, piped.failure->height) << label;
-                    EXPECT_TRUE(serial.failure->failure == piped.failure->failure)
-                        << label << " serial=" << serial.failure->failure.describe()
-                        << " piped=" << piped.failure->failure.describe();
-                }
-                EXPECT_EQ(serial_state.memory_bytes, state.memory_bytes) << label;
-                EXPECT_EQ(serial_state.vector_count, state.vector_count) << label;
-                EXPECT_EQ(serial_state.next_height, state.next_height) << label;
-                EXPECT_EQ(serial_state.tip, state.tip) << label;
+        for (const Cell& cell : cells) {
+            const LanesScope lanes(cell.lanes);
+            util::ThreadPool pool(cell.threads);
+            FinalState state;
+            const ibd::BatchResult piped = run_batch(blocks, &pool, true, cell.window, &state);
+
+            const auto label = ::testing::Message() << "window=" << cell.window
+                                                    << " threads=" << cell.threads
+                                                    << " lanes=" << crypto::lanes_impl();
+            EXPECT_EQ(serial.connected, piped.connected) << label;
+            ASSERT_EQ(serial.failure.has_value(), piped.failure.has_value()) << label;
+            if (serial.failure.has_value()) {
+                EXPECT_EQ(serial.failure->block_index, piped.failure->block_index) << label;
+                EXPECT_EQ(serial.failure->height, piped.failure->height) << label;
+                EXPECT_TRUE(serial.failure->failure == piped.failure->failure)
+                    << label << " serial=" << serial.failure->failure.describe()
+                    << " piped=" << piped.failure->failure.describe();
             }
+            EXPECT_EQ(serial_state.memory_bytes, state.memory_bytes) << label;
+            EXPECT_EQ(serial_state.vector_count, state.vector_count) << label;
+            EXPECT_EQ(serial_state.next_height, state.next_height) << label;
+            EXPECT_EQ(serial_state.tip, state.tip) << label;
         }
     }
 
@@ -115,7 +143,10 @@ protected:
     /// and every window size and thread count must agree with it.
     void expect_serial_failure(const std::vector<core::EbvBlock>& blocks, std::size_t block,
                                const core::EbvValidationFailure& expected) {
-        const ibd::BatchResult serial = run_batch(blocks, nullptr, false, 1);
+        const ibd::BatchResult serial = [&] {
+            const LanesScope scalar("none");
+            return run_batch(blocks, nullptr, false, 1);
+        }();
         ASSERT_TRUE(serial.failure.has_value());
         EXPECT_EQ(serial.connected, block);
         EXPECT_EQ(serial.failure->block_index, block);
@@ -171,10 +202,13 @@ TEST_F(IbdPipeline, ValidChainMatchesSerialAcrossWindowsAndThreads) {
     ASSERT_LT(min_spend_distance, 16u)
         << "workload has no intra-window spend chain; pick another seed";
 
-    const std::uint64_t windows_before =
-        obs::Registry::global().counter("ebv.ibd.windows").value();
+    obs::Registry& registry = obs::Registry::global();
+    const std::uint64_t windows_before = registry.counter("ebv.ibd.windows").value();
+    const std::uint64_t lane_groups_before = registry.counter("ebv.crypto.lane_groups").value();
     expect_parity(chain_);
-    EXPECT_GT(obs::Registry::global().counter("ebv.ibd.windows").value(), windows_before);
+    EXPECT_GT(registry.counter("ebv.ibd.windows").value(), windows_before);
+    // The portable cells ran their P2PKH signatures through the lanes.
+    EXPECT_GT(registry.counter("ebv.crypto.lane_groups").value(), lane_groups_before);
 }
 
 TEST_F(IbdPipeline, BadSignatureRejectsIdentically) {

@@ -6,7 +6,8 @@
 // including deep ones crossing pipeline window boundaries and hostile
 // branches that must roll back, get the same cross-config treatment, and a
 // seed-logged randomized soak (EBV_SOAK_SEED / EBV_SOAK_BLOCKS) interleaves
-// all of it for hundreds of blocks.
+// all of it for hundreds of blocks. The mutation catalogue also compares
+// scalar signature checks against the lane backends (kLaneRuns).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,6 +26,7 @@
 #include "core/node.hpp"
 #include "core/reorg.hpp"
 #include "core/sig_cache.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "intermediary/converter.hpp"
 #include "script/standard.hpp"
 #include "util/thread_pool.hpp"
@@ -77,6 +79,31 @@ constexpr Config kConfigs[] = {
     {"pipelined", true, true, 4},
 };
 constexpr std::size_t kConfigCount = sizeof(kConfigs) / sizeof(kConfigs[0]);
+
+/// Pins the signature-lane backend (crypto::lanes_force_impl) for a scope;
+/// "auto" keeps what the CPU selects.
+class LanesScope {
+public:
+    explicit LanesScope(const char* impl) { EXPECT_TRUE(crypto::lanes_force_impl(impl)); }
+    ~LanesScope() { crypto::lanes_force_impl("auto"); }
+    LanesScope(const LanesScope&) = delete;
+    LanesScope& operator=(const LanesScope&) = delete;
+};
+
+/// The mutation tests' runs: the serial reference checks signatures one by
+/// one, the pooled configurations use the CPU's lane backend, and the
+/// pipelined one runs again with the portable lanes forced.
+struct LaneRun {
+    const Config& config;
+    const char* lanes;
+    const char* name;
+};
+const LaneRun kLaneRuns[] = {
+    {kConfigs[0], "none", "serial"},
+    {kConfigs[1], "auto", "parallel"},
+    {kConfigs[2], "auto", "pipelined"},
+    {kConfigs[2], "portable", "pipelined+portable-lanes"},
+};
 
 std::unique_ptr<core::EbvNode> make_node(const Config& cfg, util::ThreadPool* pool,
                                          const chain::ChainParams& params,
@@ -193,8 +220,8 @@ protected:
 };
 
 // Every mutation, through every configuration: the serial validator
-// reports the designed error at the mutated block, and the other three
-// configurations reproduce its tuple and end state bit for bit.
+// reports the designed error at the mutated block, and the other runs of
+// kLaneRuns reproduce its tuple and end state bit for bit.
 TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyAcrossConfigs) {
     util::ThreadPool pool(4);
     workload::Adversary adversary(1);
@@ -215,18 +242,19 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyAcrossConfigs) {
 
         std::vector<std::unique_ptr<core::EbvNode>> nodes;
         std::optional<ibd::BatchResult> serial;
-        for (const Config& cfg : kConfigs) {
-            nodes.push_back(make_node(cfg, &pool, gen_options_.params));
+        for (const LaneRun& run : kLaneRuns) {
+            const LanesScope lanes(run.lanes);
+            nodes.push_back(make_node(run.config, &pool, gen_options_.params));
             const ibd::BatchResult result = nodes.back()->submit_blocks(blocks);
-            ASSERT_TRUE(result.failure.has_value()) << cfg.name;
+            ASSERT_TRUE(result.failure.has_value()) << run.name;
             if (!serial) {
                 serial = result;
                 EXPECT_EQ(result.failure->block_index, applied->block);
                 EXPECT_EQ(result.failure->failure.error, expected_error(m))
                     << result.failure->failure.describe();
             } else {
-                expect_same_batch(*serial, result, cfg.name);
-                expect_same_state(*nodes.front(), *nodes.back(), cfg.name);
+                expect_same_batch(*serial, result, run.name);
+                expect_same_state(*nodes.front(), *nodes.back(), run.name);
             }
         }
     }
@@ -264,19 +292,24 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
         }
         ASSERT_TRUE(applied.has_value()) << "mutation never applied";
 
-        // Cold serial baseline (no cache) is the contract's ground truth.
+        // Cold serial baseline (no cache, scalar signature checks) is the
+        // contract's ground truth.
         auto baseline = make_node(kConfigs[0], &pool, gen_options_.params);
-        const ibd::BatchResult cold = baseline->submit_blocks(blocks);
+        const ibd::BatchResult cold = [&] {
+            const LanesScope scalar("none");
+            return baseline->submit_blocks(blocks);
+        }();
         ASSERT_TRUE(cold.failure.has_value());
         EXPECT_EQ(cold.failure->failure.error, expected_error(m))
             << cold.failure->failure.describe();
 
-        for (const Config& cfg : kConfigs) {
-            auto node = make_node(cfg, &pool, gen_options_.params, {}, &cache);
+        for (const LaneRun& run : kLaneRuns) {
+            const LanesScope lanes(run.lanes);
+            auto node = make_node(run.config, &pool, gen_options_.params, {}, &cache);
             const ibd::BatchResult result = node->submit_blocks(blocks);
-            ASSERT_TRUE(result.failure.has_value()) << cfg.name;
-            expect_same_batch(cold, result, std::string(cfg.name) + "+sigcache");
-            expect_same_state(*baseline, *node, std::string(cfg.name) + "+sigcache");
+            ASSERT_TRUE(result.failure.has_value()) << run.name;
+            expect_same_batch(cold, result, std::string(run.name) + "+sigcache");
+            expect_same_state(*baseline, *node, std::string(run.name) + "+sigcache");
         }
     }
 }

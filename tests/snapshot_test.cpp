@@ -9,6 +9,7 @@
 
 #include "core/node.hpp"
 #include "intermediary/converter.hpp"
+#include "util/serialize.hpp"
 #include "workload/generator.hpp"
 
 namespace ebv::core {
@@ -43,7 +44,7 @@ TEST(Snapshot, SaveLoadResumesChain) {
     for (int i = 0; i < 20; ++i) ASSERT_TRUE(node.submit_block(blocks[i]).has_value());
 
     const std::string path = snapshot_path();
-    node.save_snapshot(path);
+    ASSERT_TRUE(node.save_snapshot(path));
 
     auto restored = EbvNode::load_snapshot(path, options);
     std::filesystem::remove(path);
@@ -82,7 +83,7 @@ TEST(Snapshot, CorruptSnapshotRejected) {
     }
 
     const std::string path = snapshot_path();
-    node.save_snapshot(path);
+    ASSERT_TRUE(node.save_snapshot(path));
 
     // Truncate the file: load must fail cleanly.
     std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
@@ -90,6 +91,48 @@ TEST(Snapshot, CorruptSnapshotRejected) {
     std::filesystem::remove(path);
 
     EXPECT_FALSE(EbvNode::load_snapshot("/nonexistent/snapshot", options).has_value());
+}
+
+TEST(Snapshot, FailedSaveLeavesPreviousSnapshotIntact) {
+    workload::GeneratorOptions gen_options;
+    gen_options.seed = 29;
+    gen_options.params.coinbase_maturity = 5;
+    workload::ChainGenerator gen(gen_options);
+    intermediary::Converter converter;
+
+    EbvNodeOptions options;
+    options.params = gen_options.params;
+    EbvNode node(options);
+    for (int i = 0; i < 8; ++i) {
+        auto converted = converter.convert_block(gen.next_block());
+        ASSERT_TRUE(converted.has_value());
+        ASSERT_TRUE(node.submit_block(*converted).has_value());
+        if (i == 4) ASSERT_TRUE(node.save_snapshot(snapshot_path()));
+    }
+    const std::string path = snapshot_path();
+    const util::Result<util::Bytes, util::DecodeError> before = util::read_file(path);
+    ASSERT_TRUE(before.has_value());
+
+    // The temp file cannot be created: its name is an existing directory.
+    std::filesystem::create_directory(path + ".tmp");
+    EXPECT_FALSE(node.save_snapshot(path));
+    EXPECT_TRUE(std::filesystem::is_directory(path + ".tmp"));
+    std::filesystem::remove(path + ".tmp");
+
+    const util::Result<util::Bytes, util::DecodeError> after = util::read_file(path);
+    ASSERT_TRUE(after.has_value());
+    EXPECT_EQ(*after, *before);
+    auto restored = EbvNode::load_snapshot(path, options);
+    ASSERT_TRUE(restored.has_value());
+    EXPECT_EQ((*restored)->next_height(), 5u);
+
+    // With the obstruction gone the save goes through, and leaves no temp.
+    ASSERT_TRUE(node.save_snapshot(path));
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+    auto latest = EbvNode::load_snapshot(path, options);
+    std::filesystem::remove(path);
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ((*latest)->next_height(), 8u);
 }
 
 /// A five-block node plus its snapshot split into the header section and
@@ -110,7 +153,7 @@ protected:
             ASSERT_TRUE(node_->submit_block(*converted).has_value());
             output_counts_.push_back(static_cast<std::uint32_t>(converted->output_count()));
         }
-        node_->save_snapshot(path_);
+        ASSERT_TRUE(node_->save_snapshot(path_));
         std::ifstream in(path_, std::ios::binary);
         util::Bytes file{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
         util::Writer status;
