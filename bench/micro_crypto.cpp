@@ -246,13 +246,15 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
-// One 8-job group through crypto::verify_lanes per iteration, reported per
-// verify: eight keys, each with its own valid signature.
+// One group through crypto::verify_lanes per iteration, reported per
+// verify: Arg keys, each with its own valid signature. A group of one
+// takes the scalar verify (docs/CRYPTO.md).
 void BM_EcdsaVerifyLanes(benchmark::State& state) {
     state.SetLabel(lanes_backend());
     util::Rng rng(6);
+    const auto group = static_cast<std::size_t>(state.range(0));
     std::vector<crypto::VerifyJob> jobs;
-    for (std::size_t i = 0; i < crypto::kVerifyLanes; ++i) {
+    for (std::size_t i = 0; i < group; ++i) {
         const auto key = crypto::PrivateKey::generate(rng);
         crypto::Hash256 digest;
         rng.fill({digest.bytes().data(), 32});
@@ -261,10 +263,9 @@ void BM_EcdsaVerifyLanes(benchmark::State& state) {
     for (auto _ : state) {
         benchmark::DoNotOptimize(crypto::verify_lanes(jobs));
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
-                                                      crypto::kVerifyLanes));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * group));
 }
-BENCHMARK(BM_EcdsaVerifyLanes);
+BENCHMARK(BM_EcdsaVerifyLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // Decompression (square root of x³ + 7) on every call, no memo.
 void BM_PubkeyDecompress(benchmark::State& state) {

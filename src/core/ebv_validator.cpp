@@ -3,6 +3,7 @@
 #include "chain/amount.hpp"
 #include "core/sig_cache.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "crypto/parse_memo.hpp"
 #include "crypto/sha256.hpp"
 #include "script/opcodes.hpp"
@@ -102,6 +103,24 @@ script::ScriptError sv_collect_input(const EbvTransaction& tx, std::size_t input
     // only an inline run gives the exact error.
     deferred.reset();
     return sv_check_input(tx, input_index, cache, sigcache);
+}
+
+void LaneBatcher::add(const crypto::VerifyJob& job, std::size_t owner) {
+    jobs_[size_] = job;
+    owners_[size_++] = owner;
+    if (size_ == crypto::kVerifyLanes) flush();
+}
+
+void LaneBatcher::flush() {
+    const std::uint8_t valid = crypto::verify_lanes({jobs_.data(), size_});
+    for (std::size_t k = 0; k < size_; ++k) {
+        if ((valid >> k & 1) == 0) {
+            on_false_(owners_[k]);
+        } else if (sigcache_ != nullptr) {
+            sigcache_->insert(jobs_[k]);
+        }
+    }
+    size_ = 0;
 }
 
 std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,

@@ -11,6 +11,7 @@
 // transaction.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -19,6 +20,7 @@
 #include "core/ebv_transaction.hpp"
 #include "core/sighash_cache.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "script/interpreter.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
@@ -108,6 +110,33 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
                                                    const TxSighashCache* cache,
                                                    SigCache* sigcache,
                                                    std::optional<crypto::VerifyJob>& deferred);
+
+/// The signatures sv_collect_input deferred, checked crypto::kVerifyLanes
+/// at a time with one crypto::verify_lanes call. Each triple comes with an
+/// owner, the caller's index of the input or transaction it came from. A
+/// true triple goes into `sigcache` (when given); a false one calls
+/// `on_false(owner)`, in the order the triples were added, and the caller
+/// re-runs that owner's check inline for its exact verdict. One batcher
+/// per thread (ibd::Pipeline's claimer tasks, TxPool's admission
+/// claimers). `on_false` must outlive the batcher and must not add to it.
+class LaneBatcher {
+public:
+    LaneBatcher(SigCache* sigcache, util::FunctionRef<void(std::size_t)> on_false)
+        : sigcache_(sigcache), on_false_(on_false) {}
+
+    /// Queues a deferred triple; verifies the group once it is full.
+    void add(const crypto::VerifyJob& job, std::size_t owner);
+    /// Verifies the queued triples, a partial group, and empties it.
+    void flush();
+    [[nodiscard]] std::size_t size() const { return size_; }
+
+private:
+    std::array<crypto::VerifyJob, crypto::kVerifyLanes> jobs_;
+    std::array<std::size_t, crypto::kVerifyLanes> owners_{};
+    std::size_t size_ = 0;
+    SigCache* sigcache_;
+    util::FunctionRef<void(std::size_t)> on_false_;
+};
 
 /// The stateless structural pass, in check order: shape, then the block's
 /// own Merkle root, then values. Returns the first structural failure, or

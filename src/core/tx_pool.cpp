@@ -1,12 +1,14 @@
 #include "core/tx_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <iterator>
 #include <optional>
 
 #include "chain/amount.hpp"
 #include "core/sighash_cache.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "obs/metrics.hpp"
 #include "util/stopwatch.hpp"
 
@@ -50,11 +52,14 @@ struct TxPoolMetrics {
 /// submit_batch() — which is what makes batch verdicts bit-identical to
 /// serial ones. Checks run in the serial order EV -> UV -> maturity ->
 /// value -> SV per input, first failure wins. On kAccepted, *fee_out holds
-/// the transaction fee.
+/// the transaction fee. Given `lanes`, standard P2PKH signatures that miss
+/// `sigcache` are deferred there under `owner` and count as valid here; a
+/// false one must re-run this transaction without `lanes`.
 TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams& params,
                               const chain::HeaderIndex& headers, const BitVectorSet& status,
                               std::uint32_t next_height, bool verify_scripts,
-                              SigCache* sigcache, chain::Amount* fee_out) {
+                              SigCache* sigcache, chain::Amount* fee_out,
+                              LaneBatcher* lanes = nullptr, std::size_t owner = 0) {
     if (tx.is_coinbase() || tx.inputs.empty()) return TxAdmission::kNotStandalone;
 
     chain::Amount value_in = 0;
@@ -88,8 +93,15 @@ TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams
         if (tx.inputs.size() >= kSighashCacheMinInputs) cache_storage.emplace(tx);
         const TxSighashCache* cache = cache_storage ? &*cache_storage : nullptr;
         for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
-            if (sv_check_input(tx, i, cache, sigcache) != script::ScriptError::kOk)
-                return TxAdmission::kScriptFailed;
+            script::ScriptError err;
+            if (lanes != nullptr && is_standard_p2pkh(tx.inputs[i])) {
+                std::optional<crypto::VerifyJob> triple;
+                err = sv_collect_input(tx, i, cache, sigcache, triple);
+                if (triple) lanes->add(*triple, owner);
+            } else {
+                err = sv_check_input(tx, i, cache, sigcache);
+            }
+            if (err != script::ScriptError::kOk) return TxAdmission::kScriptFailed;
         }
     }
     if (fee_out != nullptr) *fee_out = value_in - value_out;
@@ -140,18 +152,21 @@ struct TxPool::Prevalidation {
     std::size_t bytes = 0;
 };
 
-bool TxPool::feerate_beats(const Entry& a, const Entry& b) const {
-    const auto lhs = static_cast<unsigned __int128>(a.fee) * b.bytes;
-    const auto rhs = static_cast<unsigned __int128>(b.fee) * a.bytes;
+bool TxPool::feerate_beats(chain::Amount fee_a, std::size_t bytes_a, chain::Amount fee_b,
+                           std::size_t bytes_b) {
+    const auto lhs = static_cast<unsigned __int128>(fee_a) * bytes_b;
+    const auto rhs = static_cast<unsigned __int128>(fee_b) * bytes_a;
     return lhs > rhs;
 }
 
-void TxPool::prevalidate(const EbvTransaction& tx, Prevalidation& out) const {
+void TxPool::prevalidate(const EbvTransaction& tx, Prevalidation& out, LaneBatcher* lanes,
+                         std::size_t owner) const {
     out.leaf = tx.leaf_hash();
     out.bytes = tx.serialized_size() + kEntryOverheadBytes;
     const std::uint32_t next_height = headers_.empty() ? 0 : headers_.height() + 1;
     out.verdict = stateless_verdict(tx, params_, headers_, status_, next_height,
-                                    options_.verify_scripts, options_.sigcache, &out.fee);
+                                    options_.verify_scripts, options_.sigcache, &out.fee,
+                                    lanes, owner);
 }
 
 TxAdmission TxPool::resolve(const EbvTransaction& tx, const Prevalidation& pre) {
@@ -170,9 +185,10 @@ TxAdmission TxPool::resolve(const EbvTransaction& tx, const Prevalidation& pre) 
         // spenders only when it strictly out-bids every one of them.
         if (!options_.replace_by_feerate || pre.verdict != TxAdmission::kAccepted)
             return TxAdmission::kConflict;
-        const Entry incoming{tx, pre.fee, pre.bytes};
         for (const crypto::Hash256& leaf : conflicts) {
-            if (!feerate_beats(incoming, pool_.at(leaf))) return TxAdmission::kConflict;
+            const Entry& pooled = pool_.at(leaf);
+            if (!feerate_beats(pre.fee, pre.bytes, pooled.fee, pooled.bytes))
+                return TxAdmission::kConflict;
         }
     }
     if (pre.verdict != TxAdmission::kAccepted) return pre.verdict;
@@ -235,18 +251,37 @@ std::vector<TxAdmission> TxPool::submit_batch(std::span<const EbvTransaction> tx
     m.batch_size.observe(static_cast<std::int64_t>(txs.size()));
     util::Stopwatch watch;
 
-    // Stage 1 — stateless prevalidation, fanned across workers. Everything
-    // state-independent (leaf hash, EV folds, UV against the frozen chain
-    // state, value rules, SV incl. sigcache warm-up) happens here; the
-    // chain state cannot change mid-batch, so verdicts match serial runs.
+    // Stage 1 — stateless prevalidation. Everything state-independent
+    // (leaf hash, EV folds, UV against the frozen chain state, value rules,
+    // SV incl. sigcache warm-up) happens here; the chain state cannot change
+    // mid-batch, so verdicts match serial runs.
+    // Up to one claimer per pool slot takes transactions from a shared
+    // cursor. With a lane backend, each claimer defers its standard P2PKH
+    // signatures to a LaneBatcher; a transaction with a false lane is
+    // re-validated without lanes once the claimer's last group is checked.
     std::vector<Prevalidation> pre(txs.size());
-    const auto body = [&](std::size_t /*slot*/, std::size_t i) {
-        prevalidate(txs[i], pre[i]);
+    const bool lanes = options_.verify_scripts && crypto::lanes_enabled();
+    std::atomic<std::size_t> next{0};
+    const auto claimer = [&](std::size_t /*slot*/, std::size_t /*claimer*/) {
+        // A transaction's triples are added, and so reported, consecutively.
+        std::vector<std::size_t> recheck;
+        const auto on_false = [&](std::size_t k) {
+            if (recheck.empty() || recheck.back() != k) recheck.push_back(k);
+        };
+        LaneBatcher batcher(options_.sigcache, on_false);
+        for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed); k < txs.size();
+             k = next.fetch_add(1, std::memory_order_relaxed)) {
+            prevalidate(txs[k], pre[k], lanes ? &batcher : nullptr, k);
+        }
+        batcher.flush();
+        for (const std::size_t k : recheck) prevalidate(txs[k], pre[k], nullptr, k);
     };
-    if (options_.pool != nullptr && txs.size() > 1) {
-        options_.pool->parallel_for_slots(txs.size(), body);
+    const std::size_t slots = options_.pool != nullptr ? options_.pool->thread_count() : 1;
+    const std::size_t claimers = std::min(slots, txs.size());
+    if (claimers > 1) {
+        options_.pool->parallel_for_slots(claimers, claimer);
     } else {
-        for (std::size_t i = 0; i < txs.size(); ++i) body(0, i);
+        claimer(0, 0);
     }
 
     // Stage 2 — serial resolution in submission order: duplicates and

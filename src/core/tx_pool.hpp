@@ -5,10 +5,12 @@
 // pending spends, so conflicting transactions are rejected at the door.
 //
 // Heavy-traffic front-end (docs/MEMPOOL.md):
-//  - submit_batch() fans the stateless per-transaction work (EV proof
-//    folds, sighash templates, SV) over a util::ThreadPool, then resolves
-//    verdicts serially in submission order — admission verdicts are
-//    bit-identical to one-at-a-time submit() calls on one thread.
+//  - submit_batch() runs the stateless per-transaction work (EV proof
+//    folds, sighash templates, SV) in one claimer
+//    per util::ThreadPool slot, standard P2PKH signatures eight at a time
+//    through a core::LaneBatcher when the CPU has a lane backend, then
+//    resolves verdicts serially in submission order — admission verdicts
+//    are bit-identical to one-at-a-time submit() calls on one thread.
 //  - A core::SigCache records every signature verified at admission, so
 //    validating a block built from the pool skips the curve work and
 //    approaches UV-only cost.
@@ -73,8 +75,8 @@ struct TxPoolOptions {
     /// newcomer itself (kPoolFull). EBV_MEMPOOL_BYTES, when set in the
     /// environment, overrides this value.
     std::size_t max_bytes = 0;
-    /// Fans submit_batch()'s stateless per-transaction validation across
-    /// workers; nullptr = serial admission.
+    /// Runs submit_batch()'s stateless per-transaction validation in one
+    /// claimer per slot; nullptr = one claimer on the calling thread.
     util::ThreadPool* pool = nullptr;
     /// Records admission-verified signatures for block-validation reuse;
     /// typically the same cache handed to EbvValidatorOptions::sigcache.
@@ -170,8 +172,11 @@ private:
     /// before the serial resolution pass.
     struct Prevalidation;
 
-    [[nodiscard]] bool feerate_beats(const Entry& a, const Entry& b) const;
-    void prevalidate(const EbvTransaction& tx, Prevalidation& out) const;
+    /// Whether fee_a / bytes_a is strictly above fee_b / bytes_b (exact).
+    [[nodiscard]] static bool feerate_beats(chain::Amount fee_a, std::size_t bytes_a,
+                                            chain::Amount fee_b, std::size_t bytes_b);
+    void prevalidate(const EbvTransaction& tx, Prevalidation& out, LaneBatcher* lanes,
+                     std::size_t owner) const;
     TxAdmission resolve(const EbvTransaction& tx, const Prevalidation& pre);
     void insert_entry(const crypto::Hash256& leaf, Entry entry);
     /// Takes the leaf by value: callers pass references into spends_ and

@@ -179,7 +179,9 @@ std::uint8_t verify_lanes(std::span<const VerifyJob> jobs) {
     EBV_EXPECTS(jobs.size() <= kVerifyLanes);
     const Impl impl = active_impl();
     std::uint8_t verdicts = 0;
-    if (impl == Impl::kNone) {
+    // One job costs more in the kernel than in the scalar verify: the
+    // kernel's time is per group, not per lane.
+    if (impl == Impl::kNone || jobs.size() == 1) {
         for (std::size_t i = 0; i < jobs.size(); ++i)
             if (jobs[i].key.verify(jobs[i].digest, jobs[i].sig)) verdicts |= 1u << i;
         return verdicts;

@@ -24,7 +24,9 @@ inline constexpr std::size_t kVerifyLanes = 8;
 /// Verdicts of up to kVerifyLanes jobs: bit i is
 /// jobs[i].key.verify(jobs[i].digest, jobs[i].sig). A lane whose sum hits
 /// an exceptional addition is redone by that scalar call
-/// (ebv.crypto.lane_fallbacks).
+/// (ebv.crypto.lane_fallbacks). A single job always takes the scalar call:
+/// the kernel costs the same for one lane as for eight. Only groups that
+/// run the kernel count in ebv.crypto.lane_groups.
 [[nodiscard]] std::uint8_t verify_lanes(std::span<const VerifyJob> jobs);
 
 /// The active backend: "ifma", "portable" or "none".

@@ -138,14 +138,6 @@ struct Verdict {
     script::ScriptError script = script::ScriptError::kOk;
 };
 
-/// A claimer's deferred signatures (crypto::verify_lanes input) and the
-/// proof jobs they came from.
-struct LaneGroup {
-    std::array<crypto::VerifyJob, crypto::kVerifyLanes> triples;
-    std::array<std::size_t, crypto::kVerifyLanes> job;
-    std::size_t size = 0;
-};
-
 /// CAS-min holder that can live in a vector sized at runtime.
 struct AtomicMin {
     std::atomic<std::size_t> value{kNoFail};
@@ -462,9 +454,10 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         // may be skipped only when a *lower* (block, ordinal) failure is
         // already recorded: the minima only ever decrease, so every verdict
         // the resolution pass reads was fully evaluated regardless of
-        // thread count. Given `lane_jobs` (the job is standard P2PKH), the
-        // input's signature joins it instead of being verified here.
-        const auto check_proof = [&](std::size_t slot, std::size_t j, LaneGroup* lane_jobs) {
+        // thread count. Given `triple` (the job is standard P2PKH), the
+        // input's signature is deferred there instead of being verified here.
+        const auto check_proof = [&](std::size_t slot, std::size_t j,
+                                     std::optional<crypto::VerifyJob>* triple) {
             const ProofJob& job = jobs[j];
             if (job.block > min_fail_block.load(std::memory_order_relaxed)) return;
             std::atomic<std::size_t>& block_ev_min = ev_min[job.block].value;
@@ -503,14 +496,9 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
             watch.restart();
             const core::TxSighashCache* cache = sighash_cache(job);
-            if (lane_jobs != nullptr) {
-                std::optional<crypto::VerifyJob> triple;
+            if (triple != nullptr) {
                 record_sv(j, core::sv_collect_input(tx, job.input_index, cache,
-                                                    options_.sigcache, triple));
-                if (triple) {
-                    lane_jobs->job[lane_jobs->size] = j;
-                    lane_jobs->triples[lane_jobs->size++] = *triple;
-                }
+                                                    options_.sigcache, *triple));
             } else {
                 record_sv(j, core::sv_check_input(tx, job.input_index, cache,
                                                   options_.sigcache));
@@ -522,27 +510,13 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                               job.ordinal);
         };
 
-        // Verifies a claimer's deferred signatures in one verify_lanes call
-        // and empties the group. A false lane re-runs its input inline, so
-        // its ScriptError is the scalar one.
-        const auto verify_deferred = [&](std::size_t slot, LaneGroup& lane_jobs) {
-            util::Stopwatch watch;
-            const std::uint8_t valid =
-                crypto::verify_lanes({lane_jobs.triples.data(), lane_jobs.size});
-            for (std::size_t k = 0; k < lane_jobs.size; ++k) {
-                const std::size_t j = lane_jobs.job[k];
-                if ((valid >> k & 1) != 0) {
-                    if (options_.sigcache != nullptr)
-                        options_.sigcache->insert(lane_jobs.triples[k]);
-                    continue;
-                }
-                const ProofJob& job = jobs[j];
-                record_sv(j, core::sv_check_input(window[job.block].txs[job.tx_index],
-                                                  job.input_index, sighash_cache(job),
-                                                  options_.sigcache));
-            }
-            lane_jobs.size = 0;
-            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
+        // A false lane of a claimer's core::LaneBatcher re-runs its input
+        // inline, so its ScriptError is the scalar one.
+        const auto recheck_false = [&](std::size_t j) {
+            const ProofJob& job = jobs[j];
+            record_sv(j, core::sv_check_input(window[job.block].txs[job.tx_index],
+                                              job.input_index, sighash_cache(job),
+                                              options_.sigcache));
         };
 
         const auto pass_body = [&](std::size_t slot, std::size_t index) {
@@ -567,14 +541,21 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 check_proof(slot, lanes ? tasks[t] : t, nullptr);
                 return;
             }
-            LaneGroup lane_jobs;
+            core::LaneBatcher batcher(options_.sigcache, recheck_false);
+            // Group verification counts as SV time of the claimer's slot.
+            const auto timed = [&](const auto& step) {
+                util::Stopwatch watch;
+                step();
+                sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
+            };
             while (!cancel_.cancelled()) {
                 const std::size_t k = next_p2pkh.fetch_add(1, std::memory_order_relaxed);
                 if (k >= p2pkh.size()) break;
-                check_proof(slot, p2pkh[k], &lane_jobs);
-                if (lane_jobs.size == crypto::kVerifyLanes) verify_deferred(slot, lane_jobs);
+                std::optional<crypto::VerifyJob> triple;
+                check_proof(slot, p2pkh[k], &triple);
+                if (triple) timed([&] { batcher.add(*triple, p2pkh[k]); });
             }
-            if (lane_jobs.size > 0) verify_deferred(slot, lane_jobs);
+            if (batcher.size() > 0) timed([&] { batcher.flush(); });
         };
 
         // ---- Stage 2 + deferred stage 3: one parallel region ---------------

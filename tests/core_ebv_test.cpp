@@ -3,6 +3,9 @@
 // defence, and the transaction-inflation bound.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "chain/miner.hpp"
 #include "chain/sighash.hpp"
 #include "core/chain_archive.hpp"
@@ -10,6 +13,7 @@
 #include "core/ebv_validator.hpp"
 #include "core/node.hpp"
 #include "core/sig_cache.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "script/standard.hpp"
 #include "util/rng.hpp"
 
@@ -328,6 +332,76 @@ TEST_F(EbvValidatorTest, CollectDefersTheSignatureAndKeepsEveryOtherVerdict) {
     extra_push.inputs[0].unlock_script.insert(extra_push.inputs[0].unlock_script.begin(),
                                               {0x01, 0x01});
     EXPECT_FALSE(is_standard_p2pkh(extra_push.inputs[0]));
+}
+
+TEST(LaneBatcher, VerifiesFullAndPartialGroupsAndReportsFalseOwnersInOrder) {
+    util::Rng rng(31);
+    const auto key = crypto::PrivateKey::generate(rng);
+    const auto job = [&](bool valid) {
+        crypto::Hash256 digest;
+        rng.fill({digest.bytes().data(), 32});
+        crypto::VerifyJob j{key.public_key(), key.sign(digest), digest};
+        if (!valid) j.digest.bytes()[0] ^= 0x01;
+        return j;
+    };
+
+    struct RestoreAuto {
+        ~RestoreAuto() { crypto::lanes_force_impl("auto"); }
+    } restore;
+    std::vector<std::string> backends = {"none", "portable"};
+    if (crypto::detail::have_ifma()) backends.emplace_back("ifma");
+    for (const std::string& backend : backends) {
+        SCOPED_TRACE(backend);
+        ASSERT_TRUE(crypto::lanes_force_impl(backend));
+        SigCache cache;
+        std::vector<std::size_t> false_owners;
+        const auto on_false = [&](std::size_t owner) { false_owners.push_back(owner); };
+        LaneBatcher batcher(&cache, on_false);
+
+        // A full group verifies on its eighth add: lanes 2 and 5 are false.
+        std::vector<crypto::VerifyJob> full;
+        for (std::size_t k = 0; k < crypto::kVerifyLanes; ++k) {
+            full.push_back(job(k != 2 && k != 5));
+            batcher.add(full.back(), 100 + k);
+            EXPECT_EQ(batcher.size(), (k + 1) % crypto::kVerifyLanes);
+        }
+        EXPECT_EQ(false_owners, (std::vector<std::size_t>{102, 105}));
+        for (std::size_t k = 0; k < full.size(); ++k)
+            EXPECT_EQ(cache.contains(full[k]), k != 2 && k != 5) << "lane " << k;
+
+        // A partial group waits for flush().
+        false_owners.clear();
+        const std::vector<crypto::VerifyJob> partial = {job(true), job(false), job(true)};
+        for (std::size_t k = 0; k < partial.size(); ++k) batcher.add(partial[k], 200 + k);
+        EXPECT_EQ(batcher.size(), partial.size());
+        EXPECT_TRUE(false_owners.empty());
+        EXPECT_FALSE(cache.contains(partial[0]));
+        batcher.flush();
+        EXPECT_EQ(batcher.size(), 0u);
+        EXPECT_EQ(false_owners, std::vector<std::size_t>{201});
+        EXPECT_TRUE(cache.contains(partial[0]));
+        EXPECT_FALSE(cache.contains(partial[1]));
+        EXPECT_TRUE(cache.contains(partial[2]));
+
+        // An all-false group reports every owner, in add order, and
+        // inserts nothing.
+        false_owners.clear();
+        std::vector<crypto::VerifyJob> all_false;
+        for (std::size_t k = 0; k < crypto::kVerifyLanes; ++k) {
+            all_false.push_back(job(false));
+            batcher.add(all_false.back(), 7 - k);
+        }
+        EXPECT_EQ(false_owners, (std::vector<std::size_t>{7, 6, 5, 4, 3, 2, 1, 0}));
+        for (const crypto::VerifyJob& j : all_false) EXPECT_FALSE(cache.contains(j));
+
+        // Without a SigCache, verdicts still reach on_false.
+        false_owners.clear();
+        LaneBatcher uncached(nullptr, on_false);
+        uncached.add(job(false), 1);
+        uncached.add(job(true), 2);
+        uncached.flush();
+        EXPECT_EQ(false_owners, std::vector<std::size_t>{1});
+    }
 }
 
 TEST_F(EbvValidatorTest, SignatureCoversOutputs) {

@@ -161,7 +161,9 @@ TEST_F(LanesTest, ExceptionalAdditionsFallBackToScalar) {
     obs::Counter& fallbacks = obs::Registry::global().counter("ebv.crypto.lane_fallbacks");
     const std::uint64_t before = fallbacks.value();
     expect_parity(jobs);
-    EXPECT_GT(fallbacks.value(), before);  // the corpus does reach the fallback
+    // The corpus does reach the fallback in groups of eight (a one-job
+    // group never runs the kernel, so it cannot fall back).
+    EXPECT_GT(fallbacks.value(), before);
 }
 
 // ---- a randomized corpus -----------------------------------------------------
@@ -208,6 +210,21 @@ TEST_F(LanesTest, RandomCorpusMatchesScalar) {
 TEST_F(LanesTest, GroupsOfOneToSeven) {
     const std::vector<VerifyJob> jobs = random_corpus(200);
     for (std::size_t group = 1; group < kVerifyLanes; ++group) expect_parity(jobs, group);
+}
+
+TEST_F(LanesTest, OneJobTakesTheScalarPath) {
+    // ebv.crypto.lane_groups counts kernel runs: a one-job group goes to
+    // PublicKey::verify, a group of two runs the kernel.
+    const std::vector<VerifyJob> jobs = random_corpus(2);
+    obs::Counter& groups = obs::Registry::global().counter("ebv.crypto.lane_groups");
+    for (const std::string& backend : backends()) {
+        ASSERT_TRUE(lanes_force_impl(backend));
+        const std::uint64_t before = groups.value();
+        EXPECT_EQ(verify_lanes({jobs.data(), 1}), scalar_mask({jobs.data(), 1})) << backend;
+        EXPECT_EQ(groups.value(), before) << backend;
+        EXPECT_EQ(verify_lanes(jobs), scalar_mask(jobs)) << backend;
+        EXPECT_EQ(groups.value(), before + 1) << backend;
+    }
 }
 
 TEST_F(LanesTest, EveryBadJobInEveryLane) {

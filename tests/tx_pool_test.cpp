@@ -1,9 +1,16 @@
 // Transaction-level validation and mempool behaviour (paper §IV-D).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
+#include <string>
+
 #include "core/chain_archive.hpp"
 #include "core/node.hpp"
 #include "core/tx_pool.hpp"
+#include "crypto/ecdsa_lanes.hpp"
+#include "obs/metrics.hpp"
 #include "script/standard.hpp"
 #include "util/rng.hpp"
 
@@ -64,6 +71,59 @@ protected:
         util::Bytes sig = key_.sign(digest).to_der();
         sig.push_back(0x01);
         tx.inputs[0].unlock_script = script::make_p2pkh_unlock(sig, key_.public_key());
+        return tx;
+    }
+
+    /// Mines a block whose coinbase pays one equal output per lock, then
+    /// enough empty blocks for it to mature. Returns its height.
+    std::uint32_t mine_funding(const std::vector<script::Script>& locks) {
+        const std::uint32_t height = node_->next_height();
+        EbvBlock block;
+        EbvTransaction coinbase;
+        coinbase.coinbase_data = {static_cast<std::uint8_t>(height), 2};
+        const Amount each =
+            options_.params.subsidy_at(height) / static_cast<Amount>(locks.size());
+        for (const auto& lock_script : locks)
+            coinbase.outputs.push_back(chain::TxOut{each, lock_script});
+        block.txs.push_back(std::move(coinbase));
+        block.header.prev_hash = node_->headers().tip_hash();
+        block.assign_stake_positions();
+        auto result = node_->submit_block(block);
+        EXPECT_TRUE(result.has_value()) << result.error().describe();
+        archive_.add_block(block);
+        mine_blocks(static_cast<int>(options_.params.coinbase_maturity));
+        return height;
+    }
+
+    /// Spends outputs `outs` of the coinbase at `height` into one output,
+    /// `fee` below their sum, signing each input for its lock (P2PKH or
+    /// P2PK). Input i signs a digest one bit off when `tamper` holds i: the
+    /// signature still parses, so it reaches the signature check. Each
+    /// input's (pubkey, signature, digest) triple is appended to `triples`.
+    EbvTransaction spend_coinbase(std::uint32_t height, const std::vector<std::uint16_t>& outs,
+                                  Amount fee, std::vector<crypto::VerifyJob>& triples,
+                                  std::optional<std::size_t> tamper = std::nullopt) {
+        EbvTransaction tx;
+        Amount in = 0;
+        for (const std::uint16_t out : outs) {
+            tx.inputs.push_back(archive_.make_input(height, 0, out));
+            in += tx.inputs.back().els.outputs[out].value;
+        }
+        tx.outputs.push_back(chain::TxOut{in - fee, lock()});
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+            const script::Script& code = tx.inputs[i].els.outputs[outs[i]].lock_script;
+            const crypto::Hash256 digest = ebv_signature_hash(tx, i, code, 0x01);
+            crypto::Hash256 signed_digest = digest;
+            if (tamper == i) signed_digest.bytes()[0] ^= 0x01;
+            const crypto::Signature sig = key_.sign(signed_digest);
+            triples.push_back(crypto::VerifyJob{key_.public_key(), sig, digest});
+            util::Bytes der = sig.to_der();
+            der.push_back(0x01);
+            tx.inputs[i].unlock_script =
+                script::classify(code) == script::ScriptType::kP2Pk
+                    ? script::make_p2pk_unlock(der)
+                    : script::make_p2pkh_unlock(der, key_.public_key());
+        }
         return tx;
     }
 
@@ -240,6 +300,106 @@ TEST_F(TxPoolTest, BatchVerdictsMatchSerialSubmission) {
     // A warm sigcache changes nothing about verdicts on a re-run either.
     TxPool rerun_pool(options_.params, node_->headers(), node_->status(), options);
     EXPECT_EQ(rerun_pool.submit_batch(batch), serial);
+}
+
+/// Restores the lane backend a test forced.
+struct LanesAuto {
+    ~LanesAuto() { crypto::lanes_force_impl("auto"); }
+};
+
+TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
+    // Forty coinbase outputs: 39 P2PKH and one P2PK (output 39).
+    std::vector<script::Script> locks(39, lock());
+    locks.push_back(script::make_p2pk(key_.public_key()));
+    const std::uint32_t funding = mine_funding(locks);
+
+    // triples[k] holds burst[k]'s (pubkey, signature, digest) per input.
+    std::vector<EbvTransaction> burst;
+    std::vector<std::vector<crypto::VerifyJob>> triples;
+    const auto add = [&](std::vector<std::uint16_t> outs, Amount fee,
+                         std::optional<std::size_t> tamper = std::nullopt) {
+        triples.emplace_back();
+        burst.push_back(spend_coinbase(funding, outs, fee, triples.back(), tamper));
+    };
+
+    // In one claimer's order, each single-input P2PKH spend defers one
+    // signature, so spend k lands in lane k % 8 of group k / 8. Four full
+    // groups carry bad signatures in every lane position.
+    const std::vector<std::size_t> bad_spends = {0, 3, 9, 13, 18, 23, 28, 30};
+    {
+        std::set<std::size_t> lanes_hit;
+        for (const std::size_t k : bad_spends) lanes_hit.insert(k % crypto::kVerifyLanes);
+        ASSERT_EQ(lanes_hit.size(), crypto::kVerifyLanes);
+    }
+    std::vector<crypto::VerifyJob> bad;
+    for (std::uint16_t k = 0; k < 32; ++k) {
+        const bool tampered =
+            std::find(bad_spends.begin(), bad_spends.end(), k) != bad_spends.end();
+        add({k}, 10'000 + 100 * k, tampered ? std::optional<std::size_t>(0) : std::nullopt);
+        if (tampered) bad.push_back(triples.back()[0]);
+    }
+    // The partial group: a two-input spend whose second signature is bad,
+    // a P2PK spend (verified inline), an in-batch duplicate, a
+    // lower-feerate conflict, a higher-feerate replacement and one more
+    // plain spend.
+    add({32, 33}, 10'000, 1);
+    bad.push_back(triples.back()[1]);
+    const crypto::VerifyJob good_of_two = triples.back()[0];
+    add({39}, 10'000);
+    burst.push_back(burst[1]);
+    triples.push_back(triples[1]);
+    add({2}, 5'000);
+    add({4}, 90'000);
+    add({34}, 10'000);
+
+    // Ground truth: serial one-at-a-time submit() on the scalar path.
+    LanesAuto restore;
+    ASSERT_TRUE(crypto::lanes_force_impl("none"));
+    TxPool reference(options_.params, node_->headers(), node_->status());
+    std::vector<TxAdmission> serial;
+    for (const auto& tx : burst) serial.push_back(reference.submit(tx));
+    ASSERT_EQ(std::count(serial.begin(), serial.end(), TxAdmission::kScriptFailed),
+              static_cast<std::ptrdiff_t>(bad_spends.size() + 1));
+    ASSERT_EQ(serial[burst.size() - 4], TxAdmission::kDuplicate);
+    ASSERT_EQ(serial[burst.size() - 3], TxAdmission::kConflict);
+    ASSERT_EQ(serial[burst.size() - 2], TxAdmission::kAccepted);  // replaces burst[4]
+
+    obs::Counter& lane_groups = obs::Registry::global().counter("ebv.crypto.lane_groups");
+    util::ThreadPool one(1);
+    util::ThreadPool four(4);
+    for (const char* backend : {"none", "portable", "auto"}) {
+        for (util::ThreadPool* workers : {static_cast<util::ThreadPool*>(nullptr), &one, &four}) {
+            SCOPED_TRACE(std::string(backend) + ", " +
+                         (workers == nullptr ? "no pool"
+                                             : std::to_string(workers->thread_count()) +
+                                                   " threads"));
+            ASSERT_TRUE(crypto::lanes_force_impl(backend));
+            SigCache cache;
+            TxPoolOptions options;
+            options.pool = workers;
+            options.sigcache = &cache;
+            TxPool pool(options_.params, node_->headers(), node_->status(), options);
+            const std::uint64_t groups_before = lane_groups.value();
+            EXPECT_EQ(pool.submit_batch(burst), serial);
+            if (std::string(backend) == "portable") {
+                EXPECT_GT(lane_groups.value(), groups_before);
+            }
+
+            EXPECT_EQ(pool.size(), reference.size());
+            EXPECT_EQ(pool.bytes(), reference.bytes());
+            EXPECT_EQ(pool.build_template(lock(), burst.size()).txs,
+                      reference.build_template(lock(), burst.size()).txs);
+            for (const auto& tx : burst)
+                EXPECT_EQ(pool.contains(tx.leaf_hash()), reference.contains(tx.leaf_hash()));
+            for (std::size_t k = 0; k < burst.size(); ++k) {
+                if (serial[k] != TxAdmission::kAccepted) continue;
+                for (const crypto::VerifyJob& job : triples[k])
+                    EXPECT_TRUE(cache.contains(job)) << "spend " << k;
+            }
+            EXPECT_TRUE(cache.contains(good_of_two));
+            for (const crypto::VerifyJob& job : bad) EXPECT_FALSE(cache.contains(job));
+        }
+    }
 }
 
 TEST_F(TxPoolTest, BuildTemplateMinesCleanlyAndEvictsIncrementally) {
