@@ -121,7 +121,8 @@ void BM_ScriptVerifyBatch(benchmark::State& state) {
     util::ThreadPool pool(pooled ? 0 : 1);
 
     for (auto _ : state) {
-        core::EbvSignatureChecker checker(tx, 0);
+        const core::TxSighashCache cache(tx);
+        core::EbvSignatureChecker checker(cache, 0);
         if (pooled && pool.thread_count() > 0) {
             pool.parallel_for(batch, [&](std::size_t) {
                 benchmark::DoNotOptimize(

@@ -347,7 +347,7 @@ BENCHMARK(BM_Sighash_TemplateStream)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 
 // Batched consumption: materialize the n patched preimages from the base
 // buffer and push them through one sha256d_many call — the SIMD-lane path
-// core::TxSighashCache takes for a transaction's standard digests.
+// chain::SighashCache takes for a transaction's standard digests.
 void BM_Sighash_Template(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     const chain::Transaction tx = sighash_bench_tx(n);

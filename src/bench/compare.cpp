@@ -131,7 +131,7 @@ CompareResult compare_reports(const Value& baseline, const Value& current,
 
     // Provenance: refuse (or warn about) apples-to-oranges diffs. The git
     // SHA is *expected* to differ — that is the point of the comparison.
-    for (const char* key : {"build_type", "sha256_impl", "hw_threads"}) {
+    for (const char* key : {"build_type", "sha256_impl", "hw_threads", "lanes"}) {
         const std::string base_v = provenance_field(baseline, key);
         const std::string cur_v = provenance_field(current, key);
         if (base_v.empty() || cur_v.empty()) {

@@ -46,7 +46,7 @@ struct CompareOptions {
     /// counts as a regression (0.10 = 10 %).
     double tolerance = 0.10;
     /// Provenance mismatches (build type, SHA-256 backend, hardware
-    /// threads) are warnings by default; strict mode makes them errors so
+    /// threads, ECDSA-lane backend) are warnings by default; strict mode makes them errors so
     /// CI cannot accidentally gate an apples-to-oranges diff.
     bool strict_provenance = false;
     /// Regex-free metric filter: when non-empty, only metric names

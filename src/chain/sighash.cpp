@@ -2,7 +2,6 @@
 
 #include "crypto/ecdsa.hpp"
 #include "crypto/parse_memo.hpp"
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace ebv::chain {
@@ -60,29 +59,26 @@ util::Bytes sign_input(const Transaction& tx, std::size_t input_index,
     return sig;
 }
 
+std::optional<crypto::VerifyJob> signature_job(const SighashCache& cache,
+                                               std::size_t input_index,
+                                               util::ByteSpan signature, util::ByteSpan pubkey,
+                                               util::ByteSpan script_code) {
+    if (signature.empty()) return std::nullopt;
+    const std::uint8_t hash_type = signature.back();
+    if (hash_type != kSigHashAll) return std::nullopt;
+
+    const auto sig = crypto::parse_signature_der_memo(signature.first(signature.size() - 1));
+    if (!sig) return std::nullopt;
+    const auto key = crypto::parse_public_key_memo(pubkey);
+    if (!key) return std::nullopt;
+    return crypto::VerifyJob{*key, *sig, cache.digest(input_index, script_code, hash_type)};
+}
+
 bool TransactionSignatureChecker::check_signature(util::ByteSpan signature,
                                                   util::ByteSpan pubkey,
                                                   util::ByteSpan script_code) const {
-    if (signature.empty()) return false;
-
-    const auto hash_type = static_cast<SigHashType>(signature.back());
-    if (hash_type != kSigHashAll) return false;
-
-    const auto sig = crypto::parse_signature_der_memo(signature.first(signature.size() - 1));
-    if (!sig) return false;
-
-    const auto key = crypto::parse_public_key_memo(pubkey);
-    if (!key) return false;
-
-    if (tpl_ == nullptr) {
-        return key->verify(signature_hash(tx_, input_index_, script_code, hash_type),
-                           *sig);
-    }
-    static obs::Counter& bytes_saved =
-        obs::Registry::global().counter("ebv.crypto.sighash_bytes_saved");
-    bytes_saved.inc(static_cast<std::uint64_t>(tpl_->prefix_skipped(input_index_)) +
-                    tpl_->preimage_size(input_index_, script_code));
-    return key->verify(tpl_->digest(input_index_, script_code, hash_type), *sig);
+    const auto job = signature_job(cache_, input_index_, signature, pubkey, script_code);
+    return job && job->key.verify(job->digest, job->sig);
 }
 
 }  // namespace ebv::chain

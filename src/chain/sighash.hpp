@@ -1,5 +1,6 @@
-// Legacy signature-hash computation and the SignatureChecker the script VM
-// uses when validating Bitcoin-style transactions.
+// Legacy signature-hash computation, the signature rule both validators
+// share, and the SignatureChecker the script VM uses when validating
+// Bitcoin-style transactions.
 #pragma once
 
 #include <optional>
@@ -28,26 +29,31 @@ util::Bytes sign_input(const Transaction& tx, std::size_t input_index,
                        util::ByteSpan script_code, const crypto::PrivateKey& key,
                        SigHashType type = kSigHashAll);
 
+/// The signature rule of both validators, up to the curve check: the hash
+/// type must be SIGHASH_ALL, the DER signature and the public key must
+/// parse (through crypto::parse_memo), and the digest comes from `cache`.
+/// Returns the triple left to verify, or nullopt when the signature has
+/// already failed.
+[[nodiscard]] std::optional<crypto::VerifyJob> signature_job(const SighashCache& cache,
+                                                             std::size_t input_index,
+                                                             util::ByteSpan signature,
+                                                             util::ByteSpan pubkey,
+                                                             util::ByteSpan script_code);
+
+/// Verifies signature_job's triple. `cache` is built once per transaction
+/// (chain/validation.cpp builds one per transaction in the SV pass) and
+/// must be rebuilt if the transaction changes.
 class TransactionSignatureChecker final : public script::SignatureChecker {
 public:
-    /// `tpl`, when given, is a shared per-transaction template (built once,
-    /// reused across this tx's inputs — chain/validation.cpp builds one per
-    /// tx in the parallel SV pass, where the transaction is immutable for
-    /// the duration). Without one, the checker computes digests via the
-    /// naive signature_hash each call: a caller-owned checker may outlive
-    /// mutations of `tx`, so caching a serialization here would verify
-    /// against stale bytes.
-    TransactionSignatureChecker(const Transaction& tx, std::size_t input_index,
-                                const SighashTemplate* tpl = nullptr)
-        : tx_(tx), input_index_(input_index), tpl_(tpl) {}
+    TransactionSignatureChecker(const SighashCache& cache, std::size_t input_index)
+        : cache_(cache), input_index_(input_index) {}
 
     [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                        util::ByteSpan script_code) const override;
 
 private:
-    const Transaction& tx_;
+    const SighashCache& cache_;
     std::size_t input_index_;
-    const SighashTemplate* tpl_;
 };
 
 }  // namespace ebv::chain

@@ -1,7 +1,9 @@
 #include "chain/sighash_template.hpp"
 
-#include <cstring>
+#include <algorithm>
 
+#include "obs/metrics.hpp"
+#include "script/interpreter.hpp"
 #include "util/assert.hpp"
 #include "util/endian.hpp"
 #include "util/serialize.hpp"
@@ -71,7 +73,7 @@ SighashTemplateBuilder::SighashTemplateBuilder(std::uint32_t version, std::size_
 void SighashTemplateBuilder::add_input(const OutPoint& prevout, std::uint32_t sequence) {
     append_bytes(t_.base_, prevout.txid.span());
     append_u32(t_.base_, prevout.index);
-    t_.slots_.push_back(static_cast<std::uint32_t>(t_.base_.size()));
+    t_.slots_.push_back({static_cast<std::uint32_t>(t_.base_.size()), {}});
     t_.base_.push_back(0x00);  // blanked script: CompactSize(0)
     append_u32(t_.base_, sequence);
 }
@@ -92,15 +94,14 @@ SighashTemplate SighashTemplateBuilder::finish(std::uint32_t locktime) {
     // One streaming pass over the shared prefix, capturing the compression
     // state at each input slot's 64-byte block boundary. Slots are strictly
     // increasing, so the boundaries are non-decreasing and the pass feeds
-    // every byte exactly once — this is the O(tx_size) term.
-    t_.midstates_.reserve(t_.slots_.size());
+    // every byte exactly once.
     crypto::Sha256 h;
     std::size_t fed = 0;
-    for (const std::uint32_t slot : t_.slots_) {
-        const std::size_t boundary = slot & ~std::size_t{63};
+    for (auto& slot : t_.slots_) {
+        const std::size_t boundary = slot.offset & ~std::size_t{63};
         h.update({t_.base_.data() + fed, boundary - fed});
         fed = boundary;
-        t_.midstates_.push_back(h.midstate());
+        slot.midstate = h.midstate();
     }
     return std::move(t_);
 }
@@ -121,10 +122,10 @@ SighashTemplate SighashTemplate::build(const Transaction& tx) {
 crypto::Hash256 SighashTemplate::digest(std::size_t input_index, util::ByteSpan script_code,
                                         std::uint8_t hash_type) const {
     EBV_EXPECTS(input_index < slots_.size());
-    const std::size_t slot = slots_[input_index];
+    const std::size_t slot = slots_[input_index].offset;
     const std::size_t boundary = slot & ~std::size_t{63};
 
-    crypto::Sha256 h = crypto::Sha256::resume(midstates_[input_index]);
+    crypto::Sha256 h = crypto::Sha256::resume(slots_[input_index].midstate);
     h.update({base_.data() + boundary, slot - boundary});
 
     std::uint8_t len[9];
@@ -153,7 +154,7 @@ std::size_t SighashTemplate::preimage_size(std::size_t input_index,
 void SighashTemplate::preimage(std::size_t input_index, util::ByteSpan script_code,
                                std::uint8_t hash_type, util::Bytes& out) const {
     EBV_EXPECTS(input_index < slots_.size());
-    const std::size_t slot = slots_[input_index];
+    const std::size_t slot = slots_[input_index].offset;
     out.clear();
     out.reserve(preimage_size(input_index, script_code));
     append_bytes(out, {base_.data(), slot});
@@ -161,6 +162,55 @@ void SighashTemplate::preimage(std::size_t input_index, util::ByteSpan script_co
     append_bytes(out, script_code);
     append_bytes(out, {base_.data() + slot + 1, base_.size() - slot - 1});
     append_u32(out, hash_type);
+}
+
+SighashCache::SighashCache(SighashTemplate tpl, std::span<const util::ByteSpan> lock_scripts)
+    : tpl_(std::move(tpl)) {
+    EBV_EXPECTS(lock_scripts.empty() || lock_scripts.size() == tpl_.input_count());
+    const auto is_standard = [](util::ByteSpan lock) {
+        return !lock.empty() && !script::is_pay_to_script_hash(lock);
+    };
+    const auto standard_count = static_cast<std::size_t>(
+        std::count_if(lock_scripts.begin(), lock_scripts.end(), is_standard));
+    if (standard_count < 2) return;
+
+    // Materialize the standard preimages and hash them in one SIMD batch.
+    standard_codes_.resize(lock_scripts.size());
+    std::vector<util::Bytes> preimages(standard_count);
+    std::vector<util::ByteSpan> spans;
+    spans.reserve(standard_count);
+    for (std::size_t i = 0; i < lock_scripts.size(); ++i) {
+        if (!is_standard(lock_scripts[i])) continue;
+        standard_codes_[i] = lock_scripts[i];
+        util::Bytes& preimage = preimages[spans.size()];
+        tpl_.preimage(i, lock_scripts[i], 0x01, preimage);
+        spans.emplace_back(preimage.data(), preimage.size());
+    }
+    std::vector<crypto::Sha256::Digest> digests(standard_count);
+    crypto::sha256d_many(spans.data(), digests.data(), standard_count);
+
+    standard_.resize(lock_scripts.size());
+    for (std::size_t i = 0, k = 0; i < standard_codes_.size(); ++i) {
+        if (standard_codes_[i].empty()) continue;
+        standard_[i] = crypto::Hash256::from_span({digests[k].data(), digests[k].size()});
+        ++k;
+    }
+}
+
+crypto::Hash256 SighashCache::digest(std::size_t input_index, util::ByteSpan script_code,
+                                     std::uint8_t hash_type) const {
+    static obs::Counter& bytes_saved =
+        obs::Registry::global().counter("ebv.crypto.sighash_bytes_saved");
+    bytes_saved.inc(static_cast<std::uint64_t>(tpl_.prefix_skipped(input_index)) +
+                    tpl_.preimage_size(input_index, script_code));
+
+    if (hash_type == 0x01 && input_index < standard_codes_.size()) {
+        const util::ByteSpan code = standard_codes_[input_index];
+        if (!code.empty() && std::equal(script_code.begin(), script_code.end(), code.begin(),
+                                        code.end()))
+            return standard_[input_index];
+    }
+    return tpl_.digest(input_index, script_code, hash_type);
 }
 
 }  // namespace ebv::chain

@@ -276,22 +276,28 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         std::atomic<std::size_t> first_fail{kNoFail};
         std::vector<script::ScriptError> errors(script_jobs.size(), script::ScriptError::kOk);
 
-        // One sighash template per transaction, shared by all of its input
-        // jobs and built lazily inside the parallel region by whichever
-        // worker reaches the tx first (contiguous chunking means that is
-        // almost always the worker that runs every input of the tx).
-        // once_flag is neither movable nor copyable, hence the raw array.
-        std::vector<std::optional<SighashTemplate>> templates(block.txs.size());
-        const auto tpl_once = std::make_unique<std::once_flag[]>(block.txs.size());
+        // One sighash cache per transaction over its fetched coins' lock
+        // scripts (a transaction's jobs are contiguous, in input order),
+        // shared by all of its input jobs and built lazily inside the
+        // parallel region by whichever worker reaches the tx first
+        // (contiguous chunking means that is almost always the worker that
+        // runs every input of the tx). once_flag is neither movable nor
+        // copyable, hence the raw array.
+        std::vector<std::optional<SighashCache>> caches(block.txs.size());
+        const auto cache_once = std::make_unique<std::once_flag[]>(block.txs.size());
 
         auto check_one = [&](std::size_t j) {
             if (j > first_fail.load(std::memory_order_relaxed)) return;
             const PendingScript& job = script_jobs[j];
             const Transaction& tx = block.txs[job.tx_index];
-            std::call_once(tpl_once[job.tx_index],
-                           [&] { templates[job.tx_index] = SighashTemplate::build(tx); });
-            TransactionSignatureChecker checker(tx, job.input_index,
-                                                &*templates[job.tx_index]);
+            std::call_once(cache_once[job.tx_index], [&] {
+                std::vector<util::ByteSpan> locks;
+                locks.reserve(tx.vin.size());
+                for (std::size_t k = j - job.input_index; locks.size() < tx.vin.size(); ++k)
+                    locks.emplace_back(script_jobs[k].coin.lock_script);
+                caches[job.tx_index].emplace(SighashTemplate::build(tx), locks);
+            });
+            TransactionSignatureChecker checker(*caches[job.tx_index], job.input_index);
             const script::ScriptError err =
                 script::verify_script(tx.vin[job.input_index].unlock_script,
                                       job.coin.lock_script, checker);

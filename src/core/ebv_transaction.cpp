@@ -62,6 +62,15 @@ std::size_t tidy_size(std::size_t input_count, const std::vector<chain::TxOut>& 
            + 4 /* stake_position */;
 }
 
+/// The bytes a Merkle leaf hashes: the one leaf builder, for tidy
+/// transactions and for EBV transactions with their input hashes.
+template <typename Tx>
+util::Bytes tidy_bytes(const Tx& tx, std::span<const crypto::Hash256> input_hashes) {
+    util::Writer w(tidy_size(input_hashes.size(), tx.outputs, tx.coinbase_data));
+    serialize_tidy(w, tx, input_hashes);
+    return w.take();
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- Tidy ----
@@ -113,9 +122,7 @@ util::Result<TidyTransaction, util::DecodeError> TidyTransaction::deserialize(
 }
 
 crypto::Hash256 TidyTransaction::leaf_hash() const {
-    util::Writer w(serialized_size());
-    serialize(w);
-    return crypto::hash256(w.data());
+    return crypto::hash256(tidy_bytes(*this, input_hashes));
 }
 
 std::size_t TidyTransaction::serialized_size() const {
@@ -194,6 +201,13 @@ TidyTransaction EbvTransaction::tidy() const {
     t.coinbase_data = coinbase_data;
     t.stake_position = stake_position;
     return t;
+}
+
+crypto::Hash256 EbvTransaction::leaf_hash() const {
+    std::vector<crypto::Hash256> input_hashes;
+    input_hashes.reserve(inputs.size());
+    for (const auto& in : inputs) input_hashes.push_back(in.input_hash());
+    return crypto::hash256(tidy_bytes(*this, input_hashes));
 }
 
 void EbvTransaction::serialize(util::Writer& w) const {
@@ -328,11 +342,8 @@ std::vector<crypto::Hash256> EbvBlock::merkle_leaves(
     std::size_t cursor = 0;
     for (std::size_t t = 0; t < n; ++t) {
         const EbvTransaction& tx = txs[t];
-        const auto hashes = input_hashes.subspan(cursor, tx.inputs.size());
+        leaf_bufs[t] = tidy_bytes(tx, input_hashes.subspan(cursor, tx.inputs.size()));
         cursor += tx.inputs.size();
-        util::Writer w(tidy_size(hashes.size(), tx.outputs, tx.coinbase_data));
-        serialize_tidy(w, tx, hashes);
-        leaf_bufs[t] = w.take();
         leaf_spans[t] = {leaf_bufs[t].data(), leaf_bufs[t].size()};
     }
     std::vector<crypto::Sha256::Digest> leaf_digests(n);

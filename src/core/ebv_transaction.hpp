@@ -101,8 +101,9 @@ public:
 
     /// Project out the tidy transaction (recomputes input hashes).
     [[nodiscard]] TidyTransaction tidy() const;
-    /// The Merkle leaf of this transaction.
-    [[nodiscard]] crypto::Hash256 leaf_hash() const { return tidy().leaf_hash(); }
+    /// The Merkle leaf of this transaction, tidy().leaf_hash() without
+    /// copying the outputs into a TidyTransaction.
+    [[nodiscard]] crypto::Hash256 leaf_hash() const;
 
     void serialize(util::Writer& w) const;
     static util::Result<EbvTransaction, util::DecodeError> deserialize(util::Reader& r);

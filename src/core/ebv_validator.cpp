@@ -1,10 +1,10 @@
 #include "core/ebv_validator.hpp"
 
 #include "chain/amount.hpp"
+#include "chain/sighash.hpp"
 #include "core/sig_cache.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/ecdsa_lanes.hpp"
-#include "crypto/parse_memo.hpp"
 #include "crypto/sha256.hpp"
 #include "script/opcodes.hpp"
 #include "util/assert.hpp"
@@ -67,11 +67,21 @@ EvStatus ev_check_input(const EbvInput& in, const chain::BlockHeader* header,
 }
 
 script::ScriptError sv_check_input(const EbvTransaction& tx, std::size_t input_index,
-                                   const TxSighashCache* cache, SigCache* sigcache) {
+                                   const chain::SighashCache& cache, SigCache* sigcache,
+                                   std::optional<crypto::VerifyJob>* deferred) {
     const EbvInput& in = tx.inputs[input_index];
-    EbvSignatureChecker checker(tx, input_index, cache, sigcache);
-    return script::verify_script(in.unlock_script, in.els.outputs[in.out_index].lock_script,
-                                 checker);
+    const script::Script& lock = in.els.outputs[in.out_index].lock_script;
+    if (deferred != nullptr) {
+        deferred->reset();
+        EbvSignatureChecker checker(cache, input_index, sigcache, deferred);
+        const script::ScriptError err = script::verify_script(in.unlock_script, lock, checker);
+        if (err == script::ScriptError::kOk || !*deferred) return err;
+        // The assumed-valid signature may have steered the failing run, so
+        // only an inline run gives the exact error.
+        deferred->reset();
+    }
+    EbvSignatureChecker checker(cache, input_index, sigcache);
+    return script::verify_script(in.unlock_script, lock, checker);
 }
 
 bool is_standard_p2pkh(const EbvInput& in) {
@@ -88,21 +98,6 @@ bool is_standard_p2pkh(const EbvInput& in) {
     const std::size_t second = 1 + std::size_t{unlock[0]};
     return second < unlock.size() && direct_push(unlock[second]) &&
            second + 1 + unlock[second] == unlock.size();
-}
-
-script::ScriptError sv_collect_input(const EbvTransaction& tx, std::size_t input_index,
-                                     const TxSighashCache* cache, SigCache* sigcache,
-                                     std::optional<crypto::VerifyJob>& deferred) {
-    deferred.reset();
-    const EbvInput& in = tx.inputs[input_index];
-    EbvSignatureChecker checker(tx, input_index, cache, sigcache, &deferred);
-    const script::ScriptError err = script::verify_script(
-        in.unlock_script, in.els.outputs[in.out_index].lock_script, checker);
-    if (err == script::ScriptError::kOk || !deferred) return err;
-    // The assumed-valid signature may have steered the failing run, so
-    // only an inline run gives the exact error.
-    deferred.reset();
-    return sv_check_input(tx, input_index, cache, sigcache);
 }
 
 void LaneBatcher::add(const crypto::VerifyJob& job, std::size_t owner) {
@@ -172,29 +167,18 @@ std::optional<EbvValidationFailure> check_block_values(const EbvBlock& block) {
 
 bool EbvSignatureChecker::check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                           util::ByteSpan script_code) const {
-    if (signature.empty()) return false;
-    const std::uint8_t hash_type = signature.back();
-    if (hash_type != 0x01) return false;  // SIGHASH_ALL only
-
-    const auto sig = crypto::parse_signature_der_memo(signature.first(signature.size() - 1));
-    if (!sig) return false;
-    const auto key = crypto::parse_public_key_memo(pubkey);
-    if (!key) return false;
-
-    const crypto::VerifyJob job{
-        *key, *sig,
-        cache_ != nullptr ? cache_->digest(input_index_, script_code, hash_type)
-                          : ebv_signature_hash(tx_, input_index_, script_code, hash_type)};
+    const auto job = chain::signature_job(cache_, input_index_, signature, pubkey, script_code);
+    if (!job) return false;
     // Cache hit = this exact (sighash, pubkey, sig) triple already verified
     // TRUE (only successes are ever inserted), so the curve check is
     // redundant. Misses verify inline and, on success, warm the cache.
-    if (sigcache_ != nullptr && sigcache_->contains(job)) return true;
+    if (sigcache_ != nullptr && sigcache_->contains(*job)) return true;
     if (deferred_ != nullptr && !deferred_->has_value()) {
-        *deferred_ = job;
+        *deferred_ = *job;
         return true;
     }
-    const bool ok = job.key.verify(job.digest, job.sig);
-    if (ok && sigcache_ != nullptr) sigcache_->insert(job);
+    const bool ok = job->key.verify(job->digest, job->sig);
+    if (ok && sigcache_ != nullptr) sigcache_->insert(*job);
     return ok;
 }
 

@@ -82,14 +82,20 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
                                       std::uint32_t spending_height);
 
 /// SV for one input. The caller guarantees the input passed EV (so
-/// out_index is in range). `cache` optionally shares the transaction's
-/// sighash template across inputs (nullptr = naive per-call serialization);
-/// `sigcache` optionally short-circuits signatures already verified at
-/// mempool admission (docs/MEMPOOL.md).
-[[nodiscard]] script::ScriptError sv_check_input(const EbvTransaction& tx,
-                                                 std::size_t input_index,
-                                                 const TxSighashCache* cache = nullptr,
-                                                 SigCache* sigcache = nullptr);
+/// out_index is in range). `cache` is the transaction's sighash cache,
+/// shared across its inputs; `sigcache` optionally short-circuits
+/// signatures already verified at mempool admission (docs/MEMPOOL.md).
+///
+/// With `deferred`, the caller verifies the signature itself, later
+/// (ibd::Pipeline and TxPool hand the triples to a LaneBatcher): a sigcache
+/// miss is recorded in `*deferred` and reported as a success instead of
+/// being verified. When the result is kOk and `*deferred` is set, the input
+/// passes iff the triple verifies; if it does not, re-run without
+/// `deferred` for the exact ScriptError. Any other result is final (a
+/// failing run that deferred a triple is re-run inline here).
+[[nodiscard]] script::ScriptError sv_check_input(
+    const EbvTransaction& tx, std::size_t input_index, const chain::SighashCache& cache,
+    SigCache* sigcache = nullptr, std::optional<crypto::VerifyJob>* deferred = nullptr);
 
 /// Whether the input is a standard P2PKH spend: out_index names the
 /// 25-byte `OP_DUP OP_HASH160 <20> OP_EQUALVERIFY OP_CHECKSIG` locking
@@ -97,21 +103,7 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
 /// pushes (signature, pubkey).
 [[nodiscard]] bool is_standard_p2pkh(const EbvInput& in);
 
-/// sv_check_input for a caller that verifies the signature itself, later
-/// (ibd::Pipeline hands the triples to crypto::verify_lanes). The checker
-/// parses, digests and consults `sigcache` as sv_check_input's does, but
-/// a sigcache miss is recorded in `deferred` and reported as a success
-/// instead of being verified. When the result is kOk and `deferred` is
-/// set, the input passes iff the triple verifies; if it does not, re-run
-/// sv_check_input for the exact ScriptError. Any other result is already
-/// sv_check_input's (a failing run that deferred a triple is re-run here).
-[[nodiscard]] script::ScriptError sv_collect_input(const EbvTransaction& tx,
-                                                   std::size_t input_index,
-                                                   const TxSighashCache* cache,
-                                                   SigCache* sigcache,
-                                                   std::optional<crypto::VerifyJob>& deferred);
-
-/// The signatures sv_collect_input deferred, checked crypto::kVerifyLanes
+/// The signatures sv_check_input deferred, checked crypto::kVerifyLanes
 /// at a time with one crypto::verify_lanes call. Each triple comes with an
 /// owner, the caller's index of the input or transaction it came from. A
 /// true triple goes into `sigcache` (when given); a false one calls
@@ -192,28 +184,23 @@ struct EbvValidatorOptions {
     SigCache* sigcache = nullptr;
 };
 
-/// SignatureChecker binding the script VM to EBV's signature-hash rules.
+/// SignatureChecker binding the script VM to EBV transactions: the shared
+/// signature rule (chain::signature_job), then the `sigcache` lookup, then
+/// the curve check, unless `deferred` takes the first miss (see
+/// sv_check_input).
 class EbvSignatureChecker final : public script::SignatureChecker {
 public:
-    /// With `deferred`, the first signature that misses `sigcache` is
-    /// recorded there and reported valid (see sv_collect_input).
-    EbvSignatureChecker(const EbvTransaction& tx, std::size_t input_index,
-                        const TxSighashCache* cache = nullptr,
+    EbvSignatureChecker(const chain::SighashCache& cache, std::size_t input_index,
                         SigCache* sigcache = nullptr,
                         std::optional<crypto::VerifyJob>* deferred = nullptr)
-        : tx_(tx),
-          input_index_(input_index),
-          cache_(cache),
-          sigcache_(sigcache),
-          deferred_(deferred) {}
+        : cache_(cache), input_index_(input_index), sigcache_(sigcache), deferred_(deferred) {}
 
     [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                        util::ByteSpan script_code) const override;
 
 private:
-    const EbvTransaction& tx_;
+    const chain::SighashCache& cache_;
     std::size_t input_index_;
-    const TxSighashCache* cache_;
     SigCache* sigcache_;
     std::optional<crypto::VerifyJob>* deferred_;
 };

@@ -1,79 +1,41 @@
 #include "core/sighash_cache.hpp"
 
-#include <algorithm>
+#include <vector>
 
-#include "crypto/sha256.hpp"
-#include "script/interpreter.hpp"
 #include "util/serialize.hpp"
 
 namespace ebv::core {
 
-TxSighashCache::TxSighashCache(const EbvTransaction& tx)
-    : tx_(tx), tpl_([&] {
-          std::size_t size = 4 + util::compact_size_length(tx.inputs.size()) +
-                             41 * tx.inputs.size() +
-                             util::compact_size_length(tx.outputs.size()) + 4;
-          for (const chain::TxOut& out : tx.outputs)
-              size += 8 + util::compact_size_length(out.lock_script.size()) +
-                      out.lock_script.size();
+namespace {
 
-          chain::SighashTemplate::Builder b(tx.version, tx.inputs.size(),
-                                            tx.outputs.size(), size);
-          for (const EbvInput& in : tx.inputs) b.add_input(in.prevout, in.sequence);
-          b.begin_outputs(tx.outputs.size());
-          for (const chain::TxOut& out : tx.outputs) b.add_output(out);
-          return b.finish(tx.locktime);
-      }()) {
-    const std::size_t n = tx.inputs.size();
-    standard_.resize(n);
-    has_standard_.assign(n, 0);
+chain::SighashTemplate build_template(const EbvTransaction& tx) {
+    std::size_t size = 4 + util::compact_size_length(tx.inputs.size()) + 41 * tx.inputs.size() +
+                       util::compact_size_length(tx.outputs.size()) + 4;
+    for (const chain::TxOut& out : tx.outputs)
+        size += 8 + util::compact_size_length(out.lock_script.size()) + out.lock_script.size();
 
-    // Materialize the standard preimages and hash them in one SIMD batch.
-    // Inputs whose claimed out_index is invalid (EV will reject them) or
-    // whose lock script is P2SH (the VM hands the checker the redeem
-    // script, not this one) are left to the on-demand template path.
-    std::vector<util::Bytes> preimages;
-    std::vector<util::ByteSpan> spans;
-    std::vector<std::size_t> which;
-    preimages.reserve(n);
-    which.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
+    chain::SighashTemplate::Builder b(tx.version, tx.inputs.size(), tx.outputs.size(), size);
+    for (const EbvInput& in : tx.inputs) b.add_input(in.prevout, in.sequence);
+    b.begin_outputs(tx.outputs.size());
+    for (const chain::TxOut& out : tx.outputs) b.add_output(out);
+    return b.finish(tx.locktime);
+}
+
+/// Empty below two inputs, where the cache has nothing to batch.
+std::vector<util::ByteSpan> els_lock_scripts(const EbvTransaction& tx) {
+    if (tx.inputs.size() < 2) return {};
+    std::vector<util::ByteSpan> locks(tx.inputs.size());
+    for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
         const EbvInput& in = tx.inputs[i];
-        if (in.out_index >= in.els.outputs.size()) continue;
-        const script::Script& lock = in.els.outputs[in.out_index].lock_script;
-        if (script::is_pay_to_script_hash(lock)) continue;
-        preimages.emplace_back();
-        tpl_.preimage(i, lock, 0x01, preimages.back());
-        which.push_back(i);
+        if (in.out_index < in.els.outputs.size())
+            locks[i] = in.els.outputs[in.out_index].lock_script;
     }
-    spans.reserve(preimages.size());
-    for (const util::Bytes& p : preimages) spans.emplace_back(p.data(), p.size());
-
-    std::vector<crypto::Sha256::Digest> digests(spans.size());
-    crypto::sha256d_many(spans.data(), digests.data(), spans.size());
-    for (std::size_t k = 0; k < which.size(); ++k) {
-        standard_[which[k]] =
-            crypto::Hash256::from_span({digests[k].data(), digests[k].size()});
-        has_standard_[which[k]] = 1;
-    }
+    return locks;
 }
 
-crypto::Hash256 TxSighashCache::digest(std::size_t input_index, util::ByteSpan script_code,
-                                       std::uint8_t hash_type) const {
-    bytes_saved_.fetch_add(
-        static_cast<std::uint64_t>(tpl_.prefix_skipped(input_index)) +
-            tpl_.preimage_size(input_index, script_code),
-        std::memory_order_relaxed);
+}  // namespace
 
-    if (hash_type == 0x01 && has_standard_[input_index]) {
-        const EbvInput& in = tx_.inputs[input_index];
-        const script::Script& lock = in.els.outputs[in.out_index].lock_script;
-        if (script_code.size() == lock.size() &&
-            std::equal(script_code.begin(), script_code.end(), lock.begin())) {
-            return standard_[input_index];
-        }
-    }
-    return tpl_.digest(input_index, script_code, hash_type);
-}
+TxSighashCache::TxSighashCache(const EbvTransaction& tx)
+    : chain::SighashCache(build_template(tx), els_lock_scripts(tx)) {}
 
 }  // namespace ebv::core

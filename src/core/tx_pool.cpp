@@ -89,19 +89,14 @@ TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams
     if (value_out > value_in) return TxAdmission::kBadValue;
 
     if (verify_scripts) {
-        std::optional<TxSighashCache> cache_storage;
-        if (tx.inputs.size() >= kSighashCacheMinInputs) cache_storage.emplace(tx);
-        const TxSighashCache* cache = cache_storage ? &*cache_storage : nullptr;
+        const TxSighashCache cache(tx);
         for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
-            script::ScriptError err;
-            if (lanes != nullptr && is_standard_p2pkh(tx.inputs[i])) {
-                std::optional<crypto::VerifyJob> triple;
-                err = sv_collect_input(tx, i, cache, sigcache, triple);
-                if (triple) lanes->add(*triple, owner);
-            } else {
-                err = sv_check_input(tx, i, cache, sigcache);
-            }
-            if (err != script::ScriptError::kOk) return TxAdmission::kScriptFailed;
+            std::optional<crypto::VerifyJob> triple;
+            const bool defer = lanes != nullptr && is_standard_p2pkh(tx.inputs[i]);
+            if (sv_check_input(tx, i, cache, sigcache, defer ? &triple : nullptr) !=
+                script::ScriptError::kOk)
+                return TxAdmission::kScriptFailed;
+            if (triple) lanes->add(*triple, owner);
         }
     }
     if (fee_out != nullptr) *fee_out = value_in - value_out;

@@ -64,7 +64,6 @@ struct EngineMetrics {
     obs::Histogram& stall_ns;
     obs::Histogram& commit_ns;
     obs::Gauge& blocks_inflight;
-    obs::Counter& sighash_bytes_saved;
     obs::Gauge& sha256_impl;
 
     static EngineMetrics& get() {
@@ -96,7 +95,6 @@ struct EngineMetrics {
             r.histogram("ebv.ibd.stall_ns"),
             r.histogram("ebv.ibd.commit_ns"),
             r.gauge("ebv.ibd.blocks_inflight"),
-            r.counter("ebv.crypto.sighash_bytes_saved"),
             r.gauge("ebv.crypto.sha256_impl"),
         };
         return m;
@@ -400,11 +398,10 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         std::vector<std::uint64_t> sv_busy(slots, 0);
         std::vector<std::uint64_t> commit_busy(slots, 0);
 
-        // Per-transaction sighash templates (core::TxSighashCache) for
-        // transactions of kSighashCacheMinInputs or more inputs, lazily
+        // Per-transaction sighash caches (core::TxSighashCache), lazily
         // built by whichever worker first reaches one of the transaction's
         // inputs and shared by the rest across the window's parallel pass.
-        std::vector<std::vector<std::unique_ptr<core::TxSighashCache>>> caches(
+        std::vector<std::vector<std::optional<core::TxSighashCache>>> caches(
             verify_scripts ? accepted : 0);
         std::vector<std::unique_ptr<std::once_flag[]>> cache_once(verify_scripts ? accepted : 0);
         if (verify_scripts) {
@@ -432,16 +429,13 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             obs::Tracer::global().record(std::move(span));
         };
 
-        // The transaction's template from `caches`, built on first use; its
-        // construction counts as SV time (it replaces the per-input
-        // serialization the naive path would spend there).
-        const auto sighash_cache = [&](const ProofJob& job) -> const core::TxSighashCache* {
-            const EbvTransaction& tx = window[job.block].txs[job.tx_index];
-            if (tx.inputs.size() < core::kSighashCacheMinInputs) return nullptr;
-            std::call_once(cache_once[job.block][job.tx_index], [&] {
-                caches[job.block][job.tx_index] = std::make_unique<core::TxSighashCache>(tx);
-            });
-            return caches[job.block][job.tx_index].get();
+        // The transaction's cache from `caches`, built on first use; its
+        // construction counts as SV time.
+        const auto sighash_cache = [&](const ProofJob& job) -> const core::TxSighashCache& {
+            std::optional<core::TxSighashCache>& cache = caches[job.block][job.tx_index];
+            std::call_once(cache_once[job.block][job.tx_index],
+                           [&] { cache.emplace(window[job.block].txs[job.tx_index]); });
+            return *cache;
         };
         const auto record_sv = [&](std::size_t j, script::ScriptError err) {
             if (err == script::ScriptError::kOk) return;
@@ -495,14 +489,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             if (!verify_scripts) return;
             if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
             watch.restart();
-            const core::TxSighashCache* cache = sighash_cache(job);
-            if (triple != nullptr) {
-                record_sv(j, core::sv_collect_input(tx, job.input_index, cache,
-                                                    options_.sigcache, *triple));
-            } else {
-                record_sv(j, core::sv_check_input(tx, job.input_index, cache,
-                                                  options_.sigcache));
-            }
+            record_sv(j, core::sv_check_input(tx, job.input_index, sighash_cache(job),
+                                              options_.sigcache, triple));
             const auto sv_ns = watch.elapsed_ns();
             sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
             if (trace_detail)
@@ -587,11 +575,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 }
             }
         }
-        std::uint64_t saved = 0;
-        for (const auto& block_caches : caches)
-            for (const auto& cache : block_caches)
-                if (cache) saved += cache->bytes_saved();
-        if (saved > 0) m.sighash_bytes_saved.inc(saved);
         const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
         if (pool != nullptr) {
             const util::PoolStats pool_after = pool->stats();

@@ -20,14 +20,14 @@ util::json::Value doc(const std::string& text) {
 const char* kBaseline =
     R"({"bench":"fig17_ibd_compare",)"
     R"("provenance":{"git_sha":"aaa111","build_type":"Release","hw_threads":8,)"
-    R"("sha256_impl":"sha-ni"},)"
+    R"("sha256_impl":"sha-ni","lanes":"ifma"},)"
     R"("rows":[{"mode":"pipelined","threads":4,"window":8,"ibd_ms":1000.0,)"
     R"("speedup":2.0,"inputs":500}],"aborted":false,"metrics":{}})";
 
 std::string current_with(const std::string& rows, const char* aborted = "false") {
     return std::string(R"({"bench":"fig17_ibd_compare",)") +
            R"("provenance":{"git_sha":"bbb222","build_type":"Release",)" +
-           R"("hw_threads":8,"sha256_impl":"sha-ni"},"rows":[)" + rows +
+           R"("hw_threads":8,"sha256_impl":"sha-ni","lanes":"ifma"},"rows":[)" + rows +
            R"(],"aborted":)" + aborted + R"(,"metrics":{}})";
 }
 
@@ -156,6 +156,28 @@ TEST(BenchCompare, ProvenanceDriftWarnsByDefaultFailsStrict) {
     strict.strict_provenance = true;
     const auto refused = compare_reports(doc(kBaseline), doc(current), strict);
     EXPECT_FALSE(refused.ok);
+    EXPECT_TRUE(refused.deltas.empty());
+}
+
+// A laned run against a scalar baseline (the fig20 cache-hit ratio moves
+// several-fold with the backend): a warning by default, an error under
+// --strict-provenance.
+TEST(BenchCompare, LanesDriftWarnsByDefaultFailsStrict) {
+    std::string current = current_with(R"({"mode":"pipelined","threads":4,"window":8,)"
+                                       R"("ibd_ms":1000.0,"speedup":2.0,"inputs":500})");
+    current.replace(current.find(R"("lanes":"ifma")"), 14, R"("lanes":"none")");
+
+    const auto lax = compare_reports(doc(kBaseline), doc(current));
+    EXPECT_TRUE(lax.ok);
+    ASSERT_EQ(lax.warnings.size(), 1u);
+    EXPECT_NE(lax.warnings[0].find("lanes"), std::string::npos);
+
+    CompareOptions strict;
+    strict.strict_provenance = true;
+    const auto refused = compare_reports(doc(kBaseline), doc(current), strict);
+    EXPECT_FALSE(refused.ok);
+    ASSERT_EQ(refused.errors.size(), 1u);
+    EXPECT_NE(refused.errors[0].find("lanes"), std::string::npos);
     EXPECT_TRUE(refused.deltas.empty());
 }
 

@@ -1,20 +1,26 @@
-// Parity pinning for the O(n) sighash-template path (docs/CRYPTO.md):
-// every digest the template produces must be bit-identical to the naive
-// re-serializing signature_hash, across a randomized corpus that covers
-// input counts, script sizes, and hash-type edge bytes — including the
-// types the consensus path never requests (0x00, 0x80, 0xff), since the
-// template widens the type byte exactly like the naive path does.
+// Parity pinning for the sighash template and the one sighash rule built on
+// it (chain::SighashCache, docs/CRYPTO.md): every digest must be
+// bit-identical to the naive re-serializing signature_hash, across a
+// randomized corpus that covers input counts, script sizes, and hash-type
+// edge bytes — including the types the consensus path never requests
+// (0x00, 0x80, 0xff), since the template widens the type byte exactly like
+// the naive path does.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "chain/miner.hpp"
 #include "chain/sighash.hpp"
 #include "chain/sighash_template.hpp"
 #include "core/ebv_transaction.hpp"
+#include "core/ebv_validator.hpp"
 #include "core/sighash_cache.hpp"
 #include "crypto/parse_memo.hpp"
 #include "crypto/sha256.hpp"
+#include "intermediary/converter.hpp"
+#include "obs/metrics.hpp"
+#include "script/standard.hpp"
 #include "util/rng.hpp"
 
 namespace ebv {
@@ -156,11 +162,14 @@ core::EbvTransaction random_ebv_transaction(util::Rng& rng, std::size_t input_co
 // the ELs lock scripts) must agree with ebv_signature_hash on both its
 // fast paths and its fallbacks.
 TEST(TxSighashCache, MatchesNaiveEbvSignatureHash) {
+    obs::Counter& bytes_saved =
+        obs::Registry::global().counter("ebv.crypto.sighash_bytes_saved");
     util::Rng rng(17);
     for (int round = 0; round < 40; ++round) {
         const std::size_t inputs = 1 + static_cast<std::size_t>(rng.below(20));
         const core::EbvTransaction tx = random_ebv_transaction(rng, inputs);
         const core::TxSighashCache cache(tx);
+        const std::uint64_t saved_before = bytes_saved.value();
 
         for (std::size_t i = 0; i < inputs; ++i) {
             const auto& lock = tx.inputs[i].els.outputs[tx.inputs[i].out_index].lock_script;
@@ -175,7 +184,7 @@ TEST(TxSighashCache, MatchesNaiveEbvSignatureHash) {
             EXPECT_EQ(cache.digest(i, redeem, 0x01),
                       core::ebv_signature_hash(tx, i, redeem, 0x01));
         }
-        EXPECT_GT(cache.bytes_saved(), 0u);
+        EXPECT_GT(bytes_saved.value(), saved_before);
     }
 }
 
@@ -196,6 +205,133 @@ TEST(TxSighashCache, ParityHoldsUnderEveryShaImpl) {
         EXPECT_EQ(cache.digest(3, script, 0x01), expected) << impl;
     }
     ASSERT_TRUE(crypto::sha256_force_batch_impl(original));
+}
+
+// --- One rule for both validators ------------------------------------------
+
+enum class LockKind { kP2pkh, kP2sh, kMultisig };
+
+/// A Bitcoin-style spend of `inputs` outputs of one lock kind, and its
+/// conversion by the intermediary node (height-1 block, funding at 0).
+struct SpendPair {
+    chain::Transaction btc;
+    core::EbvTransaction ebv;
+    script::Script lock;
+    script::Script script_code;  ///< what the VM hands the checker
+};
+
+/// `k1` owns the P2PKH lock and is the first multisig key.
+SpendPair make_spend_pair(LockKind kind, std::size_t inputs, const crypto::PrivateKey& k1,
+                          util::Rng& rng) {
+    const crypto::PrivateKey k2 = crypto::PrivateKey::generate(rng);
+    SpendPair p;
+    switch (kind) {
+        case LockKind::kP2pkh:
+            p.lock = p.script_code = script::make_p2pkh(k1.public_key().id());
+            break;
+        case LockKind::kP2sh:
+            p.script_code = script::make_multisig(1, {k1.public_key(), k2.public_key()});
+            p.lock = script::make_p2sh(p.script_code);
+            break;
+        case LockKind::kMultisig:
+            p.lock = p.script_code = script::make_multisig(1, {k1.public_key(), k2.public_key()});
+            break;
+    }
+
+    chain::Block funding;
+    funding.txs.push_back(chain::make_coinbase(0, 50 * chain::kCoin, p.lock));
+    funding.txs[0].vout.assign(inputs, chain::TxOut{chain::kCoin, p.lock});
+    funding.txs[0].invalidate_cache();
+    funding.header.merkle_root = funding.compute_merkle_root();
+
+    p.btc.version = 2;
+    p.btc.locktime = static_cast<std::uint32_t>(rng.next());
+    for (std::uint32_t i = 0; i < inputs; ++i)
+        p.btc.vin.push_back(chain::TxIn{chain::OutPoint{funding.txs[0].txid(), i}, {},
+                                        static_cast<std::uint32_t>(rng.next())});
+    p.btc.vout.push_back(chain::TxOut{chain::kCoin / 2, p.lock});
+    chain::Block spending;
+    spending.header.prev_hash = funding.header.hash();
+    spending.txs.push_back(chain::make_coinbase(1, 50 * chain::kCoin, p.lock));
+    spending.txs.push_back(p.btc);
+    spending.header.merkle_root = spending.compute_merkle_root();
+
+    intermediary::Converter converter;
+    EXPECT_TRUE(converter.convert_block(funding).has_value());
+    auto converted = converter.convert_block(spending);
+    EXPECT_TRUE(converted.has_value());
+    if (converted) p.ebv = converted->txs[1];
+    return p;
+}
+
+// The shared cache equals the naive digests on both validators' inputs:
+// Bitcoin transactions and their intermediary conversions, batched (built
+// with the spent lock scripts) and streamed (built without), for every
+// lock kind, input count and hash-type edge byte.
+TEST(SighashCache, MatchesNaiveDigestsOnBothValidators) {
+    util::Rng rng(31);
+    for (const LockKind kind : {LockKind::kP2pkh, LockKind::kP2sh, LockKind::kMultisig}) {
+        for (const std::size_t inputs :
+             {std::size_t{1}, std::size_t{2}, std::size_t{16}, std::size_t{64}}) {
+            const SpendPair p =
+                make_spend_pair(kind, inputs, crypto::PrivateKey::generate(rng), rng);
+            ASSERT_EQ(p.ebv.inputs.size(), inputs);
+            const std::vector<util::ByteSpan> locks(inputs, util::ByteSpan(p.lock));
+            const chain::SighashCache btc_batched(chain::SighashTemplate::build(p.btc), locks);
+            const chain::SighashCache btc_streamed(chain::SighashTemplate::build(p.btc));
+            const core::TxSighashCache ebv_batched(p.ebv);
+            const chain::SighashCache ebv_streamed(ebv_batched.tpl());
+
+            for (std::size_t i = 0; i < inputs; ++i) {
+                for (const util::ByteSpan code :
+                     {util::ByteSpan(p.script_code), util::ByteSpan(p.lock)}) {
+                    for (const std::uint8_t ht : kHashTypes) {
+                        const crypto::Hash256 btc = chain::signature_hash(
+                            p.btc, i, code, static_cast<chain::SigHashType>(ht));
+                        const crypto::Hash256 ebv = core::ebv_signature_hash(p.ebv, i, code, ht);
+                        ASSERT_EQ(btc, ebv);
+                        ASSERT_EQ(btc_batched.digest(i, code, ht), btc)
+                            << int(kind) << " " << inputs << " " << i << " " << int{ht};
+                        ASSERT_EQ(btc_streamed.digest(i, code, ht), btc);
+                        ASSERT_EQ(ebv_batched.digest(i, code, ht), ebv);
+                        ASSERT_EQ(ebv_streamed.digest(i, code, ht), ebv);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// Both checkers apply the one signature rule: for a valid signature, bad
+// DER, hash type 0x81 and the wrong key, the Bitcoin checker and the EBV
+// checker return the same verdict on the same (signature, pubkey, script
+// code).
+TEST(SighashCache, BothCheckersAgreeOnEveryVerdict) {
+    util::Rng rng(37);
+    const crypto::PrivateKey key = crypto::PrivateKey::generate(rng);
+    const crypto::PrivateKey other = crypto::PrivateKey::generate(rng);
+    const SpendPair p = make_spend_pair(LockKind::kP2pkh, 4, key, rng);
+    ASSERT_EQ(p.ebv.inputs.size(), 4u);
+    const util::Bytes pubkey = key.public_key().serialize();
+
+    std::vector<util::Bytes> sigs{
+        chain::sign_input(p.btc, 0, p.lock, key),
+        chain::sign_input(p.btc, 1, p.lock, key),
+        chain::sign_input(p.btc, 2, p.lock, key, static_cast<chain::SigHashType>(0x81)),
+        chain::sign_input(p.btc, 3, p.lock, other),
+    };
+    sigs[1][0] = 0x31;  // not a DER SEQUENCE
+
+    const std::vector<util::ByteSpan> locks(4, util::ByteSpan(p.lock));
+    const chain::SighashCache btc_cache(chain::SighashTemplate::build(p.btc), locks);
+    const core::TxSighashCache ebv_cache(p.ebv);
+    const bool expected[] = {true, false, false, false};
+    for (std::size_t i = 0; i < 4; ++i) {
+        const chain::TransactionSignatureChecker btc(btc_cache, i);
+        const core::EbvSignatureChecker ebv(ebv_cache, i);
+        EXPECT_EQ(btc.check_signature(sigs[i], pubkey, p.script_code), expected[i]) << i;
+        EXPECT_EQ(ebv.check_signature(sigs[i], pubkey, p.script_code), expected[i]) << i;
+    }
 }
 
 // --- crypto::parse_memo -----------------------------------------------------

@@ -175,13 +175,16 @@ TEST(Sighash, SignatureVerifiesThroughScriptVm) {
     const util::Bytes sig = sign_input(tx, 0, lock, key);
     tx.vin[0].unlock_script = script::make_p2pkh_unlock(sig, key.public_key());
 
-    TransactionSignatureChecker checker(tx, 0);
+    const SighashCache cache(SighashTemplate::build(tx));
+    TransactionSignatureChecker checker(cache, 0);
     EXPECT_EQ(script::verify_script(tx.vin[0].unlock_script, lock, checker),
               script::ScriptError::kOk);
 
     // Changing an output invalidates the signature.
     tx.vout[0].value = 51;
-    EXPECT_EQ(script::verify_script(tx.vin[0].unlock_script, lock, checker),
+    const SighashCache changed(SighashTemplate::build(tx));
+    TransactionSignatureChecker changed_checker(changed, 0);
+    EXPECT_EQ(script::verify_script(tx.vin[0].unlock_script, lock, changed_checker),
               script::ScriptError::kEvalFalse);
 }
 

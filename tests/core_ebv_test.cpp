@@ -152,6 +152,40 @@ TEST(EbvTransaction, TidyProjectionHashesInputs) {
     EXPECT_EQ(tidy.outputs, tx.outputs);
 }
 
+// leaf_hash() builds the leaf without a TidyTransaction; it must be the
+// projection's leaf for every transaction shape.
+TEST(EbvTransaction, LeafHashMatchesTidyProjection) {
+    util::Rng rng(41);
+    const auto input = [&](std::size_t els_outputs) {
+        EbvInput in;
+        rng.fill({in.prevout.txid.bytes().data(), 32});
+        in.height = 7;
+        in.out_index = static_cast<std::uint16_t>(els_outputs - 1);
+        in.unlock_script = script::Script{0x01, 0x02};
+        in.els.outputs.assign(els_outputs, chain::TxOut{5, script::Script{0x51}});
+        in.els.stake_position = 3;
+        in.mbr.siblings.resize(2);
+        in.mbr.siblings[1].bytes()[0] = 9;
+        return in;
+    };
+    EbvTransaction coinbase;
+    coinbase.coinbase_data = {0x03, 0x01};
+    coinbase.outputs.push_back(chain::TxOut{50, script::Script{0x51}});
+    EbvTransaction one = coinbase;
+    one.coinbase_data.clear();
+    one.stake_position = 4;
+    one.inputs.push_back(input(1));
+    EbvTransaction multi = one;
+    multi.inputs.push_back(input(2));
+    multi.inputs.push_back(input(3));
+    multi.outputs.push_back(chain::TxOut{7, script::Script{0x52, 0x53}});
+    EbvTransaction wide = one;
+    wide.inputs[0] = input(128);
+
+    for (const EbvTransaction* tx : {&coinbase, &one, &multi, &wide})
+        EXPECT_EQ(tx->leaf_hash(), tx->tidy().leaf_hash());
+}
+
 TEST(EbvTransaction, SerializationRoundTrip) {
     EbvChainHarness h;
     h.mine_empty(3);
@@ -296,9 +330,10 @@ TEST_F(EbvValidatorTest, CollectDefersTheSignatureAndKeepsEveryOtherVerdict) {
     ASSERT_TRUE(is_standard_p2pkh(spend.inputs[0]));
 
     // A standard spend defers its one signature and reports success; the
-    // deferred triple is what sv_check_input would have verified.
+    // deferred triple is what an inline sv_check_input would have verified.
     std::optional<crypto::VerifyJob> deferred;
-    EXPECT_EQ(sv_collect_input(spend, 0, nullptr, nullptr, deferred), script::ScriptError::kOk);
+    EXPECT_EQ(sv_check_input(spend, 0, TxSighashCache(spend), nullptr, &deferred),
+              script::ScriptError::kOk);
     ASSERT_TRUE(deferred.has_value());
     EXPECT_TRUE(deferred->key.verify(deferred->digest, deferred->sig));
 
@@ -307,24 +342,27 @@ TEST_F(EbvValidatorTest, CollectDefersTheSignatureAndKeepsEveryOtherVerdict) {
     // exactly as inline.
     EbvTransaction bad_sig = spend;
     bad_sig.inputs[0].unlock_script[10] ^= 0x01;
-    EXPECT_EQ(sv_collect_input(bad_sig, 0, nullptr, nullptr, deferred), script::ScriptError::kOk);
+    const TxSighashCache bad_sig_cache(bad_sig);
+    EXPECT_EQ(sv_check_input(bad_sig, 0, bad_sig_cache, nullptr, &deferred),
+              script::ScriptError::kOk);
     ASSERT_TRUE(deferred.has_value());
     EXPECT_FALSE(deferred->key.verify(deferred->digest, deferred->sig));
-    EXPECT_EQ(sv_check_input(bad_sig, 0), script::ScriptError::kEvalFalse);
+    EXPECT_EQ(sv_check_input(bad_sig, 0, bad_sig_cache), script::ScriptError::kEvalFalse);
     EbvTransaction wrong_key = spend;
     const auto other = crypto::PrivateKey::generate(h_.rng_).public_key();
     const util::Bytes sig(spend.inputs[0].unlock_script.begin() + 1,
                           spend.inputs[0].unlock_script.begin() + 1 +
                               spend.inputs[0].unlock_script[0]);
     wrong_key.inputs[0].unlock_script = script::make_p2pkh_unlock(sig, other);
-    EXPECT_EQ(sv_collect_input(wrong_key, 0, nullptr, nullptr, deferred),
+    EXPECT_EQ(sv_check_input(wrong_key, 0, TxSighashCache(wrong_key), nullptr, &deferred),
               script::ScriptError::kEqualVerifyFailed);
     EXPECT_FALSE(deferred.has_value());
 
     // A sigcache hit needs no deferral.
     SigCache cache;
-    ASSERT_EQ(sv_check_input(spend, 0, nullptr, &cache), script::ScriptError::kOk);
-    EXPECT_EQ(sv_collect_input(spend, 0, nullptr, &cache, deferred), script::ScriptError::kOk);
+    const TxSighashCache spend_cache(spend);
+    ASSERT_EQ(sv_check_input(spend, 0, spend_cache, &cache), script::ScriptError::kOk);
+    EXPECT_EQ(sv_check_input(spend, 0, spend_cache, &cache, &deferred), script::ScriptError::kOk);
     EXPECT_FALSE(deferred.has_value());
 
     // Three pushes is not the standard template.
