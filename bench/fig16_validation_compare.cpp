@@ -229,7 +229,7 @@ int main() {
     // digests batched through sha256d_many at two or more standard inputs).
     // The single-input row builds a template and streams its one digest
     // against one naive digest, so it reads parity.
-    std::printf("\nSighash-phase isolation — %u-tx batches, min of 5 reps\n",
+    std::printf("\nSighash-phase isolation — %zu-tx batches, min of 5 reps\n",
                 kPhaseTxs);
     std::printf("%-8s %12s %12s %10s\n", "inputs", "naive_ms", "template_ms",
                 "speedup");

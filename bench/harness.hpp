@@ -174,8 +174,12 @@ inline std::vector<core::EbvBlock> convert_chain(const ChainData& chain) {
 inline double ms(util::TimeCost cost) { return util::to_ms(cost.total_ns()); }
 
 // Build-time provenance, overridable per-run via same-named env vars (CI
-// sets EBV_GIT_SHA on shallow checkouts where the compile-time stamp may be
-// "unknown"). The compile definitions come from bench/CMakeLists.txt.
+// sets EBV_GIT_SHA on shallow checkouts where the build-time stamp may be
+// "unknown"). bench/CMakeLists.txt generates git_sha.hpp at every build and
+// defines EBV_BUILD_TYPE.
+#if __has_include("git_sha.hpp")
+#include "git_sha.hpp"
+#endif
 #ifndef EBV_GIT_SHA
 #define EBV_GIT_SHA "unknown"
 #endif

@@ -1,11 +1,14 @@
 #include "core/ebv_validator.hpp"
 
+#include <algorithm>
+
 #include "chain/amount.hpp"
 #include "chain/sighash.hpp"
 #include "core/sig_cache.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/ecdsa_lanes.hpp"
 #include "crypto/sha256.hpp"
+#include "obs/metrics.hpp"
 #include "script/opcodes.hpp"
 #include "util/assert.hpp"
 
@@ -68,54 +71,195 @@ EvStatus ev_check_input(const EbvInput& in, const chain::BlockHeader* header,
 
 script::ScriptError sv_check_input(const EbvTransaction& tx, std::size_t input_index,
                                    const chain::SighashCache& cache, SigCache* sigcache,
-                                   std::optional<crypto::VerifyJob>* deferred) {
+                                   SigMemo* memo) {
     const EbvInput& in = tx.inputs[input_index];
     const script::Script& lock = in.els.outputs[in.out_index].lock_script;
-    if (deferred != nullptr) {
-        deferred->reset();
-        EbvSignatureChecker checker(cache, input_index, sigcache, deferred);
-        const script::ScriptError err = script::verify_script(in.unlock_script, lock, checker);
-        if (err == script::ScriptError::kOk || !*deferred) return err;
-        // The assumed-valid signature may have steered the failing run, so
-        // only an inline run gives the exact error.
-        deferred->reset();
-    }
-    EbvSignatureChecker checker(cache, input_index, sigcache);
+    EbvSignatureChecker checker(cache, input_index, sigcache, memo);
     return script::verify_script(in.unlock_script, lock, checker);
 }
 
-bool is_standard_p2pkh(const EbvInput& in) {
-    // Byte patterns, no decoding: this runs serially over every input of a
-    // pipeline window.
-    if (in.out_index >= in.els.outputs.size()) return false;
-    const util::Bytes& lock = in.els.outputs[in.out_index].lock_script;
-    if (lock.size() != 25 || lock[0] != script::OP_DUP || lock[1] != script::OP_HASH160 ||
-        lock[2] != 20 || lock[23] != script::OP_EQUALVERIFY || lock[24] != script::OP_CHECKSIG)
-        return false;
-    const util::Bytes& unlock = in.unlock_script;
-    const auto direct_push = [](std::uint8_t op) { return op >= 1 && op <= 75; };
-    if (unlock.empty() || !direct_push(unlock[0])) return false;
-    const std::size_t second = 1 + std::size_t{unlock[0]};
-    return second < unlock.size() && direct_push(unlock[second]) &&
-           second + 1 + unlock[second] == unlock.size();
+namespace {
+
+bool same_bytes(util::ByteSpan a, util::ByteSpan b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
-void LaneBatcher::add(const crypto::VerifyJob& job, std::size_t owner) {
+/// Reads the direct push (1–75 bytes) at `pos` and steps past it.
+std::optional<util::ByteSpan> direct_push(const util::Bytes& script, std::size_t& pos) {
+    if (pos >= script.size()) return std::nullopt;
+    const std::size_t len = script[pos];
+    if (len < 1 || len > 75 || script.size() - pos - 1 < len) return std::nullopt;
+    const util::ByteSpan data(script.data() + pos + 1, len);
+    pos += 1 + len;
+    return data;
+}
+
+}  // namespace
+
+std::size_t standard_candidates(const EbvInput& in,
+                                std::span<SigCandidate, kMaxSigCandidates> out) {
+    if (in.out_index >= in.els.outputs.size()) return 0;
+    const util::Bytes& lock = in.els.outputs[in.out_index].lock_script;
+    const util::Bytes& unlock = in.unlock_script;
+    if (lock.size() < 3) return 0;
+    std::size_t pos = 0;
+
+    if (lock.back() == script::OP_CHECKSIG) {
+        // P2PKH takes its key from the unlock, P2PK from the lock.
+        const bool p2pkh = lock.size() == 25 && lock[0] == script::OP_DUP &&
+                           lock[1] == script::OP_HASH160 && lock[2] == 20 &&
+                           lock[23] == script::OP_EQUALVERIFY;
+        std::size_t key_pos = 0;
+        const auto sig = direct_push(unlock, pos);
+        const auto pubkey = p2pkh ? direct_push(unlock, pos) : direct_push(lock, key_pos);
+        if (!sig || !pubkey || pos != unlock.size() || (!p2pkh && key_pos + 1 != lock.size()))
+            return 0;
+        out[0] = {*sig, *pubkey};
+        return 1;
+    }
+
+    if (lock.back() != script::OP_CHECKMULTISIG || unlock.empty() || unlock[0] != script::OP_0)
+        return 0;
+    const auto small_int = [](std::uint8_t op) -> std::size_t {
+        return op >= script::OP_1 && op <= script::OP_16 ? op - script::OP_1 + 1 : 0;
+    };
+    const std::size_t m = small_int(lock[0]);
+    const std::size_t n = small_int(lock[lock.size() - 2]);
+    if (m == 0 || n < m || m * (n - m + 1) > 2 * n) return 0;
+    std::array<util::ByteSpan, 16> keys;
+    pos = 1;
+    for (std::size_t j = 0; j < n; ++j) {
+        const auto key = direct_push(lock, pos);
+        if (!key) return 0;
+        keys[j] = *key;
+    }
+    if (pos + 2 != lock.size()) return 0;
+    pos = 1;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+        const auto sig = direct_push(unlock, pos);
+        if (!sig) return 0;
+        for (std::size_t j = i; j <= n - m + i; ++j) out[count++] = {*sig, keys[j]};
+    }
+    return pos == unlock.size() ? count : 0;
+}
+
+void LaneBatcher::add(const crypto::VerifyJob& job, SigVerdict* verdict) {
     jobs_[size_] = job;
-    owners_[size_++] = owner;
+    verdicts_[size_++] = verdict;
     if (size_ == crypto::kVerifyLanes) flush();
 }
 
 void LaneBatcher::flush() {
     const std::uint8_t valid = crypto::verify_lanes({jobs_.data(), size_});
-    for (std::size_t k = 0; k < size_; ++k) {
-        if ((valid >> k & 1) == 0) {
-            on_false_(owners_[k]);
-        } else if (sigcache_ != nullptr) {
-            sigcache_->insert(jobs_[k]);
-        }
-    }
+    for (std::size_t k = 0; k < size_; ++k)
+        *verdicts_[k] = (valid >> k & 1) != 0 ? SigVerdict::kTrue : SigVerdict::kFalse;
     size_ = 0;
+}
+
+void SigMemo::prefetch(const EbvTransaction& tx, std::size_t input_index,
+                       const chain::SighashCache& cache, SigCache* sigcache,
+                       LaneBatcher& batcher) {
+    const EbvInput& in = tx.inputs[input_index];
+    std::array<SigCandidate, kMaxSigCandidates> pairs;
+    const std::size_t count = standard_candidates(in, pairs);
+    if (count == 0) return;
+    cache_ = &cache;
+    sigcache_ = sigcache;
+    input_index_ = input_index;
+    script_code_ = in.els.outputs[in.out_index].lock_script;
+    entries_.resize(count);
+    for (std::size_t k = 0; k < count; ++k) entries_[k].pair = pairs[k];
+    // Sig-major order: the pairs share one signature only for 1-of-n,
+    // whose script stops at the first true pair.
+    const bool one_sig = pairs[0].sig.data() == pairs[count - 1].sig.data();
+    queue(0, one_sig ? 1 : count, batcher);
+}
+
+void SigMemo::queue(std::size_t from, std::size_t to, LaneBatcher& batcher) {
+    for (std::size_t k = from; k < to; ++k) {
+        Entry& e = entries_[k];
+        const auto job =
+            chain::signature_job(*cache_, input_index_, e.pair.sig, e.pair.pubkey, script_code_);
+        if (!job) {
+            e.verdict = SigVerdict::kRefused;
+            continue;
+        }
+        e.job = *job;
+        if (sigcache_ != nullptr && sigcache_->contains(e.job)) {
+            e.verdict = SigVerdict::kCached;
+            continue;
+        }
+        e.verdict = SigVerdict::kQueued;
+        batcher.add(e.job, &e.verdict);
+    }
+}
+
+bool SigMemo::advance(LaneBatcher& batcher) {
+    for (const Entry& e : entries_)
+        if (e.verdict == SigVerdict::kQueued) return false;
+    if (entries_.size() < 2 || entries_[1].verdict != SigVerdict::kLater) return true;
+    const SigVerdict head = entries_[0].verdict;
+    if (head == SigVerdict::kTrue || head == SigVerdict::kCached) return true;
+    queue(1, entries_.size(), batcher);
+    return advance(batcher);
+}
+
+std::optional<bool> SigMemo::take(util::ByteSpan sig, util::ByteSpan pubkey,
+                                  util::ByteSpan script_code) {
+    if (entries_.empty() || !same_bytes(script_code, script_code_)) return std::nullopt;
+    for (Entry& e : entries_) {
+        if (e.verdict == SigVerdict::kLater || !same_bytes(e.pair.sig, sig) ||
+            !same_bytes(e.pair.pubkey, pubkey))
+            continue;
+        EBV_ASSERT(e.verdict != SigVerdict::kQueued);
+        if (e.verdict == SigVerdict::kTrue && !e.read && sigcache_ != nullptr)
+            sigcache_->insert(e.job);
+        e.read = true;
+        return e.verdict == SigVerdict::kTrue || e.verdict == SigVerdict::kCached;
+    }
+    return std::nullopt;
+}
+
+void SigMemo::retire() const {
+    static obs::Counter& lane_unused = obs::Registry::global().counter("ebv.crypto.lane_unused");
+    std::uint64_t unused = 0;
+    for (const Entry& e : entries_)
+        unused += !e.read && (e.verdict == SigVerdict::kTrue || e.verdict == SigVerdict::kFalse);
+    if (unused > 0) lane_unused.inc(unused);
+}
+
+void PrefetchQueue::hold(std::size_t owner, const EbvTransaction& tx, std::size_t first,
+                         std::size_t count, const chain::SighashCache& cache,
+                         SigCache* sigcache) {
+    Held& item = held_.emplace_back(Held{owner, std::vector<SigMemo>(count)});
+    for (std::size_t i = 0; i < count; ++i)
+        item.memos[i].prefetch(tx, first + i, cache, sigcache, batcher_);
+    run_ready();
+}
+
+void PrefetchQueue::drain() {
+    // Two rounds: the queued verdicts, then the 1-of-n tails they call for.
+    for (int round = 0; round < 2 && !held_.empty(); ++round) {
+        batcher_.flush();
+        run_ready();
+    }
+    EBV_ENSURES(held_.empty());
+}
+
+void PrefetchQueue::run_ready() {
+    for (std::size_t h = 0; h < held_.size();) {
+        bool ready = true;
+        for (SigMemo& memo : held_[h].memos) ready = memo.advance(batcher_) && ready;
+        if (!ready) {
+            ++h;
+            continue;
+        }
+        run_(held_[h].owner, held_[h].memos);
+        for (const SigMemo& memo : held_[h].memos) memo.retire();
+        if (h + 1 != held_.size()) held_[h] = std::move(held_.back());
+        held_.pop_back();
+    }
 }
 
 std::optional<EbvValidationFailure> check_block_structure(const EbvBlock& block,
@@ -167,16 +311,15 @@ std::optional<EbvValidationFailure> check_block_values(const EbvBlock& block) {
 
 bool EbvSignatureChecker::check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                           util::ByteSpan script_code) const {
+    if (memo_ != nullptr) {
+        if (const auto verdict = memo_->take(signature, pubkey, script_code)) return *verdict;
+    }
     const auto job = chain::signature_job(cache_, input_index_, signature, pubkey, script_code);
     if (!job) return false;
     // Cache hit = this exact (sighash, pubkey, sig) triple already verified
     // TRUE (only successes are ever inserted), so the curve check is
     // redundant. Misses verify inline and, on success, warm the cache.
     if (sigcache_ != nullptr && sigcache_->contains(*job)) return true;
-    if (deferred_ != nullptr && !deferred_->has_value()) {
-        *deferred_ = *job;
-        return true;
-    }
     const bool ok = job->key.verify(job->digest, job->sig);
     if (ok && sigcache_ != nullptr) sigcache_->insert(*job);
     return ok;

@@ -14,7 +14,9 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "chain/params.hpp"
 #include "core/ebv_transaction.hpp"
@@ -81,54 +83,120 @@ enum class EvStatus : std::uint8_t { kOk, kUnknownHeight, kBadOutIndex, kExisten
 [[nodiscard]] EvStatus ev_check_input(const EbvInput& in, const chain::BlockHeader* header,
                                       std::uint32_t spending_height);
 
-/// SV for one input. The caller guarantees the input passed EV (so
-/// out_index is in range). `cache` is the transaction's sighash cache,
-/// shared across its inputs; `sigcache` optionally short-circuits
-/// signatures already verified at mempool admission (docs/MEMPOOL.md).
-///
-/// With `deferred`, the caller verifies the signature itself, later
-/// (ibd::Pipeline and TxPool hand the triples to a LaneBatcher): a sigcache
-/// miss is recorded in `*deferred` and reported as a success instead of
-/// being verified. When the result is kOk and `*deferred` is set, the input
-/// passes iff the triple verifies; if it does not, re-run without
-/// `deferred` for the exact ScriptError. Any other result is final (a
-/// failing run that deferred a triple is re-run inline here).
-[[nodiscard]] script::ScriptError sv_check_input(
-    const EbvTransaction& tx, std::size_t input_index, const chain::SighashCache& cache,
-    SigCache* sigcache = nullptr, std::optional<crypto::VerifyJob>* deferred = nullptr);
+/// A prefetched verdict (SigMemo).
+enum class SigVerdict : std::uint8_t {
+    kLater,    ///< not queued: the tail of a 1-of-n memo whose head is out
+    kQueued,   ///< waiting in a LaneBatcher
+    kFalse,    ///< the lanes said false
+    kTrue,     ///< the lanes said true
+    kCached,   ///< a SigCache hit: true, no curve work
+    kRefused,  ///< chain::signature_job refused the pair: false, no curve work
+};
 
-/// Whether the input is a standard P2PKH spend: out_index names the
-/// 25-byte `OP_DUP OP_HASH160 <20> OP_EQUALVERIFY OP_CHECKSIG` locking
-/// script in its ELs, and the unlocking script is exactly two direct
-/// pushes (signature, pubkey).
-[[nodiscard]] bool is_standard_p2pkh(const EbvInput& in);
-
-/// The signatures sv_check_input deferred, checked crypto::kVerifyLanes
-/// at a time with one crypto::verify_lanes call. Each triple comes with an
-/// owner, the caller's index of the input or transaction it came from. A
-/// true triple goes into `sigcache` (when given); a false one calls
-/// `on_false(owner)`, in the order the triples were added, and the caller
-/// re-runs that owner's check inline for its exact verdict. One batcher
-/// per thread (ibd::Pipeline's claimer tasks, TxPool's admission
-/// claimers). `on_false` must outlive the batcher and must not add to it.
+/// Checks queued triples crypto::kVerifyLanes at a time with one
+/// crypto::verify_lanes call and writes each verdict to its slot.
 class LaneBatcher {
 public:
-    LaneBatcher(SigCache* sigcache, util::FunctionRef<void(std::size_t)> on_false)
-        : sigcache_(sigcache), on_false_(on_false) {}
-
-    /// Queues a deferred triple; verifies the group once it is full.
-    void add(const crypto::VerifyJob& job, std::size_t owner);
+    /// Queues a triple; verifies the group once it is full.
+    void add(const crypto::VerifyJob& job, SigVerdict* verdict);
     /// Verifies the queued triples, a partial group, and empties it.
     void flush();
     [[nodiscard]] std::size_t size() const { return size_; }
 
 private:
     std::array<crypto::VerifyJob, crypto::kVerifyLanes> jobs_;
-    std::array<std::size_t, crypto::kVerifyLanes> owners_{};
+    std::array<SigVerdict*, crypto::kVerifyLanes> verdicts_{};
     std::size_t size_ = 0;
-    SigCache* sigcache_;
-    util::FunctionRef<void(std::size_t)> on_false_;
 };
+
+/// A (signature, pubkey) pair a standard script can check: views into the
+/// input's unlocking and locking scripts.
+struct SigCandidate {
+    util::ByteSpan sig;
+    util::ByteSpan pubkey;
+};
+inline constexpr std::size_t kMaxSigCandidates = 32;  ///< 2n, n ≤ 16
+
+/// The prefetch's matcher, byte patterns only, every push direct (1–75
+/// bytes). Writes to `out` the pairs the input's script can try, signature
+/// by signature, and returns how many: one for P2PKH and P2PK; for bare
+/// m-of-n (`OP_0 <sig>…` against `OP_m <key>… OP_n OP_CHECKMULTISIG`) the
+/// pairs (sig i, key j) with i ≤ j ≤ n − m + i, if at most 2n. Any other
+/// input returns 0 and takes the scalar path.
+[[nodiscard]] std::size_t standard_candidates(const EbvInput& in,
+                                              std::span<SigCandidate, kMaxSigCandidates> out);
+
+/// One input's prefetched signature verdicts (docs/CRYPTO.md). Each
+/// standard_candidates pair's job (chain::signature_job) is true at once on
+/// a SigCache hit, else queued in a LaneBatcher that writes its verdict
+/// here. A 1-of-n memo queues its head pair alone and the rest only once
+/// the head is false, as its script tries them. The memo keeps views of
+/// the transaction and a pointer to `cache`, which must outlive it.
+class SigMemo {
+public:
+    void prefetch(const EbvTransaction& tx, std::size_t input_index,
+                  const chain::SighashCache& cache, SigCache* sigcache, LaneBatcher& batcher);
+    /// Whether every verdict the script can read is in.
+    [[nodiscard]] bool advance(LaneBatcher& batcher);
+    /// The verdict of a pair the memo holds. A lane-true triple enters the
+    /// SigCache on its first read, where the scalar check would insert it.
+    [[nodiscard]] std::optional<bool> take(util::ByteSpan sig, util::ByteSpan pubkey,
+                                           util::ByteSpan script_code);
+    /// Adds the lane verdicts no take() read to ebv.crypto.lane_unused.
+    void retire() const;
+
+private:
+    struct Entry {
+        SigCandidate pair;
+        crypto::VerifyJob job;
+        SigVerdict verdict = SigVerdict::kLater;
+        bool read = false;
+    };
+    void queue(std::size_t from, std::size_t to, LaneBatcher& batcher);
+
+    const chain::SighashCache* cache_ = nullptr;
+    SigCache* sigcache_ = nullptr;
+    std::size_t input_index_ = 0;
+    util::ByteSpan script_code_;
+    std::vector<Entry> entries_;
+};
+
+/// One claimer's verdict prefetch (ibd::Pipeline, TxPool::submit_batch):
+/// holds each claimed input or transaction with a SigMemo per input until
+/// its verdicts are in, then calls `run(owner, memos)` to run its scripts.
+class PrefetchQueue {
+public:
+    using Run = util::FunctionRef<void(std::size_t, std::span<SigMemo>)>;
+    explicit PrefetchQueue(Run run) : run_(run) {}
+
+    /// Prefetches inputs [first, first + count) of `tx` for `owner`.
+    void hold(std::size_t owner, const EbvTransaction& tx, std::size_t first,
+              std::size_t count, const chain::SighashCache& cache, SigCache* sigcache);
+    /// Verifies the last groups and runs every held item.
+    void drain();
+
+private:
+    void run_ready();
+
+    struct Held {
+        std::size_t owner;
+        std::vector<SigMemo> memos;
+    };
+    Run run_;
+    LaneBatcher batcher_;
+    std::vector<Held> held_;
+};
+
+/// SV for one input. The caller guarantees the input passed EV (so
+/// out_index is in range). `cache` is the transaction's sighash cache,
+/// shared across its inputs; `sigcache` optionally short-circuits
+/// signatures already verified at mempool admission (docs/MEMPOOL.md);
+/// a complete `memo` answers the signature checks it prefetched.
+[[nodiscard]] script::ScriptError sv_check_input(const EbvTransaction& tx,
+                                                 std::size_t input_index,
+                                                 const chain::SighashCache& cache,
+                                                 SigCache* sigcache = nullptr,
+                                                 SigMemo* memo = nullptr);
 
 /// The stateless structural pass, in check order: shape, then the block's
 /// own Merkle root, then values. Returns the first structural failure, or
@@ -184,16 +252,15 @@ struct EbvValidatorOptions {
     SigCache* sigcache = nullptr;
 };
 
-/// SignatureChecker binding the script VM to EBV transactions: the shared
-/// signature rule (chain::signature_job), then the `sigcache` lookup, then
-/// the curve check, unless `deferred` takes the first miss (see
-/// sv_check_input).
+/// SignatureChecker binding the script VM to EBV transactions: the
+/// `memo`'s verdict when it holds the pair, else the shared signature rule
+/// (chain::signature_job), then the `sigcache` lookup, then the curve
+/// check.
 class EbvSignatureChecker final : public script::SignatureChecker {
 public:
     EbvSignatureChecker(const chain::SighashCache& cache, std::size_t input_index,
-                        SigCache* sigcache = nullptr,
-                        std::optional<crypto::VerifyJob>* deferred = nullptr)
-        : cache_(cache), input_index_(input_index), sigcache_(sigcache), deferred_(deferred) {}
+                        SigCache* sigcache = nullptr, SigMemo* memo = nullptr)
+        : cache_(cache), input_index_(input_index), sigcache_(sigcache), memo_(memo) {}
 
     [[nodiscard]] bool check_signature(util::ByteSpan signature, util::ByteSpan pubkey,
                                        util::ByteSpan script_code) const override;
@@ -202,7 +269,7 @@ private:
     const chain::SighashCache& cache_;
     std::size_t input_index_;
     SigCache* sigcache_;
-    std::optional<crypto::VerifyJob>* deferred_;
+    SigMemo* memo_;
 };
 
 }  // namespace ebv::core

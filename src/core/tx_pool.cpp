@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <iterator>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "chain/amount.hpp"
 #include "core/sighash_cache.hpp"
@@ -47,19 +49,15 @@ struct TxPoolMetrics {
     }
 };
 
-/// The stateless per-transaction pipeline, shared verbatim by the public
-/// validate_transaction() and the (possibly parallel) prevalidation pass of
-/// submit_batch() — which is what makes batch verdicts bit-identical to
-/// serial ones. Checks run in the serial order EV -> UV -> maturity ->
-/// value -> SV per input, first failure wins. On kAccepted, *fee_out holds
-/// the transaction fee. Given `lanes`, standard P2PKH signatures that miss
-/// `sigcache` are deferred there under `owner` and count as valid here; a
-/// false one must re-run this transaction without `lanes`.
+/// The stateless per-transaction pipeline up to SV, shared verbatim by the
+/// public validate_transaction() and the (possibly parallel) prevalidation
+/// pass of submit_batch() — which is what makes batch verdicts
+/// bit-identical to serial ones. Checks run in the serial order EV -> UV ->
+/// maturity -> value per input, first failure wins; script_verdict()
+/// follows. On kAccepted, *fee_out holds the transaction fee.
 TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams& params,
                               const chain::HeaderIndex& headers, const BitVectorSet& status,
-                              std::uint32_t next_height, bool verify_scripts,
-                              SigCache* sigcache, chain::Amount* fee_out,
-                              LaneBatcher* lanes = nullptr, std::size_t owner = 0) {
+                              std::uint32_t next_height, chain::Amount* fee_out) {
     if (tx.is_coinbase() || tx.inputs.empty()) return TxAdmission::kNotStandalone;
 
     chain::Amount value_in = 0;
@@ -87,19 +85,19 @@ TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams
         if (!chain::add_money(value_out, out.value)) return TxAdmission::kBadValue;
     }
     if (value_out > value_in) return TxAdmission::kBadValue;
-
-    if (verify_scripts) {
-        const TxSighashCache cache(tx);
-        for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
-            std::optional<crypto::VerifyJob> triple;
-            const bool defer = lanes != nullptr && is_standard_p2pkh(tx.inputs[i]);
-            if (sv_check_input(tx, i, cache, sigcache, defer ? &triple : nullptr) !=
-                script::ScriptError::kOk)
-                return TxAdmission::kScriptFailed;
-            if (triple) lanes->add(*triple, owner);
-        }
-    }
     if (fee_out != nullptr) *fee_out = value_in - value_out;
+    return TxAdmission::kAccepted;
+}
+
+/// SV of every input in order, first failure wins. `memos`, one per input
+/// when given, answer the signature checks they prefetched.
+TxAdmission script_verdict(const EbvTransaction& tx, const chain::SighashCache& cache,
+                           SigCache* sigcache, std::span<SigMemo> memos = {}) {
+    for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
+        if (sv_check_input(tx, i, cache, sigcache, memos.empty() ? nullptr : &memos[i]) !=
+            script::ScriptError::kOk)
+            return TxAdmission::kScriptFailed;
+    }
     return TxAdmission::kAccepted;
 }
 
@@ -127,8 +125,10 @@ TxAdmission validate_transaction(const EbvTransaction& tx,
                                  const BitVectorSet& status,
                                  std::uint32_t next_height, bool verify_scripts,
                                  SigCache* sigcache) {
-    return stateless_verdict(tx, params, headers, status, next_height, verify_scripts,
-                             sigcache, nullptr);
+    const TxAdmission verdict =
+        stateless_verdict(tx, params, headers, status, next_height, nullptr);
+    if (verdict != TxAdmission::kAccepted || !verify_scripts) return verdict;
+    return script_verdict(tx, TxSighashCache(tx), sigcache);
 }
 
 TxPoolOptions TxPoolOptions::from_env(TxPoolOptions base) {
@@ -154,14 +154,11 @@ bool TxPool::feerate_beats(chain::Amount fee_a, std::size_t bytes_a, chain::Amou
     return lhs > rhs;
 }
 
-void TxPool::prevalidate(const EbvTransaction& tx, Prevalidation& out, LaneBatcher* lanes,
-                         std::size_t owner) const {
+void TxPool::prevalidate(const EbvTransaction& tx, Prevalidation& out) const {
     out.leaf = tx.leaf_hash();
     out.bytes = tx.serialized_size() + kEntryOverheadBytes;
     const std::uint32_t next_height = headers_.empty() ? 0 : headers_.height() + 1;
-    out.verdict = stateless_verdict(tx, params_, headers_, status_, next_height,
-                                    options_.verify_scripts, options_.sigcache, &out.fee,
-                                    lanes, owner);
+    out.verdict = stateless_verdict(tx, params_, headers_, status_, next_height, &out.fee);
 }
 
 TxAdmission TxPool::resolve(const EbvTransaction& tx, const Prevalidation& pre) {
@@ -251,25 +248,35 @@ std::vector<TxAdmission> TxPool::submit_batch(std::span<const EbvTransaction> tx
     // SV incl. sigcache warm-up) happens here; the chain state cannot change
     // mid-batch, so verdicts match serial runs.
     // Up to one claimer per pool slot takes transactions from a shared
-    // cursor. With a lane backend, each claimer defers its standard P2PKH
-    // signatures to a LaneBatcher; a transaction with a false lane is
-    // re-validated without lanes once the claimer's last group is checked.
+    // cursor. A transaction that passes every check before SV runs its
+    // scripts at once on a CPU without a lane backend. With one, the
+    // claimer's PrefetchQueue prefetches its inputs' signature verdicts
+    // and holds it until they are all in; then its scripts run once,
+    // reading them.
     std::vector<Prevalidation> pre(txs.size());
     const bool lanes = options_.verify_scripts && crypto::lanes_enabled();
+    // By batch position: a held transaction's memos point at its cache.
+    std::vector<std::optional<TxSighashCache>> caches(lanes ? txs.size() : 0);
     std::atomic<std::size_t> next{0};
     const auto claimer = [&](std::size_t /*slot*/, std::size_t /*claimer*/) {
-        // A transaction's triples are added, and so reported, consecutively.
-        std::vector<std::size_t> recheck;
-        const auto on_false = [&](std::size_t k) {
-            if (recheck.empty() || recheck.back() != k) recheck.push_back(k);
+        // Frees each cache on the claimer that built it, once its scripts ran.
+        const auto run = [&](std::size_t k, std::span<SigMemo> memos) {
+            pre[k].verdict = script_verdict(txs[k], *caches[k], options_.sigcache, memos);
+            caches[k].reset();
         };
-        LaneBatcher batcher(options_.sigcache, on_false);
+        PrefetchQueue queue(run);
         for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed); k < txs.size();
              k = next.fetch_add(1, std::memory_order_relaxed)) {
-            prevalidate(txs[k], pre[k], lanes ? &batcher : nullptr, k);
+            prevalidate(txs[k], pre[k]);
+            if (pre[k].verdict != TxAdmission::kAccepted || !options_.verify_scripts) continue;
+            if (lanes) {
+                queue.hold(k, txs[k], 0, txs[k].inputs.size(), caches[k].emplace(txs[k]),
+                           options_.sigcache);
+            } else {
+                pre[k].verdict = script_verdict(txs[k], TxSighashCache(txs[k]), options_.sigcache);
+            }
         }
-        batcher.flush();
-        for (const std::size_t k : recheck) prevalidate(txs[k], pre[k], nullptr, k);
+        queue.drain();
     };
     const std::size_t slots = options_.pool != nullptr ? options_.pool->thread_count() : 1;
     const std::size_t claimers = std::min(slots, txs.size());

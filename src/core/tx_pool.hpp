@@ -6,8 +6,8 @@
 //
 // Heavy-traffic front-end (docs/MEMPOOL.md):
 //  - submit_batch() runs the stateless per-transaction work (EV proof
-//    folds, sighash templates, SV) in one claimer
-//    per util::ThreadPool slot, standard P2PKH signatures eight at a time
+//    folds, sighash templates, SV) in one claimer per util::ThreadPool
+//    slot, the signatures of standard inputs prefetched eight at a time
 //    through a core::LaneBatcher when the CPU has a lane backend, then
 //    resolves verdicts serially in submission order — admission verdicts
 //    are bit-identical to one-at-a-time submit() calls on one thread.
@@ -175,8 +175,7 @@ private:
     /// Whether fee_a / bytes_a is strictly above fee_b / bytes_b (exact).
     [[nodiscard]] static bool feerate_beats(chain::Amount fee_a, std::size_t bytes_a,
                                             chain::Amount fee_b, std::size_t bytes_b);
-    void prevalidate(const EbvTransaction& tx, Prevalidation& out, LaneBatcher* lanes,
-                     std::size_t owner) const;
+    void prevalidate(const EbvTransaction& tx, Prevalidation& out) const;
     TxAdmission resolve(const EbvTransaction& tx, const Prevalidation& pre);
     void insert_entry(const crypto::Hash256& leaf, Entry entry);
     /// Takes the leaf by value: callers pass references into spends_ and

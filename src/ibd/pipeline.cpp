@@ -179,8 +179,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     util::ThreadPool* const pool = options_.script_pool;
     const std::size_t slots = pool != nullptr ? pool->thread_count() : 1;
     const bool verify_scripts = options_.verify_scripts;
-    // With a lane backend, standard P2PKH inputs share pool tasks and
-    // verify their signatures together (see the proof tasks below).
+    // With a lane backend, claimers prefetch signature verdicts eight at a
+    // time (see the proof tasks below).
     const bool lanes = verify_scripts && crypto::lanes_enabled();
 
     // Spends of already-committed blocks, to be applied inside the next
@@ -334,42 +334,16 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
-        // Proof tasks, the pool's unit of stage 2. Without lanes a task is
-        // one proof job. With lanes, every job that is not standard P2PKH
-        // is still a task of its own, and the P2PKH jobs go to up to
-        // `slots` claimer tasks instead: each takes them one at a time, in
-        // job order, from the shared cursor `next_p2pkh` and verifies the
-        // signatures it deferred kVerifyLanes at a time (the 8-input SV
-        // job), then its last partial group. Claiming one input at a time
-        // keeps the pool balanced at input grain, also when SigCache hits
-        // leave nothing to defer (docs/PIPELINE.md). tasks[t] is a job
-        // index or kClaimer; the claimers are spread through the list so
-        // that the slots start them in parallel.
-        constexpr std::uint32_t kClaimer = std::numeric_limits<std::uint32_t>::max();
-        std::vector<std::uint32_t> tasks;
-        std::vector<std::uint32_t> p2pkh;
-        std::atomic<std::size_t> next_p2pkh{0};
-        if (lanes) {
-            std::vector<std::uint32_t> others;
-            for (std::uint32_t j = 0; j < jobs.size(); ++j) {
-                const ProofJob& job = jobs[j];
-                const EbvInput& in = window[job.block].txs[job.tx_index].inputs[job.input_index];
-                (core::is_standard_p2pkh(in) ? p2pkh : others).push_back(j);
-            }
-            const std::size_t claimers = std::min(slots, p2pkh.size());
-            tasks.reserve(others.size() + claimers);
-            std::size_t placed = 0;
-            for (std::size_t c = 0; c < claimers; ++c) {
-                tasks.push_back(kClaimer);
-                const std::size_t until = others.size() * (c + 1) / claimers;
-                tasks.insert(tasks.end(), others.begin() + static_cast<std::ptrdiff_t>(placed),
-                             others.begin() + static_cast<std::ptrdiff_t>(until));
-                placed = until;
-            }
-            tasks.insert(tasks.end(), others.begin() + static_cast<std::ptrdiff_t>(placed),
-                         others.end());
-        }
-        const std::size_t proof_tasks = lanes ? tasks.size() : jobs.size();
+        // Proof tasks, the pool's unit of stage 2: up to `slots` claimers,
+        // each taking proof jobs one at a time, in job order, from the
+        // shared cursor `next_job`, which keeps the pool balanced at input
+        // grain. With a lane backend, a claimer prefetches the signature
+        // verdicts of each input it claims (core::SigMemo) through its
+        // core::LaneBatcher, kVerifyLanes at a time (the 8-input SV job),
+        // holds the input until they are all in, then runs its script once
+        // (docs/PIPELINE.md).
+        const std::size_t proof_tasks = std::min(slots, jobs.size());
+        std::atomic<std::size_t> next_job{0};
 
         std::vector<Verdict> verdicts(jobs.size());
         std::vector<AtomicMin> ev_min(accepted);
@@ -437,21 +411,32 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                            [&] { cache.emplace(window[job.block].txs[job.tx_index]); });
             return *cache;
         };
-        const auto record_sv = [&](std::size_t j, script::ScriptError err) {
+
+        // SV for proof job j, reading `memo` once its verdicts are all in.
+        const auto check_sv = [&](std::size_t j, core::SigMemo* memo) {
+            const ProofJob& job = jobs[j];
+            if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
+            util::Stopwatch watch;
+            const script::ScriptError err = core::sv_check_input(
+                window[job.block].txs[job.tx_index], job.input_index, sighash_cache(job),
+                options_.sigcache, memo);
+            if (trace_detail)
+                record_detail("ebv.sv.input", "sv", block_span_ids[job.block],
+                              watch.elapsed_ns(), job.ordinal);
             if (err == script::ScriptError::kOk) return;
             verdicts[j].script = err;
-            cas_min(sv_min[jobs[j].block].value, jobs[j].ordinal);
-            cas_min(min_fail_block, jobs[j].block);
+            cas_min(sv_min[job.block].value, job.ordinal);
+            cas_min(min_fail_block, job.block);
         };
 
         // EV, then SV, for proof job j, possibly out of block order. A job
         // may be skipped only when a *lower* (block, ordinal) failure is
         // already recorded: the minima only ever decrease, so every verdict
         // the resolution pass reads was fully evaluated regardless of
-        // thread count. Given `triple` (the job is standard P2PKH), the
-        // input's signature is deferred there instead of being verified here.
+        // thread count. With lanes, the claimer's `queue` runs the script
+        // once the input's prefetched verdicts are in.
         const auto check_proof = [&](std::size_t slot, std::size_t j,
-                                     std::optional<crypto::VerifyJob>* triple) {
+                                     core::PrefetchQueue& queue) {
             const ProofJob& job = jobs[j];
             if (job.block > min_fail_block.load(std::memory_order_relaxed)) return;
             std::atomic<std::size_t>& block_ev_min = ev_min[job.block].value;
@@ -489,22 +474,12 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             if (!verify_scripts) return;
             if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
             watch.restart();
-            record_sv(j, core::sv_check_input(tx, job.input_index, sighash_cache(job),
-                                              options_.sigcache, triple));
-            const auto sv_ns = watch.elapsed_ns();
-            sv_busy[slot] += static_cast<std::uint64_t>(sv_ns);
-            if (trace_detail)
-                record_detail("ebv.sv.input", "sv", block_span_ids[job.block], sv_ns,
-                              job.ordinal);
-        };
-
-        // A false lane of a claimer's core::LaneBatcher re-runs its input
-        // inline, so its ScriptError is the scalar one.
-        const auto recheck_false = [&](std::size_t j) {
-            const ProofJob& job = jobs[j];
-            record_sv(j, core::sv_check_input(window[job.block].txs[job.tx_index],
-                                              job.input_index, sighash_cache(job),
-                                              options_.sigcache));
+            if (lanes) {
+                queue.hold(j, tx, job.input_index, 1, sighash_cache(job), options_.sigcache);
+            } else {
+                check_sv(j, nullptr);
+            }
+            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
         };
 
         const auto pass_body = [&](std::size_t slot, std::size_t index) {
@@ -523,27 +498,20 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 return;
             }
 
-            // Stage 2: one proof task (see `tasks` above).
-            const std::size_t t = index - shard_jobs;
-            if (!lanes || tasks[t] != kClaimer) {
-                check_proof(slot, lanes ? tasks[t] : t, nullptr);
-                return;
-            }
-            core::LaneBatcher batcher(options_.sigcache, recheck_false);
-            // Group verification counts as SV time of the claimer's slot.
-            const auto timed = [&](const auto& step) {
-                util::Stopwatch watch;
-                step();
-                sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
+            // Stage 2: one claimer (see `proof_tasks` above).
+            const auto run = [&](std::size_t j, std::span<core::SigMemo> memos) {
+                check_sv(j, memos.data());
             };
+            core::PrefetchQueue queue(run);
             while (!cancel_.cancelled()) {
-                const std::size_t k = next_p2pkh.fetch_add(1, std::memory_order_relaxed);
-                if (k >= p2pkh.size()) break;
-                std::optional<crypto::VerifyJob> triple;
-                check_proof(slot, p2pkh[k], &triple);
-                if (triple) timed([&] { batcher.add(*triple, p2pkh[k]); });
+                const std::size_t j = next_job.fetch_add(1, std::memory_order_relaxed);
+                if (j >= jobs.size()) break;
+                check_proof(slot, j, queue);
             }
-            if (batcher.size() > 0) timed([&] { batcher.flush(); });
+            // The last groups and scripts count as SV time of the slot.
+            util::Stopwatch watch;
+            queue.drain();
+            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
         };
 
         // ---- Stage 2 + deferred stage 3: one parallel region ---------------

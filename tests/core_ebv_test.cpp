@@ -3,6 +3,9 @@
 // defence, and the transaction-inflation bound.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,7 +17,10 @@
 #include "core/node.hpp"
 #include "core/sig_cache.hpp"
 #include "crypto/ecdsa_lanes.hpp"
+#include "obs/metrics.hpp"
+#include "script/opcodes.hpp"
 #include "script/standard.hpp"
+#include "standard_shapes.hpp"
 #include "util/rng.hpp"
 
 namespace ebv::core {
@@ -324,55 +330,100 @@ TEST_F(EbvValidatorTest, BadSignatureFailsSv) {
     EXPECT_EQ(r.error().error, EbvError::kScriptFailure);
 }
 
-TEST_F(EbvValidatorTest, CollectDefersTheSignatureAndKeepsEveryOtherVerdict) {
+TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     h_.mine_empty(3);
     const EbvTransaction spend = h_.make_spend(0, 0, 0, 25 * kCoin);
-    ASSERT_TRUE(is_standard_p2pkh(spend.inputs[0]));
+    const TxSighashCache spend_cache(spend);
+    std::array<SigCandidate, kMaxSigCandidates> pairs;
+    ASSERT_EQ(standard_candidates(spend.inputs[0], pairs), 1u);
 
-    // A standard spend defers its one signature and reports success; the
-    // deferred triple is what an inline sv_check_input would have verified.
-    std::optional<crypto::VerifyJob> deferred;
-    EXPECT_EQ(sv_check_input(spend, 0, TxSighashCache(spend), nullptr, &deferred),
-              script::ScriptError::kOk);
-    ASSERT_TRUE(deferred.has_value());
-    EXPECT_TRUE(deferred->key.verify(deferred->digest, deferred->sig));
+    // The one pair waits in the batcher until it flushes; the script then
+    // reads its verdict.
+    obs::Counter& unused = obs::Registry::global().counter("ebv.crypto.lane_unused");
+    LaneBatcher batcher;
+    {
+        SigMemo memo;
+        memo.prefetch(spend, 0, spend_cache, nullptr, batcher);
+        EXPECT_EQ(batcher.size(), 1u);
+        EXPECT_FALSE(memo.advance(batcher));
+        batcher.flush();
+        ASSERT_TRUE(memo.advance(batcher));
+        EXPECT_EQ(sv_check_input(spend, 0, spend_cache, nullptr, &memo), script::ScriptError::kOk);
+        const std::uint64_t before = unused.value();
+        memo.retire();
+        EXPECT_EQ(unused.value(), before);
+    }
 
-    // A signature with a flipped bit in r still parses, so it defers, and
-    // its triple is false; a wrong pubkey fails before OP_CHECKSIG,
-    // exactly as inline.
+    // A signature with a flipped bit in r still parses, so the lanes check
+    // it and the script reads false, exactly as inline; a wrong pubkey
+    // fails before OP_CHECKSIG, so its verdict goes unread.
     EbvTransaction bad_sig = spend;
     bad_sig.inputs[0].unlock_script[10] ^= 0x01;
-    const TxSighashCache bad_sig_cache(bad_sig);
-    EXPECT_EQ(sv_check_input(bad_sig, 0, bad_sig_cache, nullptr, &deferred),
-              script::ScriptError::kOk);
-    ASSERT_TRUE(deferred.has_value());
-    EXPECT_FALSE(deferred->key.verify(deferred->digest, deferred->sig));
-    EXPECT_EQ(sv_check_input(bad_sig, 0, bad_sig_cache), script::ScriptError::kEvalFalse);
     EbvTransaction wrong_key = spend;
     const auto other = crypto::PrivateKey::generate(h_.rng_).public_key();
     const util::Bytes sig(spend.inputs[0].unlock_script.begin() + 1,
                           spend.inputs[0].unlock_script.begin() + 1 +
                               spend.inputs[0].unlock_script[0]);
     wrong_key.inputs[0].unlock_script = script::make_p2pkh_unlock(sig, other);
-    EXPECT_EQ(sv_check_input(wrong_key, 0, TxSighashCache(wrong_key), nullptr, &deferred),
-              script::ScriptError::kEqualVerifyFailed);
-    EXPECT_FALSE(deferred.has_value());
+    for (const EbvTransaction* tx : {&bad_sig, &wrong_key}) {
+        const TxSighashCache cache(*tx);
+        SigMemo memo;
+        memo.prefetch(*tx, 0, cache, nullptr, batcher);
+        batcher.flush();
+        ASSERT_TRUE(memo.advance(batcher));
+        EXPECT_EQ(sv_check_input(*tx, 0, cache, nullptr, &memo), sv_check_input(*tx, 0, cache));
+        const std::uint64_t before = unused.value();
+        memo.retire();
+        EXPECT_EQ(unused.value() - before, tx == &wrong_key ? 1u : 0u);
+    }
 
-    // A sigcache hit needs no deferral.
+    // A lane-true triple enters the SigCache when the script reads it, a
+    // false one never; a SigCache hit needs no lanes at all.
     SigCache cache;
-    const TxSighashCache spend_cache(spend);
-    ASSERT_EQ(sv_check_input(spend, 0, spend_cache, &cache), script::ScriptError::kOk);
-    EXPECT_EQ(sv_check_input(spend, 0, spend_cache, &cache, &deferred), script::ScriptError::kOk);
-    EXPECT_FALSE(deferred.has_value());
+    {
+        SigMemo memo;
+        memo.prefetch(spend, 0, spend_cache, &cache, batcher);
+        batcher.flush();
+        ASSERT_TRUE(memo.advance(batcher));
+        EXPECT_EQ(cache.size(), 0u);
+        EXPECT_EQ(sv_check_input(spend, 0, spend_cache, &cache, &memo), script::ScriptError::kOk);
+        EXPECT_EQ(cache.size(), 1u);
+    }
+    {
+        const TxSighashCache bad_cache(bad_sig);
+        SigMemo memo;
+        memo.prefetch(bad_sig, 0, bad_cache, &cache, batcher);
+        batcher.flush();
+        ASSERT_TRUE(memo.advance(batcher));
+        EXPECT_NE(sv_check_input(bad_sig, 0, bad_cache, &cache, &memo), script::ScriptError::kOk);
+        EXPECT_EQ(cache.size(), 1u);
+    }
+    {
+        SigMemo memo;
+        memo.prefetch(spend, 0, spend_cache, &cache, batcher);
+        EXPECT_EQ(batcher.size(), 0u);
+        EXPECT_TRUE(memo.advance(batcher));
+        EXPECT_EQ(sv_check_input(spend, 0, spend_cache, &cache, &memo), script::ScriptError::kOk);
+    }
+
+    // The memo answers only the script code it was built for.
+    SigMemo memo;
+    memo.prefetch(spend, 0, spend_cache, nullptr, batcher);
+    batcher.flush();
+    ASSERT_TRUE(memo.advance(batcher));
+    const util::Bytes& lock = spend.inputs[0].els.outputs[0].lock_script;
+    const util::Bytes other_code(lock.begin(), lock.end() - 1);
+    EXPECT_FALSE(memo.take(pairs[0].sig, pairs[0].pubkey, other_code).has_value());
+    EXPECT_EQ(memo.take(pairs[0].sig, pairs[0].pubkey, lock), std::optional<bool>(true));
 
     // Three pushes is not the standard template.
     EbvTransaction extra_push = spend;
     extra_push.inputs[0].unlock_script.insert(extra_push.inputs[0].unlock_script.begin(),
                                               {0x01, 0x01});
-    EXPECT_FALSE(is_standard_p2pkh(extra_push.inputs[0]));
+    EXPECT_EQ(standard_candidates(extra_push.inputs[0], pairs), 0u);
 }
 
-TEST(LaneBatcher, VerifiesFullAndPartialGroupsAndReportsFalseOwnersInOrder) {
+TEST(LaneBatcher, WritesEveryVerdictOfFullAndPartialGroups) {
     util::Rng rng(31);
     const auto key = crypto::PrivateKey::generate(rng);
     const auto job = [&](bool valid) {
@@ -391,54 +442,212 @@ TEST(LaneBatcher, VerifiesFullAndPartialGroupsAndReportsFalseOwnersInOrder) {
     for (const std::string& backend : backends) {
         SCOPED_TRACE(backend);
         ASSERT_TRUE(crypto::lanes_force_impl(backend));
-        SigCache cache;
-        std::vector<std::size_t> false_owners;
-        const auto on_false = [&](std::size_t owner) { false_owners.push_back(owner); };
-        LaneBatcher batcher(&cache, on_false);
+        LaneBatcher batcher;
+        using V = SigVerdict;
 
         // A full group verifies on its eighth add: lanes 2 and 5 are false.
-        std::vector<crypto::VerifyJob> full;
+        std::array<V, crypto::kVerifyLanes> full;
+        full.fill(V::kQueued);
         for (std::size_t k = 0; k < crypto::kVerifyLanes; ++k) {
-            full.push_back(job(k != 2 && k != 5));
-            batcher.add(full.back(), 100 + k);
+            batcher.add(job(k != 2 && k != 5), &full[k]);
             EXPECT_EQ(batcher.size(), (k + 1) % crypto::kVerifyLanes);
+            if (k + 1 < crypto::kVerifyLanes) {
+                EXPECT_EQ(full[0], V::kQueued);
+            }
         }
-        EXPECT_EQ(false_owners, (std::vector<std::size_t>{102, 105}));
         for (std::size_t k = 0; k < full.size(); ++k)
-            EXPECT_EQ(cache.contains(full[k]), k != 2 && k != 5) << "lane " << k;
+            EXPECT_EQ(full[k], k != 2 && k != 5 ? V::kTrue : V::kFalse) << "lane " << k;
 
         // A partial group waits for flush().
-        false_owners.clear();
-        const std::vector<crypto::VerifyJob> partial = {job(true), job(false), job(true)};
-        for (std::size_t k = 0; k < partial.size(); ++k) batcher.add(partial[k], 200 + k);
+        std::array<V, 3> partial = {V::kQueued, V::kQueued, V::kQueued};
+        batcher.add(job(true), &partial[0]);
+        batcher.add(job(false), &partial[1]);
+        batcher.add(job(true), &partial[2]);
         EXPECT_EQ(batcher.size(), partial.size());
-        EXPECT_TRUE(false_owners.empty());
-        EXPECT_FALSE(cache.contains(partial[0]));
+        EXPECT_EQ(partial[0], V::kQueued);
         batcher.flush();
         EXPECT_EQ(batcher.size(), 0u);
-        EXPECT_EQ(false_owners, std::vector<std::size_t>{201});
-        EXPECT_TRUE(cache.contains(partial[0]));
-        EXPECT_FALSE(cache.contains(partial[1]));
-        EXPECT_TRUE(cache.contains(partial[2]));
+        EXPECT_EQ(partial, (std::array<V, 3>{V::kTrue, V::kFalse, V::kTrue}));
 
-        // An all-false group reports every owner, in add order, and
-        // inserts nothing.
-        false_owners.clear();
-        std::vector<crypto::VerifyJob> all_false;
-        for (std::size_t k = 0; k < crypto::kVerifyLanes; ++k) {
-            all_false.push_back(job(false));
-            batcher.add(all_false.back(), 7 - k);
+        // An all-false group writes every slot.
+        std::array<V, crypto::kVerifyLanes> all_false;
+        all_false.fill(V::kQueued);
+        for (V& slot : all_false) batcher.add(job(false), &slot);
+        for (const V slot : all_false) EXPECT_EQ(slot, V::kFalse);
+    }
+}
+
+/// Records every (signature, pubkey) pair the script hands its checker and
+/// answers from a seeded table, so repeated runs explore the verdicts.
+class RecordingChecker final : public script::SignatureChecker {
+public:
+    explicit RecordingChecker(std::uint64_t seed) : rng_(seed) {}
+
+    bool check_signature(util::ByteSpan sig, util::ByteSpan pubkey,
+                         util::ByteSpan) const override {
+        tried.emplace(sig[0], pubkey[0]);
+        return rng_.chance(0.5);
+    }
+
+    mutable std::set<std::pair<std::uint8_t, std::uint8_t>> tried;
+
+private:
+    mutable util::Rng rng_;
+};
+
+TEST(StandardCandidates, ReturnsExactlyThePairsCheckMultisigCanTry) {
+    // Key j is 33 bytes of j, signature i is 72 bytes of 0x80 + i.
+    std::vector<util::Bytes> keys;
+    for (std::uint8_t j = 0; j < 16; ++j) keys.emplace_back(33, j);
+    std::array<SigCandidate, kMaxSigCandidates> pairs;
+    for (int n = 1; n <= 16; ++n) {
+        for (int m = 1; m <= n; ++m) {
+            SCOPED_TRACE(std::to_string(m) + "-of-" + std::to_string(n));
+            EbvInput in;
+            in.els.outputs.push_back(
+                {1, shapes::multisig_lock(m, {keys.begin(), keys.begin() + n})});
+            std::vector<util::Bytes> sigs;
+            for (int i = 0; i < m; ++i) sigs.emplace_back(72, static_cast<std::uint8_t>(0x80 + i));
+            in.unlock_script = script::make_multisig_unlock(sigs);
+
+            std::set<std::pair<std::uint8_t, std::uint8_t>> expected;
+            for (int i = 0; i < m; ++i)
+                for (int j = i; j <= n - m + i; ++j)
+                    expected.emplace(static_cast<std::uint8_t>(0x80 + i), static_cast<std::uint8_t>(j));
+            const std::size_t count = standard_candidates(in, pairs);
+            if (expected.size() > static_cast<std::size_t>(2 * n)) {
+                EXPECT_EQ(count, 0u) << "left to the scalar path";
+                continue;
+            }
+            std::set<std::pair<std::uint8_t, std::uint8_t>> got;
+            for (std::size_t k = 0; k < count; ++k) {
+                got.emplace(pairs[k].sig[0], pairs[k].pubkey[0]);
+                EXPECT_EQ(pairs[k].sig.size(), 72u);
+                EXPECT_EQ(pairs[k].pubkey.size(), 33u);
+            }
+            EXPECT_EQ(count, expected.size());
+            EXPECT_EQ(got, expected);
+
+            // The interpreter, under many verdict tables, tries exactly
+            // these pairs.
+            if (n > 6) continue;
+            std::set<std::pair<std::uint8_t, std::uint8_t>> tried;
+            for (std::uint64_t seed = 0; seed < 400; ++seed) {
+                RecordingChecker checker(seed);
+                (void)script::verify_script(in.unlock_script, in.els.outputs[0].lock_script,
+                                            checker);
+                tried.insert(checker.tried.begin(), checker.tried.end());
+            }
+            EXPECT_EQ(tried, expected);
         }
-        EXPECT_EQ(false_owners, (std::vector<std::size_t>{7, 6, 5, 4, 3, 2, 1, 0}));
-        for (const crypto::VerifyJob& j : all_false) EXPECT_FALSE(cache.contains(j));
+    }
+}
 
-        // Without a SigCache, verdicts still reach on_false.
-        false_owners.clear();
-        LaneBatcher uncached(nullptr, on_false);
-        uncached.add(job(false), 1);
-        uncached.add(job(true), 2);
-        uncached.flush();
-        EXPECT_EQ(false_owners, std::vector<std::size_t>{1});
+TEST(StandardCandidates, RejectsEveryOtherShape) {
+    std::array<SigCandidate, kMaxSigCandidates> pairs;
+    const util::Bytes key(33, 0x02);
+    const util::Bytes sig(72, 0x30);
+    const auto count = [&](script::Script lock, script::Script unlock) {
+        EbvInput in;
+        in.els.outputs.push_back({1, std::move(lock)});
+        in.unlock_script = std::move(unlock);
+        return standard_candidates(in, pairs);
+    };
+    const script::Script one_of_two = shapes::multisig_lock(1, {key, key});
+    const script::Script multisig_unlock = script::make_multisig_unlock({sig});
+    ASSERT_EQ(count(one_of_two, multisig_unlock), 2u);
+
+    // OP_PUSHDATA1 is not a direct push, in the lock or in the unlock.
+    script::Script pushdata_key = one_of_two;
+    pushdata_key.insert(pushdata_key.begin() + 1, script::OP_PUSHDATA1);
+    EXPECT_EQ(count(pushdata_key, multisig_unlock), 0u);
+    script::Script pushdata_sig = multisig_unlock;
+    pushdata_sig.insert(pushdata_sig.begin() + 1, script::OP_PUSHDATA1);
+    EXPECT_EQ(count(one_of_two, pushdata_sig), 0u);
+    // m > n.
+    script::Script three_of_two = one_of_two;
+    three_of_two[0] = script::OP_3;
+    EXPECT_EQ(count(three_of_two, script::make_multisig_unlock({sig, sig, sig})), 0u);
+    // n > 20: 21 keys with n pushed as a number.
+    script::Script wide{script::OP_1};
+    for (int j = 0; j < 21; ++j) {
+        wide.push_back(33);
+        wide.insert(wide.end(), key.begin(), key.end());
+    }
+    wide.insert(wide.end(), {0x01, 21, script::OP_CHECKMULTISIG});
+    EXPECT_EQ(count(wide, multisig_unlock), 0u);
+    // 3-of-15 has 39 candidates, more than 2n.
+    EXPECT_EQ(count(shapes::multisig_lock(3, std::vector<util::Bytes>(15, key)),
+                    script::make_multisig_unlock({sig, sig, sig})),
+              0u);
+    // Key count disagreeing with n, a dummy other than OP_0, a missing or
+    // an extra signature.
+    script::Script short_keys = one_of_two;
+    short_keys[short_keys.size() - 2] = script::OP_3;
+    EXPECT_EQ(count(short_keys, multisig_unlock), 0u);
+    script::Script dummy_one = multisig_unlock;
+    dummy_one[0] = script::OP_1;
+    EXPECT_EQ(count(one_of_two, dummy_one), 0u);
+    EXPECT_EQ(count(shapes::multisig_lock(2, {key, key}), multisig_unlock), 0u);
+    EXPECT_EQ(count(one_of_two, script::make_multisig_unlock({sig, sig})), 0u);
+
+    // P2PK and P2PKH take exactly their pushes.
+    script::Script p2pk{33};
+    p2pk.insert(p2pk.end(), key.begin(), key.end());
+    p2pk.push_back(script::OP_CHECKSIG);
+    const script::Script p2pk_unlock = script::make_p2pk_unlock(sig);
+    EXPECT_EQ(count(p2pk, p2pk_unlock), 1u);
+    script::Script p2pk_tail = p2pk;
+    p2pk_tail.insert(p2pk_tail.end() - 1, script::OP_NOP);
+    EXPECT_EQ(count(p2pk_tail, p2pk_unlock), 0u);
+    EXPECT_EQ(count(p2pk, multisig_unlock), 0u);
+    const script::Script p2pkh = script::make_p2pkh(crypto::Hash160{});
+    util::Bytes p2pkh_unlock = p2pk_unlock;
+    p2pkh_unlock.push_back(33);
+    p2pkh_unlock.insert(p2pkh_unlock.end(), key.begin(), key.end());
+    EXPECT_EQ(count(p2pkh, p2pkh_unlock), 1u);
+    EXPECT_EQ(count(p2pkh, p2pk_unlock), 0u);
+
+    // An out_index beyond the ELs matches nothing.
+    EbvInput in;
+    in.els.outputs.push_back({1, p2pk});
+    in.unlock_script = p2pk_unlock;
+    in.out_index = 1;
+    EXPECT_EQ(standard_candidates(in, pairs), 0u);
+}
+
+TEST(SigMemo, ScriptReadsExactVerdictsAndLeavesTheExpectedOnesUnused) {
+    chain::ChainParams params;
+    params.coinbase_maturity = 1;
+    const std::vector<crypto::PrivateKey> keys = shapes::shape_keys(5);
+    const std::vector<shapes::ShapeCase> cases = shapes::shape_cases(keys);
+    std::vector<script::Script> locks;
+    for (const auto& c : cases) locks.push_back(c.lock);
+    const shapes::ShapeChain chain(params, locks);
+    obs::Counter& unused = obs::Registry::global().counter("ebv.crypto.lane_unused");
+
+    struct RestoreAuto {
+        ~RestoreAuto() { crypto::lanes_force_impl("auto"); }
+    } restore;
+    for (const char* backend : {"none", "portable", "auto"}) {
+        ASSERT_TRUE(crypto::lanes_force_impl(backend));
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+            SCOPED_TRACE(std::string(backend) + ": " + cases[c].name);
+            const EbvTransaction tx = chain.spend(static_cast<std::uint16_t>(c), cases[c].unlock);
+            const TxSighashCache cache(tx);
+            const script::ScriptError scalar = sv_check_input(tx, 0, cache);
+            EXPECT_EQ(scalar == script::ScriptError::kOk, cases[c].valid) << script::to_string(scalar);
+
+            LaneBatcher batcher;
+            SigMemo memo;
+            memo.prefetch(tx, 0, cache, nullptr, batcher);
+            for (int round = 0; round < 2 && !memo.advance(batcher); ++round) batcher.flush();
+            ASSERT_TRUE(memo.advance(batcher));
+            EXPECT_EQ(sv_check_input(tx, 0, cache, nullptr, &memo), scalar);
+            const std::uint64_t before = unused.value();
+            memo.retire();
+            EXPECT_EQ(unused.value() - before, cases[c].unused);
+        }
     }
 }
 

@@ -7,7 +7,9 @@
 // root, then values), the link of every block to the one before it, the
 // engine's stage timings and its once-per-block metric accounting. The
 // serial reference checks signatures one by one; the grid runs with the
-// CPU's lane backend and again with the portable lanes forced.
+// CPU's lane backend and again with the portable lanes forced, and a
+// skewed chain and every standard signature shape (standard_shapes.hpp)
+// run over {none, portable, auto} lanes × {1, 2, 4, 8} threads.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +24,8 @@
 #include "ibd/pipeline.hpp"
 #include "intermediary/converter.hpp"
 #include "obs/metrics.hpp"
+#include "script/opcodes.hpp"
+#include "standard_shapes.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/adversary.hpp"
 #include "workload/generator.hpp"
@@ -91,28 +95,44 @@ protected:
         return result;
     }
 
-    /// Serial with scalar signature checks vs pipelined over the W × threads
-    /// grid with the default lane backend, then over part of it with the
-    /// portable lanes forced, expecting identical accept/reject behaviour
-    /// and failure tuples.
-    void expect_parity(const std::vector<core::EbvBlock>& blocks) {
-        FinalState serial_state;
-        const ibd::BatchResult serial = [&] {
-            const LanesScope scalar("none");
-            return run_batch(blocks, nullptr, false, 1, &serial_state);
-        }();
+    /// One pipelined run of the parity grid.
+    struct Cell {
+        std::size_t window;
+        std::size_t threads;
+        const char* lanes;
+    };
 
-        struct Cell {
-            std::size_t window;
-            std::size_t threads;
-            const char* lanes;
-        };
+    /// W ∈ {1, 4, 16} × {1, 2, 8} threads with the CPU's lane backend, and
+    /// two cells with the portable lanes forced.
+    static std::vector<Cell> window_cells() {
         std::vector<Cell> cells;
         for (const std::size_t window : {1u, 4u, 16u})
             for (const std::size_t threads : {1u, 2u, 8u})
                 cells.push_back({window, threads, "auto"});
         cells.push_back({4, 2, "portable"});
         cells.push_back({16, 8, "portable"});
+        return cells;
+    }
+
+    /// {none, portable, auto} lanes × {1, 2, 4, 8} threads at W = 4.
+    static std::vector<Cell> lane_cells() {
+        std::vector<Cell> cells;
+        for (const std::size_t threads : {1u, 2u, 4u, 8u})
+            for (const char* lanes : {"none", "portable", "auto"})
+                cells.push_back({4, threads, lanes});
+        return cells;
+    }
+
+    /// Serial with scalar signature checks vs pipelined over `cells`,
+    /// expecting identical accept/reject behaviour, failure tuples and end
+    /// states. Returns the serial result.
+    ibd::BatchResult expect_parity(const std::vector<core::EbvBlock>& blocks,
+                                   const std::vector<Cell>& cells = window_cells()) {
+        FinalState serial_state;
+        const ibd::BatchResult serial = [&] {
+            const LanesScope scalar("none");
+            return run_batch(blocks, nullptr, false, 1, &serial_state);
+        }();
 
         for (const Cell& cell : cells) {
             const LanesScope lanes(cell.lanes);
@@ -124,8 +144,8 @@ protected:
                                                     << " threads=" << cell.threads
                                                     << " lanes=" << crypto::lanes_impl();
             EXPECT_EQ(serial.connected, piped.connected) << label;
-            ASSERT_EQ(serial.failure.has_value(), piped.failure.has_value()) << label;
-            if (serial.failure.has_value()) {
+            EXPECT_EQ(serial.failure.has_value(), piped.failure.has_value()) << label;
+            if (serial.failure.has_value() && piped.failure.has_value()) {
                 EXPECT_EQ(serial.failure->block_index, piped.failure->block_index) << label;
                 EXPECT_EQ(serial.failure->height, piped.failure->height) << label;
                 EXPECT_TRUE(serial.failure->failure == piped.failure->failure)
@@ -137,6 +157,7 @@ protected:
             EXPECT_EQ(serial_state.next_height, state.next_height) << label;
             EXPECT_EQ(serial_state.tip, state.tip) << label;
         }
+        return serial;
     }
 
     /// The serial W = 1 run must stop at `block` with exactly `expected`,
@@ -227,6 +248,85 @@ TEST_F(IbdPipeline, BadSignatureRejectsIdentically) {
     EXPECT_EQ(serial.failure->block_index, k);
     EXPECT_EQ(serial.failure->failure.error, core::EbvError::kScriptFailure);
     expect_parity(blocks);
+}
+
+TEST_F(IbdPipeline, SkewedChainMatchesSerialScalarAcrossLanesAndThreads) {
+    // skew = 1: about half the outputs are 1-of-M multisig, M up to 15,
+    // signer last, so most candidate pairs of a block are false.
+    workload::GeneratorOptions skewed = gen_options_;
+    skewed.skew = 1.0;
+    skewed.key_pool_size = 16;
+    workload::ChainGenerator gen(skewed);
+    intermediary::Converter converter;
+    std::vector<core::EbvBlock> blocks;
+    for (std::size_t i = 0; i < 20; ++i) {
+        auto converted = converter.convert_block(gen.next_block());
+        ASSERT_TRUE(converted.has_value());
+        blocks.push_back(*converted);
+    }
+    const obs::Counter& unused = obs::Registry::global().counter("ebv.crypto.lane_unused");
+    const std::uint64_t unused_before = unused.value();
+    EXPECT_TRUE(expect_parity(blocks, lane_cells()).ok());
+    // 1-of-M inputs try their pairs until the signer's: the prefetch
+    // verifies no pair its script skips.
+    EXPECT_EQ(unused.value(), unused_before);
+
+    // A bad signature on a 1-of-M input with M >= 3 in a late block.
+    bool tampered = false;
+    for (std::size_t b = blocks.size() / 2; b < blocks.size() && !tampered; ++b) {
+        for (core::EbvTransaction& tx : blocks[b].txs) {
+            for (core::EbvInput& in : tx.inputs) {
+                const auto& lock = in.els.outputs[in.out_index].lock_script;
+                if (tampered || lock.back() != script::OP_CHECKMULTISIG ||
+                    lock[lock.size() - 2] < script::OP_3)
+                    continue;
+                in.unlock_script[5] ^= 0x11;
+                tampered = true;
+            }
+        }
+        if (tampered) blocks[b].assign_stake_positions();
+    }
+    ASSERT_TRUE(tampered);
+    const ibd::BatchResult serial = expect_parity(blocks, lane_cells());
+    ASSERT_TRUE(serial.failure.has_value());
+    EXPECT_EQ(serial.failure->failure.error, core::EbvError::kScriptFailure);
+}
+
+TEST_F(IbdPipeline, StandardShapesMatchSerialScalarAcrossLanesAndThreads) {
+    const std::vector<crypto::PrivateKey> keys = shapes::shape_keys(9);
+    const std::vector<shapes::ShapeCase> cases = shapes::shape_cases(keys);
+    // Two outputs per case: one for the block of every honest spend, one
+    // for the hostile spend's own block.
+    std::vector<script::Script> locks;
+    for (const shapes::ShapeCase& c : cases) {
+        locks.push_back(c.lock);
+        locks.push_back(c.lock);
+    }
+    shapes::ShapeChain chain(gen_options_.params, locks);
+    std::vector<core::EbvTransaction> honest;
+    for (std::size_t c = 0; c < cases.size(); ++c)
+        if (cases[c].valid)
+            honest.push_back(chain.spend(static_cast<std::uint16_t>(2 * c), cases[c].unlock));
+    chain.add_block(honest);
+    {
+        SCOPED_TRACE("honest");
+        EXPECT_TRUE(expect_parity(chain.blocks, lane_cells()).ok());
+    }
+
+    // Each hostile spend between honest ones, so lane groups mix them.
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        if (cases[c].valid) continue;
+        SCOPED_TRACE(cases[c].name);
+        shapes::ShapeChain hostile = chain;
+        hostile.add_block({hostile.spend(1, cases[0].unlock),
+                           hostile.spend(static_cast<std::uint16_t>(2 * c + 1), cases[c].unlock),
+                           hostile.spend(11, cases[5].unlock)});
+        const ibd::BatchResult serial = expect_parity(hostile.blocks, lane_cells());
+        ASSERT_TRUE(serial.failure.has_value());
+        EXPECT_EQ(serial.failure->block_index, hostile.blocks.size() - 1);
+        EXPECT_EQ(serial.failure->failure.error, core::EbvError::kScriptFailure);
+        EXPECT_EQ(serial.failure->failure.tx_index, 2u);
+    }
 }
 
 TEST_F(IbdPipeline, ProofTamperOutranksLaterStructuralBreak) {

@@ -12,6 +12,7 @@
 #include "crypto/ecdsa_lanes.hpp"
 #include "obs/metrics.hpp"
 #include "script/standard.hpp"
+#include "standard_shapes.hpp"
 #include "util/rng.hpp"
 
 namespace ebv::core {
@@ -308,9 +309,13 @@ struct LanesAuto {
 };
 
 TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
-    // Forty coinbase outputs: 39 P2PKH and one P2PK (output 39).
+    // Forty coinbase outputs, 39 P2PKH and one P2PK (output 39), then one
+    // per standard shape of the verdict prefetch, honest and hostile.
     std::vector<script::Script> locks(39, lock());
     locks.push_back(script::make_p2pk(key_.public_key()));
+    const std::vector<crypto::PrivateKey> shape_keys = shapes::shape_keys(3);
+    const std::vector<shapes::ShapeCase> shapes = shapes::shape_cases(shape_keys);
+    for (const shapes::ShapeCase& shape : shapes) locks.push_back(shape.lock);
     const std::uint32_t funding = mine_funding(locks);
 
     // triples[k] holds burst[k]'s (pubkey, signature, digest) per input.
@@ -322,7 +327,7 @@ TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
         burst.push_back(spend_coinbase(funding, outs, fee, triples.back(), tamper));
     };
 
-    // In one claimer's order, each single-input P2PKH spend defers one
+    // In one claimer's order, each single-input P2PKH spend prefetches one
     // signature, so spend k lands in lane k % 8 of group k / 8. Four full
     // groups carry bad signatures in every lane position.
     const std::vector<std::size_t> bad_spends = {0, 3, 9, 13, 18, 23, 28, 30};
@@ -338,10 +343,23 @@ TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
         add({k}, 10'000 + 100 * k, tampered ? std::optional<std::size_t>(0) : std::nullopt);
         if (tampered) bad.push_back(triples.back()[0]);
     }
+    // The shapes: 1-of-M, m-of-n and P2PK spends whose candidate pairs
+    // fill groups of their own, and the hostile ones.
+    std::size_t bad_shapes = 0;
+    for (std::size_t c = 0; c < shapes.size(); ++c) {
+        const auto out = static_cast<std::uint16_t>(40 + c);
+        EbvTransaction tx;
+        tx.inputs.push_back(archive_.make_input(funding, 0, out));
+        tx.outputs.push_back(
+            chain::TxOut{tx.inputs[0].els.outputs[out].value - 10'000, lock()});
+        tx.inputs[0].unlock_script = shapes[c].unlock(tx, 0);
+        burst.push_back(std::move(tx));
+        triples.emplace_back();
+        if (!shapes[c].valid) ++bad_shapes;
+    }
     // The partial group: a two-input spend whose second signature is bad,
-    // a P2PK spend (verified inline), an in-batch duplicate, a
-    // lower-feerate conflict, a higher-feerate replacement and one more
-    // plain spend.
+    // a P2PK spend, an in-batch duplicate, a lower-feerate conflict, a
+    // higher-feerate replacement and one more plain spend.
     add({32, 33}, 10'000, 1);
     bad.push_back(triples.back()[1]);
     const crypto::VerifyJob good_of_two = triples.back()[0];
@@ -355,11 +373,16 @@ TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
     // Ground truth: serial one-at-a-time submit() on the scalar path.
     LanesAuto restore;
     ASSERT_TRUE(crypto::lanes_force_impl("none"));
-    TxPool reference(options_.params, node_->headers(), node_->status());
+    SigCache reference_cache;
+    TxPoolOptions reference_options;
+    reference_options.sigcache = &reference_cache;
+    TxPool reference(options_.params, node_->headers(), node_->status(), reference_options);
     std::vector<TxAdmission> serial;
     for (const auto& tx : burst) serial.push_back(reference.submit(tx));
     ASSERT_EQ(std::count(serial.begin(), serial.end(), TxAdmission::kScriptFailed),
-              static_cast<std::ptrdiff_t>(bad_spends.size() + 1));
+              static_cast<std::ptrdiff_t>(bad_spends.size() + 1 + bad_shapes));
+    for (std::size_t c = 0; c < shapes.size(); ++c)
+        EXPECT_EQ(serial[32 + c] == TxAdmission::kAccepted, shapes[c].valid) << shapes[c].name;
     ASSERT_EQ(serial[burst.size() - 4], TxAdmission::kDuplicate);
     ASSERT_EQ(serial[burst.size() - 3], TxAdmission::kConflict);
     ASSERT_EQ(serial[burst.size() - 2], TxAdmission::kAccepted);  // replaces burst[4]
@@ -398,6 +421,9 @@ TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
             }
             EXPECT_TRUE(cache.contains(good_of_two));
             for (const crypto::VerifyJob& job : bad) EXPECT_FALSE(cache.contains(job));
+            // A lane-true triple enters the cache only when a script reads
+            // it, as in the scalar check.
+            EXPECT_EQ(cache.size(), reference_cache.size());
         }
     }
 }
