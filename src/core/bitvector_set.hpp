@@ -2,19 +2,12 @@
 // entirely in memory (the paper's headline memory reduction), with optional
 // snapshot persistence. Fully-spent vectors are deleted (§IV-E1); the
 // optimized/unoptimized memory totals are maintained incrementally so the
-// Fig 14 bench is O(1) per sample.
-//
-// The set is internally sharded by height (height mod kShardCount): each
-// shard owns its own map and memory accounting, so spent-bit application
-// can run from inside a parallel region — the IBD pipeline (`ebv::ibd`)
-// partitions a window's validated spends by shard and applies distinct
-// shards concurrently (`spend_shard`), which is what lets block storage
-// ("stage 3") join the fused EV+SV parallel pass instead of running
-// serially after it. All single-call methods remain single-threaded
-// mutators; only spend_shard on *distinct* shards may overlap.
+// Fig 14 bench is O(1) per sample. One unordered_map, mutated by one thread
+// at a time; the validation engines apply each block's spends serially, at
+// its commit (docs/PIPELINE.md), and concurrent const reads are safe only
+// while no mutator runs.
 #pragma once
 
-#include <array>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -34,20 +27,11 @@ enum class UvError {
 
 class BitVectorSet {
 public:
-    /// Shard fan-out for parallel spent-bit application. A power of two so
-    /// shard_of is a mask; 16 keeps per-shard batches meaty even for small
-    /// windows while exceeding any realistic commit-thread count.
-    static constexpr std::size_t kShardCount = 16;
-
-    /// One UV-validated spend awaiting application.
+    /// (height, position) of one output.
     struct SpentRecord {
         std::uint32_t height;
         std::uint32_t position;
     };
-
-    [[nodiscard]] static constexpr std::size_t shard_of(std::uint32_t height) {
-        return height & (kShardCount - 1);
-    }
 
     /// Register a newly-connected block's outputs (all unspent).
     void insert_block(std::uint32_t height, std::uint32_t output_count);
@@ -60,12 +44,6 @@ public:
     /// Mark spent (block-storage step). Deletes the vector when it empties.
     util::Status<UvError> spend(std::uint32_t height, std::uint32_t position);
 
-    /// Apply a batch of UV-validated spends for one shard. Every record
-    /// must satisfy shard_of(height) == shard and target a set bit
-    /// (asserted). Calls on *distinct* shards may run concurrently — they
-    /// touch disjoint maps and disjoint accounting.
-    void spend_shard(std::size_t shard, const SpentRecord* records, std::size_t count);
-
     /// Reorg support: set a bit back to unspent. `vector_size` recreates
     /// the vector if it had been deleted as fully spent (all other bits are
     /// then provably zero). Returns false if the bit was already set.
@@ -74,17 +52,17 @@ public:
     /// Reorg support: drop the vector of a disconnected block entirely.
     void remove_block(std::uint32_t height);
 
-    [[nodiscard]] std::size_t vector_count() const;
+    [[nodiscard]] std::size_t vector_count() const { return vectors_.size(); }
     [[nodiscard]] bool has_vector(std::uint32_t height) const {
-        return shards_[shard_of(height)].vectors.count(height) != 0;
+        return vectors_.count(height) != 0;
     }
 
     /// Current memory requirement with the sparse-vector optimization
     /// (Fig 14 "EBV").
-    [[nodiscard]] std::size_t memory_bytes() const;
+    [[nodiscard]] std::size_t memory_bytes() const { return optimized_bytes_; }
     /// Memory if every vector stayed a dense bitmap (Fig 14 "EBV w/o
     /// optimization").
-    [[nodiscard]] std::size_t dense_memory_bytes() const;
+    [[nodiscard]] std::size_t dense_memory_bytes() const { return dense_bytes_; }
 
     /// Snapshot persistence (one record per surviving vector). save()
     /// replaces the file atomically and returns false when the write fails
@@ -106,18 +84,12 @@ public:
     friend bool operator==(const BitVectorSet&, const BitVectorSet&);
 
 private:
-    /// One height-partition: its vectors plus incremental Fig 14 byte
-    /// accounting. No shared state between shards, by construction.
-    struct Shard {
-        std::unordered_map<std::uint32_t, BitVector> vectors;
-        std::size_t optimized_bytes = 0;
-        std::size_t dense_bytes = 0;
-    };
+    void account_remove(const BitVector& v);
+    void account_add(const BitVector& v);
 
-    static void account_remove(Shard& s, const BitVector& v);
-    static void account_add(Shard& s, const BitVector& v);
-
-    std::array<Shard, kShardCount> shards_;
+    std::unordered_map<std::uint32_t, BitVector> vectors_;
+    std::size_t optimized_bytes_ = 0;  ///< incremental Fig 14 byte accounting
+    std::size_t dense_bytes_ = 0;
 };
 
 }  // namespace ebv::core

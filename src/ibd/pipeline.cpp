@@ -1,7 +1,6 @@
 #include "ibd/pipeline.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdio>
 #include <limits>
@@ -26,7 +25,6 @@ namespace ebv::ibd {
 
 namespace {
 
-using core::BitVectorSet;
 using core::EbvBlock;
 using core::EbvError;
 using core::EbvInput;
@@ -141,23 +139,6 @@ struct AtomicMin {
     std::atomic<std::size_t> value{kNoFail};
 };
 
-/// Spends recorded by committed blocks, partitioned by status shard,
-/// awaiting application inside the next parallel pass.
-struct DeferredSpends {
-    std::array<std::vector<BitVectorSet::SpentRecord>, BitVectorSet::kShardCount> by_shard;
-    std::size_t total = 0;
-
-    void add(std::uint32_t height, std::uint32_t position) {
-        by_shard[BitVectorSet::shard_of(height)].push_back({height, position});
-        ++total;
-    }
-    [[nodiscard]] bool empty() const { return total == 0; }
-    void clear() {
-        for (auto& v : by_shard) v.clear();
-        total = 0;
-    }
-};
-
 }  // namespace
 
 BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks) {
@@ -171,8 +152,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     m.sha256_impl.set(crypto::sha256_impl_index());
 
     // Causal root for the whole run: every window span nests under it,
-    // blocks under their window, worker-side EV/SV/shard spans under their
-    // block (see docs/OBSERVABILITY.md).
+    // blocks under their window, worker-side EV/SV spans under their block
+    // (see docs/OBSERVABILITY.md).
     obs::ScopedSpan run_span("ebv.ibd.run", "ibd");
     run_span.set_value(static_cast<std::int64_t>(blocks.size()));
 
@@ -182,28 +163,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     // With a lane backend, claimers prefetch signature verdicts eight at a
     // time (see the proof tasks below).
     const bool lanes = verify_scripts && crypto::lanes_enabled();
-
-    // Spends of already-committed blocks, to be applied inside the next
-    // window's parallel pass ("stage 3 joins the parallel region").
-    DeferredSpends deferred;
-
-    // Applies `deferred` on the calling thread, skipping shards a parallel
-    // pass already handled. Used after the last window and for completing
-    // a cancelled pass — committed blocks must always end up fully applied.
-    std::array<std::atomic<bool>, BitVectorSet::kShardCount> shard_done{};
-    const auto flush_deferred_serial = [&](util::TimeCost& update) {
-        if (deferred.empty()) return;
-        util::Stopwatch watch;
-        for (std::size_t s = 0; s < BitVectorSet::kShardCount; ++s) {
-            if (deferred.by_shard[s].empty()) continue;
-            if (shard_done[s].load(std::memory_order_relaxed)) continue;
-            status_.spend_shard(s, deferred.by_shard[s].data(), deferred.by_shard[s].size());
-        }
-        deferred.clear();
-        const auto ns = watch.elapsed_ns();
-        update.wall_ns += ns;
-        m.commit_ns.observe(static_cast<std::uint64_t>(ns));
-    };
 
     std::size_t batch_index = 0;
     while (batch_index < blocks.size()) {
@@ -290,17 +249,10 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 input_hashes[j] =
                     window[job.block].txs[job.tx_index].inputs[job.input_index].input_hash();
             };
-            try {
-                if (pool != nullptr) {
-                    pool->parallel_for_slots(jobs.size(), hash_body);
-                } else {
-                    for (std::size_t j = 0; j < jobs.size(); ++j) hash_body(0, j);
-                }
-            } catch (...) {
-                // As for the proof pass below: committed blocks must end
-                // up fully applied before unwinding.
-                flush_deferred_serial(result.timings.update);
-                throw;
+            if (pool != nullptr) {
+                pool->parallel_for_slots(jobs.size(), hash_body);
+            } else {
+                for (std::size_t j = 0; j < jobs.size(); ++j) hash_body(0, j);
             }
             hash_wall = hash_watch.elapsed_ns();
             timings.other.wall_ns += hash_wall;
@@ -358,19 +310,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         if (tracing)
             for (auto& id : block_span_ids) id = obs::next_span_id();
 
-        // Shard-apply jobs for the previous window's spends ride in front of
-        // the proof jobs: indices [0, shard_jobs) apply spent bits while
-        // [shard_jobs, shard_jobs + jobs.size()) check proofs.
-        std::array<std::size_t, BitVectorSet::kShardCount> active_shards{};
-        std::size_t shard_jobs = 0;
-        for (std::size_t s = 0; s < BitVectorSet::kShardCount; ++s) {
-            shard_done[s].store(deferred.by_shard[s].empty(), std::memory_order_relaxed);
-            if (!deferred.by_shard[s].empty()) active_shards[shard_jobs++] = s;
-        }
-
         std::vector<std::uint64_t> ev_busy(slots, 0);
         std::vector<std::uint64_t> sv_busy(slots, 0);
-        std::vector<std::uint64_t> commit_busy(slots, 0);
 
         // Per-transaction sighash caches (core::TxSighashCache), lazily
         // built by whichever worker first reaches one of the transaction's
@@ -385,7 +326,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
-        // Worker-side detail spans (per input / per shard), recorded with an
+        // Worker-side detail spans (per input), recorded with an
         // explicit parent because the enclosing block's span is still open
         // on the submitting thread. Gated behind the tracer's detail flag.
         const auto record_detail = [&](const char* name, const char* category,
@@ -482,23 +423,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
         };
 
-        const auto pass_body = [&](std::size_t slot, std::size_t index) {
-            if (index < shard_jobs) {
-                // Stage 3 (previous window): sharded spent-bit application.
-                util::Stopwatch watch;
-                const std::size_t s = active_shards[index];
-                status_.spend_shard(s, deferred.by_shard[s].data(),
-                                    deferred.by_shard[s].size());
-                shard_done[s].store(true, std::memory_order_relaxed);
-                const auto shard_ns = watch.elapsed_ns();
-                commit_busy[slot] += static_cast<std::uint64_t>(shard_ns);
-                if (trace_detail)
-                    record_detail("ebv.ibd.shard_apply", "commit", window_span_id,
-                                  shard_ns, static_cast<std::int64_t>(s));
-                return;
-            }
-
-            // Stage 2: one claimer (see `proof_tasks` above).
+        // Stage 2: one claimer (see `proof_tasks` above).
+        const auto pass_body = [&](std::size_t slot, std::size_t) {
             const auto run = [&](std::size_t j, std::span<core::SigMemo> memos) {
                 check_sv(j, memos.data());
             };
@@ -514,42 +440,32 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
         };
 
-        // ---- Stage 2 + deferred stage 3: one parallel region ---------------
+        // ---- Stage 2: one parallel region -----------------------------------
         m.windows.inc();
         m.window_occupancy.observe(static_cast<std::uint64_t>(accepted));
         m.blocks_inflight.set(static_cast<std::int64_t>(accepted));
-        const std::size_t pass_total = shard_jobs + proof_tasks;
         const std::int64_t stall_before_pass = stall_watch.elapsed_ns() - hash_wall;
 
         std::vector<std::uint64_t> slot_busy_before;
         if (pool != nullptr && tracing) slot_busy_before = pool->slot_busy_ns();
         const util::Nanoseconds pass_start_ns = tracing ? obs::Tracer::now_ns() : 0;
         util::Stopwatch pass_watch;
-        if (pass_total > 0) {
+        if (proof_tasks > 0) {
             if (pool != nullptr) {
                 try {
-                    pool->parallel_for_slots(pass_total, pass_body, &cancel_);
+                    pool->parallel_for_slots(proof_tasks, pass_body, &cancel_);
                 } catch (...) {
-                    // A proof body threw (e.g. bad_alloc): committed blocks
-                    // must still end up fully applied before unwinding.
-                    flush_deferred_serial(result.timings.update);
                     m.blocks_inflight.set(0);
                     throw;
                 }
             } else {
-                for (std::size_t i = 0; i < pass_total; ++i) {
-                    if (cancel_.cancelled() && i >= shard_jobs) break;
-                    pass_body(0, i);
-                }
+                pass_body(0, 0);
             }
         }
         const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
         if (pool != nullptr) {
             const util::PoolStats pool_after = pool->stats();
             m.pool_tasks.inc(pool_after.tasks - pool_before.tasks);
-            // `barrier_wait_ns` was exported as ebv.pool.steal_ns before the
-            // stealing scheduler existed; the latter now reports real steal
-            // time (docs/OBSERVABILITY.md).
             m.pool_barrier_wait_ns.observe(pool_after.barrier_wait_ns -
                                            pool_before.barrier_wait_ns);
             m.pool_steal_ns.observe(pool_after.steal_ns - pool_before.steal_ns);
@@ -596,53 +512,36 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
-        // Apportion the pass's wall time across EV / SV / commit in
-        // proportion to per-slot busy time, so EbvTimings::total() stays
-        // wall-clock while the overlap is still visible per stage.
+        // Apportion the pass's wall time across EV / SV in proportion to
+        // per-slot busy time, so EbvTimings::total() stays wall-clock.
         {
             std::uint64_t ev_total = 0;
             std::uint64_t sv_total = 0;
-            std::uint64_t commit_total = 0;
             for (std::size_t s = 0; s < slots; ++s) {
                 ev_total += ev_busy[s];
                 sv_total += sv_busy[s];
-                commit_total += commit_busy[s];
                 if (sv_busy[s] > 0) m.sv_parallel_ns.observe(sv_busy[s]);
             }
-            const std::uint64_t busy_total = ev_total + sv_total + commit_total;
+            const std::uint64_t busy_total = ev_total + sv_total;
             if (busy_total > 0) {
-                const auto share = [&](std::uint64_t part) {
-                    return static_cast<util::Nanoseconds>(
-                        static_cast<double>(pass_wall) * static_cast<double>(part) /
-                        static_cast<double>(busy_total));
-                };
-                const util::Nanoseconds ev_share = share(ev_total);
-                const util::Nanoseconds sv_share = share(sv_total);
+                const auto ev_share = static_cast<util::Nanoseconds>(
+                    static_cast<double>(pass_wall) * static_cast<double>(ev_total) /
+                    static_cast<double>(busy_total));
                 timings.ev.wall_ns += ev_share;
-                timings.sv.wall_ns += sv_share;
-                timings.update.wall_ns += pass_wall - ev_share - sv_share;
+                timings.sv.wall_ns += pass_wall - ev_share;
             }
-            if (commit_total > 0) m.commit_ns.observe(commit_total);
         }
 
-        // A cancelled pass may have skipped both shard and proof chunks:
-        // the window is discarded and `deferred` keeps whatever shards it
-        // did not apply. Otherwise the previous window's spends are in.
+        // A cancelled pass may have skipped proof chunks: the window is
+        // discarded.
         const bool pass_cancelled = cancel_.cancelled();
-        if (pass_cancelled) {
-            result.aborted = true;
-        } else {
-            deferred.clear();
-        }
+        if (pass_cancelled) result.aborted = true;
 
         // ---- Stage 3: resolve + commit, serial block order -----------------
         // Walks each block's inputs in order, interleaving the parallel
-        // pass's EV verdicts with UV (against the pending-spend overlay),
-        // maturity and value rules, so the first failure is the same at
-        // every window size.
+        // pass's EV verdicts with UV, maturity and value rules, so the first
+        // failure is the same at every window size.
         stall_watch.restart();
-        DeferredSpends fresh;                          // spends of blocks committed below
-        std::unordered_set<std::uint64_t> overlay_spent;  // this window's committed spends
         for (std::size_t b = 0; b < accepted && !pass_cancelled; ++b) {
             if (cancel_.cancelled()) {
                 // Cancelled between blocks (e.g. from the commit hook):
@@ -676,18 +575,15 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                     }
                     {
                         // UV: the bit at the authenticated absolute position
-                        // must still be 1 — in the committed set or, for an
-                        // output spent earlier inside this window, not in
-                        // the pending-spend overlay.
+                        // must still be 1. Earlier blocks, of this window
+                        // too, applied their spends at their commit.
                         PhaseTimer timer(timings.uv);
                         const std::uint32_t position = in.absolute_position();
-                        const std::uint64_t key = spent_key(in.height, position);
-                        if (!spent_in_block.insert(key).second) {
+                        if (!spent_in_block.insert(spent_key(in.height, position)).second) {
                             fail(EbvError::kDoubleSpendInBlock, t, i);
                             break;
                         }
-                        if (overlay_spent.count(key) != 0 ||
-                            !status_.check_unspent(in.height, position)) {
+                        if (!status_.check_unspent(in.height, position)) {
                             fail(EbvError::kUnspentFailed, t, i);
                             break;
                         }
@@ -737,21 +633,22 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                 }
             }
 
-            // Commit: install the status vector now; spent bits join the
-            // next window's parallel pass via `fresh` (the last window
-            // applies them below, on this thread). Only later blocks of this
-            // window read the overlay.
+            // Commit (block storage, §IV-E): install the status vector and
+            // clear the bit of every output the block spends. UV passed for
+            // each, so every spend succeeds.
             {
-                PhaseTimer timer(timings.update);
+                util::Stopwatch watch;
                 status_.insert_block(height, static_cast<std::uint32_t>(block.output_count()));
-                const bool overlay_read = b + 1 < accepted;
                 for (std::size_t t = 1; t < block.txs.size(); ++t) {
                     for (const EbvInput& in : block.txs[t].inputs) {
-                        const std::uint32_t position = in.absolute_position();
-                        fresh.add(in.height, position);
-                        if (overlay_read) overlay_spent.insert(spent_key(in.height, position));
+                        const bool spent =
+                            status_.spend(in.height, in.absolute_position()).has_value();
+                        EBV_ENSURES(spent);
                     }
                 }
+                const util::Nanoseconds commit_ns = watch.elapsed_ns();
+                timings.update.wall_ns += commit_ns;
+                m.commit_ns.observe(static_cast<std::uint64_t>(commit_ns));
             }
             const bool linked = headers_.append(block.header);
             EBV_ENSURES(linked);
@@ -800,15 +697,8 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             static_cast<std::uint64_t>(stall_before_pass + stall_watch.elapsed_ns()));
         m.blocks_inflight.set(0);
 
-        if (!pass_cancelled) {
-            deferred = std::move(fresh);
-            for (auto& flag : shard_done) flag.store(false, std::memory_order_relaxed);
-        }
         batch_index += window_len;
         const bool last = result.aborted || result.failure || batch_index == blocks.size();
-        // The last window's spends have no next pass to ride: apply them
-        // here, on the calling thread, so this window's stages cover them.
-        if (last) flush_deferred_serial(timings.update);
 
         m.ev_ns.observe(static_cast<std::uint64_t>(timings.ev.total_ns()));
         m.uv_ns.observe(static_cast<std::uint64_t>(timings.uv.total_ns()));
@@ -828,10 +718,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         result.timings += timings;
         if (last) break;
     }
-
-    // Cancelled at a window boundary: the previous window's spends are
-    // still pending.
-    flush_deferred_serial(result.timings.update);
 
     result.wall_ns = static_cast<std::uint64_t>(run_watch.elapsed_ns());
     return result;

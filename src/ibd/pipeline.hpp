@@ -13,19 +13,18 @@
 //            root fold + values    serial: Merkle root from those hashes,
 //                                  then per-transaction output sums
 //   stage 2  fused EV+SV proofs    out of order, all W blocks at once, on
-//                                  util::ThreadPool — plus the *previous*
-//                                  window's sharded spent-bit application,
-//                                  which rides the same parallel region
+//                                  util::ThreadPool
 //   stage 3  resolve + commit      serial, in block order: UV against the
-//                                  pending-state overlay, value/fee rules,
-//                                  verdict resolution, header/vector install
+//                                  bit-vector set, value/fee rules, verdict
+//                                  resolution, then commit: status vector,
+//                                  spent bits, header
 //
-// Inter-block dependencies are tracked explicitly: an input in block N+k
-// that spends an output created inside the window resolves its header from
-// the window's pending headers (EV), and one spending an output *spent*
-// earlier in the window is caught by the pending-spend overlay (UV) —
-// validation runs against the state a block-at-a-time loop would have
-// committed.
+// Inter-block dependencies: an input in block N+k that spends an output
+// created inside the window resolves its header from the window's pending
+// headers (EV). One spending an output *spent* earlier in the window needs
+// no tracking: each block applies its spends at its commit, before the next
+// block's UV runs. Validation therefore runs against the state a
+// block-at-a-time loop would have committed.
 //
 // Failure semantics are deterministic: the first failing block (in height
 // order) reports the same EbvValidationFailure tuple at every window size
@@ -83,9 +82,8 @@ class Pipeline {
 public:
     /// Per-block commit notification for caller bookkeeping (block stores,
     /// output-count tables). Invoked in height order after the block is
-    /// fully validated and its header + status vector are installed; its
-    /// spent bits may still be pending, but are guaranteed applied — or the
-    /// block reported in BatchResult as never committed — by return.
+    /// fully validated, its header + status vector are installed and its
+    /// spends are applied.
     using CommitHook = util::FunctionRef<void(const core::EbvBlock&, std::uint32_t)>;
 
     /// `options` configures every per-input check: the thread pool, SV on

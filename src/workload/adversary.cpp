@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "chain/miner.hpp"
+#include "crypto/merkle.hpp"
 
 namespace ebv::workload {
 
@@ -83,10 +84,23 @@ std::optional<AppliedMutation> Adversary::apply(Mutation m,
             return applied;
         }
         case Mutation::kMbrIndex: {
-            if (tx == nullptr || tx->inputs[0].mbr.siblings.empty()) return std::nullopt;
-            tx->inputs[0].mbr.index ^= 1;
-            reseal(block);
-            return applied;
+            // Index bit i picks the operand order of the fold at level i,
+            // which changes nothing where the sibling equals the running
+            // node (the last node of an odd level is its own sibling): flip
+            // the lowest level where they differ.
+            if (tx == nullptr) return std::nullopt;
+            crypto::MerkleBranch& mbr = tx->inputs[0].mbr;
+            const crypto::Hash256 leaf = tx->inputs[0].els.leaf_hash();
+            crypto::MerkleBranch below{{}, mbr.index};  // levels under `level`
+            for (std::size_t level = 0; level < mbr.siblings.size(); ++level) {
+                if (mbr.siblings[level] != crypto::fold_branch(leaf, below)) {
+                    mbr.index ^= 1u << level;
+                    reseal(block);
+                    return applied;
+                }
+                below.siblings.push_back(mbr.siblings[level]);
+            }
+            return std::nullopt;
         }
         case Mutation::kElsValue: {
             if (tx == nullptr) return std::nullopt;

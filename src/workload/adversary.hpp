@@ -31,7 +31,7 @@ namespace ebv::workload {
 enum class Mutation {
     // Relay adversary: tampered proof fields → EV failure.
     kMbrSibling,        ///< flip a bit in a Merkle-branch sibling hash
-    kMbrIndex,          ///< shift the Merkle-branch leaf index
+    kMbrIndex,          ///< flip a Merkle-branch index bit the fold depends on
     kElsValue,          ///< raise the referenced output's claimed value
     kElsLockScript,     ///< tamper the referenced output's lock script
     kElsLocktime,       ///< tamper the ELs locktime field

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -11,7 +10,6 @@
 #include "core/bitvector_set.hpp"
 #include "util/rng.hpp"
 #include "util/serialize.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ebv::core {
 namespace {
@@ -256,15 +254,15 @@ TEST(BitVectorSet, LoadRejectsUnreadablePaths) {
     EXPECT_EQ(missing.error(), util::DecodeError::kTruncated);
 }
 
-// ---- Sharded spent-bit application (the IBD pipeline's stage 3) ------------
+// ---- Spends at scale ---------------------------------------------------------
 
-/// Random fixture shared by the batch tests: 32 blocks, ~2000 distinct
-/// spends, including one block spent down to deletion.
-struct BatchFixture {
+/// Random fixture: 32 blocks, ~2000 distinct spends, including one block
+/// spent down to deletion.
+struct SpendFixture {
     std::vector<std::uint32_t> sizes;
     std::vector<BitVectorSet::SpentRecord> spends;
 
-    BatchFixture() {
+    SpendFixture() {
         util::Rng rng(11);
         std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
         for (std::uint32_t h = 0; h < 32; ++h)
@@ -274,82 +272,36 @@ struct BatchFixture {
             const auto p = static_cast<std::uint32_t>(rng.below(sizes[h]));
             if (seen.emplace(h, p).second) spends.push_back({h, p});
         }
-        // Fully spend block 7 so the batch path exercises vector deletion.
+        // Fully spend block 7 so the spends exercise vector deletion.
         for (std::uint32_t p = 0; p < sizes[7]; ++p) {
             if (seen.emplace(7u, p).second) spends.push_back({7u, p});
         }
     }
-
-    [[nodiscard]] BitVectorSet fresh_set() const {
-        BitVectorSet set;
-        for (std::uint32_t h = 0; h < sizes.size(); ++h) set.insert_block(h, sizes[h]);
-        return set;
-    }
 };
 
-/// Apply `spends` the way the validation engine does: partitioned by shard,
-/// one spend_shard call per shard — serially, or as parallel pool tasks
-/// when `pool` is given.
-void spend_by_shard(BitVectorSet& set, const std::vector<BitVectorSet::SpentRecord>& spends,
-                    util::ThreadPool* pool = nullptr) {
-    std::array<std::vector<BitVectorSet::SpentRecord>, BitVectorSet::kShardCount> by_shard;
-    for (const auto& rec : spends) by_shard[BitVectorSet::shard_of(rec.height)].push_back(rec);
-    const auto apply = [&](std::size_t s) {
-        set.spend_shard(s, by_shard[s].data(), by_shard[s].size());
-    };
-    if (pool != nullptr) {
-        pool->parallel_for(BitVectorSet::kShardCount, apply);
-    } else {
-        for (std::size_t s = 0; s < BitVectorSet::kShardCount; ++s) apply(s);
-    }
-}
-
-TEST(BitVectorSet, SpendBatchMatchesIndividualSpends) {
-    const BatchFixture fx;
-    BitVectorSet one_by_one = fx.fresh_set();
-    for (const auto& s : fx.spends)
-        ASSERT_TRUE(one_by_one.spend(s.height, s.position).has_value());
-
-    BitVectorSet batched = fx.fresh_set();
-    spend_by_shard(batched, fx.spends);  // serial path (no pool)
-
-    EXPECT_TRUE(batched == one_by_one);
-    EXPECT_EQ(batched.memory_bytes(), one_by_one.memory_bytes());
-    EXPECT_EQ(batched.dense_memory_bytes(), one_by_one.dense_memory_bytes());
-    EXPECT_FALSE(batched.has_vector(7));  // fully spent -> deleted
-}
-
-TEST(BitVectorSet, SpendBatchParallelMatchesSerial) {
-    const BatchFixture fx;
-    BitVectorSet serial = fx.fresh_set();
-    spend_by_shard(serial, fx.spends);
-
-    for (const std::size_t threads : {2u, 4u, 8u}) {
-        util::ThreadPool pool(threads);
-        BitVectorSet parallel = fx.fresh_set();
-        spend_by_shard(parallel, fx.spends, &pool);
-        EXPECT_TRUE(parallel == serial) << "threads=" << threads;
-        EXPECT_EQ(parallel.memory_bytes(), serial.memory_bytes()) << "threads=" << threads;
-        EXPECT_EQ(parallel.vector_count(), serial.vector_count()) << "threads=" << threads;
-    }
-}
-
-TEST(BitVectorSet, SpendShardAppliesOneShard) {
+TEST(BitVectorSet, RandomSpendsRoundTripAndDeleteEmptiedVectors) {
+    const SpendFixture fx;
     BitVectorSet set;
-    // Heights 3 and 3+16 share shard 3; height 4 does not.
-    set.insert_block(3, 4);
-    set.insert_block(19, 4);
-    set.insert_block(4, 4);
-    ASSERT_EQ(BitVectorSet::shard_of(3), BitVectorSet::shard_of(19));
-    ASSERT_NE(BitVectorSet::shard_of(3), BitVectorSet::shard_of(4));
+    for (std::uint32_t h = 0; h < fx.sizes.size(); ++h) set.insert_block(h, fx.sizes[h]);
+    for (const auto& s : fx.spends) ASSERT_TRUE(set.spend(s.height, s.position).has_value());
+    for (const auto& s : fx.spends)
+        EXPECT_FALSE(set.check_unspent(s.height, s.position).has_value());
+    std::vector<std::uint32_t> spent(fx.sizes.size(), 0);
+    for (const auto& s : fx.spends) ++spent[s.height];
+    for (std::uint32_t h = 0; h < fx.sizes.size(); ++h)
+        EXPECT_EQ(set.has_vector(h), spent[h] < fx.sizes[h]) << "height " << h;
+    EXPECT_FALSE(set.has_vector(7));  // fully spent -> deleted
 
-    const std::vector<BitVectorSet::SpentRecord> records{{3, 1}, {19, 2}, {19, 3}};
-    set.spend_shard(BitVectorSet::shard_of(3), records.data(), records.size());
-
-    EXPECT_FALSE(set.check_unspent(3, 1).has_value());
-    EXPECT_FALSE(set.check_unspent(19, 2).has_value());
-    EXPECT_TRUE(set.check_unspent(3, 0).has_value());
-    EXPECT_TRUE(set.check_unspent(4, 1).has_value());
+    util::Writer w;
+    set.serialize(w);
+    util::Reader r(w.data());
+    const auto copy = BitVectorSet::deserialize(r);
+    ASSERT_TRUE(copy.has_value());
+    EXPECT_TRUE(r.empty());
+    EXPECT_TRUE(*copy == set);
+    EXPECT_EQ(copy->memory_bytes(), set.memory_bytes());
+    EXPECT_EQ(copy->dense_memory_bytes(), set.dense_memory_bytes());
+    EXPECT_FALSE(copy->has_vector(7));
 }
 
 }  // namespace

@@ -359,10 +359,9 @@ TEST_F(IbdPipeline, ProofTamperOutranksLaterStructuralBreak) {
 }
 
 TEST_F(IbdPipeline, CrossBlockDoubleSpendCaughtInsideWindow) {
-    // Replay an input block k already spent into block k+1: with W >= 2
-    // both blocks are in flight at once and only the pending-spend overlay
-    // can catch it — the committed bit-vector set still shows the bit set
-    // while the window validates.
+    // Replay an input block k already spent into a later block v: with
+    // W >= 2 both blocks are in flight at once, and block k's commit must
+    // clear the bit before block v's UV reads it.
     std::vector<core::EbvBlock> blocks = chain_;
     const std::size_t k = block_with_inputs(kChainLen / 2);
     const std::size_t v = block_with_inputs(k + 1);
@@ -392,10 +391,9 @@ TEST_F(IbdPipeline, CrossBlockDoubleSpendCaughtInsideWindow) {
 
 TEST_F(IbdPipeline, CrossWindowDoubleSpendRejectsIdentically) {
     // The far variant: re-spend an input the *first* spender block consumed,
-    // many windows upstream of the victim. The spent bit was applied by a
-    // long-committed window, so the committed bit-vector set (not the
-    // pending overlay) must catch it — at every window size and thread
-    // count, with the serial tuple.
+    // many windows upstream of the victim. The spent bit was cleared by a
+    // block of a long-committed window — at every window size and thread
+    // count the victim must report the serial tuple.
     std::vector<core::EbvBlock> blocks = chain_;
     workload::Adversary adversary(3);
     std::optional<workload::AppliedMutation> applied;
@@ -651,6 +649,36 @@ TEST_F(IbdPipeline, CancelUnwindsWindowAndResumesCleanly) {
     EXPECT_EQ(status.memory_bytes(), serial_state.memory_bytes);
     EXPECT_EQ(status.vector_count(), serial_state.vector_count);
     EXPECT_EQ(headers.tip_hash(), serial_state.tip);
+}
+
+TEST_F(IbdPipeline, CommitHookSeesTheBlocksSpends) {
+    // A block's spends are applied at its commit, before the hook runs: a
+    // block store or a snapshot taken from the hook sees them.
+    for (const std::size_t window : {1u, 16u}) {
+        util::ThreadPool pool(2);
+        core::EbvValidatorOptions options;
+        options.script_pool = &pool;
+        chain::HeaderIndex headers;
+        core::BitVectorSet status;
+        ibd::Pipeline pipeline(gen_options_.params, headers, status, options, window);
+
+        std::size_t inputs_seen = 0;
+        const ibd::BatchResult result =
+            pipeline.run(chain_, [&](const core::EbvBlock& block, std::uint32_t height) {
+                EXPECT_TRUE(status.has_vector(height));
+                for (std::size_t t = 1; t < block.txs.size(); ++t) {
+                    for (const core::EbvInput& in : block.txs[t].inputs) {
+                        EXPECT_FALSE(
+                            status.check_unspent(in.height, in.absolute_position()).has_value())
+                            << "window=" << window << " height=" << height << " tx=" << t;
+                        ++inputs_seen;
+                    }
+                }
+            });
+        ASSERT_TRUE(result.ok()) << "window=" << window;
+        EXPECT_EQ(result.connected, chain_.size());
+        EXPECT_GT(inputs_seen, 0u);
+    }
 }
 
 TEST_F(IbdPipeline, CommitHookTimeIsInNoStage) {

@@ -236,7 +236,7 @@ TEST_F(TraceTree, DisabledSpanStaysCheap) {
 
 // The acceptance-criterion test: a pipelined IBD run with detail tracing
 // produces a Chrome trace whose span tree is window → block →
-// per-worker EV/SV/shard-apply, with events on compressed per-thread
+// per-worker EV/SV, with events on compressed per-thread
 // tracks, parsed back from the exporter's actual JSON output.
 TEST_F(TraceTree, PipelineChromeTraceNestsWindowBlockWorker) {
     workload::GeneratorOptions gen_options;
@@ -337,12 +337,6 @@ TEST_F(TraceTree, PipelineChromeTraceNestsWindowBlockWorker) {
     for (const Event& sv : by_name["ebv.sv.input"]) {
         EXPECT_EQ(block_ids.count(sv.parent), 1u);
     }
-    // Shard applies only exist when a previous window committed spends.
-    for (const Event& shard : by_name["ebv.ibd.shard_apply"]) {
-        EXPECT_EQ(window_ids.count(shard.parent), 1u);
-    }
-    ASSERT_FALSE(by_name["ebv.ibd.shard_apply"].empty())
-        << "expected at least one sharded spent-bit application span";
 
     // Per-thread tracks: events landed on more than one compressed tid and
     // every tid used has thread_name metadata.

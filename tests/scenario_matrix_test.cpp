@@ -2,7 +2,7 @@
 // mutation the workload::Adversary can produce runs through all three
 // validator configurations — serial, parallel, pipelined-IBD —
 // and must be rejected with bit-identical EbvValidationFailure tuples and
-// bit-identical post-run state (bit-vector shards, tip, height). Reorgs,
+// bit-identical post-run state (bit-vector set, tip, height). Reorgs,
 // including deep ones crossing pipeline window boundaries and hostile
 // branches that must roll back, get the same cross-config treatment, and a
 // seed-logged randomized soak (EBV_SOAK_SEED / EBV_SOAK_BLOCKS) interleaves
@@ -221,12 +221,12 @@ protected:
 };
 
 /// Every mutation of `chain`, through every configuration: the serial
-/// validator rejects it (with `designed`, with the designed error at the
-/// mutated block), and the other runs of kLaneRuns reproduce its tuple and
-/// end state bit for bit.
+/// validator rejects it with the designed error at the mutated block, and
+/// the other runs of kLaneRuns reproduce its tuple and end state bit for
+/// bit.
 void expect_mutations_reject_identically(const std::vector<core::EbvBlock>& chain,
                                          const intermediary::Converter& converter,
-                                         const chain::ChainParams& params, bool designed) {
+                                         const chain::ChainParams& params) {
     util::ThreadPool pool(4);
     workload::Adversary adversary(1);
 
@@ -253,7 +253,6 @@ void expect_mutations_reject_identically(const std::vector<core::EbvBlock>& chai
             ASSERT_TRUE(result.failure.has_value()) << run.name;
             if (!serial) {
                 serial = result;
-                if (!designed) continue;
                 EXPECT_EQ(result.failure->block_index, applied->block);
                 EXPECT_EQ(result.failure->failure.error, expected_error(m))
                     << result.failure->failure.describe();
@@ -266,28 +265,57 @@ void expect_mutations_reject_identically(const std::vector<core::EbvBlock>& chai
 }
 
 TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyAcrossConfigs) {
-    expect_mutations_reject_identically(chain_, converter_, gen_options_.params, true);
+    expect_mutations_reject_identically(chain_, converter_, gen_options_.params);
 }
 
-// The same catalogue over a skewed chain (skew = 1): about half the
-// outputs are 1-of-M multisig, M up to 15, signer last, so the lanes'
-// verdict prefetch sees mostly false pairs. Only parity with the serial
-// run is asserted: on this chain mbr-index flips the side of a last leaf
-// that is its own sibling, which proves the same transaction, and the
-// rejection is the next block's broken link instead.
-TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyOnSkewedChain) {
-    workload::GeneratorOptions skewed = gen_options_;
-    skewed.skew = 1.0;
-    skewed.key_pool_size = 16;
-    workload::ChainGenerator gen(skewed);
-    intermediary::Converter converter;
+/// A skewed chain (skew = 1) from the fixture's options: about half the
+/// outputs are 1-of-M multisig, M up to 15, signer last.
+std::vector<core::EbvBlock> skewed_chain(workload::GeneratorOptions options,
+                                         intermediary::Converter& converter,
+                                         std::size_t length) {
+    options.skew = 1.0;
+    options.key_pool_size = 16;
+    workload::ChainGenerator gen(options);
     std::vector<core::EbvBlock> chain;
-    for (std::size_t i = 0; i < kChainLen; ++i) {
+    for (std::size_t i = 0; i < length; ++i) {
         auto converted = converter.convert_block(gen.next_block());
-        ASSERT_TRUE(converted.has_value());
+        EXPECT_TRUE(converted.has_value());
+        if (!converted) break;
         chain.push_back(*converted);
     }
-    expect_mutations_reject_identically(chain, converter, skewed.params, false);
+    return chain;
+}
+
+// The same catalogue over a skewed chain, where the lanes' verdict
+// prefetch sees mostly false pairs: every mutation still trips its
+// designed error at the mutated block.
+TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyOnSkewedChain) {
+    intermediary::Converter converter;
+    const std::vector<core::EbvBlock> chain =
+        skewed_chain(gen_options_, converter, kChainLen);
+    ASSERT_EQ(chain.size(), kChainLen);
+    expect_mutations_reject_identically(chain, converter, gen_options_.params);
+}
+
+// On the skewed chain block 15's first input spends the last leaf of an
+// odd level, which is its own Merkle sibling there: flipping that level's
+// index bit proves the same leaf. mbr-index must flip a level the fold
+// depends on, so EV rejects block 15 itself rather than the reseal
+// breaking block 16's link.
+TEST_F(ScenarioMatrix, MbrIndexFailsExistenceWhenTheLeafIsItsOwnSibling) {
+    intermediary::Converter converter;
+    std::vector<core::EbvBlock> blocks = skewed_chain(gen_options_, converter, kChainLen);
+    ASSERT_EQ(blocks.size(), kChainLen);
+    workload::Adversary adversary(1);
+    ASSERT_TRUE(adversary.apply(workload::Mutation::kMbrIndex, blocks, 15).has_value());
+
+    const std::unique_ptr<core::EbvNode> node =
+        make_node(kConfigs[0], nullptr, gen_options_.params);
+    const ibd::BatchResult result = node->submit_blocks(blocks);
+    ASSERT_TRUE(result.failure.has_value());
+    EXPECT_EQ(result.failure->block_index, 15u);
+    EXPECT_EQ(result.failure->failure.error, core::EbvError::kExistenceFailed)
+        << result.failure->failure.describe();
 }
 
 // The sigcache must never change a verdict: a warm cache holds only
