@@ -4,7 +4,7 @@
 // A miner-side node ingests a burst workload of standalone transactions
 // through TxPool::submit_batch — EV proof folds, sighash templates, and SV
 // fanned over a util::ThreadPool — then packages the pool into a block
-// template and validates it. With a shared core::SigCache, every signature
+// template and validates it. With a shared chain::SigCache, every signature
 // verified at admission short-circuits SV when the template connects, so
 // block validation approaches UV-only cost; without it the node pays the
 // full curve work twice.
@@ -21,8 +21,8 @@
 #include <cstdio>
 #include <optional>
 
+#include "chain/sig_cache.hpp"
 #include "core/chain_archive.hpp"
-#include "core/sig_cache.hpp"
 #include "core/tx_pool.hpp"
 #include "harness.hpp"
 #include "script/standard.hpp"
@@ -135,7 +135,7 @@ std::optional<RunResult> run_point(const Workload& w, std::size_t threads,
     const auto& hits = obs::Registry::global().counter("ebv.sigcache.hits");
     const auto& misses = obs::Registry::global().counter("ebv.sigcache.misses");
 
-    core::SigCache cache;  // fresh per point so earlier runs can't pre-warm it
+    chain::SigCache cache;  // fresh per point so earlier runs can't pre-warm it
     std::optional<util::ThreadPool> workers;
     if (threads > 1) workers.emplace(threads);
 

@@ -122,7 +122,7 @@ void BM_ScriptVerifyBatch(benchmark::State& state) {
 
     for (auto _ : state) {
         const core::TxSighashCache cache(tx);
-        core::EbvSignatureChecker checker(cache, 0);
+        chain::SigChecker checker(cache, 0);
         if (pooled && pool.thread_count() > 0) {
             pool.parallel_for(batch, [&](std::size_t) {
                 benchmark::DoNotOptimize(

@@ -1,4 +1,4 @@
-#include "core/sig_cache.hpp"
+#include "chain/sig_cache.hpp"
 
 #include <cstdlib>
 #include <random>
@@ -6,7 +6,7 @@
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 
-namespace ebv::core {
+namespace ebv::chain {
 
 namespace {
 
@@ -184,4 +184,4 @@ std::size_t SigCache::size() const {
     return total;
 }
 
-}  // namespace ebv::core
+}  // namespace ebv::chain

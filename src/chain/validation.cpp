@@ -265,11 +265,11 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
             return util::Unexpected{ValidationFailure{BlockError::kCoinbaseValueTooHigh, 0}};
     }
 
-    // ② SV — serial or pooled. The reported failure is the lowest failing
-    // job (tx-major input order), as a serial loop would find it: a job is
-    // skipped only when a lower one has already failed, and the failure
-    // index only ever decreases (CAS-min), so every job below the final
-    // minimum ran to its verdict whatever the scheduling.
+    // ② SV, one job per input through EBV's claim loop (claim_all). The
+    // reported failure is the lowest failing job (tx-major input order), as
+    // a serial loop would find it: a job is skipped only when a lower one has
+    // already failed, and the failure index only ever decreases (CAS-min), so
+    // every job below the final minimum ran to its verdict.
     if (options_.verify_scripts && !script_jobs.empty()) {
         PhaseTimer timer(timings.sv);
         constexpr std::size_t kNoFail = std::numeric_limits<std::size_t>::max();
@@ -278,16 +278,12 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
 
         // One sighash cache per transaction over its fetched coins' lock
         // scripts (a transaction's jobs are contiguous, in input order),
-        // shared by all of its input jobs and built lazily inside the
-        // parallel region by whichever worker reaches the tx first
-        // (contiguous chunking means that is almost always the worker that
-        // runs every input of the tx). once_flag is neither movable nor
-        // copyable, hence the raw array.
+        // shared by all of its input jobs and built by whichever claimer
+        // reaches the tx first. once_flag is neither movable nor copyable,
+        // hence the raw array.
         std::vector<std::optional<SighashCache>> caches(block.txs.size());
         const auto cache_once = std::make_unique<std::once_flag[]>(block.txs.size());
-
-        auto check_one = [&](std::size_t j) {
-            if (j > first_fail.load(std::memory_order_relaxed)) return;
+        const auto cache_of = [&](std::size_t j) -> const SighashCache& {
             const PendingScript& job = script_jobs[j];
             const Transaction& tx = block.txs[job.tx_index];
             std::call_once(cache_once[job.tx_index], [&] {
@@ -297,23 +293,27 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
                     locks.emplace_back(script_jobs[k].coin.lock_script);
                 caches[job.tx_index].emplace(SighashTemplate::build(tx), locks);
             });
-            TransactionSignatureChecker checker(*caches[job.tx_index], job.input_index);
-            const script::ScriptError err =
-                script::verify_script(tx.vin[job.input_index].unlock_script,
-                                      job.coin.lock_script, checker);
+            return *caches[job.tx_index];
+        };
+        const auto scripts_of = [&](std::size_t j) {
+            const PendingScript& job = script_jobs[j];
+            return InputScripts{block.txs[job.tx_index].vin[job.input_index].unlock_script,
+                                job.coin.lock_script};
+        };
+        const auto claim = [&](std::size_t, std::size_t j, PrefetchQueue& queue) {
+            if (j > first_fail.load(std::memory_order_relaxed)) return;
+            const InputScripts scripts = scripts_of(j);
+            queue.hold(j, {&scripts, 1}, script_jobs[j].input_index, cache_of(j), nullptr);
+        };
+        const auto run = [&](std::size_t j, std::span<SigMemo> memos) {
+            if (j > first_fail.load(std::memory_order_relaxed)) return;
+            const script::ScriptError err = verify_input(
+                scripts_of(j), script_jobs[j].input_index, cache_of(j), nullptr, memos.data());
             if (err == script::ScriptError::kOk) return;
             errors[j] = err;
-            std::size_t cur = first_fail.load(std::memory_order_relaxed);
-            while (j < cur &&
-                   !first_fail.compare_exchange_weak(cur, j, std::memory_order_relaxed)) {
-            }
+            util::atomic_min(first_fail, j);
         };
-
-        if (options_.script_pool != nullptr) {
-            options_.script_pool->parallel_for(script_jobs.size(), check_one);
-        } else {
-            for (std::size_t j = 0; j < script_jobs.size(); ++j) check_one(j);
-        }
+        claim_all(options_.script_pool, script_jobs.size(), claim, run);
         const std::size_t j = first_fail.load(std::memory_order_relaxed);
         if (j != kNoFail) {
             return util::Unexpected{ValidationFailure{BlockError::kScriptFailure,

@@ -1,7 +1,6 @@
 #include "core/tx_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <iterator>
 #include <optional>
@@ -10,7 +9,6 @@
 
 #include "chain/amount.hpp"
 #include "core/sighash_cache.hpp"
-#include "crypto/ecdsa_lanes.hpp"
 #include "obs/metrics.hpp"
 #include "util/stopwatch.hpp"
 
@@ -92,7 +90,7 @@ TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams
 /// SV of every input in order, first failure wins. `memos`, one per input
 /// when given, answer the signature checks they prefetched.
 TxAdmission script_verdict(const EbvTransaction& tx, const chain::SighashCache& cache,
-                           SigCache* sigcache, std::span<SigMemo> memos = {}) {
+                           chain::SigCache* sigcache, std::span<chain::SigMemo> memos = {}) {
     for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
         if (sv_check_input(tx, i, cache, sigcache, memos.empty() ? nullptr : &memos[i]) !=
             script::ScriptError::kOk)
@@ -124,7 +122,7 @@ TxAdmission validate_transaction(const EbvTransaction& tx,
                                  const chain::HeaderIndex& headers,
                                  const BitVectorSet& status,
                                  std::uint32_t next_height, bool verify_scripts,
-                                 SigCache* sigcache) {
+                                 chain::SigCache* sigcache) {
     const TxAdmission verdict =
         stateless_verdict(tx, params, headers, status, next_height, nullptr);
     if (verdict != TxAdmission::kAccepted || !verify_scripts) return verdict;
@@ -247,44 +245,26 @@ std::vector<TxAdmission> TxPool::submit_batch(std::span<const EbvTransaction> tx
     // (leaf hash, EV folds, UV against the frozen chain state, value rules,
     // SV incl. sigcache warm-up) happens here; the chain state cannot change
     // mid-batch, so verdicts match serial runs.
-    // Up to one claimer per pool slot takes transactions from a shared
-    // cursor. A transaction that passes every check before SV runs its
-    // scripts at once on a CPU without a lane backend. With one, the
-    // claimer's PrefetchQueue prefetches its inputs' signature verdicts
-    // and holds it until they are all in; then its scripts run once,
-    // reading them.
+    // Claimers take transactions through chain::claim_all. One that passes
+    // every check before SV goes to the claimer's PrefetchQueue, which runs
+    // its scripts at once, or, with a lane backend, once its inputs'
+    // prefetched signature verdicts are all in.
     std::vector<Prevalidation> pre(txs.size());
-    const bool lanes = options_.verify_scripts && crypto::lanes_enabled();
-    // By batch position: a held transaction's memos point at its cache.
-    std::vector<std::optional<TxSighashCache>> caches(lanes ? txs.size() : 0);
-    std::atomic<std::size_t> next{0};
-    const auto claimer = [&](std::size_t /*slot*/, std::size_t /*claimer*/) {
-        // Frees each cache on the claimer that built it, once its scripts ran.
-        const auto run = [&](std::size_t k, std::span<SigMemo> memos) {
-            pre[k].verdict = script_verdict(txs[k], *caches[k], options_.sigcache, memos);
-            caches[k].reset();
-        };
-        PrefetchQueue queue(run);
-        for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed); k < txs.size();
-             k = next.fetch_add(1, std::memory_order_relaxed)) {
-            prevalidate(txs[k], pre[k]);
-            if (pre[k].verdict != TxAdmission::kAccepted || !options_.verify_scripts) continue;
-            if (lanes) {
-                queue.hold(k, txs[k], 0, txs[k].inputs.size(), caches[k].emplace(txs[k]),
-                           options_.sigcache);
-            } else {
-                pre[k].verdict = script_verdict(txs[k], TxSighashCache(txs[k]), options_.sigcache);
-            }
-        }
-        queue.drain();
+    // By batch position: a held transaction's memos point at its cache,
+    // which the claimer that built it frees once its scripts ran.
+    std::vector<std::optional<TxSighashCache>> caches(txs.size());
+    const auto claim = [&](std::size_t, std::size_t k, chain::PrefetchQueue& queue) {
+        prevalidate(txs[k], pre[k]);
+        if (pre[k].verdict != TxAdmission::kAccepted || !options_.verify_scripts) return;
+        std::vector<chain::InputScripts> scripts;
+        for (const EbvInput& in : txs[k].inputs) scripts.push_back(input_scripts(in));
+        queue.hold(k, scripts, 0, caches[k].emplace(txs[k]), options_.sigcache);
     };
-    const std::size_t slots = options_.pool != nullptr ? options_.pool->thread_count() : 1;
-    const std::size_t claimers = std::min(slots, txs.size());
-    if (claimers > 1) {
-        options_.pool->parallel_for_slots(claimers, claimer);
-    } else {
-        claimer(0, 0);
-    }
+    const auto run = [&](std::size_t k, std::span<chain::SigMemo> memos) {
+        pre[k].verdict = script_verdict(txs[k], *caches[k], options_.sigcache, memos);
+        caches[k].reset();
+    };
+    chain::claim_all(options_.pool, txs.size(), claim, run);
 
     // Stage 2 — serial resolution in submission order: duplicates and
     // conflicts against the pool *and earlier batch entries*, replacement,

@@ -7,11 +7,11 @@
 // Heavy-traffic front-end (docs/MEMPOOL.md):
 //  - submit_batch() runs the stateless per-transaction work (EV proof
 //    folds, sighash templates, SV) in one claimer per util::ThreadPool
-//    slot, the signatures of standard inputs prefetched eight at a time
-//    through a core::LaneBatcher when the CPU has a lane backend, then
+//    slot (chain::claim_all), the signatures of standard inputs prefetched
+//    eight at a time when the CPU has a lane backend, then
 //    resolves verdicts serially in submission order — admission verdicts
 //    are bit-identical to one-at-a-time submit() calls on one thread.
-//  - A core::SigCache records every signature verified at admission, so
+//  - A chain::SigCache records every signature verified at admission, so
 //    validating a block built from the pool skips the curve work and
 //    approaches UV-only cost.
 //  - Entries are ranked by exact feerate (128-bit cross-multiplied, txid
@@ -37,7 +37,7 @@
 #include "core/bitvector_set.hpp"
 #include "core/ebv_transaction.hpp"
 #include "core/ebv_validator.hpp"
-#include "core/sig_cache.hpp"
+#include "chain/sig_cache.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ebv::core {
@@ -67,7 +67,7 @@ TxAdmission validate_transaction(const EbvTransaction& tx,
                                  const BitVectorSet& status,
                                  std::uint32_t next_height,
                                  bool verify_scripts = true,
-                                 SigCache* sigcache = nullptr);
+                                 chain::SigCache* sigcache = nullptr);
 
 struct TxPoolOptions {
     /// Resident byte budget (0 = unlimited). When an insertion pushes the
@@ -80,7 +80,7 @@ struct TxPoolOptions {
     util::ThreadPool* pool = nullptr;
     /// Records admission-verified signatures for block-validation reuse;
     /// typically the same cache handed to EbvValidatorOptions::sigcache.
-    SigCache* sigcache = nullptr;
+    chain::SigCache* sigcache = nullptr;
     bool verify_scripts = true;
     /// Allow a conflicting transaction to replace pooled spenders when its
     /// feerate strictly beats every one of them.

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "chain/amount.hpp"
-#include "core/sig_cache.hpp"
 #include "core/sighash_cache.hpp"
-#include "crypto/ecdsa_lanes.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
@@ -114,13 +112,6 @@ std::uint64_t spent_key(std::uint32_t height, std::uint32_t position) {
     return static_cast<std::uint64_t>(height) << 32 | position;
 }
 
-void cas_min(std::atomic<std::size_t>& target, std::size_t value) {
-    std::size_t cur = target.load(std::memory_order_relaxed);
-    while (value < cur &&
-           !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-    }
-}
-
 /// One input's fused EV+SV job, schedulable out of block order.
 struct ProofJob {
     std::uint32_t block;        ///< window-relative block index
@@ -160,9 +151,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
     util::ThreadPool* const pool = options_.script_pool;
     const std::size_t slots = pool != nullptr ? pool->thread_count() : 1;
     const bool verify_scripts = options_.verify_scripts;
-    // With a lane backend, claimers prefetch signature verdicts eight at a
-    // time (see the proof tasks below).
-    const bool lanes = verify_scripts && crypto::lanes_enabled();
 
     std::size_t batch_index = 0;
     while (batch_index < blocks.size()) {
@@ -286,17 +274,11 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
-        // Proof tasks, the pool's unit of stage 2: up to `slots` claimers,
-        // each taking proof jobs one at a time, in job order, from the
-        // shared cursor `next_job`, which keeps the pool balanced at input
-        // grain. With a lane backend, a claimer prefetches the signature
-        // verdicts of each input it claims (core::SigMemo) through its
-        // core::LaneBatcher, kVerifyLanes at a time (the 8-input SV job),
-        // holds the input until they are all in, then runs its script once
-        // (docs/PIPELINE.md).
-        const std::size_t proof_tasks = std::min(slots, jobs.size());
-        std::atomic<std::size_t> next_job{0};
-
+        // Stage 2 runs the proof jobs through chain::claim_all: up to `slots`
+        // claimers take them one at a time, in job order, which keeps the
+        // pool balanced at input grain. With a lane backend, a claimer's
+        // PrefetchQueue holds each input until its signature verdicts are in,
+        // kVerifyLanes at a time, then runs its script once (docs/PIPELINE.md).
         std::vector<Verdict> verdicts(jobs.size());
         std::vector<AtomicMin> ev_min(accepted);
         std::vector<AtomicMin> sv_min(accepted);
@@ -311,7 +293,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             for (auto& id : block_span_ids) id = obs::next_span_id();
 
         std::vector<std::uint64_t> ev_busy(slots, 0);
-        std::vector<std::uint64_t> sv_busy(slots, 0);
 
         // Per-transaction sighash caches (core::TxSighashCache), lazily
         // built by whichever worker first reaches one of the transaction's
@@ -354,37 +335,36 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         };
 
         // SV for proof job j, reading `memo` once its verdicts are all in.
-        const auto check_sv = [&](std::size_t j, core::SigMemo* memo) {
+        const auto check_sv = [&](std::size_t j, std::span<chain::SigMemo> memos) {
             const ProofJob& job = jobs[j];
             if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
             util::Stopwatch watch;
             const script::ScriptError err = core::sv_check_input(
                 window[job.block].txs[job.tx_index], job.input_index, sighash_cache(job),
-                options_.sigcache, memo);
+                options_.sigcache, memos.data());
             if (trace_detail)
                 record_detail("ebv.sv.input", "sv", block_span_ids[job.block],
                               watch.elapsed_ns(), job.ordinal);
             if (err == script::ScriptError::kOk) return;
             verdicts[j].script = err;
-            cas_min(sv_min[job.block].value, job.ordinal);
-            cas_min(min_fail_block, job.block);
+            util::atomic_min(sv_min[job.block].value, job.ordinal);
+            util::atomic_min(min_fail_block, job.block);
         };
 
         // EV, then SV, for proof job j, possibly out of block order. A job
         // may be skipped only when a *lower* (block, ordinal) failure is
         // already recorded: the minima only ever decrease, so every verdict
         // the resolution pass reads was fully evaluated regardless of
-        // thread count. With lanes, the claimer's `queue` runs the script
+        // thread count. The claimer's `queue` runs the script, at once or
         // once the input's prefetched verdicts are in.
         const auto check_proof = [&](std::size_t slot, std::size_t j,
-                                     core::PrefetchQueue& queue) {
+                                     chain::PrefetchQueue& queue) {
             const ProofJob& job = jobs[j];
             if (job.block > min_fail_block.load(std::memory_order_relaxed)) return;
             std::atomic<std::size_t>& block_ev_min = ev_min[job.block].value;
             if (job.ordinal > block_ev_min.load(std::memory_order_relaxed)) return;
 
-            const EbvTransaction& tx = window[job.block].txs[job.tx_index];
-            const EbvInput& in = tx.inputs[job.input_index];
+            const EbvInput& in = window[job.block].txs[job.tx_index].inputs[job.input_index];
             const std::uint32_t spending_height =
                 window_base + static_cast<std::uint32_t>(job.block);
 
@@ -406,38 +386,16 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                               job.ordinal);
             if (ev != EvStatus::kOk) {
                 verdicts[j].ev = ev;
-                cas_min(block_ev_min, job.ordinal);
-                cas_min(min_fail_block, job.block);
+                util::atomic_min(block_ev_min, job.ordinal);
+                util::atomic_min(min_fail_block, job.block);
                 return;
             }
 
             // SV, fused into the same job while the input is cache-hot.
             if (!verify_scripts) return;
             if (job.ordinal > sv_min[job.block].value.load(std::memory_order_relaxed)) return;
-            watch.restart();
-            if (lanes) {
-                queue.hold(j, tx, job.input_index, 1, sighash_cache(job), options_.sigcache);
-            } else {
-                check_sv(j, nullptr);
-            }
-            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
-        };
-
-        // Stage 2: one claimer (see `proof_tasks` above).
-        const auto pass_body = [&](std::size_t slot, std::size_t) {
-            const auto run = [&](std::size_t j, std::span<core::SigMemo> memos) {
-                check_sv(j, memos.data());
-            };
-            core::PrefetchQueue queue(run);
-            while (!cancel_.cancelled()) {
-                const std::size_t j = next_job.fetch_add(1, std::memory_order_relaxed);
-                if (j >= jobs.size()) break;
-                check_proof(slot, j, queue);
-            }
-            // The last groups and scripts count as SV time of the slot.
-            util::Stopwatch watch;
-            queue.drain();
-            sv_busy[slot] += static_cast<std::uint64_t>(watch.elapsed_ns());
+            const chain::InputScripts scripts = core::input_scripts(in);
+            queue.hold(j, {&scripts, 1}, job.input_index, sighash_cache(job), options_.sigcache);
         };
 
         // ---- Stage 2: one parallel region -----------------------------------
@@ -450,17 +408,12 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         if (pool != nullptr && tracing) slot_busy_before = pool->slot_busy_ns();
         const util::Nanoseconds pass_start_ns = tracing ? obs::Tracer::now_ns() : 0;
         util::Stopwatch pass_watch;
-        if (proof_tasks > 0) {
-            if (pool != nullptr) {
-                try {
-                    pool->parallel_for_slots(proof_tasks, pass_body, &cancel_);
-                } catch (...) {
-                    m.blocks_inflight.set(0);
-                    throw;
-                }
-            } else {
-                pass_body(0, 0);
-            }
+        std::vector<util::Nanoseconds> slot_ns;
+        try {
+            slot_ns = chain::claim_all(pool, jobs.size(), check_proof, check_sv, &cancel_);
+        } catch (...) {
+            m.blocks_inflight.set(0);
+            throw;
         }
         const util::Nanoseconds pass_wall = pass_watch.elapsed_ns();
         if (pool != nullptr) {
@@ -513,14 +466,18 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         }
 
         // Apportion the pass's wall time across EV / SV in proportion to
-        // per-slot busy time, so EbvTimings::total() stays wall-clock.
+        // per-slot busy time, so EbvTimings::total() stays wall-clock. A
+        // slot's SV time is its claimers' busy time less its EV time.
         {
             std::uint64_t ev_total = 0;
             std::uint64_t sv_total = 0;
             for (std::size_t s = 0; s < slots; ++s) {
+                const auto busy = static_cast<std::uint64_t>(slot_ns[s]);
+                const std::uint64_t sv_busy =
+                    verify_scripts && busy > ev_busy[s] ? busy - ev_busy[s] : 0;
                 ev_total += ev_busy[s];
-                sv_total += sv_busy[s];
-                if (sv_busy[s] > 0) m.sv_parallel_ns.observe(sv_busy[s]);
+                sv_total += sv_busy;
+                if (sv_busy > 0) m.sv_parallel_ns.observe(sv_busy);
             }
             const std::uint64_t busy_total = ev_total + sv_total;
             if (busy_total > 0) {

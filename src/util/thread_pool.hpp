@@ -68,6 +68,15 @@ private:
     R (*call_)(void*, Args...);
 };
 
+/// Lowers `target` to `value` when that is smaller (CAS-min): a parallel
+/// pass's first-failure index, which only ever decreases.
+inline void atomic_min(std::atomic<std::size_t>& target, std::size_t value) {
+    std::size_t cur = target.load(std::memory_order_relaxed);
+    while (value < cur &&
+           !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+    }
+}
+
 /// Cooperative early-exit flag. Checked by the pool between chunks: once
 /// cancelled, remaining chunks are claimed but their bodies are skipped, so
 /// parallel_for still returns promptly (and deterministically terminates).

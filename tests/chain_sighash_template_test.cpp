@@ -327,8 +327,8 @@ TEST(SighashCache, BothCheckersAgreeOnEveryVerdict) {
     const core::TxSighashCache ebv_cache(p.ebv);
     const bool expected[] = {true, false, false, false};
     for (std::size_t i = 0; i < 4; ++i) {
-        const chain::TransactionSignatureChecker btc(btc_cache, i);
-        const core::EbvSignatureChecker ebv(ebv_cache, i);
+        const chain::SigChecker btc(btc_cache, i);
+        const chain::SigChecker ebv(ebv_cache, i);
         EXPECT_EQ(btc.check_signature(sigs[i], pubkey, p.script_code), expected[i]) << i;
         EXPECT_EQ(ebv.check_signature(sigs[i], pubkey, p.script_code), expected[i]) << i;
     }

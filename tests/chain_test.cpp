@@ -176,14 +176,14 @@ TEST(Sighash, SignatureVerifiesThroughScriptVm) {
     tx.vin[0].unlock_script = script::make_p2pkh_unlock(sig, key.public_key());
 
     const SighashCache cache(SighashTemplate::build(tx));
-    TransactionSignatureChecker checker(cache, 0);
+    SigChecker checker(cache, 0);
     EXPECT_EQ(script::verify_script(tx.vin[0].unlock_script, lock, checker),
               script::ScriptError::kOk);
 
     // Changing an output invalidates the signature.
     tx.vout[0].value = 51;
     const SighashCache changed(SighashTemplate::build(tx));
-    TransactionSignatureChecker changed_checker(changed, 0);
+    SigChecker changed_checker(changed, 0);
     EXPECT_EQ(script::verify_script(tx.vin[0].unlock_script, lock, changed_checker),
               script::ScriptError::kEvalFalse);
 }

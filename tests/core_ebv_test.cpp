@@ -15,7 +15,6 @@
 #include "core/ebv_transaction.hpp"
 #include "core/ebv_validator.hpp"
 #include "core/node.hpp"
-#include "core/sig_cache.hpp"
 #include "crypto/ecdsa_lanes.hpp"
 #include "obs/metrics.hpp"
 #include "script/opcodes.hpp"
@@ -28,6 +27,13 @@ namespace {
 
 using chain::Amount;
 using chain::kCoin;
+using chain::kMaxSigCandidates;
+using chain::LaneBatcher;
+using chain::SigCache;
+using chain::SigCandidate;
+using chain::SigMemo;
+using chain::SigVerdict;
+using chain::standard_candidates;
 
 /// Harness that grows a small EBV chain: every block has a coinbase paying
 /// the shared key; helpers build spends with real proofs and signatures.
@@ -335,7 +341,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     const EbvTransaction spend = h_.make_spend(0, 0, 0, 25 * kCoin);
     const TxSighashCache spend_cache(spend);
     std::array<SigCandidate, kMaxSigCandidates> pairs;
-    ASSERT_EQ(standard_candidates(spend.inputs[0], pairs), 1u);
+    ASSERT_EQ(standard_candidates(input_scripts(spend.inputs[0]), pairs), 1u);
 
     // The one pair waits in the batcher until it flushes; the script then
     // reads its verdict.
@@ -343,7 +349,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     LaneBatcher batcher;
     {
         SigMemo memo;
-        memo.prefetch(spend, 0, spend_cache, nullptr, batcher);
+        memo.prefetch(input_scripts(spend.inputs[0]), 0, spend_cache, nullptr, batcher);
         EXPECT_EQ(batcher.size(), 1u);
         EXPECT_FALSE(memo.advance(batcher));
         batcher.flush();
@@ -368,7 +374,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     for (const EbvTransaction* tx : {&bad_sig, &wrong_key}) {
         const TxSighashCache cache(*tx);
         SigMemo memo;
-        memo.prefetch(*tx, 0, cache, nullptr, batcher);
+        memo.prefetch(input_scripts(tx->inputs[0]), 0, cache, nullptr, batcher);
         batcher.flush();
         ASSERT_TRUE(memo.advance(batcher));
         EXPECT_EQ(sv_check_input(*tx, 0, cache, nullptr, &memo), sv_check_input(*tx, 0, cache));
@@ -382,7 +388,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     SigCache cache;
     {
         SigMemo memo;
-        memo.prefetch(spend, 0, spend_cache, &cache, batcher);
+        memo.prefetch(input_scripts(spend.inputs[0]), 0, spend_cache, &cache, batcher);
         batcher.flush();
         ASSERT_TRUE(memo.advance(batcher));
         EXPECT_EQ(cache.size(), 0u);
@@ -392,7 +398,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     {
         const TxSighashCache bad_cache(bad_sig);
         SigMemo memo;
-        memo.prefetch(bad_sig, 0, bad_cache, &cache, batcher);
+        memo.prefetch(input_scripts(bad_sig.inputs[0]), 0, bad_cache, &cache, batcher);
         batcher.flush();
         ASSERT_TRUE(memo.advance(batcher));
         EXPECT_NE(sv_check_input(bad_sig, 0, bad_cache, &cache, &memo), script::ScriptError::kOk);
@@ -400,7 +406,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     }
     {
         SigMemo memo;
-        memo.prefetch(spend, 0, spend_cache, &cache, batcher);
+        memo.prefetch(input_scripts(spend.inputs[0]), 0, spend_cache, &cache, batcher);
         EXPECT_EQ(batcher.size(), 0u);
         EXPECT_TRUE(memo.advance(batcher));
         EXPECT_EQ(sv_check_input(spend, 0, spend_cache, &cache, &memo), script::ScriptError::kOk);
@@ -408,7 +414,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
 
     // The memo answers only the script code it was built for.
     SigMemo memo;
-    memo.prefetch(spend, 0, spend_cache, nullptr, batcher);
+    memo.prefetch(input_scripts(spend.inputs[0]), 0, spend_cache, nullptr, batcher);
     batcher.flush();
     ASSERT_TRUE(memo.advance(batcher));
     const util::Bytes& lock = spend.inputs[0].els.outputs[0].lock_script;
@@ -420,7 +426,7 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     EbvTransaction extra_push = spend;
     extra_push.inputs[0].unlock_script.insert(extra_push.inputs[0].unlock_script.begin(),
                                               {0x01, 0x01});
-    EXPECT_EQ(standard_candidates(extra_push.inputs[0], pairs), 0u);
+    EXPECT_EQ(standard_candidates(input_scripts(extra_push.inputs[0]), pairs), 0u);
 }
 
 TEST(LaneBatcher, WritesEveryVerdictOfFullAndPartialGroups) {
@@ -514,7 +520,7 @@ TEST(StandardCandidates, ReturnsExactlyThePairsCheckMultisigCanTry) {
             for (int i = 0; i < m; ++i)
                 for (int j = i; j <= n - m + i; ++j)
                     expected.emplace(static_cast<std::uint8_t>(0x80 + i), static_cast<std::uint8_t>(j));
-            const std::size_t count = standard_candidates(in, pairs);
+            const std::size_t count = standard_candidates(input_scripts(in), pairs);
             if (expected.size() > static_cast<std::size_t>(2 * n)) {
                 EXPECT_EQ(count, 0u) << "left to the scalar path";
                 continue;
@@ -551,7 +557,7 @@ TEST(StandardCandidates, RejectsEveryOtherShape) {
         EbvInput in;
         in.els.outputs.push_back({1, std::move(lock)});
         in.unlock_script = std::move(unlock);
-        return standard_candidates(in, pairs);
+        return standard_candidates(input_scripts(in), pairs);
     };
     const script::Script one_of_two = shapes::multisig_lock(1, {key, key});
     const script::Script multisig_unlock = script::make_multisig_unlock({sig});
@@ -613,7 +619,7 @@ TEST(StandardCandidates, RejectsEveryOtherShape) {
     in.els.outputs.push_back({1, p2pk});
     in.unlock_script = p2pk_unlock;
     in.out_index = 1;
-    EXPECT_EQ(standard_candidates(in, pairs), 0u);
+    EXPECT_EQ(standard_candidates(input_scripts(in), pairs), 0u);
 }
 
 TEST(SigMemo, ScriptReadsExactVerdictsAndLeavesTheExpectedOnesUnused) {
@@ -640,7 +646,7 @@ TEST(SigMemo, ScriptReadsExactVerdictsAndLeavesTheExpectedOnesUnused) {
 
             LaneBatcher batcher;
             SigMemo memo;
-            memo.prefetch(tx, 0, cache, nullptr, batcher);
+            memo.prefetch(input_scripts(tx.inputs[0]), 0, cache, nullptr, batcher);
             for (int round = 0; round < 2 && !memo.advance(batcher); ++round) batcher.flush();
             ASSERT_TRUE(memo.advance(batcher));
             EXPECT_EQ(sv_check_input(tx, 0, cache, nullptr, &memo), scalar);

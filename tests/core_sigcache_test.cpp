@@ -1,4 +1,4 @@
-// core::SigCache: sharded admission-time signature-verification reuse
+// chain::SigCache: sharded admission-time signature-verification reuse
 // (docs/MEMPOOL.md). Covers the cache contract (only-successes stored,
 // FIFO byte budget, salted keying), the soundness demonstration the
 // scenario matrix relies on — a deliberately poisoned entry CAN flip a
@@ -9,9 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "chain/sig_cache.hpp"
 #include "core/chain_archive.hpp"
 #include "core/node.hpp"
-#include "core/sig_cache.hpp"
 #include "core/tx_pool.hpp"
 #include "obs/metrics.hpp"
 #include "script/standard.hpp"
@@ -22,6 +22,7 @@ namespace {
 
 using chain::Amount;
 using chain::kCoin;
+using chain::SigCache;
 
 crypto::VerifyJob make_job(util::Rng& rng, std::uint8_t tag) {
     const crypto::PrivateKey key = crypto::PrivateKey::generate(rng);
@@ -182,7 +183,7 @@ protected:
         sig.push_back(0x01);
         tx.inputs[0].unlock_script = script::make_p2pkh_unlock(sig, key_.public_key());
 
-        // The exact triple EbvSignatureChecker forms for this input: the
+        // The exact triple chain::SigChecker forms for this input: the
         // REAL sighash, the real key, the bogus signature.
         *job_out = crypto::VerifyJob{key_.public_key(), bogus,
                                      ebv_signature_hash(tx, 0, lock(), 0x01)};

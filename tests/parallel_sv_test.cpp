@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "chain/node.hpp"
 #include "core/node.hpp"
+#include "crypto/ecdsa_lanes.hpp"
 #include "intermediary/converter.hpp"
+#include "obs/metrics.hpp"
+#include "standard_shapes.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
@@ -329,6 +333,154 @@ TEST_F(ParallelSvSkewDeterminism, ProofTamperOutranksEarlierBadSignature) {
     const auto failure = failure_with(nullptr, bad);
     ASSERT_EQ(failure.error, core::EbvError::kExistenceFailed);
     expect_identical_across_schedulers(bad);
+}
+
+/// Pins the signature-lane backend for a scope, then restores "auto".
+class LanesScope {
+public:
+    explicit LanesScope(const char* impl) { EXPECT_TRUE(crypto::lanes_force_impl(impl)); }
+    ~LanesScope() { crypto::lanes_force_impl("auto"); }
+    LanesScope(const LanesScope&) = delete;
+    LanesScope& operator=(const LanesScope&) = delete;
+};
+
+/// The baseline's verdict on one block: accepted, or its failure tuple.
+struct BaselineVerdict {
+    bool accepted = true;
+    chain::BlockError error = chain::BlockError::kEmptyBlock;
+    std::size_t tx_index = 0;
+    std::size_t input_index = 0;
+    script::ScriptError script_error = script::ScriptError::kOk;
+
+    friend bool operator==(const BaselineVerdict&, const BaselineVerdict&) = default;
+    friend std::ostream& operator<<(std::ostream& os, const BaselineVerdict& v) {
+        if (v.accepted) return os << "accepted";
+        return os << chain::ValidationFailure{v.error, v.tx_index, v.input_index, v.script_error}
+                         .describe();
+    }
+};
+
+/// `block` on a fresh baseline node after `prefix`.
+BaselineVerdict baseline_verdict(const chain::ChainParams& params, util::ThreadPool* pool,
+                                 const std::vector<chain::Block>& prefix,
+                                 const chain::Block& block) {
+    chain::BitcoinNodeOptions options;
+    options.params = params;
+    options.validator.script_pool = pool;
+    chain::BitcoinNode node(options);
+    for (const chain::Block& b : prefix) EXPECT_TRUE(node.submit_block(b).has_value());
+    const auto result = node.submit_block(block);
+    if (result) return {};
+    const chain::ValidationFailure& f = result.error();
+    return {false, f.error, f.tx_index, f.input_index, f.script_error};
+}
+
+// The baseline runs SV through the claim loop and verdict prefetch EBV
+// uses. Over every standard signature shape, in Bitcoin format, each lane
+// backend and thread count reports the serial scalar verdicts: one block
+// per shape, and one block with every shape, whose lowest failing input
+// wins. With lanes, each shape leaves exactly its expected lane verdicts
+// unread.
+TEST(ParallelSv, BaselineShapesMatchScalarSerialAcrossLanesAndThreads) {
+    chain::ChainParams params = chain::ChainParams::simnet();
+    params.coinbase_maturity = 1;
+    const std::vector<crypto::PrivateKey> keys = shapes::shape_keys(5);
+    const std::vector<shapes::ShapeCase> cases = shapes::shape_cases(keys);
+    std::vector<script::Script> locks;
+    for (const auto& c : cases) locks.push_back(c.lock);
+    const shapes::BitcoinShapeChain chain(params, locks, 2);
+
+    std::vector<chain::Block> blocks;
+    std::vector<chain::Transaction> every_shape;
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const auto out = static_cast<std::uint32_t>(2 * c);
+        blocks.push_back(chain.next_block({chain.spend(out, cases[c].unlock)}));
+        every_shape.push_back(chain.spend(out + 1, cases[c].unlock));
+    }
+    blocks.push_back(chain.next_block(std::move(every_shape)));
+
+    obs::Counter& lane_groups = obs::Registry::global().counter("ebv.crypto.lane_groups");
+    obs::Counter& lane_unused = obs::Registry::global().counter("ebv.crypto.lane_unused");
+    // Each block's verdict, and into `unused` the lane verdicts it left
+    // unread.
+    const auto verdicts = [&](util::ThreadPool* pool, std::vector<std::uint64_t>& unused) {
+        std::vector<BaselineVerdict> out;
+        for (const chain::Block& block : blocks) {
+            const std::uint64_t before = lane_unused.value();
+            out.push_back(baseline_verdict(params, pool, chain.blocks, block));
+            unused.push_back(lane_unused.value() - before);
+        }
+        return out;
+    };
+
+    std::vector<std::uint64_t> unused;
+    const std::vector<BaselineVerdict> reference = [&] {
+        const LanesScope scalar("none");
+        return verdicts(nullptr, unused);
+    }();
+    std::size_t first_invalid = cases.size();
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        EXPECT_EQ(reference[c].accepted, cases[c].valid) << cases[c].name;
+        if (!cases[c].valid) {
+            EXPECT_EQ(reference[c].error, chain::BlockError::kScriptFailure) << cases[c].name;
+            first_invalid = std::min(first_invalid, c);
+        }
+    }
+    ASSERT_LT(first_invalid, cases.size());
+    EXPECT_EQ(reference.back().tx_index, first_invalid + 1);
+
+    for (const char* backend : {"none", "portable", "auto"}) {
+        const LanesScope scope(backend);
+        const bool lanes = crypto::lanes_enabled();
+        for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+            SCOPED_TRACE(std::string(backend) + " threads=" + std::to_string(threads));
+            std::optional<util::ThreadPool> pool;
+            if (threads > 0) pool.emplace(threads);
+            const std::uint64_t groups = lane_groups.value();
+            unused.clear();
+            EXPECT_EQ(verdicts(pool ? &*pool : nullptr, unused), reference);
+            EXPECT_EQ(lane_groups.value() > groups, lanes);
+            for (std::size_t c = 0; c < cases.size(); ++c)
+                EXPECT_EQ(unused[c], lanes ? cases[c].unused : 0u) << cases[c].name;
+        }
+    }
+}
+
+// On a valid generated chain the baseline takes the lanes under every
+// thread count, reads every lane verdict it asked for, and ends in the
+// scalar serial node's UTXO set.
+TEST(ParallelSv, BaselineTakesTheLanesOnValidChain) {
+    const auto gen_options = options_for(3);
+    std::vector<chain::Block> blocks;
+    workload::ChainGenerator gen(gen_options);
+    for (int i = 0; i < 20; ++i) blocks.push_back(gen.next_block());
+
+    chain::BitcoinNodeOptions options;
+    options.params = gen_options.params;
+    const auto utxo_size = [&](util::ThreadPool* pool) {
+        options.validator.script_pool = pool;
+        chain::BitcoinNode node(options);
+        for (const chain::Block& block : blocks) EXPECT_TRUE(node.submit_block(block).has_value());
+        return node.utxo().size();
+    };
+    const std::size_t reference = [&] {
+        const LanesScope scalar("none");
+        return utxo_size(nullptr);
+    }();
+
+    obs::Counter& lane_groups = obs::Registry::global().counter("ebv.crypto.lane_groups");
+    obs::Counter& lane_unused = obs::Registry::global().counter("ebv.crypto.lane_unused");
+    const LanesScope portable("portable");
+    for (const std::size_t threads : {0u, 2u, 4u}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        std::optional<util::ThreadPool> pool;
+        if (threads > 0) pool.emplace(threads);
+        const std::uint64_t groups = lane_groups.value();
+        const std::uint64_t unused = lane_unused.value();
+        EXPECT_EQ(utxo_size(pool ? &*pool : nullptr), reference);
+        EXPECT_GT(lane_groups.value(), groups);
+        EXPECT_EQ(lane_unused.value(), unused);
+    }
 }
 
 }  // namespace

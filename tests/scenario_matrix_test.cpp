@@ -8,7 +8,8 @@
 // seed-logged randomized soak (EBV_SOAK_SEED / EBV_SOAK_BLOCKS) interleaves
 // all of it for hundreds of blocks. The mutation catalogue also compares
 // scalar signature checks against the lane backends (kLaneRuns), on the
-// default chain and on a skewed one full of 1-of-M multisig inputs.
+// default chain and on a skewed one full of 1-of-M multisig inputs, and
+// the baseline validator gets the same thread × lane-backend sweep.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,16 +18,17 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <unistd.h>
 #include <vector>
 
 #include "chain/miner.hpp"
 #include "chain/node.hpp"
 #include "chain/reorg.hpp"
+#include "chain/sig_cache.hpp"
 #include "chain/sighash.hpp"
 #include "core/node.hpp"
 #include "core/reorg.hpp"
-#include "core/sig_cache.hpp"
 #include "crypto/ecdsa_lanes.hpp"
 #include "intermediary/converter.hpp"
 #include "script/standard.hpp"
@@ -109,7 +111,7 @@ const LaneRun kLaneRuns[] = {
 std::unique_ptr<core::EbvNode> make_node(const Config& cfg, util::ThreadPool* pool,
                                          const chain::ChainParams& params,
                                          const std::string& data_dir = {},
-                                         core::SigCache* sigcache = nullptr) {
+                                         chain::SigCache* sigcache = nullptr) {
     core::EbvNodeOptions options;
     options.params = params;
     options.data_dir = data_dir;
@@ -331,7 +333,7 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
 
     // Warm one shared cache by fully validating the clean chain once; every
     // honest signature in `chain_` is now admission-equivalent cached.
-    core::SigCache cache;
+    chain::SigCache cache;
     {
         auto warm = make_node(kConfigs[1], &pool, gen_options_.params, {}, &cache);
         ASSERT_TRUE(warm->submit_blocks(chain_).ok());
@@ -368,6 +370,99 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
             ASSERT_TRUE(result.failure.has_value()) << run.name;
             expect_same_batch(cold, result, std::string(run.name) + "+sigcache");
             expect_same_state(*baseline, *node, std::string(run.name) + "+sigcache");
+        }
+    }
+}
+
+/// Where a baseline run over a Bitcoin-format chain stopped: the index of
+/// the rejected block (the chain length when all connected), its failure
+/// tuple, and the UTXO set and tip it left.
+struct BaselineRun {
+    std::size_t rejected = 0;
+    chain::BlockError error = chain::BlockError::kEmptyBlock;
+    std::size_t tx_index = 0;
+    std::size_t input_index = 0;
+    script::ScriptError script_error = script::ScriptError::kOk;
+    std::size_t utxos = 0;
+    crypto::Hash256 tip;
+
+    friend bool operator==(const BaselineRun&, const BaselineRun&) = default;
+};
+
+BaselineRun run_baseline(const std::vector<chain::Block>& blocks,
+                         const chain::ChainParams& params, util::ThreadPool* pool) {
+    chain::BitcoinNodeOptions options;
+    options.params = params;
+    options.validator.script_pool = pool;
+    chain::BitcoinNode node(options);
+    BaselineRun run;
+    for (; run.rejected < blocks.size(); ++run.rejected) {
+        const auto result = node.submit_block(blocks[run.rejected]);
+        if (result) continue;
+        run.error = result.error().error;
+        run.tx_index = result.error().tx_index;
+        run.input_index = result.error().input_index;
+        run.script_error = result.error().script_error;
+        break;
+    }
+    run.utxos = node.utxo().size();
+    run.tip = node.headers().tip_hash();
+    return run;
+}
+
+// The baseline validator (Bitcoin format) through its own thread ×
+// lane-backend sweep: the clean chain, a block with every other signature
+// corrupted, and a block whose last transaction pays one satoshi less than
+// it signed, each end with the scalar serial run's tuple and state under
+// every backend and thread count.
+TEST_F(ScenarioMatrix, BaselineRejectsIdenticallyAcrossThreadsAndLanes) {
+    workload::ChainGenerator gen(gen_options_);
+    std::vector<chain::Block> clean;
+    for (std::size_t i = 0; i < kChainLen; ++i) clean.push_back(gen.next_block());
+    std::size_t target = kChainLen / 2;
+    while (target < kChainLen && clean[target].input_count() < 3) ++target;
+    ASSERT_LT(target, kChainLen) << "no block past the midpoint spends three inputs";
+
+    const auto reseal = [&](std::vector<chain::Block>& blocks) {
+        for (chain::Transaction& tx : blocks[target].txs) tx.invalidate_cache();
+        blocks[target].header.merkle_root = blocks[target].compute_merkle_root();
+    };
+    std::vector<chain::Block> bad_sigs = clean;
+    std::size_t global = 0;
+    for (std::size_t t = 1; t < bad_sigs[target].txs.size(); ++t)
+        for (chain::TxIn& in : bad_sigs[target].txs[t].vin)
+            if (global++ % 2 == 1 && in.unlock_script.size() > 6) in.unlock_script[5] ^= 0x11;
+    reseal(bad_sigs);
+    std::vector<chain::Block> short_output = clean;
+    short_output[target].txs.back().vout[0].value -= 1;
+    reseal(short_output);
+
+    const struct {
+        const char* name;
+        const std::vector<chain::Block>& blocks;
+        bool rejected;
+    } variants[] = {{"clean", clean, false},
+                    {"bad signatures", bad_sigs, true},
+                    {"short output", short_output, true}};
+    for (const auto& variant : variants) {
+        SCOPED_TRACE(variant.name);
+        const BaselineRun reference = [&] {
+            const LanesScope scalar("none");
+            return run_baseline(variant.blocks, gen_options_.params, nullptr);
+        }();
+        EXPECT_EQ(reference.rejected, variant.rejected ? target : kChainLen);
+        if (variant.rejected) {
+            EXPECT_EQ(reference.error, chain::BlockError::kScriptFailure);
+        }
+        for (const char* lanes : {"none", "portable", "auto"}) {
+            const LanesScope scope(lanes);
+            for (const std::size_t threads : {0u, 1u, 2u, 4u}) {
+                SCOPED_TRACE(std::string(lanes) + " threads=" + std::to_string(threads));
+                std::optional<util::ThreadPool> pool;
+                if (threads > 0) pool.emplace(threads);
+                EXPECT_TRUE(run_baseline(variant.blocks, gen_options_.params,
+                                         pool ? &*pool : nullptr) == reference);
+            }
         }
     }
 }

@@ -72,14 +72,14 @@ TEST(P2sh, WrappedMultisigWithRealSignatures) {
     tx.invalidate_cache();
 
     const chain::SighashCache cache(chain::SighashTemplate::build(tx));
-    chain::TransactionSignatureChecker checker(cache, 0);
+    chain::SigChecker checker(cache, 0);
     EXPECT_EQ(verify_script(tx.vin[0].unlock_script, lock, checker), ScriptError::kOk);
 
     // One signature short fails the inner CHECKMULTISIG.
     tx.vin[0].unlock_script = make_p2sh_unlock(make_multisig_unlock({sig1}), redeem);
     tx.invalidate_cache();
     const chain::SighashCache cache2(chain::SighashTemplate::build(tx));
-    chain::TransactionSignatureChecker checker2(cache2, 0);
+    chain::SigChecker checker2(cache2, 0);
     EXPECT_NE(verify_script(tx.vin[0].unlock_script, lock, checker2), ScriptError::kOk);
 }
 

@@ -1,9 +1,9 @@
 // Spends of every standard signature shape the verdict prefetch matches
-// (core::standard_candidates), honest and hostile, for the lane parity
+// (chain::standard_candidates), honest and hostile, for the lane parity
 // tests: each case is a locking script plus the unlocking script that
 // spends it, and the tests compare every lane backend and thread count
 // against scalar serial validation. ShapeChain lays the cases out as an
-// EBV chain.
+// EBV chain, BitcoinShapeChain as a Bitcoin-format one for the baseline.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "chain/miner.hpp"
 #include "chain/params.hpp"
 #include "core/chain_archive.hpp"
 #include "core/ebv_transaction.hpp"
@@ -205,6 +206,58 @@ private:
 
     chain::ChainParams params_;
     core::ChainArchive archive_;
+};
+
+/// The cases as a Bitcoin-format chain for the baseline validator: block
+/// 0's coinbase pays `copies` outputs per lock (output copies · c + k is
+/// copy k of lock c), then empty blocks follow until it matures.
+class BitcoinShapeChain {
+public:
+    BitcoinShapeChain(const chain::ChainParams& params, const std::vector<script::Script>& locks,
+                      std::size_t copies)
+        : params_(params) {
+        chain::Transaction funding = chain::make_coinbase(0, params_.subsidy_at(0), {});
+        funding.vout.clear();
+        const auto each = params_.subsidy_at(0) / static_cast<chain::Amount>(locks.size() * copies);
+        for (const script::Script& lock : locks)
+            for (std::size_t k = 0; k < copies; ++k) funding.vout.push_back({each, lock});
+        funding.invalidate_cache();
+        blocks.push_back(chain::assemble_block({}, std::move(funding), {}, 1000));
+        while (blocks.size() <= params_.coinbase_maturity) blocks.push_back(next_block({}));
+    }
+
+    /// A transaction spending funding output `out` into one output. The
+    /// case's `unlock` signs the transaction's EBV mirror (same prevouts,
+    /// sequences and outputs), whose sighash is the Bitcoin one.
+    [[nodiscard]] chain::Transaction spend(
+        std::uint32_t out,
+        const std::function<script::Script(const core::EbvTransaction&, std::size_t)>& unlock)
+        const {
+        const chain::Transaction& funding = blocks.front().txs[0];
+        chain::Transaction tx;
+        tx.vin.push_back(chain::TxIn{chain::OutPoint{funding.txid(), out}, {}, 0xffffffff});
+        tx.vout.push_back({funding.vout[out].value - 1000, script::Script{script::OP_1}});
+        core::EbvTransaction mirror;
+        mirror.inputs.resize(1);
+        mirror.inputs[0].prevout = tx.vin[0].prevout;
+        mirror.outputs = tx.vout;
+        tx.vin[0].unlock_script = unlock(mirror, 0);
+        return tx;
+    }
+
+    /// A block of `txs` on the last block of `blocks`.
+    [[nodiscard]] chain::Block next_block(std::vector<chain::Transaction> txs) const {
+        const auto height = static_cast<std::uint32_t>(blocks.size());
+        return chain::assemble_block(
+            blocks.back().header.hash(),
+            chain::make_coinbase(height, params_.subsidy_at(height), script::Script{script::OP_1}),
+            std::move(txs), 1000 + height);
+    }
+
+    std::vector<chain::Block> blocks;
+
+private:
+    chain::ChainParams params_;
 };
 
 }  // namespace ebv::shapes

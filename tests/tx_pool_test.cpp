@@ -20,6 +20,7 @@ namespace {
 
 using chain::Amount;
 using chain::kCoin;
+using chain::SigCache;
 
 /// Shared fixture: a small EBV chain whose coinbases pay one key, plus a
 /// pool attached to the node's state.
