@@ -276,20 +276,25 @@ void serialize_compressed(const Point& p, util::MutableByteSpan out33) {
     p.x.to_be_bytes(out33.subspan(1));
 }
 
-std::optional<Point> parse_compressed(util::ByteSpan in33) {
+std::optional<U256> compressed_x(util::ByteSpan in33) {
     if (in33.size() != 33) return std::nullopt;
     if (in33[0] != 0x02 && in33[0] != 0x03) return std::nullopt;
-
     const U256 raw_x = U256::from_be_bytes(in33.subspan(1));
     if (!u256_less(raw_x, kFieldPrime)) return std::nullopt;
+    return raw_x;
+}
 
-    const Fe x(raw_x);
+std::optional<Point> parse_compressed(util::ByteSpan in33) {
+    const std::optional<U256> raw_x = compressed_x(in33);
+    if (!raw_x) return std::nullopt;
+
+    const Fe x(*raw_x);
     const std::optional<Fe> root = (x.sqr() * x + Fe::from_u64(7)).sqrt();
     if (!root) return std::nullopt;  // x³ + 7 is not a square: no such point
 
     const bool want_odd = in33[0] == 0x03;
     const Fe y = root->is_odd() == want_odd ? *root : root->negate(1);
-    Point p{raw_x, y.value(), false};
+    Point p{*raw_x, y.value(), false};
     EBV_ENSURES(p.on_curve());
     return p;
 }

@@ -55,5 +55,8 @@ bool double_multiply_x_matches(const Point& p, const Scalar& u1, const Scalar& u
 void serialize_compressed(const Point& p, util::MutableByteSpan out33);
 /// Decompress; rejects off-curve and malformed encodings.
 std::optional<Point> parse_compressed(util::ByteSpan in33);
+/// The x of an encoding that passes parse_compressed's checks before its
+/// square root: 33 bytes, prefix 02 or 03, x < p.
+std::optional<U256> compressed_x(util::ByteSpan in33);
 
 }  // namespace ebv::crypto::secp256k1
