@@ -267,6 +267,34 @@ void BM_EcdsaVerifyLanes(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerifyLanes)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// BM_EcdsaVerifyLanes with every key pending, as a verdict-prefetch group
+// whose keys all missed the parse memo: the group's keys decompressed
+// together and entered in the memo (crypto::parse_public_keys_memo), then
+// the verify, reported per verify.
+void BM_EcdsaVerifyLanesPending(benchmark::State& state) {
+    state.SetLabel(lanes_backend());
+    util::Rng rng(6);
+    const auto group = static_cast<std::size_t>(state.range(0));
+    std::vector<crypto::VerifyJob> jobs;
+    std::vector<util::Bytes> encodings;
+    for (std::size_t i = 0; i < group; ++i) {
+        const auto key = crypto::PrivateKey::generate(rng);
+        crypto::Hash256 digest;
+        rng.fill({digest.bytes().data(), 32});
+        jobs.push_back({crypto::PublicKey(), key.sign(digest), digest});
+        encodings.push_back(key.public_key().serialize());
+    }
+    const std::vector<util::ByteSpan> spans(encodings.begin(), encodings.end());
+    std::vector<crypto::PublicKey> keys(group);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::parse_public_keys_memo(spans, keys));
+        for (std::size_t i = 0; i < group; ++i) jobs[i].key = keys[i];
+        benchmark::DoNotOptimize(crypto::verify_lanes(jobs));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * group));
+}
+BENCHMARK(BM_EcdsaVerifyLanesPending)->Arg(8);
+
 // Decompression (square root of x³ + 7) on every call, no memo.
 void BM_PubkeyDecompress(benchmark::State& state) {
     util::Rng rng(7);
@@ -276,6 +304,24 @@ void BM_PubkeyDecompress(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_PubkeyDecompress);
+
+// Eight keys decompressed in one lane chain plus each lane's curve check
+// and parity fix (crypto::parse_keys_lanes), reported per key. Without a
+// lane backend each key takes the scalar parse.
+void BM_PubkeyDecompressLanes(benchmark::State& state) {
+    state.SetLabel(lanes_backend());
+    util::Rng rng(7);
+    std::vector<util::Bytes> encodings;
+    for (std::size_t i = 0; i < crypto::kVerifyLanes; ++i)
+        encodings.push_back(crypto::PrivateKey::generate(rng).public_key().serialize());
+    const std::vector<util::ByteSpan> spans(encodings.begin(), encodings.end());
+    std::vector<crypto::PublicKey> keys(spans.size());
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crypto::parse_keys_lanes(spans, keys));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * spans.size()));
+}
+BENCHMARK(BM_PubkeyDecompressLanes);
 
 void BM_PubkeyParseMemo(benchmark::State& state) {
     util::Rng rng(7);

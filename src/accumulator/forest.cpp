@@ -148,10 +148,4 @@ std::vector<crypto::Hash256> MerkleForest::roots() const {
     return out;
 }
 
-int MerkleForest::height_of_root(const Node* root) const {
-    int height = 0;
-    for (const Node* cur = root; !cur->is_leaf(); cur = cur->left.get()) ++height;
-    return height;
-}
-
 }  // namespace ebv::accumulator

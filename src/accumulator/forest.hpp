@@ -92,8 +92,6 @@ private:
     void recompute_upward(Node* node);
     void insert_root(int height, std::unique_ptr<Node> root);
 
-    [[nodiscard]] int height_of_root(const Node* root) const;
-
     // Roots by tree height; at most one per height (binary-counter shape).
     std::map<int, std::unique_ptr<Node>> roots_;
     std::unordered_map<LeafId, Node*> leaf_map_;

@@ -26,8 +26,6 @@ struct ChainParams {
         return subsidy;
     }
 
-    static ChainParams mainnet_like() { return {}; }
-
     /// Parameters for small simulated chains: faster maturity and halvings
     /// so era effects appear within a few thousand blocks.
     static ChainParams simnet(std::uint32_t halving = 50'000) {

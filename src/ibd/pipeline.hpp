@@ -108,7 +108,6 @@ public:
     /// from the commit hook). Already-committed blocks stay fully applied;
     /// the in-flight window is discarded.
     void cancel() { cancel_.cancel(); }
-    [[nodiscard]] bool cancel_requested() const { return cancel_.cancelled(); }
     /// Re-arm a pipeline whose previous run() was cancelled.
     void reset_cancel() { cancel_.reset(); }
 

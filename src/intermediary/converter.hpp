@@ -45,9 +45,6 @@ public:
     [[nodiscard]] std::uint32_t next_height() const {
         return archive_.height_count();
     }
-    /// Size of the outpoint index (the paper's "relationship between
-    /// inputs/outputs and blocks" database).
-    [[nodiscard]] std::size_t index_size() const { return index_.size(); }
 
 private:
     struct Location {

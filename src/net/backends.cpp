@@ -68,9 +68,7 @@ std::optional<util::Nanoseconds> BitcoinChainBackend::accept_block(
     if (!result) return std::nullopt;
 
     by_hash_.emplace(block->header.hash(), payload);
-    const util::Nanoseconds cost = result->total().total_ns();
-    validation_ns_ += cost;
-    return cost;
+    return result->total().total_ns();
 }
 
 void BitcoinChainBackend::seed_block(const chain::Block& block) {
@@ -127,9 +125,7 @@ std::optional<util::Nanoseconds> EbvChainBackend::accept_block(
     if (!result) return std::nullopt;
 
     by_hash_.emplace(block->header.hash(), payload);
-    const util::Nanoseconds cost = result->total().total_ns();
-    validation_ns_ += cost;
-    return cost;
+    return result->total().total_ns();
 }
 
 void EbvChainBackend::seed_block(const core::EbvBlock& block) {

@@ -31,13 +31,9 @@ public:
     /// Pre-load a locally produced block (e.g. the origin node's chain).
     void seed_block(const chain::Block& block);
 
-    /// Total validation cost accumulated by accept_block.
-    [[nodiscard]] util::Nanoseconds validation_ns() const { return validation_ns_; }
-
 private:
     chain::BitcoinNode& node_;
     std::unordered_map<crypto::Hash256, util::Bytes, crypto::Hash256Hasher> by_hash_;
-    util::Nanoseconds validation_ns_ = 0;
 };
 
 /// Backend over an EBV validator node.
@@ -55,12 +51,10 @@ public:
     std::optional<util::Nanoseconds> accept_block(const util::Bytes& payload) override;
 
     void seed_block(const core::EbvBlock& block);
-    [[nodiscard]] util::Nanoseconds validation_ns() const { return validation_ns_; }
 
 private:
     core::EbvNode& node_;
     std::unordered_map<crypto::Hash256, util::Bytes, crypto::Hash256Hasher> by_hash_;
-    util::Nanoseconds validation_ns_ = 0;
 };
 
 /// The intermediary: its upstream backend accepts Bitcoin-format blocks

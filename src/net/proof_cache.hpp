@@ -62,7 +62,6 @@ public:
                 std::shared_ptr<const BlockProofs> proofs);
 
     [[nodiscard]] std::size_t size() const { return lru_.size(); }
-    [[nodiscard]] std::size_t total_bytes() const { return lru_.total_cost(); }
     [[nodiscard]] std::size_t budget() const { return lru_.budget(); }
 
     static std::size_t budget_from_env();

@@ -58,8 +58,6 @@ public:
     [[nodiscard]] util::Nanoseconds simulated_ns() const override {
         return ledger_.total_ns();
     }
-    void reset_ledger() { ledger_.reset(); }
-    void set_cache_budget(std::size_t bytes) { cache_->set_budget(bytes); }
     [[nodiscard]] std::uint64_t file_pages() const { return file_->page_count(); }
     [[nodiscard]] std::uint64_t bucket_count() const { return directory_.size(); }
 

@@ -429,6 +429,55 @@ TEST_F(EbvValidatorTest, MemoAnswersTheScriptAndMissesRunScalar) {
     EXPECT_EQ(standard_candidates(input_scripts(extra_push.inputs[0]), pairs), 0u);
 }
 
+TEST(ClaimOrder, AscendingRanksStableAndBlockMajor) {
+    using chain::claim_order;
+    using Order = std::vector<std::uint32_t>;
+    // Ranks that already ascend, equal ones included, keep the identity.
+    EXPECT_EQ(claim_order(std::vector<std::uint32_t>(5, 17)), (Order{0, 1, 2, 3, 4}));
+    EXPECT_EQ(claim_order(std::vector<std::uint32_t>{3, 3, 40, 49, 49}), (Order{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(claim_order({}).empty());
+    // One block: lowest rank first, ties in item order.
+    EXPECT_EQ(claim_order(std::vector<std::uint32_t>{17, 2, 17, 0, 14, 2, 17}),
+              (Order{3, 1, 5, 4, 0, 2, 6}));
+    // Items of block 0 (ranks 0–31) before those of block 1 (32–63).
+    EXPECT_EQ(claim_order(std::vector<std::uint32_t>{17, 2, 17, 32, 46, 34, 49}),
+              (Order{1, 0, 2, 3, 5, 4, 6}));
+}
+
+TEST(ClaimOrder, RanksUnmatchedThenMultisigByNThenSingleKey) {
+    util::Rng rng(32);
+    std::vector<crypto::PrivateKey> keys;
+    for (int k = 0; k < 15; ++k) keys.push_back(crypto::PrivateKey::generate(rng));
+    std::vector<util::Bytes> pub;
+    for (const auto& k : keys) pub.push_back(k.public_key().serialize());
+    const util::Bytes sig(71, 0x30);
+    const script::Script p2pkh = script::make_p2pkh(keys[0].public_key().id());
+    const script::Script p2pk = script::make_p2pk(keys[0].public_key());
+    const script::Script one_of_15 = shapes::multisig_lock(1, pub);
+    const script::Script two_of_3 = shapes::multisig_lock(2, {pub[0], pub[1], pub[2]});
+    const script::Script p2pkh_unlock = script::make_p2pkh_unlock(sig, keys[0].public_key());
+    const script::Script p2pk_unlock = script::make_p2pk_unlock(sig);
+    const script::Script one_sig = script::make_multisig_unlock({sig});
+    const script::Script two_sigs = script::make_multisig_unlock({sig, sig});
+    const script::Script op_true{script::OP_1};
+    using chain::claim_rank;
+
+    // Shapes standard_candidates cannot match come first: no lock, a lock
+    // with no signature check, an unlock that does not fit its lock.
+    const std::uint32_t unmatched = claim_rank({p2pkh_unlock, {}});
+    EXPECT_EQ(claim_rank({op_true, op_true}), unmatched);
+    EXPECT_EQ(claim_rank({two_sigs, one_of_15}), unmatched);
+    EXPECT_EQ(claim_rank({p2pk_unlock, p2pkh}), unmatched);
+    // Then bare m-of-n by n, then P2PKH and P2PK.
+    EXPECT_LT(unmatched, claim_rank({one_sig, one_of_15}));
+    EXPECT_LT(claim_rank({one_sig, one_of_15}), claim_rank({two_sigs, two_of_3}));
+    EXPECT_LT(claim_rank({two_sigs, two_of_3}), claim_rank({p2pkh_unlock, p2pkh}));
+    EXPECT_EQ(claim_rank({p2pkh_unlock, p2pkh}), claim_rank({p2pk_unlock, p2pk}));
+    // Block-major: every input of block 1 after every input of block 0.
+    EXPECT_LT(claim_rank({p2pkh_unlock, p2pkh}), claim_rank({p2pkh_unlock, {}}, 1));
+    EXPECT_LT(claim_rank({p2pkh_unlock, {}}, 1), claim_rank({one_sig, one_of_15}, 1));
+}
+
 TEST(LaneBatcher, WritesEveryVerdictOfFullAndPartialGroups) {
     util::Rng rng(31);
     const auto key = crypto::PrivateKey::generate(rng);

@@ -329,6 +329,34 @@ TEST_F(IbdPipeline, StandardShapesMatchSerialScalarAcrossLanesAndThreads) {
     }
 }
 
+TEST_F(IbdPipeline, ClaimOrderCannotChangeTheFailureTuple) {
+    // Costliest-first claiming takes the 1-of-15 failure before the P2PKH
+    // one wherever the two sit in the block; the tuple still names the
+    // lower one, as the serial scalar run does.
+    const std::vector<crypto::PrivateKey> keys = shapes::shape_keys(11);
+    const shapes::OrderCases cases(keys);
+    const std::vector<const shapes::ShapeCase*> layouts[] = {cases.block(true),
+                                                             cases.block(false)};
+    std::vector<script::Script> locks;
+    for (const auto& layout : layouts)
+        for (const shapes::ShapeCase* c : layout) locks.push_back(c->lock);
+    const shapes::ShapeChain chain(gen_options_.params, locks);
+    for (std::size_t l = 0; l < 2; ++l) {
+        SCOPED_TRACE(l == 0 ? "cheap failure first" : "costly failure first");
+        shapes::ShapeChain hostile = chain;
+        std::vector<core::EbvTransaction> txs;
+        for (std::size_t j = 0; j < layouts[l].size(); ++j)
+            txs.push_back(hostile.spend(static_cast<std::uint16_t>(layouts[l].size() * l + j),
+                                        layouts[l][j]->unlock));
+        hostile.add_block(std::move(txs));
+        const ibd::BatchResult serial = expect_parity(hostile.blocks, lane_cells());
+        ASSERT_TRUE(serial.failure.has_value());
+        EXPECT_EQ(serial.failure->block_index, hostile.blocks.size() - 1);
+        EXPECT_EQ(serial.failure->failure.error, core::EbvError::kScriptFailure);
+        EXPECT_EQ(serial.failure->failure.tx_index, 3u);
+    }
+}
+
 TEST_F(IbdPipeline, ProofTamperOutranksLaterStructuralBreak) {
     // Block k carries a broken Merkle branch (EV failure); block k+1 in the
     // same window is structurally corrupt. The serial loop never reaches

@@ -446,6 +446,45 @@ TEST(ParallelSv, BaselineShapesMatchScalarSerialAcrossLanesAndThreads) {
     }
 }
 
+// Costliest-first claiming takes the baseline's 1-of-15 failure before
+// its P2PKH one wherever the two sit in the block; every lane backend and
+// thread count still reports the lower one, as the serial scalar run does.
+TEST(ParallelSv, BaselineClaimOrderCannotChangeTheFailureTuple) {
+    chain::ChainParams params = chain::ChainParams::simnet();
+    params.coinbase_maturity = 1;
+    const std::vector<crypto::PrivateKey> keys = shapes::shape_keys(12);
+    const shapes::OrderCases cases(keys);
+    const std::vector<const shapes::ShapeCase*> layouts[] = {cases.block(true),
+                                                             cases.block(false)};
+    std::vector<script::Script> locks;
+    for (const auto& layout : layouts)
+        for (const shapes::ShapeCase* c : layout) locks.push_back(c->lock);
+    const shapes::BitcoinShapeChain chain(params, locks, 1);
+    for (std::size_t l = 0; l < 2; ++l) {
+        SCOPED_TRACE(l == 0 ? "cheap failure first" : "costly failure first");
+        std::vector<chain::Transaction> txs;
+        for (std::size_t j = 0; j < layouts[l].size(); ++j)
+            txs.push_back(chain.spend(static_cast<std::uint32_t>(layouts[l].size() * l + j),
+                                      layouts[l][j]->unlock));
+        const chain::Block block = chain.next_block(std::move(txs));
+        const BaselineVerdict reference = [&] {
+            const LanesScope scalar("none");
+            return baseline_verdict(params, nullptr, chain.blocks, block);
+        }();
+        EXPECT_FALSE(reference.accepted);
+        EXPECT_EQ(reference.error, chain::BlockError::kScriptFailure);
+        EXPECT_EQ(reference.tx_index, 3u);
+        for (const char* backend : {"none", "portable", "auto"}) {
+            const LanesScope scope(backend);
+            for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+                util::ThreadPool pool(threads);
+                EXPECT_EQ(baseline_verdict(params, &pool, chain.blocks, block), reference)
+                    << backend << " threads=" << threads;
+            }
+        }
+    }
+}
+
 // On a valid generated chain the baseline takes the lanes under every
 // thread count, reads every lane verdict it asked for, and ends in the
 // scalar serial node's UTXO set.

@@ -429,6 +429,52 @@ TEST_F(TxPoolTest, LaneBatchesMatchSerialScalarSubmission) {
     }
 }
 
+TEST_F(TxPoolTest, ClaimOrderCannotChangeVerdicts) {
+    // Costliest-first claiming takes the 1-of-15 failure before the P2PKH
+    // one wherever the two sit in the burst; every lane backend and thread
+    // count returns the serial scalar verdicts.
+    const std::vector<crypto::PrivateKey> shape_keys = shapes::shape_keys(13);
+    const shapes::OrderCases cases(shape_keys);
+    const std::vector<const shapes::ShapeCase*> layouts[] = {cases.block(true),
+                                                             cases.block(false)};
+    std::vector<script::Script> locks;
+    for (const auto& layout : layouts)
+        for (const shapes::ShapeCase* c : layout) locks.push_back(c->lock);
+    const std::uint32_t funding = mine_funding(locks);
+
+    LanesAuto restore;
+    for (std::size_t l = 0; l < 2; ++l) {
+        SCOPED_TRACE(l == 0 ? "cheap failure first" : "costly failure first");
+        std::vector<EbvTransaction> burst;
+        for (std::size_t j = 0; j < layouts[l].size(); ++j) {
+            const auto out = static_cast<std::uint16_t>(layouts[l].size() * l + j);
+            EbvTransaction tx;
+            tx.inputs.push_back(archive_.make_input(funding, 0, out));
+            tx.outputs.push_back(
+                chain::TxOut{tx.inputs[0].els.outputs[out].value - 10'000, lock()});
+            tx.inputs[0].unlock_script = layouts[l][j]->unlock(tx, 0);
+            burst.push_back(std::move(tx));
+        }
+        ASSERT_TRUE(crypto::lanes_force_impl("none"));
+        TxPool reference(options_.params, node_->headers(), node_->status());
+        std::vector<TxAdmission> serial;
+        for (const auto& tx : burst) serial.push_back(reference.submit(tx));
+        for (std::size_t j = 0; j < burst.size(); ++j)
+            EXPECT_EQ(serial[j], j == 2 || j == 6 ? TxAdmission::kScriptFailed
+                                                  : TxAdmission::kAccepted);
+        for (const char* backend : {"none", "portable", "auto"}) {
+            ASSERT_TRUE(crypto::lanes_force_impl(backend));
+            for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+                util::ThreadPool workers(threads);
+                TxPoolOptions options;
+                options.pool = &workers;
+                TxPool pool(options_.params, node_->headers(), node_->status(), options);
+                EXPECT_EQ(pool.submit_batch(burst), serial) << backend << " threads=" << threads;
+            }
+        }
+    }
+}
+
 TEST_F(TxPoolTest, BuildTemplateMinesCleanlyAndEvictsIncrementally) {
     const auto a = make_spend(0, 0, 40 * kCoin);  // fee 10
     const auto b = make_spend(1, 0, 45 * kCoin);  // fee 5
