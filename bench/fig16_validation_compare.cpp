@@ -154,73 +154,6 @@ int main() {
                    ev_sv_ms, speedup);
     }
 
-    // ---- Scheduler × skew sweep: work stealing vs shared counter ----------
-    // Same replay protocol over two chains: the uniform one above (skew 0)
-    // and a second chain whose per-input SV cost is Zipf-skewed (1-of-M
-    // multisig, signer last — see workload::GeneratorOptions::skew). Under
-    // uniform cost the schedulers should tie; under skew the stealing
-    // scheduler's finer splits bound the straggler tail the shared counter
-    // pays in barrier_wait. Speedup is relative to the counter/1-thread row
-    // of the same skew level, so steal-vs-counter is a direct ratio within a
-    // level.
-    const double skew = bench::env_double("EBV_SKEW", 1.0);
-    std::printf("\nScheduler sweep — EV+SV wall time, uniform vs skewed cost "
-                "(EBV_SKEW=%.2f)\n",
-                skew);
-    std::printf("%-10s %6s %8s %12s %10s\n", "scheduler", "skew", "threads",
-                "ev_sv_ms", "speedup");
-    bench::print_rule(50);
-
-    std::vector<double> skew_levels{0.0};
-    if (skew > 0.0) {
-        skew_levels.push_back(skew);
-        std::fprintf(stderr, "fig16: generating %u skewed blocks (skew=%.2f)...\n",
-                     blocks, skew);
-    }
-    workload::GeneratorOptions skew_gen = gen_options;
-    skew_gen.skew = skew;
-    const std::vector<core::EbvBlock> skewed_chain =
-        skew > 0.0 ? bench::convert_chain(bench::build_chain(skew_gen, blocks))
-                   : std::vector<core::EbvBlock>{};
-
-    for (const double level : skew_levels) {
-        const auto& level_chain = level > 0.0 ? skewed_chain : ebv_chain;
-        double counter_base_ms = 0;
-        for (const util::SchedulerMode mode :
-             {util::SchedulerMode::kCounter, util::SchedulerMode::kSteal}) {
-            for (const std::size_t threads : bench::env_thread_sweep()) {
-                util::ThreadPool pool(util::ThreadPool::Options{threads, mode, {}});
-                core::EbvNodeOptions sched_options = ebv_options;
-                sched_options.validator.script_pool = &pool;
-                core::EbvNode sched_node(sched_options);
-                for (std::uint32_t i = 0; i + measured < blocks; ++i)
-                    if (!sched_node.submit_block(level_chain[i])) {
-                        report.aborted("block rejected during scheduler sweep");
-                        return 1;
-                    }
-
-                double ev_sv_ms = 0;
-                for (std::uint32_t i = blocks - measured; i < blocks; ++i) {
-                    auto r = sched_node.submit_block(level_chain[i]);
-                    if (!r) {
-                        report.aborted("block rejected during scheduler sweep");
-                        return 1;
-                    }
-                    ev_sv_ms += bench::ms(r->ev) + bench::ms(r->sv);
-                }
-                if (mode == util::SchedulerMode::kCounter && threads == 1)
-                    counter_base_ms = ev_sv_ms;
-                const double speedup =
-                    ev_sv_ms > 0 ? counter_base_ms / ev_sv_ms : 0.0;
-                std::printf("%-10s %6.2f %8zu %12.2f %9.2fx\n",
-                            util::to_string(mode), level, threads, ev_sv_ms, speedup);
-                report.row("{\"scheduler\":\"%s\",\"skew\":%.2f,\"threads\":%zu,"
-                           "\"ev_sv_ms\":%.3f,\"speedup\":%.3f}",
-                           util::to_string(mode), level, threads, ev_sv_ms, speedup);
-            }
-        }
-    }
-
     // ---- Sighash-phase isolation ------------------------------------------
     // The template's delta with the ECDSA floor stripped away: per input
     // count, time producing every input's standard digest via the naive

@@ -195,19 +195,17 @@ inline std::string env_or(const char* name, const char* fallback) {
 /// Provenance header recorded in every EBV_BENCH_JSON document so
 /// bench_compare can refuse apples-to-oranges diffs (different build type,
 /// different SHA-256 or ECDSA-lane backend, different machine width). Also
-/// records the pool topology knobs (default scheduler, affinity request,
-/// CPUs visible to the process) so scheduler A/B runs stay attributable.
+/// records the pool topology knobs (affinity request, CPUs visible to the
+/// process) so pinned and unpinned runs stay attributable.
 inline std::string provenance_json() {
     char buf[352];
     std::snprintf(buf, sizeof buf,
                   "{\"git_sha\":\"%s\",\"build_type\":\"%s\",\"hw_threads\":%u,"
-                  "\"sha256_impl\":\"%s\",\"lanes\":\"%s\",\"scheduler\":\"%s\","
-                  "\"affinity\":%s,\"cpus\":%u}",
+                  "\"sha256_impl\":\"%s\",\"lanes\":\"%s\",\"affinity\":%s,\"cpus\":%u}",
                   env_or("EBV_GIT_SHA", EBV_GIT_SHA).c_str(),
                   env_or("EBV_BUILD_TYPE", EBV_BUILD_TYPE).c_str(),
                   std::thread::hardware_concurrency(), crypto::sha256_impl(),
-                  crypto::lanes_impl(), util::to_string(util::default_scheduler_mode()),
-                  util::default_affinity() ? "true" : "false",
+                  crypto::lanes_impl(), util::default_affinity() ? "true" : "false",
                   util::affinity_cpu_count());
     return buf;
 }

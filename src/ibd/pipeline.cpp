@@ -49,10 +49,6 @@ struct EngineMetrics {
     obs::Histogram& total_ns;
     obs::Histogram& sv_parallel_ns;
     obs::Counter& pool_tasks;
-    obs::Counter& pool_local_pops;
-    obs::Counter& pool_steals;
-    obs::Counter& pool_steal_attempts;
-    obs::Histogram& pool_steal_ns;
     obs::Histogram& pool_barrier_wait_ns;
     obs::Histogram& pool_wakeup_ns;
     obs::Counter& windows;
@@ -79,10 +75,6 @@ struct EngineMetrics {
             r.histogram("ebv.block.total_ns"),
             r.histogram("ebv.block.sv_parallel_ns"),
             r.counter("ebv.pool.tasks"),
-            r.counter("ebv.pool.local_pops"),
-            r.counter("ebv.pool.steals"),
-            r.counter("ebv.pool.steal_attempts"),
-            r.histogram("ebv.pool.steal_ns"),
             r.histogram("ebv.pool.barrier_wait_ns"),
             r.histogram("ebv.pool.wakeup_ns"),
             r.counter("ebv.ibd.windows"),
@@ -426,14 +418,9 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             m.pool_tasks.inc(pool_after.tasks - pool_before.tasks);
             m.pool_barrier_wait_ns.observe(pool_after.barrier_wait_ns -
                                            pool_before.barrier_wait_ns);
-            m.pool_steal_ns.observe(pool_after.steal_ns - pool_before.steal_ns);
-            m.pool_local_pops.inc(pool_after.local_pops - pool_before.local_pops);
-            m.pool_steals.inc(pool_after.steals - pool_before.steals);
-            m.pool_steal_attempts.inc(pool_after.steal_attempts -
-                                      pool_before.steal_attempts);
             m.pool_wakeup_ns.observe(pool_after.wakeup_ns - pool_before.wakeup_ns);
-            obs::Tracer& tracer = obs::Tracer::global();
             if (tracing) {
+                obs::Tracer& tracer = obs::Tracer::global();
                 // Dedicated counter tracks: queue latency this pass and each
                 // slot's utilization (busy/wall, percent) over the pass.
                 const std::uint64_t wakeups = pool_after.wakeups - pool_before.wakeups;
@@ -456,17 +443,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                                    100.0 * static_cast<double>(busy) /
                                    static_cast<double>(pass_wall)));
                 }
-            }
-            // Peak per-slot deque depth over the pass (stealing scheduler;
-            // all zeros under counter mode): a gauge, and a counter track
-            // when tracing.
-            const std::vector<std::uint64_t> queue_peak = pool->slot_queue_depth_peak();
-            for (std::size_t s = 0; s < queue_peak.size(); ++s) {
-                char name[48];
-                std::snprintf(name, sizeof name, "ebv.pool.queue_depth.slot%zu", s);
-                const auto peak = static_cast<std::int64_t>(queue_peak[s]);
-                obs::Registry::global().gauge(name).set(peak);
-                if (tracing) tracer.record_counter(name, peak);
             }
         }
 

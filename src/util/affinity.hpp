@@ -1,10 +1,10 @@
 // CPU-affinity portability shim for util::ThreadPool's optional worker
 // pinning (EBV_AFFINITY). Pinning keeps each slot's working set — its
-// contiguous input span, sighash templates, deque cache lines — on one
-// core's private caches, and is the first rung toward the NUMA-aware
-// partitioning the ROADMAP names. Everything degrades gracefully: on
-// non-Linux platforms (or when the syscall is refused, e.g. by a sandbox)
-// pin_current_thread() returns false and the pool simply runs unpinned.
+// sighash templates and lane batches — on one core's private caches, and
+// is the first rung toward the NUMA-aware partitioning the ROADMAP names.
+// Everything degrades gracefully: on non-Linux platforms (or when the
+// syscall is refused, e.g. by a sandbox) pin_current_thread() returns
+// false and the pool simply runs unpinned.
 #pragma once
 
 #include <thread>

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <limits>
 #include <string_view>
 
 #include "util/affinity.hpp"
@@ -14,9 +13,31 @@ namespace ebv::util {
 
 namespace {
 
-/// Set while a thread executes pool chunks; re-entrant parallel_for from a
-/// body must not block on the submit mutex its outer call already holds.
-thread_local bool t_inside_pool_work = false;
+/// The pool and slot whose chunk this thread is running (null outside pool
+/// work). A re-entrant parallel_for from a body must not block on the
+/// submit mutex its outer call already holds, so it runs serially, on the
+/// slot of the body that made it.
+thread_local const ThreadPool* t_pool = nullptr;
+thread_local std::size_t t_slot = 0;
+
+/// Records, for its scope, that this thread runs `pool`'s chunks on `slot`.
+class SlotScope {
+public:
+    SlotScope(const ThreadPool* pool, std::size_t slot) : outer_pool_(t_pool), outer_slot_(t_slot) {
+        t_pool = pool;
+        t_slot = slot;
+    }
+    ~SlotScope() {
+        t_pool = outer_pool_;
+        t_slot = outer_slot_;
+    }
+    SlotScope(const SlotScope&) = delete;
+    SlotScope& operator=(const SlotScope&) = delete;
+
+private:
+    const ThreadPool* outer_pool_;
+    std::size_t outer_slot_;
+};
 
 /// Ambient-context hooks (trace-span propagation). Written once at static
 /// init (see obs/trace.cpp), read on every submit/attach.
@@ -29,44 +50,9 @@ std::int64_t steady_now_ns() {
         .count();
 }
 
-void cpu_pause() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#else
-    std::this_thread::yield();
-#endif
-}
-
-/// Exponential backoff for an idle stealer: spin a growing number of pause
-/// instructions, then yield the timeslice, then park in micro-sleeps. The
-/// sleep rung matters on oversubscribed machines (and under TSAN), where a
-/// spinning thief would starve the straggler it is waiting on; new work can
-/// still appear at any time (a running peer splitting a range), so workers
-/// never fully park mid-job — only between jobs, on the generation CV.
-void backoff_pause(unsigned round) {
-    if (round < 6) {
-        for (unsigned i = 0; i < (1u << round); ++i) cpu_pause();
-    } else if (round < 16) {
-        std::this_thread::yield();
-    } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-}
-
 }  // namespace
 
-const char* to_string(SchedulerMode mode) noexcept {
-    return mode == SchedulerMode::kCounter ? "counter" : "steal";
-}
-
-SchedulerMode default_scheduler_mode() noexcept {
-    const char* env = std::getenv("EBV_SCHEDULER");
-    if (env != nullptr && std::string_view(env) == "counter")
-        return SchedulerMode::kCounter;
-    return SchedulerMode::kSteal;
-}
+const char* to_string(SchedulerMode) noexcept { return "counter"; }
 
 bool default_affinity() noexcept {
     const char* env = std::getenv("EBV_AFFINITY");
@@ -87,7 +73,6 @@ ThreadPool::ThreadPool(Options options) {
         const unsigned hw = std::thread::hardware_concurrency();
         threads = hw == 0 ? 1 : hw;
     }
-    scheduler_ = options.scheduler.value_or(default_scheduler_mode());
     affinity_requested_ = options.affinity.value_or(default_affinity());
     // The calling thread participates in parallel_for, so spawn one fewer.
     const std::size_t spawn = threads > 1 ? threads - 1 : 0;
@@ -112,12 +97,7 @@ ThreadPool::ThreadPool(Options options) {
     }
     const std::size_t slots = thread_count();
     slot_busy_ns_ = std::make_unique<std::atomic<std::uint64_t>[]>(slots);
-    slot_queue_peak_ = std::make_unique<std::atomic<std::uint64_t>[]>(slots);
-    deques_ = std::make_unique<StealDeque[]>(slots);
-    for (std::size_t s = 0; s < slots; ++s) {
-        slot_busy_ns_[s].store(0, std::memory_order_relaxed);
-        slot_queue_peak_[s].store(0, std::memory_order_relaxed);
-    }
+    for (std::size_t s = 0; s < slots; ++s) slot_busy_ns_[s].store(0, std::memory_order_relaxed);
 }
 
 std::vector<std::uint64_t> ThreadPool::slot_busy_ns() const {
@@ -125,13 +105,6 @@ std::vector<std::uint64_t> ThreadPool::slot_busy_ns() const {
     for (std::size_t s = 0; s < busy.size(); ++s)
         busy[s] = slot_busy_ns_[s].load(std::memory_order_relaxed);
     return busy;
-}
-
-std::vector<std::uint64_t> ThreadPool::slot_queue_depth_peak() const {
-    std::vector<std::uint64_t> peak(thread_count());
-    for (std::size_t s = 0; s < peak.size(); ++s)
-        peak[s] = slot_queue_peak_[s].load(std::memory_order_relaxed);
-    return peak;
 }
 
 ThreadPool::~ThreadPool() {
@@ -145,10 +118,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::run_chunks(std::size_t slot) {
     Job& job = job_;
-    const bool was_inside = t_inside_pool_work;
-    t_inside_pool_work = true;
+    const SlotScope scope(this, slot);
     std::uint64_t chunks_run = 0;
     std::uint64_t busy_ns = 0;
+    std::size_t claimed = 0;
     for (;;) {
         // Claim first, examine afterwards: a straggler attached to an
         // already-finished job touches only the atomics and leaves without
@@ -173,142 +146,28 @@ void ThreadPool::run_chunks(std::size_t slot) {
                 }
             }
         }
-        const std::size_t done_before =
-            job.completed.fetch_add(end - begin, std::memory_order_acq_rel);
-        if (done_before + (end - begin) == job.total) {
-            // Completion must be signalled under the lock so the final
-            // increment cannot slip between the submitter's predicate check
-            // and its sleep.
-            std::lock_guard lock(mutex_);
-            done_cv_.notify_all();
-        }
+        claimed += end - begin;
     }
-    t_inside_pool_work = was_inside;
+    // Stats first, so a submitter released by the add below reads them.
     if (chunks_run > 0) tasks_.fetch_add(chunks_run, std::memory_order_relaxed);
     if (busy_ns > 0)
         slot_busy_ns_[slot].fetch_add(busy_ns, std::memory_order_relaxed);
-}
-
-void ThreadPool::run_ranges(std::size_t slot) {
-    Job& job = job_;
-    const bool was_inside = t_inside_pool_work;
-    t_inside_pool_work = true;
-    StealDeque& own = deques_[slot];
-    const std::size_t nslots = thread_count();
-
-    std::uint64_t chunks_run = 0;
-    std::uint64_t busy_ns = 0;
-    std::uint64_t pops = 0;
-    std::uint64_t thefts = 0;
-    std::uint64_t probes = 0;
-    std::uint64_t probe_ns = 0;
-
-    // Per-slot xorshift64 for randomized victim probing. Deterministic
-    // seeding is fine — it only spreads contention, never affects results.
-    std::uint64_t rng = 0x9E3779B97F4A7C15ull * (slot + 1) ^ 0xD1B54A32D192ED03ull;
-    const auto next_random = [&rng]() noexcept {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        return rng;
-    };
-
-    const auto retire = [&](std::size_t count) {
-        const std::size_t done_before =
-            job.completed.fetch_add(count, std::memory_order_acq_rel);
-        if (done_before + count == job.total) {
-            // Signalled under the lock for the same reason as run_chunks.
-            std::lock_guard lock(mutex_);
-            done_cv_.notify_all();
-        }
-    };
-
-    // Run one claimed range: split it in half down to the chunk floor,
-    // parking the upper halves in our own deque where peers can steal
-    // them, then execute the remaining (cache-adjacent) piece. A cancelled
-    // or errored job retires whole ranges without splitting so the barrier
-    // releases as fast as the deques drain.
-    const auto execute = [&](IndexRange r) {
-        const bool skip = job.has_error.load(std::memory_order_relaxed) ||
-                          (job.cancel != nullptr && job.cancel->cancelled());
-        if (skip) {
-            retire(r.size());
-            return;
-        }
-        while (r.size() > job.chunk) {
-            const std::uint32_t mid = r.begin + r.size() / 2;
-            if (!own.push(IndexRange{mid, r.end})) break;  // full: run inline
-            const std::uint64_t depth = own.size();
-            if (depth > slot_queue_peak_[slot].load(std::memory_order_relaxed))
-                slot_queue_peak_[slot].store(depth, std::memory_order_relaxed);
-            r.end = mid;
-        }
-        try {
-            Stopwatch chunk_watch;
-            job.invoke(job.ctx, slot, r.begin, r.end);
-            busy_ns += static_cast<std::uint64_t>(chunk_watch.elapsed_ns());
-            ++chunks_run;
-        } catch (...) {
-            std::lock_guard lock(mutex_);
-            if (!job.has_error.load(std::memory_order_relaxed)) {
-                job.error = std::current_exception();
-                job.has_error.store(true, std::memory_order_relaxed);
-            }
-        }
-        retire(r.size());
-    };
-
-    unsigned backoff = 0;
-    for (;;) {
-        IndexRange r;
-        if (own.pop(r)) {
-            ++pops;
-            backoff = 0;
-            execute(r);
-            continue;
-        }
-        // Out of local work. A straggler attached to an already-finished
-        // job reaches this check with empty deques and leaves without
-        // dereferencing ctx/cancel, mirroring run_chunks' claim-first rule.
-        if (job.completed.load(std::memory_order_acquire) >= job.total) break;
-        bool found = false;
-        if (nslots > 1) {
-            Stopwatch steal_watch;
-            for (std::size_t probe = 0; probe < 4 * nslots && !found; ++probe) {
-                const std::size_t victim = next_random() % nslots;
-                if (victim == slot) continue;
-                ++probes;
-                if (deques_[victim].steal(r)) {
-                    ++thefts;
-                    found = true;
-                }
-            }
-            probe_ns += static_cast<std::uint64_t>(steal_watch.elapsed_ns());
-        }
-        if (found) {
-            backoff = 0;
-            execute(r);
-            continue;
-        }
-        if (job.completed.load(std::memory_order_acquire) >= job.total) break;
-        backoff_pause(backoff++);
+    // This thread's chunks are finished once the cursor is spent, so they
+    // are retired in one add rather than one per chunk.
+    if (claimed > 0 &&
+        job.completed.fetch_add(claimed, std::memory_order_acq_rel) + claimed == job.total) {
+        // Completion must be signalled under the lock so the final
+        // increment cannot slip between the submitter's predicate check
+        // and its sleep.
+        std::lock_guard lock(mutex_);
+        done_cv_.notify_all();
     }
-
-    t_inside_pool_work = was_inside;
-    if (chunks_run > 0) tasks_.fetch_add(chunks_run, std::memory_order_relaxed);
-    if (busy_ns > 0)
-        slot_busy_ns_[slot].fetch_add(busy_ns, std::memory_order_relaxed);
-    if (pops > 0) local_pops_.fetch_add(pops, std::memory_order_relaxed);
-    if (thefts > 0) steals_.fetch_add(thefts, std::memory_order_relaxed);
-    if (probes > 0) steal_attempts_.fetch_add(probes, std::memory_order_relaxed);
-    if (probe_ns > 0) steal_ns_.fetch_add(probe_ns, std::memory_order_relaxed);
 }
 
 void ThreadPool::worker_loop(std::size_t slot) {
     std::uint64_t seen_generation = 0;
     for (;;) {
         TaskContext token{};
-        bool steal_job = false;
         {
             std::unique_lock lock(mutex_);
             work_cv_.wait(lock, [&] {
@@ -318,7 +177,6 @@ void ThreadPool::worker_loop(std::size_t slot) {
             seen_generation = generation_;
             ++workers_attached_;
             token = job_.task_context;
-            steal_job = job_.steal;
             const std::int64_t waited = steady_now_ns() - job_.submit_ns;
             if (waited > 0)
                 wakeup_ns_.fetch_add(static_cast<std::uint64_t>(waited),
@@ -329,11 +187,7 @@ void ThreadPool::worker_loop(std::size_t slot) {
         // job's chunks so spans recorded inside nest under it causally.
         TaskContext prev{};
         if (g_context_swap != nullptr) prev = g_context_swap(token);
-        if (steal_job) {
-            run_ranges(slot);
-        } else {
-            run_chunks(slot);
-        }
+        run_chunks(slot);
         if (g_context_swap != nullptr) g_context_swap(prev);
         {
             std::lock_guard lock(mutex_);
@@ -347,41 +201,43 @@ void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cance
     if (n == 0) return;
     parallel_fors_.fetch_add(1, std::memory_order_relaxed);
 
-    // Serial fast path: no workers, trivially small jobs, or a re-entrant
-    // call from inside a body (blocking on submit_mutex_ there would
-    // deadlock against our own outer barrier). Still chunked — with the
-    // same granularity policy as the parallel path — so a CancelToken
-    // fired from inside a nested region stops with comparable latency.
-    if (workers_.empty() || n == 1 || t_inside_pool_work) {
-        const std::size_t chunk =
-            std::max<std::size_t>(1, n / (thread_count() * 8));
+    // One chunk size for both paths: fine enough that the last chunk to
+    // finish is short, coarse enough that a big cheap pass touches the
+    // cursor a few hundred times, not n times.
+    const std::size_t chunk = std::max<std::size_t>(1, n / (thread_count() * 64));
+
+    // Serial fast path: no workers, a single item, or a re-entrant call
+    // from inside a body (blocking on submit_mutex_ there would deadlock
+    // against our own outer barrier). A re-entrant call runs on the slot of
+    // the body that made it and charges no busy time: that body's stopwatch
+    // already covers it. Still chunked, so a CancelToken fired from inside
+    // a nested region stops with comparable latency.
+    if (workers_.empty() || n == 1 || t_pool != nullptr) {
+        const bool nested = t_pool != nullptr;
+        const std::size_t slot = t_pool == this ? t_slot : 0;
+        const SlotScope scope(this, slot);
         Stopwatch serial_watch;
         for (std::size_t begin = 0; begin < n; begin += chunk) {
             if (cancel != nullptr && cancel->cancelled()) break;
-            invoke(ctx, 0, begin, std::min(begin + chunk, n));  // may throw
+            invoke(ctx, slot, begin, std::min(begin + chunk, n));  // may throw
             tasks_.fetch_add(1, std::memory_order_relaxed);
         }
-        slot_busy_ns_[0].fetch_add(static_cast<std::uint64_t>(serial_watch.elapsed_ns()),
-                                   std::memory_order_relaxed);
+        if (!nested)
+            slot_busy_ns_[0].fetch_add(static_cast<std::uint64_t>(serial_watch.elapsed_ns()),
+                                       std::memory_order_relaxed);
         return;
     }
-
-    // Deque cells pack 32-bit indices; astronomically large jobs fall back
-    // to the shared counter, which is size_t throughout.
-    const bool use_steal =
-        scheduler_ == SchedulerMode::kSteal &&
-        n <= static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max());
 
     std::lock_guard submit_lock(submit_mutex_);
     {
         std::unique_lock lock(mutex_);
         // Wait out stragglers from the previous generation before rewriting
-        // the job descriptor (and deques) they may still be reading.
+        // the job descriptor they may still be reading.
         done_cv_.wait(lock, [&] { return workers_attached_ == 0; });
         job_.invoke = invoke;
         job_.ctx = ctx;
         job_.total = n;
-        job_.steal = use_steal;
+        job_.chunk = chunk;
         job_.cancel = cancel;
         job_.next.store(0, std::memory_order_relaxed);
         job_.completed.store(0, std::memory_order_relaxed);
@@ -389,40 +245,12 @@ void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cance
         job_.error = nullptr;
         job_.task_context =
             g_context_capture != nullptr ? g_context_capture() : TaskContext{};
-        const std::size_t slots = thread_count();
-        if (use_steal) {
-            // Finer floor than counter mode: local pops are contention-free,
-            // so stealing can afford a granularity that bounds the straggler
-            // tail at roughly one heavy item without a shared hot line.
-            job_.chunk = std::max<std::size_t>(1, n / (slots * 64));
-            // Seed each slot with one contiguous span of [0, n): locality
-            // for the EV leaf-hash / sighash-template paths, and an even
-            // static start that stealing then rebalances. The deques are
-            // quiescent here (workers_attached_ == 0 and the previous job
-            // completed), so these owner-side pushes cannot race.
-            for (std::size_t s = 0; s < slots; ++s) {
-                const std::uint64_t b = static_cast<std::uint64_t>(n) * s / slots;
-                const std::uint64_t e = static_cast<std::uint64_t>(n) * (s + 1) / slots;
-                if (e > b)
-                    deques_[s].push(IndexRange{static_cast<std::uint32_t>(b),
-                                               static_cast<std::uint32_t>(e)});
-                slot_queue_peak_[s].store(e > b ? 1 : 0, std::memory_order_relaxed);
-            }
-        } else {
-            job_.chunk = std::max<std::size_t>(1, n / (slots * 8));
-            for (std::size_t s = 0; s < slots; ++s)
-                slot_queue_peak_[s].store(0, std::memory_order_relaxed);
-        }
         job_.submit_ns = steady_now_ns();
         ++generation_;
     }
     work_cv_.notify_all();
 
-    if (use_steal) {
-        run_ranges(/*slot=*/0);
-    } else {
-        run_chunks(/*slot=*/0);
-    }
+    run_chunks(/*slot=*/0);
 
     std::exception_ptr error;
     {

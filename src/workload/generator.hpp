@@ -32,13 +32,13 @@ struct GeneratorOptions {
     /// Number of distinct keys cycled through output destinations.
     std::size_t key_pool_size = 64;
     /// Heavy-tail exponent for per-input script cost (0 = off, the
-    /// default; benches read EBV_SKEW). When > 0 each output rolls a
-    /// Zipf-style weight M = floor(u^-skew): M >= 2 locks the output to a
-    /// 1-of-M bare multisig whose signer key is listed *last*, so spending
-    /// it costs M real ECDSA verifies (the interpreter tries keys in
-    /// order). skew = 1 makes ~half the outputs heavy with a power-law
-    /// tail out to M = 15; script-cost variance is what separates the
-    /// pool's stealing scheduler from the shared counter (fig16).
+    /// default). When > 0 each output rolls a Zipf-style weight
+    /// M = floor(u^-skew): M >= 2 locks the output to a 1-of-M bare
+    /// multisig whose signer key is listed *last*, so spending it costs M
+    /// real ECDSA verifies (the interpreter tries keys in order). skew = 1
+    /// makes ~half the outputs heavy with a power-law tail out to M = 15:
+    /// the skewed per-input cost the SV claim order (chain::claim_order)
+    /// balances.
     double skew = 0.0;
 };
 

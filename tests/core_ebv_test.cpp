@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <optional>
 #include <set>
 #include <string>
@@ -476,6 +477,60 @@ TEST(ClaimOrder, RanksUnmatchedThenMultisigByNThenSingleKey) {
     // Block-major: every input of block 1 after every input of block 0.
     EXPECT_LT(claim_rank({p2pkh_unlock, p2pkh}), claim_rank({p2pkh_unlock, {}}, 1));
     EXPECT_LT(claim_rank({p2pkh_unlock, {}}, 1), claim_rank({one_sig, one_of_15}, 1));
+}
+
+TEST(ClaimAll, ClaimsEveryItemOnceInOrderOnEveryPoolWidth) {
+    // Nothing is held, so `run` is never called.
+    const auto run = [](std::size_t, std::span<chain::SigMemo>) {
+        ADD_FAILURE() << "nothing was held";
+    };
+    for (const std::size_t count : {0u, 1u, 3u, 1000u}) {
+        // A permutation unlike the identity: odd items first, then even ones.
+        std::vector<std::uint32_t> order;
+        for (std::uint32_t first : {1u, 0u})
+            for (auto k = first; k < count; k += 2) order.push_back(k);
+        std::vector<std::size_t> position(count);
+        for (std::size_t k = 0; k < count; ++k) position[order[k]] = k;
+
+        for (const std::size_t threads : {0u, 1u, 2u, 4u, 8u}) {
+            std::optional<util::ThreadPool> pool;
+            if (threads > 0) pool.emplace(threads);
+            util::ThreadPool* const p = pool ? &*pool : nullptr;
+            const std::size_t slots = p != nullptr ? p->thread_count() : 1;
+            const std::string where = "count=" + std::to_string(count) +
+                                      " threads=" + std::to_string(threads);
+
+            std::vector<std::atomic<int>> claimed(count);
+            std::vector<std::vector<std::uint32_t>> seen(slots);  // per slot: no race
+            const auto claim = [&](std::size_t slot, std::size_t item, chain::PrefetchQueue&) {
+                claimed[item].fetch_add(1);
+                seen[slot].push_back(static_cast<std::uint32_t>(item));
+            };
+            const auto busy = chain::claim_all(p, order, claim, run);
+            EXPECT_EQ(busy.size(), slots) << where;
+            for (std::size_t item = 0; item < count; ++item)
+                EXPECT_EQ(claimed[item].load(), 1) << where << " item=" << item;
+            // Every claimer takes its items in `order` sequence.
+            for (const auto& items : seen)
+                for (std::size_t k = 1; k < items.size(); ++k)
+                    EXPECT_LT(position[items[k - 1]], position[items[k]]) << where;
+            if (slots == 1 || count <= 1) {
+                std::vector<std::uint32_t> all;
+                for (const auto& items : seen) all.insert(all.end(), items.begin(), items.end());
+                EXPECT_EQ(all, order) << where;
+            }
+
+            util::CancelToken cancel;
+            cancel.cancel();
+            std::atomic<int> after_cancel{0};
+            const auto count_claims = [&](std::size_t, std::size_t, chain::PrefetchQueue&) {
+                after_cancel.fetch_add(1);
+            };
+            const auto cancelled = chain::claim_all(p, order, count_claims, run, &cancel);
+            EXPECT_EQ(cancelled.size(), slots) << where;
+            EXPECT_EQ(after_cancel.load(), 0) << where;
+        }
+    }
 }
 
 TEST(LaneBatcher, WritesEveryVerdictOfFullAndPartialGroups) {

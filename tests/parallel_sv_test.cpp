@@ -167,39 +167,14 @@ protected:
         }
     }
 
-    /// The scheduler × threads matrix: the work-stealing scheduler executes
-    /// ranges in a different (racy) order than the shared counter, and the
-    /// reported failure tuple must not notice. Serial is the reference.
-    void expect_identical_across_schedulers(const core::EbvBlock& bad) {
-        const core::EbvValidationFailure want = failure_with(nullptr, bad);
-        for (const util::SchedulerMode mode :
-             {util::SchedulerMode::kCounter, util::SchedulerMode::kSteal}) {
-            for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-                util::ThreadPool pool(util::ThreadPool::Options{threads, mode, {}});
-                for (int rep = 0; rep < 2; ++rep) {
-                    const core::EbvValidationFailure got = failure_with(&pool, bad);
-                    EXPECT_EQ(want.error, got.error)
-                        << util::to_string(mode) << " threads=" << threads;
-                    EXPECT_EQ(want.tx_index, got.tx_index)
-                        << util::to_string(mode) << " threads=" << threads;
-                    EXPECT_EQ(want.input_index, got.input_index)
-                        << util::to_string(mode) << " threads=" << threads;
-                    EXPECT_EQ(want.script_error, got.script_error)
-                        << util::to_string(mode) << " threads=" << threads;
-                }
-            }
-        }
-    }
-
     workload::GeneratorOptions gen_options_;
     std::vector<core::EbvBlock> prefix_;
     std::optional<core::EbvBlock> victim_;
 };
 
-/// Same fixture over a Zipf-skewed chain (EBV_SKEW mechanism): heavy 1-of-M
-/// multisig spends make per-input SV cost wildly uneven, which is exactly
-/// the load shape where range splitting and stealing reorder execution the
-/// most aggressively.
+/// Same fixture over a Zipf-skewed chain (`GeneratorOptions::skew`): heavy
+/// 1-of-M multisig spends make per-input SV cost wildly uneven, and the
+/// costliest-first claim order takes them out of input order.
 class ParallelSvSkewDeterminism : public ParallelSvDeterminism {
 protected:
     void SetUp() override {
@@ -280,21 +255,6 @@ TEST_F(ParallelSvDeterminism, DoubleSpendOutranksBadSignature) {
     expect_identical_across_thread_counts(bad);
 }
 
-TEST_F(ParallelSvDeterminism, SchedulerMatrixMultipleBadSignatures) {
-    core::EbvBlock bad = *victim_;
-    std::size_t global = 0;
-    for (auto& tx : bad.txs) {
-        for (auto& in : tx.inputs) {
-            if (global++ % 2 == 1 && in.unlock_script.size() > 6)
-                in.unlock_script[5] ^= 0x11;
-        }
-    }
-    bad.assign_stake_positions();
-    const auto failure = failure_with(nullptr, bad);
-    ASSERT_EQ(failure.error, core::EbvError::kScriptFailure);
-    expect_identical_across_schedulers(bad);
-}
-
 TEST_F(ParallelSvSkewDeterminism, SchedulerMatrixOnSkewedWorkload) {
     core::EbvBlock bad = *victim_;
     std::size_t global = 0;
@@ -307,7 +267,7 @@ TEST_F(ParallelSvSkewDeterminism, SchedulerMatrixOnSkewedWorkload) {
     bad.assign_stake_positions();
     const auto failure = failure_with(nullptr, bad);
     ASSERT_EQ(failure.error, core::EbvError::kScriptFailure);
-    expect_identical_across_schedulers(bad);
+    expect_identical_across_thread_counts(bad);
 }
 
 TEST_F(ParallelSvSkewDeterminism, ProofTamperOutranksEarlierBadSignature) {
@@ -332,7 +292,7 @@ TEST_F(ParallelSvSkewDeterminism, ProofTamperOutranksEarlierBadSignature) {
     bad.assign_stake_positions();
     const auto failure = failure_with(nullptr, bad);
     ASSERT_EQ(failure.error, core::EbvError::kExistenceFailed);
-    expect_identical_across_schedulers(bad);
+    expect_identical_across_thread_counts(bad);
 }
 
 /// Pins the signature-lane backend for a scope, then restores "auto".
