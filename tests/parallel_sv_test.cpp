@@ -152,11 +152,12 @@ protected:
     }
 
     /// The serial run is the reference; every thread count must report its
-    /// exact tuple.
-    void expect_identical_across_thread_counts(const core::EbvBlock& bad) {
+    /// exact tuple. `affinity` is passed to each pool's Options.
+    void expect_identical_across_thread_counts(const core::EbvBlock& bad,
+                                               std::optional<bool> affinity = {}) {
         const core::EbvValidationFailure want = failure_with(nullptr, bad);
         for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-            util::ThreadPool pool(threads);
+            util::ThreadPool pool(util::ThreadPool::Options{threads, {}, affinity});
             for (int rep = 0; rep < 3; ++rep) {
                 const core::EbvValidationFailure got = failure_with(&pool, bad);
                 EXPECT_EQ(want.error, got.error) << "threads=" << threads;
@@ -253,6 +254,23 @@ TEST_F(ParallelSvDeterminism, DoubleSpendOutranksBadSignature) {
     ASSERT_EQ(failure.error, core::EbvError::kDoubleSpendInBlock);
     EXPECT_EQ(failure.input_index, spender->inputs.size() - 1);
     expect_identical_across_thread_counts(bad);
+}
+
+/// The same block as MultipleBadSignatures on pools with pinned workers,
+/// where the chunks land on other CPUs: the tuple must not notice.
+TEST_F(ParallelSvDeterminism, SchedulerMatrixMultipleBadSignatures) {
+    core::EbvBlock bad = *victim_;
+    std::size_t global = 0;
+    for (auto& tx : bad.txs) {
+        for (auto& in : tx.inputs) {
+            if (global++ % 2 == 1 && in.unlock_script.size() > 6)
+                in.unlock_script[5] ^= 0x11;
+        }
+    }
+    bad.assign_stake_positions();
+    const auto failure = failure_with(nullptr, bad);
+    ASSERT_EQ(failure.error, core::EbvError::kScriptFailure);
+    expect_identical_across_thread_counts(bad, /*affinity=*/true);
 }
 
 TEST_F(ParallelSvSkewDeterminism, SchedulerMatrixOnSkewedWorkload) {

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -31,7 +33,7 @@ TEST(ThreadPool, ZeroItemsIsNoop) {
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
         ThreadPool pool(threads);
-        for (std::size_t n : {1u, 2u, 7u, 64u, 1000u, 4097u}) {
+        for (std::size_t n : {1u, 2u, 7u, 64u, 1000u}) {
             std::vector<std::atomic<int>> hits(n);
             pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
             for (std::size_t i = 0; i < n; ++i)
@@ -122,14 +124,11 @@ TEST(ThreadPool, PerSlotPartialsNeedNoSynchronization) {
 
 TEST(ThreadPool, ReentrantParallelForRunsSerially) {
     ThreadPool pool(4);
-    for (const int inner : {16, 1000}) {
-        std::atomic<int> inner_total{0};
-        pool.parallel_for(8, [&](std::size_t) {
-            pool.parallel_for(static_cast<std::size_t>(inner),
-                              [&](std::size_t) { inner_total.fetch_add(1); });
-        });
-        EXPECT_EQ(inner_total.load(), 8 * inner);
-    }
+    std::atomic<int> inner_total{0};
+    pool.parallel_for(8, [&](std::size_t) {
+        pool.parallel_for(16, [&](std::size_t) { inner_total.fetch_add(1); });
+    });
+    EXPECT_EQ(inner_total.load(), 8 * 16);
 }
 
 // Each outer body holds its slot until every slot has started one (at most
@@ -193,6 +192,100 @@ TEST(ThreadPool, StatsAccumulate) {
     EXPECT_EQ(after.steals, 0u);
     EXPECT_EQ(after.steal_attempts, 0u);
 }
+
+// ---------------------------------------------------------------------------
+// The pool's contracts under both scheduler requests Options could make
+// before the pool had one scheduler: an explicit SchedulerMode::kCounter
+// ("counter"), and the unset default that used to select work stealing
+// ("steal"). The request is ignored now, so both must behave the same.
+// ---------------------------------------------------------------------------
+
+enum class SchedulerRequest { kCounter, kSteal };
+
+class SchedulerContract : public ::testing::TestWithParam<SchedulerRequest> {
+protected:
+    static std::unique_ptr<ThreadPool> make_pool(std::size_t threads) {
+        std::optional<SchedulerMode> mode;
+        if (GetParam() == SchedulerRequest::kCounter) mode = SchedulerMode::kCounter;
+        return std::make_unique<ThreadPool>(ThreadPool::Options{threads, mode, {}});
+    }
+    static const char* request_name() {
+        return GetParam() == SchedulerRequest::kCounter ? "counter" : "steal";
+    }
+};
+
+TEST_P(SchedulerContract, CoversEveryIndexExactlyOnce) {
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+        auto pool = make_pool(threads);
+        for (std::size_t n : {1u, 2u, 7u, 64u, 1000u, 4097u}) {
+            std::vector<std::atomic<int>> hits(n);
+            pool->parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << request_name() << " threads=" << threads << " n=" << n << " i=" << i;
+        }
+    }
+}
+
+TEST_P(SchedulerContract, ExceptionRethrownExactlyOnceAndPoolSurvives) {
+    auto pool = make_pool(4);
+    for (int repeat = 0; repeat < 10; ++repeat) {
+        int caught = 0;
+        try {
+            pool->parallel_for(512, [&](std::size_t i) {
+                if (i == 301) throw std::runtime_error("contract-boom");
+            });
+        } catch (const std::runtime_error& e) {
+            ++caught;
+            EXPECT_STREQ(e.what(), "contract-boom");
+        }
+        EXPECT_EQ(caught, 1);
+        std::atomic<int> after{0};
+        pool->parallel_for(64, [&](std::size_t) { after.fetch_add(1); });
+        EXPECT_EQ(after.load(), 64);
+    }
+}
+
+TEST_P(SchedulerContract, MidRunCancellationStopsRemainingWork) {
+    auto pool = make_pool(4);
+    CancelToken cancel;
+    std::atomic<int> ran{0};
+    const std::size_t n = 100000;
+    pool->parallel_for(n, [&](std::size_t) {
+        if (ran.fetch_add(1) == 10) cancel.cancel();
+    }, &cancel);
+    EXPECT_GE(ran.load(), 11);
+    EXPECT_LT(static_cast<std::size_t>(ran.load()), n / 2);
+}
+
+TEST_P(SchedulerContract, SlotsAreExclusivePerThread) {
+    auto pool = make_pool(4);
+    const std::size_t n = 100000;
+    std::vector<std::uint64_t> partial(pool->thread_count(), 0);
+    pool->parallel_for_slots(n, [&](std::size_t slot, std::size_t i) {
+        ASSERT_LT(slot, pool->thread_count());
+        partial[slot] += i;  // exclusive slot -> no synchronization needed
+    });
+    const std::uint64_t sum = std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
+    EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (n - 1) / 2);
+}
+
+TEST_P(SchedulerContract, ReentrantParallelForRunsSerially) {
+    auto pool = make_pool(4);
+    std::atomic<int> inner_total{0};
+    pool->parallel_for(8, [&](std::size_t) {
+        pool->parallel_for(1000, [&](std::size_t) { inner_total.fetch_add(1); });
+    });
+    EXPECT_EQ(inner_total.load(), 8 * 1000);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothSchedulers, SchedulerContract,
+                         ::testing::Values(SchedulerRequest::kCounter,
+                                           SchedulerRequest::kSteal),
+                         [](const ::testing::TestParamInfo<SchedulerRequest>& info) {
+                             return info.param == SchedulerRequest::kCounter ? "counter"
+                                                                             : "steal";
+                         });
 
 // ---------------------------------------------------------------------------
 // Affinity
