@@ -3,6 +3,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chain/sighash.hpp"
@@ -33,8 +34,8 @@ void BM_Sha256(benchmark::State& state) {
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(256)->Arg(1024)->Arg(16384);
 
 // The Merkle interior-node primitive, batched: n independent 64-byte
-// messages double-hashed per call. Compare scalar vs sse2 vs avx2 with
-// EBV_SHA256_IMPL, or watch the auto-dispatched throughput scale with n.
+// messages double-hashed per call. Registered once per SHA-256 dispatch row
+// (see register_sha256_rows below), so the rows compare side by side.
 void BM_Sha256d64Many(benchmark::State& state) {
     util::Rng rng(8);
     const auto n = static_cast<std::size_t>(state.range(0));
@@ -47,9 +48,7 @@ void BM_Sha256d64Many(benchmark::State& state) {
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n) * 64);
-    state.SetLabel(crypto::sha256_batch_impl());
 }
-BENCHMARK(BM_Sha256d64Many)->Arg(1)->Arg(4)->Arg(8)->Arg(64)->Arg(1024);
 
 // Variable-length batch (the EBV leaf / txid shape): n messages of mixed
 // sizes double-hashed via the sort-by-block-count batcher.
@@ -70,9 +69,7 @@ void BM_Sha256dMany(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
-    state.SetLabel(crypto::sha256_batch_impl());
 }
-BENCHMARK(BM_Sha256dMany)->Arg(8)->Arg(64)->Arg(1024);
 
 void BM_MerkleRoot(benchmark::State& state) {
     util::Rng rng(2);
@@ -82,7 +79,6 @@ void BM_MerkleRoot(benchmark::State& state) {
         benchmark::DoNotOptimize(crypto::merkle_root(leaves));
     }
 }
-BENCHMARK(BM_MerkleRoot)->Arg(16)->Arg(256)->Arg(2048);
 
 void BM_MerkleBranchBuild(benchmark::State& state) {
     util::Rng rng(3);
@@ -413,9 +409,42 @@ void BM_Sighash_Template(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
-    state.SetLabel(crypto::sha256_batch_impl());
 }
-BENCHMARK(BM_Sighash_Template)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+
+// ---- The batched shapes on every SHA-256 dispatch row ------------------------
+// Each run pins its row through the test hook, labels itself with the row's
+// name, and hands dispatch back to the CPU when it ends.
+
+template <void (*Bm)(benchmark::State&)>
+void on_sha256_row(benchmark::State& state, const char* row) {
+    crypto::sha256_force_batch_impl(row);
+    state.SetLabel(crypto::sha256_impl());
+    Bm(state);
+    crypto::sha256_force_batch_impl("auto");
+}
+
+bool register_sha256_rows() {
+    for (const char* row :
+         {"scalar", "avx2", "avx512", "sha-ni", "avx2+sha-ni", "avx512+sha-ni"}) {
+        if (!crypto::sha256_force_batch_impl(row)) continue;  // the CPU lacks it
+        const std::string suffix = std::string("/") + row;
+        benchmark::RegisterBenchmark(("BM_Sha256d64Many" + suffix).c_str(),
+                                     on_sha256_row<BM_Sha256d64Many>, row)
+            ->Arg(1)->Arg(4)->Arg(8)->Arg(64)->Arg(1024);
+        benchmark::RegisterBenchmark(("BM_Sha256dMany" + suffix).c_str(),
+                                     on_sha256_row<BM_Sha256dMany>, row)
+            ->Arg(8)->Arg(64)->Arg(1024);
+        benchmark::RegisterBenchmark(("BM_MerkleRoot" + suffix).c_str(),
+                                     on_sha256_row<BM_MerkleRoot>, row)
+            ->Arg(16)->Arg(256)->Arg(2048);
+        benchmark::RegisterBenchmark(("BM_Sighash_Template" + suffix).c_str(),
+                                     on_sha256_row<BM_Sighash_Template>, row)
+            ->Arg(1)->Arg(4)->Arg(16)->Arg(64);
+    }
+    crypto::sha256_force_batch_impl("auto");
+    return true;
+}
+const bool kSha256RowsRegistered = register_sha256_rows();
 
 }  // namespace
 

@@ -21,8 +21,7 @@ bool ends_with(std::string_view s, std::string_view suffix) {
 bool is_identity_key(std::string_view key) {
     static constexpr std::string_view kKeys[] = {
         "threads", "window", "height", "period", "blocks", "seed", "reps",
-        "mode", "shards", "skew", "clients", "queries_per_block", "arrival",
-        "sighash_phase_inputs",
+        "mode", "clients", "queries_per_block", "arrival", "sighash_phase_inputs",
     };
     for (const std::string_view k : kKeys) {
         if (key == k) return true;

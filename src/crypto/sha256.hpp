@@ -1,7 +1,7 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Streaming interface plus
 // one-shot helpers; the chain layer builds double-SHA256 on top. Batched
-// double-SHA256 entry points (4-way SSE2 / 8-way AVX2 / 16-way AVX-512,
-// runtime-dispatched with a scalar fallback) feed the Merkle layer's hot
+// double-SHA256 entry points (8-way AVX2 / 16-way AVX-512, picked by the
+// CPU at startup, with a one-stream fallback) feed the Merkle layer's hot
 // paths, and a SHA-NI single-stream transform accelerates the streaming
 // hasher (and thereby sha256/hash256) on CPUs with the SHA extensions.
 #pragma once
@@ -83,9 +83,9 @@ void sha256d64_many(std::uint8_t* out, const std::uint8_t* in, std::size_t n);
 void sha256d_many(const util::ByteSpan* inputs, Sha256::Digest* outputs,
                   std::size_t n);
 
-/// Name of the active batch (multi-lane) row: "scalar", "sse2", "avx2", or
-/// "avx512". Selection honors the EBV_SHA256_IMPL environment knob (read
-/// once). Orthogonal to the single-stream transform — see sha256_impl().
+/// Name of the active batch (multi-lane) row: "scalar", "avx2", or
+/// "avx512". The CPU alone picks it, once per process. Orthogonal to the
+/// single-stream transform — see sha256_impl().
 [[nodiscard]] const char* sha256_batch_impl();
 
 /// Full name of the active selection, combining the batch row and the
@@ -94,22 +94,16 @@ void sha256d_many(const util::ByteSpan* inputs, Sha256::Digest* outputs,
 [[nodiscard]] const char* sha256_impl();
 
 /// Stable numeric id of the active selection for the ebv.crypto.sha256_impl
-/// gauge: 0 scalar, 1 sse2, 2 avx2, 3 avx512, 4 sha-ni, 5 sse2+sha-ni,
-/// 6 avx2+sha-ni, 7 avx512+sha-ni.
+/// gauge: 0 scalar, 2 avx2, 3 avx512, 4 sha-ni, 6 avx2+sha-ni,
+/// 7 avx512+sha-ni. Ids 1 and 5 (the retired SSE2 rows) are never reused.
 [[nodiscard]] int sha256_impl_index();
 
-/// Force a specific implementation ("scalar", "sse2", "avx2", "avx512",
-/// "sha-ni", or "auto" to re-detect). Returns false — leaving the selection
-/// unchanged — when the CPU or build lacks support. Not thread-safe against
-/// in-flight hashing; intended for tests and startup configuration.
+/// Test hook: force one row ("scalar", "avx2", "avx512", "sha-ni",
+/// "avx2+sha-ni", "avx512+sha-ni", or "auto" to re-detect). Returns false —
+/// leaving the selection unchanged — when the CPU or build lacks support.
+/// Not thread-safe against in-flight hashing; parity tests and benches
+/// only.
 bool sha256_force_batch_impl(std::string_view name);
-
-/// Env-style request with graceful fallback: pins `name` when the CPU and
-/// build support it, otherwise re-detects the best available selection
-/// (never leaves a stale forced row behind). Returns the name actually
-/// selected — equal to `name` iff the request was honored. This is the
-/// semantics the EBV_SHA256_IMPL knob gets at startup.
-const char* sha256_request_impl(std::string_view name);
 
 namespace detail {
 
@@ -130,7 +124,7 @@ inline constexpr std::uint32_t kSha256K[64] = {
     0xc67178f2};
 
 /// One compression round over a single 64-byte block — the portable scalar
-/// core (shared by the streaming hasher and the scalar batch path).
+/// core (shared by the streaming hasher and the one-stream batch fallback).
 void sha256_transform(std::uint32_t state[8], const std::uint8_t* block);
 
 /// Single-stream transform selected by the dispatch table: the SHA-NI core
@@ -142,19 +136,12 @@ using TransformFn = void (*)(std::uint32_t state[8], const std::uint8_t* block);
 // Per-ISA batch cores over *pre-padded* messages. `blocks[b * lanes + l]`
 // points at 64-byte block b of lane l; every lane has exactly `nblocks`
 // blocks (padding included). Writes `lanes` 32-byte double-SHA256 digests
-// to `out`. Exposed individually so tests can cross-check each dispatch
-// path against the streaming implementation.
-void sha256d_batch_scalar(std::uint8_t* out, const std::uint8_t* const* blocks,
-                          std::size_t nblocks, std::size_t lanes);
-inline constexpr std::size_t kSse2Lanes = 4;
+// to `out`.
 inline constexpr std::size_t kAvx2Lanes = 8;
 inline constexpr std::size_t kAvx512Lanes = 16;
-[[nodiscard]] bool have_sse2();
 [[nodiscard]] bool have_avx2();
 [[nodiscard]] bool have_avx512();  ///< AVX-512F (incl. OS zmm state support)
 [[nodiscard]] bool have_shani();   ///< SHA-NI (sha256msg1/2, sha256rnds2)
-void sha256d_batch_sse2(std::uint8_t* out, const std::uint8_t* const* blocks,
-                        std::size_t nblocks);  ///< 4 lanes; only if have_sse2()
 void sha256d_batch_avx2(std::uint8_t* out, const std::uint8_t* const* blocks,
                         std::size_t nblocks);  ///< 8 lanes; only if have_avx2()
 void sha256d_batch_avx512(std::uint8_t* out, const std::uint8_t* const* blocks,

@@ -1,17 +1,17 @@
-// Batched double-SHA256: scalar core, runtime ISA dispatch, and the public
+// Batched double-SHA256: runtime ISA dispatch and the public
 // sha256d64_many / sha256d_many entry points used by the Merkle layer.
 //
 // A dispatch selection has two orthogonal dimensions: a multi-lane *batch*
-// row (scalar / 4-way SSE2 / 8-way AVX2 / 16-way AVX-512) feeding the
-// sha256d*_many entry points, and a single-stream *transform* (portable
-// scalar or SHA-NI) feeding the streaming Sha256 hasher. Auto-detection
-// composes the best of each ("avx512+sha-ni" on a machine with both);
-// forcing a pure name pins both dimensions so tests and benches measure
-// exactly one code path.
+// row (none / 8-way AVX2 / 16-way AVX-512) feeding the sha256d*_many entry
+// points, and a single-stream *transform* (portable scalar or SHA-NI)
+// feeding the streaming Sha256 hasher. The CPU alone picks the selection,
+// once per process: the widest batch its features allow, paired with SHA-NI
+// when present ("avx512+sha-ni" on a machine with both). Only the
+// sha256_force_batch_impl test hook pins another row, so parity tests and
+// benches can measure exactly one code path.
 #include "crypto/sha256.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -23,41 +23,27 @@ namespace ebv::crypto {
 
 namespace {
 
-/// Double-SHA256 of `lanes` pre-padded messages, one stream at a time
-/// through `tf` (the scalar core, or SHA-NI when that row is active).
-void sha256d_stream_lanes(std::uint8_t* out, const std::uint8_t* const* blocks,
-                          std::size_t nblocks, std::size_t lanes, detail::TransformFn tf) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-        std::uint32_t state[8];
-        for (int k = 0; k < 8; ++k) state[k] = detail::kSha256Init[k];
-        for (std::size_t b = 0; b < nblocks; ++b) tf(state, blocks[b * lanes + l]);
+/// Double-SHA256 of one pre-padded message of `nblocks` blocks, where
+/// `blocks[b]` is block b, through `tf` (the scalar core, or SHA-NI when
+/// that row is active).
+void sha256d_stream(std::uint8_t* out, const std::uint8_t* const* blocks, std::size_t nblocks,
+                    detail::TransformFn tf) {
+    std::uint32_t state[8];
+    for (int k = 0; k < 8; ++k) state[k] = detail::kSha256Init[k];
+    for (std::size_t b = 0; b < nblocks; ++b) tf(state, blocks[b]);
 
-        // Second hash: the 32-byte digest padded into one fixed block.
-        std::uint8_t second[64];
-        for (int k = 0; k < 8; ++k) util::store_be32(second + 4 * k, state[k]);
-        second[32] = 0x80;
-        std::memset(second + 33, 0, 29);
-        second[62] = 0x01;  // 256 bits, big-endian
-        second[63] = 0x00;
+    // Second hash: the 32-byte digest padded into one fixed block.
+    std::uint8_t second[64];
+    for (int k = 0; k < 8; ++k) util::store_be32(second + 4 * k, state[k]);
+    second[32] = 0x80;
+    std::memset(second + 33, 0, 29);
+    second[62] = 0x01;  // 256 bits, big-endian
+    second[63] = 0x00;
 
-        for (int k = 0; k < 8; ++k) state[k] = detail::kSha256Init[k];
-        tf(state, second);
-        for (int k = 0; k < 8; ++k) util::store_be32(out + 32 * l + 4 * k, state[k]);
-    }
+    for (int k = 0; k < 8; ++k) state[k] = detail::kSha256Init[k];
+    tf(state, second);
+    for (int k = 0; k < 8; ++k) util::store_be32(out + 4 * k, state[k]);
 }
-
-}  // namespace
-
-namespace detail {
-
-void sha256d_batch_scalar(std::uint8_t* out, const std::uint8_t* const* blocks,
-                          std::size_t nblocks, std::size_t lanes) {
-    sha256d_stream_lanes(out, blocks, nblocks, lanes, &sha256_transform);
-}
-
-}  // namespace detail
-
-namespace {
 
 using BatchFn = void (*)(std::uint8_t* out, const std::uint8_t* const* blocks,
                          std::size_t nblocks);
@@ -71,17 +57,15 @@ struct Selection {
     detail::TransformFn transform;  // single-stream compression
 };
 
+/// In order of preference: each row beats every row above it that the CPU
+/// also supports. Ids 1 and 5 belonged to the deleted SSE2 rows.
 constexpr Selection kSelections[] = {
     {"scalar", 0, "scalar", 1, nullptr, &detail::sha256_transform},
-    {"sse2", 1, "sse2", detail::kSse2Lanes, &detail::sha256d_batch_sse2,
-     &detail::sha256_transform},
     {"avx2", 2, "avx2", detail::kAvx2Lanes, &detail::sha256d_batch_avx2,
      &detail::sha256_transform},
     {"avx512", 3, "avx512", detail::kAvx512Lanes, &detail::sha256d_batch_avx512,
      &detail::sha256_transform},
     {"sha-ni", 4, "scalar", 1, nullptr, &detail::sha256_transform_shani},
-    {"sse2+sha-ni", 5, "sse2", detail::kSse2Lanes, &detail::sha256d_batch_sse2,
-     &detail::sha256_transform_shani},
     {"avx2+sha-ni", 6, "avx2", detail::kAvx2Lanes, &detail::sha256d_batch_avx2,
      &detail::sha256_transform_shani},
     {"avx512+sha-ni", 7, "avx512", detail::kAvx512Lanes, &detail::sha256d_batch_avx512,
@@ -89,7 +73,6 @@ constexpr Selection kSelections[] = {
 };
 
 bool selection_supported(const Selection& s) {
-    if (s.batch == &detail::sha256d_batch_sse2 && !detail::have_sse2()) return false;
     if (s.batch == &detail::sha256d_batch_avx2 && !detail::have_avx2()) return false;
     if (s.batch == &detail::sha256d_batch_avx512 && !detail::have_avx512()) return false;
     if (s.transform == &detail::sha256_transform_shani && !detail::have_shani()) return false;
@@ -102,31 +85,16 @@ const Selection* find_selection(std::string_view name) {
     return nullptr;
 }
 
-/// Best available: widest batch row paired with SHA-NI when present.
+/// The last supported row: the widest batch, paired with SHA-NI when present.
 const Selection* detect_selection() {
-    int batch = 0;
-    if (detail::have_avx512()) {
-        batch = 3;
-    } else if (detail::have_avx2()) {
-        batch = 2;
-    } else if (detail::have_sse2()) {
-        batch = 1;
-    }
-    return &kSelections[batch + (detail::have_shani() ? 4 : 0)];
-}
-
-const Selection* initial_selection() {
-    if (const char* env = std::getenv("EBV_SHA256_IMPL")) {
-        // Env semantics = graceful fallback: honor when supported, else
-        // silently take the best available (matches sha256_request_impl).
-        const Selection* s = find_selection(env);
-        if (s != nullptr && selection_supported(*s)) return s;
-    }
-    return detect_selection();
+    const Selection* best = &kSelections[0];
+    for (const Selection& s : kSelections)
+        if (selection_supported(s)) best = &s;
+    return best;
 }
 
 const Selection*& active_selection() {
-    static const Selection* sel = initial_selection();
+    static const Selection* sel = detect_selection();
     return sel;
 }
 
@@ -153,12 +121,6 @@ bool sha256_force_batch_impl(std::string_view name) {
     if (s == nullptr || !selection_supported(*s)) return false;
     active_selection() = s;
     return true;
-}
-
-const char* sha256_request_impl(std::string_view name) {
-    const Selection* s = (name == "auto") ? nullptr : find_selection(name);
-    active_selection() = (s != nullptr && selection_supported(*s)) ? s : detect_selection();
-    return active_selection()->name;
 }
 
 void sha256d64_many(std::uint8_t* out, const std::uint8_t* in, std::size_t n) {
@@ -192,7 +154,7 @@ void sha256d64_many(std::uint8_t* out, const std::uint8_t* in, std::size_t n) {
     }
     for (; i < n; ++i) {
         const std::uint8_t* blocks[2] = {in + 64 * i, kPad64};
-        sha256d_stream_lanes(out + 32 * i, blocks, 2, 1, impl.transform);
+        sha256d_stream(out + 32 * i, blocks, 2, impl.transform);
     }
 }
 

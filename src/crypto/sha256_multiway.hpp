@@ -1,4 +1,4 @@
-// W-lane SHA-256 core shared by the SSE2 and AVX2 batch paths. Included
+// W-lane SHA-256 core shared by the AVX2 and AVX-512 batch paths. Included
 // ONLY by ISA-specific translation units compiled with the matching -m
 // flags; the template instantiates against an `Ops` policy providing the
 // vector primitives, so the 64-round schedule is written once.

@@ -205,37 +205,6 @@ TEST(BenchCompare, ToleranceIsConfigurable) {
     EXPECT_FALSE(result.ok);  // +5 % fails a 1 % gate
 }
 
-TEST(BenchCompare, SkewIsIdentityNotMetric) {
-    // The fig16 scheduler sweep keys rows by {scheduler, skew, threads};
-    // `skew` must parameterize row identity, never be gated as a metric.
-    const char* base =
-        R"({"bench":"fig16_validation_compare","provenance":{},)"
-        R"("rows":[{"scheduler":"steal","skew":1.0,"threads":4,)"
-        R"("ev_sv_ms":100.0,"speedup":3.0}],"aborted":false})";
-
-    // Same scheduler/threads at a different skew level: no matching row,
-    // warn instead of comparing apples to oranges.
-    const auto mismatched = compare_reports(
-        doc(base),
-        doc(R"({"bench":"fig16_validation_compare","provenance":{},)"
-            R"("rows":[{"scheduler":"steal","skew":0.0,"threads":4,)"
-            R"("ev_sv_ms":50.0,"speedup":9.0}],"aborted":false})"));
-    EXPECT_TRUE(mismatched.ok);
-    ASSERT_FALSE(mismatched.warnings.empty());
-    EXPECT_NE(mismatched.warnings.back().find("skew=1"), std::string::npos);
-    EXPECT_TRUE(mismatched.deltas.empty());
-
-    // Matching skew compares ev_sv_ms and speedup, but never "skew" itself.
-    const auto matched = compare_reports(
-        doc(base),
-        doc(R"({"bench":"fig16_validation_compare","provenance":{},)"
-            R"("rows":[{"scheduler":"steal","skew":1.0,"threads":4,)"
-            R"("ev_sv_ms":90.0,"speedup":3.3}],"aborted":false})"));
-    EXPECT_TRUE(matched.ok) << format_report(matched);
-    EXPECT_EQ(matched.deltas.size(), 2u);
-    for (const MetricDelta& d : matched.deltas) EXPECT_NE(d.metric, "skew");
-}
-
 TEST(BenchCompare, ArrivalIsIdentityNotMetric) {
     // The fig20 mempool sweep keys rows by {threads, arrival}; `arrival`
     // (admission burst size) parameterizes identity, it is never gated.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "chain/miner.hpp"
@@ -188,23 +189,52 @@ TEST(TxSighashCache, MatchesNaiveEbvSignatureHash) {
     }
 }
 
-// Forcing every available SHA-256 row must not change template digests —
-// the template sits on top of whatever transform dispatch selected.
+// Forcing every available SHA-256 row must not change any digest: neither
+// the template's streamed ones nor the standard SIGHASH_ALL digests
+// chain::SighashCache batches through sha256d_many. Twenty inputs whose
+// claimed lock scripts all have one length give one run of equal-length
+// preimages, so the 16-lane row fills a batch and leaves stragglers.
 TEST(TxSighashCache, ParityHoldsUnderEveryShaImpl) {
     util::Rng rng(19);
-    const core::EbvTransaction tx = random_ebv_transaction(rng, 8);
-    const util::Bytes script = random_script(rng, 60);
-    const crypto::Hash256 expected = core::ebv_signature_hash(tx, 3, script, 0x01);
-
-    const char* impls[] = {"scalar", "sse2",          "avx2",          "avx512",
-                           "sha-ni", "sse2+sha-ni",   "avx2+sha-ni",   "avx512+sha-ni"};
-    const char* original = crypto::sha256_batch_impl();
-    for (const char* impl : impls) {
-        if (!crypto::sha256_force_batch_impl(impl)) continue;  // unsupported row
-        const core::TxSighashCache cache(tx);
-        EXPECT_EQ(cache.digest(3, script, 0x01), expected) << impl;
+    core::EbvTransaction tx = random_ebv_transaction(rng, 20);
+    for (auto& in : tx.inputs) {
+        auto& lock = in.els.outputs[in.out_index].lock_script;
+        lock.resize(25);  // P2PKH-sized: standard, never P2SH
+        rng.fill({lock.data(), lock.size()});
     }
-    ASSERT_TRUE(crypto::sha256_force_batch_impl(original));
+    // Per input: the batched SIGHASH_ALL digest and, at a non-standard
+    // type over the same script, the template's streamed one.
+    std::vector<crypto::Hash256> expected, expected_streamed;
+    for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
+        const auto& lock = tx.inputs[i].els.outputs[tx.inputs[i].out_index].lock_script;
+        expected.push_back(core::ebv_signature_hash(tx, i, lock, 0x01));
+        expected_streamed.push_back(core::ebv_signature_hash(tx, i, lock, 0x81));
+    }
+
+    ASSERT_TRUE(crypto::sha256_force_batch_impl("auto"));
+    const std::string detected = crypto::sha256_impl();
+    obs::Counter& batched = obs::Registry::global().counter("ebv.crypto.sha256d_msgs");
+    {
+        struct AutoGuard {
+            ~AutoGuard() { crypto::sha256_force_batch_impl("auto"); }
+        } guard;
+        for (const char* impl : {"scalar", "avx2", "avx512", "sha-ni", "avx2+sha-ni",
+                                 "avx512+sha-ni"}) {
+            if (!crypto::sha256_force_batch_impl(impl)) continue;  // unsupported row
+            const std::uint64_t batched_before = batched.value();
+            const core::TxSighashCache cache(tx);
+            EXPECT_EQ(batched.value() - batched_before, tx.inputs.size()) << impl;
+            for (std::size_t i = 0; i < tx.inputs.size(); ++i) {
+                const auto& lock =
+                    tx.inputs[i].els.outputs[tx.inputs[i].out_index].lock_script;
+                EXPECT_EQ(cache.digest(i, lock, 0x01), expected[i]) << impl << " input " << i;
+                EXPECT_EQ(cache.digest(i, lock, 0x81), expected_streamed[i])
+                    << impl << " input " << i;
+            }
+        }
+    }
+    // Later tests in this binary must hash on the detected row.
+    EXPECT_EQ(crypto::sha256_impl(), detected);
 }
 
 // --- One rule for both validators ------------------------------------------

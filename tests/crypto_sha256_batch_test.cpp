@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,12 +16,10 @@ namespace {
 /// (batch + SHA-NI stream) are exercised alongside the pure ones.
 std::vector<std::string> available_impls() {
     std::vector<std::string> impls{"scalar"};
-    if (detail::have_sse2()) impls.emplace_back("sse2");
     if (detail::have_avx2()) impls.emplace_back("avx2");
     if (detail::have_avx512()) impls.emplace_back("avx512");
     if (detail::have_shani()) {
         impls.emplace_back("sha-ni");
-        if (detail::have_sse2()) impls.emplace_back("sse2+sha-ni");
         if (detail::have_avx2()) impls.emplace_back("avx2+sha-ni");
         if (detail::have_avx512()) impls.emplace_back("avx512+sha-ni");
     }
@@ -43,13 +42,17 @@ TEST(Sha256Batch, ForceImplRejectsUnknownNames) {
     EXPECT_STREQ(sha256_batch_impl(), "scalar");
     EXPECT_STREQ(sha256_impl(), "scalar");
     EXPECT_EQ(sha256_impl_index(), 0);
+    // "auto" hands the choice back to the CPU: the widest batch it
+    // supports, paired with the SHA-NI stream when present.
     EXPECT_TRUE(sha256_force_batch_impl("auto"));
+    EXPECT_EQ(available_impls().back(), sha256_impl());
 }
 
 TEST(Sha256Batch, ForceImplRejectsUnsupportedRows) {
     ImplGuard guard;
     // Forcing is strict: a row the CPU (or build) lacks returns false and
-    // leaves the selection untouched. Supported rows always force.
+    // leaves the selection untouched. Supported rows always force, and each
+    // keeps the gauge id that ebv.crypto.sha256_impl and artifacts record.
     const std::string before = sha256_impl();
     if (!detail::have_shani()) {
         EXPECT_FALSE(sha256_force_batch_impl("sha-ni"));
@@ -60,40 +63,19 @@ TEST(Sha256Batch, ForceImplRejectsUnsupportedRows) {
         EXPECT_FALSE(sha256_force_batch_impl("avx512"));
         EXPECT_EQ(before, sha256_impl());
     }
+    // The retired SSE2 rows are unknown names now.
+    EXPECT_FALSE(sha256_force_batch_impl("sse2"));
+    EXPECT_FALSE(sha256_force_batch_impl("sse2+sha-ni"));
+    EXPECT_EQ(before, sha256_impl());
+
+    const std::map<std::string, int> ids = {{"scalar", 0},      {"avx2", 2},
+                                            {"avx512", 3},      {"sha-ni", 4},
+                                            {"avx2+sha-ni", 6}, {"avx512+sha-ni", 7}};
     for (const auto& impl : available_impls()) {
         EXPECT_TRUE(sha256_force_batch_impl(impl)) << impl;
         EXPECT_EQ(impl, sha256_impl());
+        EXPECT_EQ(ids.at(impl), sha256_impl_index()) << impl;
     }
-}
-
-TEST(Sha256Batch, RequestImplFallsBackGracefully) {
-    ImplGuard guard;
-    // Request semantics (== the EBV_SHA256_IMPL env knob): honor when
-    // supported, otherwise re-detect the best available — never an error,
-    // never a stale forced row.
-    const std::string detected = sha256_request_impl("auto");
-    EXPECT_EQ(detected, sha256_impl());
-
-    EXPECT_EQ(detected, sha256_request_impl("definitely-not-an-isa"));
-
-    if (!detail::have_shani()) {
-        EXPECT_EQ(detected, sha256_request_impl("sha-ni"));
-        EXPECT_NE("sha-ni", std::string(sha256_impl()));
-    }
-    if (!detail::have_avx512()) {
-        EXPECT_EQ(detected, sha256_request_impl("avx512"));
-    }
-
-    for (const auto& impl : available_impls()) {
-        EXPECT_EQ(impl, sha256_request_impl(impl)) << impl;
-        EXPECT_EQ(impl, sha256_impl());
-    }
-
-    // Requesting scalar is always honored, and the index ids are stable.
-    EXPECT_STREQ(sha256_request_impl("scalar"), "scalar");
-    EXPECT_EQ(sha256_impl_index(), 0);
-    EXPECT_GE(sha256_impl_index(), 0);
-    EXPECT_LE(sha256_impl_index(), 7);
 }
 
 TEST(Sha256Batch, StreamingMatchesFipsVectorsOnEveryImpl) {
@@ -213,22 +195,6 @@ TEST(Sha256Batch, VariableLengthMatchesDoubleSha256OnEveryImpl) {
         for (std::size_t i = 0; i < msgs.size(); ++i)
             EXPECT_EQ(expected[i], got[i]) << impl << " i=" << i;
     }
-}
-
-TEST(Sha256Batch, ScalarBatchCoreMatchesStreaming) {
-    ImplGuard guard;
-    ASSERT_TRUE(sha256_force_batch_impl("scalar"));
-    // Drive detail::sha256d_batch_scalar directly with hand-padded blocks.
-    util::Rng rng(31);
-    std::uint8_t msg[64];
-    rng.fill(msg);
-    std::uint8_t pad[64] = {0x80};
-    pad[62] = 0x02;  // 512-bit length, big-endian
-    const std::uint8_t* blocks[2] = {msg, pad};
-    std::uint8_t out[32];
-    detail::sha256d_batch_scalar(out, blocks, 2, 1);
-    const auto want = double_sha256({msg, 64});
-    EXPECT_EQ(0, std::memcmp(out, want.data(), 32));
 }
 
 }  // namespace
