@@ -44,17 +44,16 @@ util::Result<BlockTimings, ValidationFailure> BitcoinNode::submit_block(const Bl
     return result;
 }
 
-bool BitcoinNode::disconnect_tip() {
+bool BitcoinNode::disconnect_tip(const Block& tip) {
     if (headers_.empty() || !block_store_ || !undo_store_) return false;
     const std::uint32_t tip_height = headers_.height();
+    if (tip.header.hash() != headers_.tip_hash()) return false;
 
-    const auto block = block_store_->load(tip_height);
     const auto undo = undo_store_->load(tip_height);
-    if (!block || !undo) return false;
-    if (block->header.hash() != headers_.tip_hash()) return false;
+    if (!undo) return false;
 
     BitcoinValidator validator(options_.params, *utxo_, options_.validator);
-    validator.disconnect_block(*block, *undo);
+    validator.disconnect_block(tip, *undo);
 
     headers_.pop_tip();
     block_store_->truncate(tip_height);

@@ -37,9 +37,10 @@ public:
     /// 0 for the first block).
     util::Result<BlockTimings, ValidationFailure> submit_block(const Block& block);
 
-    /// Reorg support: disconnect the tip block, restoring the UTXO set from
+    /// Reorg support: disconnect the tip. The caller supplies the tip block,
+    /// which must match the tip header; the UTXO set is restored from the
     /// stored undo data. Requires keep_blocks (block + undo persistence).
-    [[nodiscard]] bool disconnect_tip();
+    [[nodiscard]] bool disconnect_tip(const Block& tip);
 
     [[nodiscard]] const HeaderIndex& headers() const { return headers_; }
     [[nodiscard]] UtxoSet& utxo() { return *utxo_; }

@@ -45,19 +45,6 @@ std::string ValidationFailure::describe() const {
 
 namespace {
 
-/// Phase timer: accumulates wall time plus the status DB's modelled device
-/// time into one TimeCost. DBO time is taken from the StatusDb's own
-/// instrumentation instead, so this is used for SV and "other".
-class PhaseTimer {
-public:
-    explicit PhaseTimer(util::TimeCost& target) : target_(target) {}
-    ~PhaseTimer() { target_.wall_ns += watch_.elapsed_ns(); }
-
-private:
-    util::TimeCost& target_;
-    util::Stopwatch watch_;
-};
-
 util::TimeCost dbo_cost_of(const storage::DboStats& stats) {
     return stats.total_time();
 }
@@ -133,7 +120,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
 
     // ---- Structural checks (counted as "other") -------------------------
     {
-        PhaseTimer timer(timings.other);
+        util::PhaseTimer timer(timings.other);
         if (block.txs.empty())
             return util::Unexpected{ValidationFailure{BlockError::kEmptyBlock}};
         if (!block.txs[0].is_coinbase())
@@ -175,7 +162,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         const Transaction& tx = block.txs[t];
 
         {
-            PhaseTimer timer(timings.other);
+            util::PhaseTimer timer(timings.other);
             Amount total_out = 0;
             for (const TxOut& out : tx.vout) {
                 // add_money also bounds the per-tx output *sum*: 65k
@@ -198,7 +185,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         }
 
         {
-            PhaseTimer timer(timings.other);
+            util::PhaseTimer timer(timings.other);
             for (std::uint32_t o = 0; o < tx.vout.size(); ++o) {
                 intra_block.emplace(OutPoint{tx.txid(), o},
                                     Coin{tx.vout[o].value, height, tx.is_coinbase(),
@@ -231,7 +218,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
             }
 
             {
-                PhaseTimer timer(timings.other);
+                util::PhaseTimer timer(timings.other);
                 if (coin->coinbase && height < coin->height + params_.coinbase_maturity) {
                     return util::Unexpected{
                         ValidationFailure{BlockError::kImmatureCoinbaseSpend, t, i}};
@@ -250,7 +237,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         }
 
         {
-            PhaseTimer timer(timings.other);
+            util::PhaseTimer timer(timings.other);
             const Amount value_out = block.txs[t].total_output_value();
             if (value_in < value_out)
                 return util::Unexpected{ValidationFailure{BlockError::kNegativeFee, t}};
@@ -261,7 +248,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
 
     // Coinbase value rule.
     {
-        PhaseTimer timer(timings.other);
+        util::PhaseTimer timer(timings.other);
         const Amount allowed = params_.subsidy_at(height) + total_fees;
         if (block.txs[0].total_output_value() > allowed)
             return util::Unexpected{ValidationFailure{BlockError::kCoinbaseValueTooHigh, 0}};
@@ -273,7 +260,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
     // already failed, and the failure index only ever decreases (CAS-min), so
     // every job below the final minimum ran to its verdict.
     if (options_.verify_scripts && !script_jobs.empty()) {
-        PhaseTimer timer(timings.sv);
+        util::PhaseTimer timer(timings.sv);
         constexpr std::size_t kNoFail = std::numeric_limits<std::size_t>::max();
         std::atomic<std::size_t> first_fail{kNoFail};
         std::vector<script::ScriptError> errors(script_jobs.size(), script::ScriptError::kOk);

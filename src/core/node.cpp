@@ -71,14 +71,14 @@ util::Result<std::unique_ptr<EbvNode>, util::DecodeError> EbvNode::load_snapshot
     return node;
 }
 
-bool EbvNode::disconnect_tip(const EbvBlock& block) {
+bool EbvNode::disconnect_tip(const EbvBlock& tip) {
     if (headers_.empty()) return false;
     const std::uint32_t tip_height = headers_.height();
-    if (block.header.hash() != headers_.tip_hash()) return false;
+    if (tip.header.hash() != headers_.tip_hash()) return false;
 
     // Un-spend every input (skip the coinbase at index 0).
-    for (std::size_t t = 1; t < block.txs.size(); ++t) {
-        for (const EbvInput& in : block.txs[t].inputs) {
+    for (std::size_t t = 1; t < tip.txs.size(); ++t) {
+        for (const EbvInput& in : tip.txs[t].inputs) {
             const bool restored = status_.unspend(in.height, in.absolute_position(),
                                                   output_counts_[in.height]);
             EBV_ASSERT(restored);

@@ -43,7 +43,7 @@ public:
     /// (EBV validators don't retain bodies unless a block store is
     /// configured); it must match the tip header. Un-spends every input bit
     /// and removes the block's own vector.
-    [[nodiscard]] bool disconnect_tip(const EbvBlock& block);
+    [[nodiscard]] bool disconnect_tip(const EbvBlock& tip);
 
     [[nodiscard]] const chain::HeaderIndex& headers() const { return headers_; }
     [[nodiscard]] BitVectorSet& status() { return status_; }

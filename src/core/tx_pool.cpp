@@ -48,12 +48,12 @@ struct TxPoolMetrics {
     }
 };
 
-/// The stateless per-transaction pipeline up to SV, shared verbatim by the
-/// public validate_transaction() and the (possibly parallel) prevalidation
-/// pass of submit_batch() — which is what makes batch verdicts
-/// bit-identical to serial ones. Checks run in the serial order EV -> UV ->
-/// maturity -> value per input, first failure wins; script_verdict()
-/// follows. On kAccepted, *fee_out holds the transaction fee.
+/// The stateless per-transaction pipeline up to SV, run by the (possibly
+/// parallel) prevalidation pass of submit_batch(); it reads only the frozen
+/// chain state, which is what makes batch verdicts bit-identical to serial
+/// ones. Checks run in the serial order EV -> UV -> maturity -> value per
+/// input, first failure wins; script_verdict() follows. On kAccepted,
+/// *fee_out holds the transaction fee.
 TxAdmission stateless_verdict(const EbvTransaction& tx, const chain::ChainParams& params,
                               const chain::HeaderIndex& headers, const BitVectorSet& status,
                               std::uint32_t next_height, chain::Amount* fee_out) {
@@ -118,18 +118,6 @@ const char* to_string(TxAdmission a) {
     return "unknown admission result";
 }
 
-TxAdmission validate_transaction(const EbvTransaction& tx,
-                                 const chain::ChainParams& params,
-                                 const chain::HeaderIndex& headers,
-                                 const BitVectorSet& status,
-                                 std::uint32_t next_height, bool verify_scripts,
-                                 chain::SigCache* sigcache) {
-    const TxAdmission verdict =
-        stateless_verdict(tx, params, headers, status, next_height, nullptr);
-    if (verdict != TxAdmission::kAccepted || !verify_scripts) return verdict;
-    return script_verdict(tx, TxSighashCache(tx), sigcache);
-}
-
 TxPoolOptions TxPoolOptions::from_env(TxPoolOptions base) {
     if (const char* env = std::getenv("EBV_MEMPOOL_BYTES")) {
         char* end = nullptr;
@@ -174,8 +162,7 @@ TxAdmission TxPool::resolve(const EbvTransaction& tx, const Prevalidation& pre) 
     if (!conflicts.empty()) {
         // Replace-by-feerate: a fully valid newcomer displaces the pooled
         // spenders only when it strictly out-bids every one of them.
-        if (!options_.replace_by_feerate || pre.verdict != TxAdmission::kAccepted)
-            return TxAdmission::kConflict;
+        if (pre.verdict != TxAdmission::kAccepted) return TxAdmission::kConflict;
         for (const crypto::Hash256& leaf : conflicts) {
             const Entry& pooled = pool_.at(leaf);
             if (!feerate_beats(pre.fee, pre.bytes, pooled.fee, pooled.bytes))
@@ -256,7 +243,7 @@ std::vector<TxAdmission> TxPool::submit_batch(std::span<const EbvTransaction> tx
     std::vector<std::optional<TxSighashCache>> caches(txs.size());
     const auto claim = [&](std::size_t, std::size_t k, chain::PrefetchQueue& queue) {
         prevalidate(txs[k], pre[k]);
-        if (pre[k].verdict != TxAdmission::kAccepted || !options_.verify_scripts) return;
+        if (pre[k].verdict != TxAdmission::kAccepted) return;
         std::vector<chain::InputScripts> scripts;
         for (const EbvInput& in : txs[k].inputs) scripts.push_back(input_scripts(in));
         queue.hold(k, scripts, 0, caches[k].emplace(txs[k]), options_.sigcache);
@@ -267,7 +254,7 @@ std::vector<TxAdmission> TxPool::submit_batch(std::span<const EbvTransaction> tx
     };
     // A transaction ranks as its costliest input.
     std::vector<std::uint32_t> ranks(txs.size(), std::numeric_limits<std::uint32_t>::max());
-    for (std::size_t k = 0; k < txs.size() && options_.verify_scripts; ++k)
+    for (std::size_t k = 0; k < txs.size(); ++k)
         for (const EbvInput& in : txs[k].inputs)
             ranks[k] = std::min(ranks[k], chain::claim_rank(input_scripts(in)));
     chain::claim_all(options_.pool, chain::claim_order(ranks), claim, run);

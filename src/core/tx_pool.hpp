@@ -57,18 +57,6 @@ enum class TxAdmission {
 
 [[nodiscard]] const char* to_string(TxAdmission a);
 
-/// Validate one transaction against the chain state (headers + bit-vector
-/// set), without touching the state. Exposed standalone so relays can
-/// check transactions they do not intend to pool. `sigcache`, when given,
-/// is consulted for — and warmed by — every signature check.
-TxAdmission validate_transaction(const EbvTransaction& tx,
-                                 const chain::ChainParams& params,
-                                 const chain::HeaderIndex& headers,
-                                 const BitVectorSet& status,
-                                 std::uint32_t next_height,
-                                 bool verify_scripts = true,
-                                 chain::SigCache* sigcache = nullptr);
-
 struct TxPoolOptions {
     /// Resident byte budget (0 = unlimited). When an insertion pushes the
     /// pool past it, lowest-feerate entries are evicted — possibly the
@@ -81,10 +69,6 @@ struct TxPoolOptions {
     /// Records admission-verified signatures for block-validation reuse;
     /// typically the same cache handed to EbvValidatorOptions::sigcache.
     chain::SigCache* sigcache = nullptr;
-    bool verify_scripts = true;
-    /// Allow a conflicting transaction to replace pooled spenders when its
-    /// feerate strictly beats every one of them.
-    bool replace_by_feerate = true;
 
     /// Apply EBV_MEMPOOL_BYTES on top of `base`.
     [[nodiscard]] static TxPoolOptions from_env(TxPoolOptions base);

@@ -89,17 +89,6 @@ struct EngineMetrics {
     }
 };
 
-/// Adds the wall time of its scope to one stage of an EbvTimings.
-class PhaseTimer {
-public:
-    explicit PhaseTimer(util::TimeCost& target) : target_(target) {}
-    ~PhaseTimer() { target_.wall_ns += watch_.elapsed_ns(); }
-
-private:
-    util::TimeCost& target_;
-    util::Stopwatch watch_;
-};
-
 std::uint64_t spent_key(std::uint32_t height, std::uint32_t position) {
     return static_cast<std::uint64_t>(height) << 32 | position;
 }
@@ -178,7 +167,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         std::size_t accepted = window_len;
         std::optional<EbvValidationFailure> structural_failure;
         {
-            PhaseTimer timer(timings.other);
+            util::PhaseTimer timer(timings.other);
             for (std::size_t b = 0; b < window_len; ++b) {
                 const crypto::Hash256 prev =
                     b == 0 ? headers_.tip_hash() : window[b - 1].header.hash();
@@ -246,7 +235,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
 
         // Root fold, then values, serial block order.
         {
-            PhaseTimer timer(timings.other);
+            util::PhaseTimer timer(timings.other);
             for (std::size_t b = 0; b < accepted; ++b) {
                 const EbvBlock& block = window[b];
                 const std::span<const crypto::Hash256> hashes(
@@ -515,7 +504,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                         // UV: the bit at the authenticated absolute position
                         // must still be 1. Earlier blocks, of this window
                         // too, applied their spends at their commit.
-                        PhaseTimer timer(timings.uv);
+                        util::PhaseTimer timer(timings.uv);
                         const std::uint32_t position = in.absolute_position();
                         if (!spent_in_block.insert(spent_key(in.height, position)).second) {
                             fail(EbvError::kDoubleSpendInBlock, t, i);
@@ -526,7 +515,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                             break;
                         }
                     }
-                    PhaseTimer timer(timings.other);
+                    util::PhaseTimer timer(timings.other);
                     if (in.els.is_coinbase() &&
                         height < in.height + params_.coinbase_maturity) {
                         fail(EbvError::kImmatureCoinbaseSpend, t, i);
@@ -541,7 +530,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
                     }
                 }
                 if (result.failure) break;
-                PhaseTimer timer(timings.other);
+                util::PhaseTimer timer(timings.other);
                 const chain::Amount value_out = tx.total_output_value();
                 if (value_in < value_out) {
                     fail(EbvError::kNegativeFee, t, 0);
@@ -552,7 +541,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             if (result.failure) break;
 
             {
-                PhaseTimer timer(timings.other);
+                util::PhaseTimer timer(timings.other);
                 const chain::Amount allowed = params_.subsidy_at(height) + total_fees;
                 if (block.txs[0].total_output_value() > allowed) {
                     fail(EbvError::kCoinbaseValueTooHigh, 0, 0);

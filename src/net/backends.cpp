@@ -2,137 +2,57 @@
 
 namespace ebv::net {
 
-namespace {
+template <class Node, class Block, ChainFormat Format>
+std::optional<crypto::Hash256> NodeChainBackend<Node, Block, Format>::block_hash_at(
+    std::uint32_t height) const {
+    const auto* header = node_.headers().at(height);
+    if (header == nullptr) return std::nullopt;
+    return header->hash();
+}
 
-template <typename BlockT>
-util::Bytes serialize_block(const BlockT& block) {
+template <class Node, class Block, ChainFormat Format>
+std::optional<util::Bytes> NodeChainBackend<Node, Block, Format>::header_at(
+    std::uint32_t height) const {
+    const auto* header = node_.headers().at(height);
+    if (header == nullptr) return std::nullopt;
+    util::Writer w(chain::BlockHeader::kSerializedSize);
+    header->serialize(w);
+    return w.take();
+}
+
+template <class Node, class Block, ChainFormat Format>
+std::optional<util::Bytes> NodeChainBackend<Node, Block, Format>::block_by_hash(
+    const crypto::Hash256& hash) const {
+    const auto it = by_hash_.find(hash);
+    if (it == by_hash_.end()) return std::nullopt;
+    return it->second;
+}
+
+template <class Node, class Block, ChainFormat Format>
+std::optional<util::Nanoseconds> NodeChainBackend<Node, Block, Format>::accept_block(
+    const util::Bytes& payload) {
+    util::Reader r(payload);
+    auto block = Block::deserialize(r);
+    if (!block) return std::nullopt;
+
+    auto result = node_.submit_block(*block);
+    if (!result) return std::nullopt;
+
+    by_hash_.emplace(block->header.hash(), payload);
+    return result->total().total_ns();
+}
+
+template <class Node, class Block, ChainFormat Format>
+void NodeChainBackend<Node, Block, Format>::seed_block(const Block& block) {
+    auto result = node_.submit_block(block);
+    EBV_EXPECTS(result.has_value());
     util::Writer w;
     block.serialize(w);
-    return w.take();
+    by_hash_.emplace(block.header.hash(), w.take());
 }
 
-std::optional<chain::BlockHeader> peek_header(const util::Bytes& payload) {
-    util::Reader r(payload);
-    auto header = chain::BlockHeader::deserialize(r);
-    if (!header) return std::nullopt;
-    return *header;
-}
-
-}  // namespace
-
-// ------------------------------------------------------------- Bitcoin ----
-
-std::optional<crypto::Hash256> BitcoinChainBackend::block_hash_at(
-    std::uint32_t height) const {
-    const auto* header = node_.headers().at(height);
-    if (header == nullptr) return std::nullopt;
-    return header->hash();
-}
-
-std::optional<util::Bytes> BitcoinChainBackend::header_at(std::uint32_t height) const {
-    const auto* header = node_.headers().at(height);
-    if (header == nullptr) return std::nullopt;
-    util::Writer w(chain::BlockHeader::kSerializedSize);
-    header->serialize(w);
-    return w.take();
-}
-
-std::optional<util::Bytes> BitcoinChainBackend::block_by_hash(
-    const crypto::Hash256& hash) const {
-    const auto it = by_hash_.find(hash);
-    if (it == by_hash_.end()) return std::nullopt;
-    return it->second;
-}
-
-std::optional<crypto::Hash256> BitcoinChainBackend::peek_prev_hash(
-    const util::Bytes& payload) const {
-    const auto header = peek_header(payload);
-    if (!header) return std::nullopt;
-    return header->prev_hash;
-}
-
-std::optional<crypto::Hash256> BitcoinChainBackend::peek_hash(
-    const util::Bytes& payload) const {
-    const auto header = peek_header(payload);
-    if (!header) return std::nullopt;
-    return header->hash();
-}
-
-std::optional<util::Nanoseconds> BitcoinChainBackend::accept_block(
-    const util::Bytes& payload) {
-    util::Reader r(payload);
-    auto block = chain::Block::deserialize(r);
-    if (!block) return std::nullopt;
-
-    auto result = node_.submit_block(*block);
-    if (!result) return std::nullopt;
-
-    by_hash_.emplace(block->header.hash(), payload);
-    return result->total().total_ns();
-}
-
-void BitcoinChainBackend::seed_block(const chain::Block& block) {
-    auto result = node_.submit_block(block);
-    EBV_EXPECTS(result.has_value());
-    by_hash_.emplace(block.header.hash(), serialize_block(block));
-}
-
-// ----------------------------------------------------------------- EBV ----
-
-std::optional<crypto::Hash256> EbvChainBackend::block_hash_at(
-    std::uint32_t height) const {
-    const auto* header = node_.headers().at(height);
-    if (header == nullptr) return std::nullopt;
-    return header->hash();
-}
-
-std::optional<util::Bytes> EbvChainBackend::header_at(std::uint32_t height) const {
-    const auto* header = node_.headers().at(height);
-    if (header == nullptr) return std::nullopt;
-    util::Writer w(chain::BlockHeader::kSerializedSize);
-    header->serialize(w);
-    return w.take();
-}
-
-std::optional<util::Bytes> EbvChainBackend::block_by_hash(
-    const crypto::Hash256& hash) const {
-    const auto it = by_hash_.find(hash);
-    if (it == by_hash_.end()) return std::nullopt;
-    return it->second;
-}
-
-std::optional<crypto::Hash256> EbvChainBackend::peek_prev_hash(
-    const util::Bytes& payload) const {
-    const auto header = peek_header(payload);
-    if (!header) return std::nullopt;
-    return header->prev_hash;
-}
-
-std::optional<crypto::Hash256> EbvChainBackend::peek_hash(
-    const util::Bytes& payload) const {
-    const auto header = peek_header(payload);
-    if (!header) return std::nullopt;
-    return header->hash();
-}
-
-std::optional<util::Nanoseconds> EbvChainBackend::accept_block(
-    const util::Bytes& payload) {
-    util::Reader r(payload);
-    auto block = core::EbvBlock::deserialize(r);
-    if (!block) return std::nullopt;
-
-    auto result = node_.submit_block(*block);
-    if (!result) return std::nullopt;
-
-    by_hash_.emplace(block->header.hash(), payload);
-    return result->total().total_ns();
-}
-
-void EbvChainBackend::seed_block(const core::EbvBlock& block) {
-    auto result = node_.submit_block(block);
-    EBV_EXPECTS(result.has_value());
-    by_hash_.emplace(block.header.hash(), serialize_block(block));
-}
+template class NodeChainBackend<chain::BitcoinNode, chain::Block, ChainFormat::kBitcoin>;
+template class NodeChainBackend<core::EbvNode, core::EbvBlock, ChainFormat::kEbv>;
 
 // -------------------------------------------------------- Intermediary ----
 
@@ -140,8 +60,7 @@ IntermediaryBridge::IntermediaryBridge(SimNetwork& network, netsim::Region regio
                                        const chain::ChainParams& params) {
     btc_options_.params = params;
     btc_node_ = std::make_unique<chain::BitcoinNode>(btc_options_);
-    btc_backend_ = std::make_unique<BitcoinChainBackend>(*btc_node_);
-    upstream_backend_ = std::make_unique<ConvertingBackend>(*this);
+    upstream_backend_ = std::make_unique<ConvertingBackend>(*this, *btc_node_);
     upstream_node_ = std::make_unique<ProtocolNode>(network, region, *upstream_backend_,
                                                     "intermediary-upstream");
 
@@ -156,7 +75,7 @@ IntermediaryBridge::IntermediaryBridge(SimNetwork& network, netsim::Region regio
 std::optional<util::Nanoseconds> IntermediaryBridge::ConvertingBackend::accept_block(
     const util::Bytes& payload) {
     // Validate + store like a baseline node first.
-    const auto cost = owner_.btc_backend_->accept_block(payload);
+    const auto cost = BitcoinChainBackend::accept_block(payload);
     if (!cost) return std::nullopt;
 
     // Reconstruct the block (paper §VI-A) and feed the downstream chain.

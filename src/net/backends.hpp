@@ -14,48 +14,31 @@
 
 namespace ebv::net {
 
-/// Backend over a baseline (Bitcoin-format) validator node.
-class BitcoinChainBackend final : public ChainBackend {
+/// Backend over a validator node that stores and serves blocks of type
+/// `Block` in chain format `Format`.
+template <class Node, class Block, ChainFormat Format>
+class NodeChainBackend : public ChainBackend {
 public:
-    explicit BitcoinChainBackend(chain::BitcoinNode& node) : node_(node) {}
+    explicit NodeChainBackend(Node& node) : node_(node) {}
 
-    [[nodiscard]] ChainFormat format() const override { return ChainFormat::kBitcoin; }
+    [[nodiscard]] ChainFormat format() const override { return Format; }
     [[nodiscard]] std::uint32_t block_count() const override { return node_.next_height(); }
     std::optional<crypto::Hash256> block_hash_at(std::uint32_t height) const override;
     std::optional<util::Bytes> header_at(std::uint32_t height) const override;
     std::optional<util::Bytes> block_by_hash(const crypto::Hash256& hash) const override;
-    std::optional<crypto::Hash256> peek_prev_hash(const util::Bytes& payload) const override;
-    std::optional<crypto::Hash256> peek_hash(const util::Bytes& payload) const override;
     std::optional<util::Nanoseconds> accept_block(const util::Bytes& payload) override;
 
     /// Pre-load a locally produced block (e.g. the origin node's chain).
-    void seed_block(const chain::Block& block);
+    void seed_block(const Block& block);
 
 private:
-    chain::BitcoinNode& node_;
+    Node& node_;
     std::unordered_map<crypto::Hash256, util::Bytes, crypto::Hash256Hasher> by_hash_;
 };
 
-/// Backend over an EBV validator node.
-class EbvChainBackend final : public ChainBackend {
-public:
-    explicit EbvChainBackend(core::EbvNode& node) : node_(node) {}
-
-    [[nodiscard]] ChainFormat format() const override { return ChainFormat::kEbv; }
-    [[nodiscard]] std::uint32_t block_count() const override { return node_.next_height(); }
-    std::optional<crypto::Hash256> block_hash_at(std::uint32_t height) const override;
-    std::optional<util::Bytes> header_at(std::uint32_t height) const override;
-    std::optional<util::Bytes> block_by_hash(const crypto::Hash256& hash) const override;
-    std::optional<crypto::Hash256> peek_prev_hash(const util::Bytes& payload) const override;
-    std::optional<crypto::Hash256> peek_hash(const util::Bytes& payload) const override;
-    std::optional<util::Nanoseconds> accept_block(const util::Bytes& payload) override;
-
-    void seed_block(const core::EbvBlock& block);
-
-private:
-    core::EbvNode& node_;
-    std::unordered_map<crypto::Hash256, util::Bytes, crypto::Hash256Hasher> by_hash_;
-};
+using BitcoinChainBackend =
+    NodeChainBackend<chain::BitcoinNode, chain::Block, ChainFormat::kBitcoin>;
+using EbvChainBackend = NodeChainBackend<core::EbvNode, core::EbvBlock, ChainFormat::kEbv>;
 
 /// The intermediary: its upstream backend accepts Bitcoin-format blocks
 /// (validating them like any baseline node); every accepted block is
@@ -77,28 +60,10 @@ public:
 
 private:
     /// Upstream backend that also converts + seeds downstream on accept.
-    class ConvertingBackend final : public ChainBackend {
+    class ConvertingBackend final : public BitcoinChainBackend {
     public:
-        ConvertingBackend(IntermediaryBridge& owner) : owner_(owner) {}
-        [[nodiscard]] ChainFormat format() const override { return ChainFormat::kBitcoin; }
-        [[nodiscard]] std::uint32_t block_count() const override {
-            return owner_.btc_backend_->block_count();
-        }
-        std::optional<crypto::Hash256> block_hash_at(std::uint32_t h) const override {
-            return owner_.btc_backend_->block_hash_at(h);
-        }
-        std::optional<util::Bytes> header_at(std::uint32_t h) const override {
-            return owner_.btc_backend_->header_at(h);
-        }
-        std::optional<util::Bytes> block_by_hash(const crypto::Hash256& h) const override {
-            return owner_.btc_backend_->block_by_hash(h);
-        }
-        std::optional<crypto::Hash256> peek_prev_hash(const util::Bytes& p) const override {
-            return owner_.btc_backend_->peek_prev_hash(p);
-        }
-        std::optional<crypto::Hash256> peek_hash(const util::Bytes& p) const override {
-            return owner_.btc_backend_->peek_hash(p);
-        }
+        ConvertingBackend(IntermediaryBridge& owner, chain::BitcoinNode& node)
+            : BitcoinChainBackend(node), owner_(owner) {}
         std::optional<util::Nanoseconds> accept_block(const util::Bytes& payload) override;
 
     private:
@@ -107,7 +72,6 @@ private:
 
     chain::BitcoinNodeOptions btc_options_;
     std::unique_ptr<chain::BitcoinNode> btc_node_;
-    std::unique_ptr<BitcoinChainBackend> btc_backend_;
     std::unique_ptr<ConvertingBackend> upstream_backend_;
     std::unique_ptr<ProtocolNode> upstream_node_;
 

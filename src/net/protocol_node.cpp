@@ -1,5 +1,6 @@
 #include "net/protocol_node.hpp"
 
+#include "chain/block.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
@@ -231,13 +232,16 @@ void ProtocolNode::handle(EndpointId from, const BlockMsg& m) {
     if (it != peers_.end() && it->second.inflight > 0) --it->second.inflight;
     if (m.format != backend_.format()) return;
 
-    const auto hash = backend_.peek_hash(m.payload);
-    const auto prev = backend_.peek_prev_hash(m.payload);
-    if (!hash || !prev) return;
-    known_.insert(*hash);
+    // Every block format leads with the 80-byte header; a payload without
+    // one is dropped before it is stashed.
+    util::Reader r(m.payload);
+    const auto header = chain::BlockHeader::deserialize(r);
+    if (!header) return;
+    const crypto::Hash256 hash = header->hash();
+    known_.insert(hash);
 
     // Stash; try_connect_pending connects everything that now links up.
-    orphans_[*prev] = m.payload;
+    orphans_[header->prev_hash] = PendingBlock{hash, m.payload};
     NetMetrics::get().orphans_stashed.inc();
     try_connect_pending();
 
@@ -264,10 +268,10 @@ void ProtocolNode::try_connect_pending() {
         const auto it = orphans_.find(tip);
         if (it == orphans_.end()) return;
 
-        const util::Bytes payload = std::move(it->second);
+        const PendingBlock block = std::move(it->second);
         orphans_.erase(it);
 
-        const auto cost = backend_.accept_block(payload);
+        const auto cost = backend_.accept_block(block.payload);
         if (!cost) {
             ++stats_.blocks_rejected;
             NetMetrics::get().blocks_rejected.inc();
@@ -278,10 +282,9 @@ void ProtocolNode::try_connect_pending() {
         NetMetrics::get().blocks_connected.inc();
         stats_.connect_times.push_back(network_.now());
 
-        const auto hash = backend_.peek_hash(payload);
         // Validation costs simulated time: relay only after it elapses.
-        network_.defer(*cost, [this, hash] {
-            if (hash) announce_block(*hash, id_ /*no exception*/);
+        network_.defer(*cost, [this, hash = block.hash] {
+            announce_block(hash, id_ /*no exception*/);
         });
     }
 }

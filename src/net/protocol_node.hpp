@@ -38,10 +38,6 @@ public:
     virtual std::optional<util::Bytes> header_at(std::uint32_t height) const = 0;
     /// Serialized block body by hash (only blocks this node stores).
     virtual std::optional<util::Bytes> block_by_hash(const crypto::Hash256& hash) const = 0;
-    /// The prev-hash linkage of a serialized block, without validating.
-    virtual std::optional<crypto::Hash256> peek_prev_hash(
-        const util::Bytes& payload) const = 0;
-    virtual std::optional<crypto::Hash256> peek_hash(const util::Bytes& payload) const = 0;
     /// Validate + connect the next block. On success reports the validation
     /// cost to charge to the simulated clock; on failure returns nullopt.
     virtual std::optional<util::Nanoseconds> accept_block(const util::Bytes& payload) = 0;
@@ -117,8 +113,13 @@ private:
     std::uint64_t nonce_;
 
     std::unordered_map<EndpointId, PeerState> peers_;
+    /// A received block with its header hash, parsed once on arrival.
+    struct PendingBlock {
+        crypto::Hash256 hash;
+        util::Bytes payload;
+    };
     /// Blocks received but not yet connectable, keyed by their prev hash.
-    std::unordered_map<crypto::Hash256, util::Bytes, crypto::Hash256Hasher> orphans_;
+    std::unordered_map<crypto::Hash256, PendingBlock, crypto::Hash256Hasher> orphans_;
     /// Hashes we have seen (connected or inflight) — dedupes inv storms.
     std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> known_;
     ProtocolStats stats_;

@@ -56,6 +56,17 @@ struct TimeCost {
 
 inline TimeCost operator+(TimeCost a, const TimeCost& b) { return a += b; }
 
+/// Adds the wall time of its scope to one phase's TimeCost.
+class PhaseTimer {
+public:
+    explicit PhaseTimer(TimeCost& target) : target_(target) {}
+    ~PhaseTimer() { target_.wall_ns += watch_.elapsed_ns(); }
+
+private:
+    TimeCost& target_;
+    Stopwatch watch_;
+};
+
 inline double to_ms(Nanoseconds ns) { return static_cast<double>(ns) / 1e6; }
 inline double to_sec(Nanoseconds ns) { return static_cast<double>(ns) / 1e9; }
 

@@ -3,6 +3,7 @@
 // EBV node) running on real messages.
 #include <gtest/gtest.h>
 
+#include "chain/miner.hpp"
 #include "net/backends.hpp"
 #include "workload/generator.hpp"
 
@@ -164,6 +165,104 @@ TEST(NetProtocol, MismatchedFormatsDoNotHandshake) {
 
     EXPECT_EQ(ebv_node.next_height(), 0u);
     EXPECT_EQ(ebv.stats().blocks_connected, 0u);
+}
+
+template <class BlockT>
+util::Bytes serialize_block(const BlockT& block) {
+    util::Writer w;
+    block.serialize(w);
+    return w.take();
+}
+
+/// From a raw endpoint, sends an empty `Node` three hostile block payloads
+/// that link to its (empty) tip: one shorter than a header, a parsable
+/// header over a body that does not decode, and `invalid`, which decodes
+/// but fails validation. None may connect; the last two count as rejected.
+/// The node must then still sync `chain` from an honest peer.
+template <class Node, class Backend, class Options, class Block>
+void expect_hostile_payloads_rejected(const Options& options, const std::vector<Block>& chain,
+                                      const Block& invalid) {
+    SimNetwork network(23);
+    Node source_node(options);
+    Backend source_backend(source_node);
+    ProtocolNode source(network, netsim::Region::kUsEast, source_backend, "source");
+    for (const Block& block : chain) source_backend.seed_block(block);
+
+    Node sink_node(options);
+    Backend sink_backend(sink_node);
+    ProtocolNode sink(network, netsim::Region::kEuCentral, sink_backend, "sink");
+
+    const EndpointId raw =
+        network.add_endpoint(netsim::Region::kUsWest, [](EndpointId, const util::Bytes&) {});
+    const auto send_block = [&](util::Bytes payload) {
+        network.send(raw, sink.id(),
+                     encode_message(BlockMsg{sink_backend.format(), 0, std::move(payload)}));
+    };
+
+    const util::Bytes invalid_payload = serialize_block(invalid);
+    ASSERT_TRUE(invalid.header.prev_hash.is_zero());
+    send_block(util::Bytes(invalid_payload.begin(), invalid_payload.begin() + 40));
+
+    // A header of its own (so the honest genesis is not marked known),
+    // then a transaction count whose 2-byte value is missing.
+    chain::BlockHeader header = invalid.header;
+    header.time += 1;
+    util::Writer undecodable;
+    header.serialize(undecodable);
+    undecodable.u8(0xfd);
+    send_block(undecodable.take());
+
+    send_block(invalid_payload);
+    network.run();
+
+    EXPECT_EQ(sink_node.next_height(), 0u);
+    EXPECT_EQ(sink.stats().blocks_connected, 0u);
+    EXPECT_EQ(sink.stats().blocks_rejected, 2u);
+
+    sink.connect_to(source.id());
+    network.run();
+    EXPECT_EQ(sink_node.next_height(), chain.size());
+    EXPECT_EQ(sink.stats().blocks_connected, chain.size());
+    EXPECT_EQ(sink.stats().blocks_rejected, 2u);
+}
+
+/// A genesis-height block whose coinbase claims twice the subsidy.
+chain::Block overpaying_genesis(const chain::ChainParams& params) {
+    return chain::assemble_block(
+        crypto::Hash256{},
+        chain::make_coinbase(0, 2 * params.subsidy_at(0), script::Script{0x51}),
+        {}, /*time=*/1000);
+}
+
+TEST(NetProtocol, HostileBlockPayloadsAreRejectedBitcoin) {
+    const auto gen_options = small_chain_options();
+    workload::ChainGenerator generator(gen_options);
+    std::vector<chain::Block> chain;
+    for (int i = 0; i < 8; ++i) chain.push_back(generator.next_block());
+
+    chain::BitcoinNodeOptions options;
+    options.params = gen_options.params;
+    expect_hostile_payloads_rejected<chain::BitcoinNode, BitcoinChainBackend>(
+        options, chain, overpaying_genesis(gen_options.params));
+}
+
+TEST(NetProtocol, HostileBlockPayloadsAreRejectedEbv) {
+    const auto gen_options = small_chain_options();
+    workload::ChainGenerator generator(gen_options);
+    intermediary::Converter converter;
+    std::vector<core::EbvBlock> chain;
+    for (int i = 0; i < 8; ++i) {
+        auto converted = converter.convert_block(generator.next_block());
+        ASSERT_TRUE(converted.has_value());
+        chain.push_back(std::move(*converted));
+    }
+    intermediary::Converter invalid_converter;
+    auto invalid = invalid_converter.convert_block(overpaying_genesis(gen_options.params));
+    ASSERT_TRUE(invalid.has_value());
+
+    core::EbvNodeOptions options;
+    options.params = gen_options.params;
+    expect_hostile_payloads_rejected<core::EbvNode, EbvChainBackend>(options, chain, *invalid);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 #include <unistd.h>
 
 #include "chain/miner.hpp"
+#include "chain/node.hpp"
 #include "chain/reorg.hpp"
-#include "core/reorg.hpp"
+#include "core/node.hpp"
 #include "intermediary/converter.hpp"
 #include "workload/generator.hpp"
 
@@ -190,7 +191,7 @@ TEST(ReorgSwitch, EbvLongerBranchWins) {
         parent = block.header.hash();
     }
 
-    auto outcome = core::reorg_to(node, branch);
+    auto outcome = chain::reorg_to(node, branch);
     ASSERT_TRUE(outcome.has_value()) << to_string(outcome.error());
     EXPECT_TRUE(outcome->switched);
     EXPECT_EQ(node.next_height(), 16u);
@@ -250,7 +251,7 @@ TEST(ReorgSwitch, EbvInvalidBranchRollsBack) {
         branch.push_back(block);
     }
 
-    auto outcome = core::reorg_to(node, branch);
+    auto outcome = chain::reorg_to(node, branch);
     ASSERT_TRUE(outcome.has_value()) << to_string(outcome.error());
     EXPECT_FALSE(outcome->switched);
     EXPECT_EQ(outcome->branch_failure.error, core::EbvError::kCoinbaseValueTooHigh);

@@ -86,8 +86,8 @@ TEST(Reorg, BaselineDisconnectRestoresUtxoSet) {
         return std::pair{fresh.utxo().size(), fresh.status_payload_bytes()};
     }();
 
-    ASSERT_TRUE(node.disconnect_tip());
-    ASSERT_TRUE(node.disconnect_tip());
+    ASSERT_TRUE(node.disconnect_tip(blocks[24]));
+    ASSERT_TRUE(node.disconnect_tip(blocks[23]));
     EXPECT_EQ(node.next_height(), 23u);
     EXPECT_EQ(node.utxo().size(), size_at_23.first);
     EXPECT_EQ(node.status_payload_bytes(), size_at_23.second);
@@ -119,7 +119,7 @@ TEST(Reorg, BaselineAlternativeBranchConnects) {
     ASSERT_TRUE(node.submit_block(original_tip).has_value());
 
     // Competing tip: empty block on the same parent.
-    ASSERT_TRUE(node.disconnect_tip());
+    ASSERT_TRUE(node.disconnect_tip(original_tip));
     chain::Block alternative = chain::assemble_block(
         node.headers().tip_hash(),
         chain::make_coinbase(node.next_height(),

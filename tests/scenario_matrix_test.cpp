@@ -28,7 +28,6 @@
 #include "chain/sig_cache.hpp"
 #include "chain/sighash.hpp"
 #include "core/node.hpp"
-#include "core/reorg.hpp"
 #include "crypto/ecdsa_lanes.hpp"
 #include "intermediary/converter.hpp"
 #include "script/standard.hpp"
@@ -513,7 +512,7 @@ TEST(ScenarioReorg, DeepReorgCrossesWindowBoundariesIdentically) {
         auto node = make_node(cfg, &pool, gen_options.params, dir.str());
         ASSERT_TRUE(node->submit_blocks(main_chain).ok()) << cfg.name;
 
-        auto outcome = core::reorg_to(*node, branch);
+        auto outcome = chain::reorg_to(*node, branch);
         ASSERT_TRUE(outcome.has_value()) << cfg.name << ": "
                                          << to_string(outcome.error());
         EXPECT_TRUE(outcome->switched) << cfg.name;
@@ -573,7 +572,7 @@ TEST(ScenarioReorg, HostileBranchRollsBackIdenticallyAcrossConfigs) {
         auto node = make_node(cfg, &pool, gen_options.params, dir.str());
         ASSERT_TRUE(node->submit_blocks(main_chain).ok()) << cfg.name;
 
-        auto outcome = core::reorg_to(*node, branch);
+        auto outcome = chain::reorg_to(*node, branch);
         ASSERT_TRUE(outcome.has_value()) << cfg.name << ": "
                                          << to_string(outcome.error());
         EXPECT_FALSE(outcome->switched) << cfg.name;
@@ -628,9 +627,9 @@ TEST(ScenarioReorg, EbvTamperedStoreRefusesReorg) {
     }
 
     // ...is refused, because a failed connect could never be rolled back.
-    auto outcome = core::reorg_to(node, branch);
+    auto outcome = chain::reorg_to(node, branch);
     ASSERT_FALSE(outcome.has_value());
-    EXPECT_EQ(outcome.error(), core::EbvReorgError::kRollbackFailed);
+    EXPECT_EQ(outcome.error(), chain::ReorgError::kRollbackFailed);
     EXPECT_EQ(node.next_height(), 12u);
     EXPECT_EQ(node.headers().tip_hash(), tip_before);
     EXPECT_EQ(node.status_memory_bytes(), memory_before);
@@ -998,7 +997,7 @@ TEST(ScenarioSoak, RandomizedSoak) {
 
             std::optional<core::EbvValidationFailure> first_failure;
             for (std::size_t i = 0; i < nodes.size(); ++i) {
-                auto outcome = core::reorg_to(*nodes[i], branch);
+                auto outcome = chain::reorg_to(*nodes[i], branch);
                 const std::string label = std::string("reorg depth=") +
                                           std::to_string(depth) +
                                           " config=" + kConfigs[i].name;
@@ -1030,7 +1029,7 @@ TEST(ScenarioSoak, RandomizedSoak) {
                     all.push_back(*converted);
                 }
                 for (std::size_t i = 0; i < nodes.size(); ++i) {
-                    auto outcome = core::reorg_to(*nodes[i], back);
+                    auto outcome = chain::reorg_to(*nodes[i], back);
                     ASSERT_TRUE(outcome.has_value())
                         << "reorg-back config=" << kConfigs[i].name << ": "
                         << to_string(outcome.error());

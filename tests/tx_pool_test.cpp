@@ -173,14 +173,6 @@ TEST_F(TxPoolTest, ReplacesConflictAtStrictlyHigherFeerate) {
     EXPECT_EQ(pool_->submit(original), TxAdmission::kAccepted);
 }
 
-TEST_F(TxPoolTest, ReplacementCanBeDisabled) {
-    TxPoolOptions options;
-    options.replace_by_feerate = false;
-    TxPool pool(options_.params, node_->headers(), node_->status(), options);
-    ASSERT_EQ(pool.submit(make_spend(0, 0, 40 * kCoin)), TxAdmission::kAccepted);
-    EXPECT_EQ(pool.submit(make_spend(0, 0, 39 * kCoin)), TxAdmission::kConflict);
-}
-
 TEST_F(TxPoolTest, InvalidConflictNeverReplaces) {
     const auto original = make_spend(0, 0, 40 * kCoin);
     ASSERT_EQ(pool_->submit(original), TxAdmission::kAccepted);
@@ -550,19 +542,19 @@ TEST_F(TxPoolTest, PooledTransactionMinesCleanly) {
     EXPECT_FALSE(node_->status().check_unspent(0, 0).has_value());
 }
 
-TEST(ValidateTransaction, StandaloneMatchesPoolVerdicts) {
-    // validate_transaction is the stateless core; a transaction with no
-    // chain behind it must fail EV.
+TEST(TxPoolEmptyChain, SpendWithNoChainFailsExistence) {
+    // A spend with no chain behind it must fail EV, before UV or SV.
     chain::ChainParams params;
     chain::HeaderIndex headers;
     BitVectorSet status;
+    TxPool pool(params, headers, status);
     EbvTransaction tx;
     EbvInput in;
     in.els.outputs.push_back(chain::TxOut{1, script::Script{0x51}});
     tx.inputs.push_back(in);
     tx.outputs.push_back(chain::TxOut{1, script::Script{0x51}});
-    EXPECT_EQ(validate_transaction(tx, params, headers, status, 0),
-              TxAdmission::kExistenceFailed);
+    EXPECT_EQ(pool.submit(tx), TxAdmission::kExistenceFailed);
+    EXPECT_EQ(pool.size(), 0u);
 }
 
 }  // namespace
