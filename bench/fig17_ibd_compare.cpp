@@ -169,7 +169,7 @@ int main() {
         if (!result.ok() || result.connected != blocks) {
             std::fprintf(stderr, "pipelined rejection (threads=%zu): %s\n", threads,
                          result.failure ? result.failure->failure.describe().c_str()
-                                        : "aborted");
+                                        : "not every block connected");
             report.aborted("block rejected in pipelined IBD pass");
             return 1;
         }

@@ -4,26 +4,6 @@
 
 namespace ebv::chain {
 
-bool check_pow(const BlockHeader& header, unsigned leading_zero_bits) {
-    if (leading_zero_bits == 0) return true;
-    const crypto::Hash256 hash = header.hash();
-    unsigned zeros = 0;
-    // Count from the display-order top (last bytes of the little-endian
-    // internal representation).
-    for (int i = 31; i >= 0 && zeros < leading_zero_bits; --i) {
-        const std::uint8_t b = hash.bytes()[static_cast<std::size_t>(i)];
-        if (b == 0) {
-            zeros += 8;
-            continue;
-        }
-        for (int bit = 7; bit >= 0; --bit) {
-            if (b & (1 << bit)) return zeros >= leading_zero_bits;
-            ++zeros;
-        }
-    }
-    return zeros >= leading_zero_bits;
-}
-
 Transaction make_coinbase(std::uint32_t height, Amount reward,
                           const script::Script& lock_script, std::uint32_t extra_nonce) {
     Transaction tx;
@@ -38,8 +18,7 @@ Transaction make_coinbase(std::uint32_t height, Amount reward,
 }
 
 Block assemble_block(const crypto::Hash256& prev_hash, Transaction coinbase,
-                     std::vector<Transaction> txs, std::uint32_t time,
-                     const MinerOptions& options) {
+                     std::vector<Transaction> txs, std::uint32_t time) {
     Block block;
     block.txs.reserve(1 + txs.size());
     block.txs.push_back(std::move(coinbase));
@@ -48,12 +27,6 @@ Block assemble_block(const crypto::Hash256& prev_hash, Transaction coinbase,
     block.header.prev_hash = prev_hash;
     block.header.merkle_root = block.compute_merkle_root();
     block.header.time = time;
-
-    if (options.pow_leading_zero_bits > 0) {
-        while (!check_pow(block.header, options.pow_leading_zero_bits)) {
-            ++block.header.nonce;
-        }
-    }
     return block;
 }
 

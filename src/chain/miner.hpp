@@ -1,6 +1,6 @@
 // Block assembly: package transactions under a header whose Merkle root
-// commits to them. Proof-of-work grinding is optional (off for experiments;
-// the threat model's PoW assumptions are orthogonal to block validation).
+// commits to them. No proof of work is ground: the paper's threat model
+// takes it as given, and no validator checks it.
 #pragma once
 
 #include <cstdint>
@@ -11,17 +11,10 @@
 
 namespace ebv::chain {
 
-struct MinerOptions {
-    /// If nonzero, grind the nonce until the hash has this many leading
-    /// zero bits (toy difficulty for examples that want real PoW).
-    unsigned pow_leading_zero_bits = 0;
-};
-
 /// Assemble a block: coinbase first, then `txs`, header linked to
 /// `prev_hash` with the computed Merkle root.
 Block assemble_block(const crypto::Hash256& prev_hash, Transaction coinbase,
-                     std::vector<Transaction> txs, std::uint32_t time,
-                     const MinerOptions& options = {});
+                     std::vector<Transaction> txs, std::uint32_t time);
 
 /// Build a coinbase paying `reward` to `lock_script`. `height` is embedded
 /// in the unlocking script so coinbases at different heights have distinct
@@ -29,8 +22,5 @@ Block assemble_block(const crypto::Hash256& prev_hash, Transaction coinbase,
 Transaction make_coinbase(std::uint32_t height, Amount reward,
                           const script::Script& lock_script,
                           std::uint32_t extra_nonce = 0);
-
-/// Check the toy PoW rule used by MinerOptions.
-[[nodiscard]] bool check_pow(const BlockHeader& header, unsigned leading_zero_bits);
 
 }  // namespace ebv::chain

@@ -1,11 +1,11 @@
 #include "chain/sig_cache.hpp"
 
-#include <cstdlib>
 #include <random>
 
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/env.hpp"
 
 namespace ebv::chain {
 
@@ -33,15 +33,6 @@ struct SigCacheMetrics {
     }
 };
 
-std::size_t resolve_max_bytes(std::size_t fallback) {
-    if (const char* env = std::getenv("EBV_SIGCACHE_BYTES")) {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env) return static_cast<std::size_t>(v);
-    }
-    return fallback;
-}
-
 crypto::Hash256 random_salt() {
     std::random_device rd;
     std::array<std::uint8_t, 32> raw{};
@@ -58,7 +49,7 @@ crypto::Hash256 random_salt() {
 }  // namespace
 
 SigCache::SigCache(std::size_t max_bytes)
-    : salt_(random_salt()), max_bytes_(resolve_max_bytes(max_bytes)) {
+    : salt_(random_salt()), max_bytes_(util::env_bytes("EBV_SIGCACHE_BYTES", max_bytes)) {
     if (max_bytes_ != 0) {
         const std::size_t total_entries = max_bytes_ / kEntryCostBytes;
         shard_entry_cap_ = total_entries / kShardCount;

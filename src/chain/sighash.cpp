@@ -295,14 +295,14 @@ void PrefetchQueue::run_ready() {
 
 std::vector<util::Nanoseconds> claim_all(util::ThreadPool* pool,
                                          std::span<const std::uint32_t> order, Claim claim,
-                                         PrefetchQueue::Run run, util::CancelToken* cancel) {
+                                         PrefetchQueue::Run run) {
     const std::size_t count = order.size();
     std::vector<util::Nanoseconds> busy(pool != nullptr ? pool->thread_count() : 1, 0);
     std::atomic<std::size_t> next{0};
     const auto claimer = [&](std::size_t slot, std::size_t) {
         util::Stopwatch watch;
         PrefetchQueue queue(run);
-        while (cancel == nullptr || !cancel->cancelled()) {
+        for (;;) {
             const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
             if (k >= count) break;
             claim(slot, order[k], queue);
@@ -312,7 +312,7 @@ std::vector<util::Nanoseconds> claim_all(util::ThreadPool* pool,
     };
     const std::size_t claimers = std::min(busy.size(), count);
     if (claimers > 1) {
-        pool->parallel_for_slots(claimers, claimer, cancel);
+        pool->parallel_for_slots(claimers, claimer);
     } else if (claimers == 1) {
         claimer(0, 0);
     }

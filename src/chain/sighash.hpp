@@ -189,14 +189,12 @@ private:
 /// (the calling thread alone when it is null) takes the items of `order`
 /// (claim_order) one at a time from a shared cursor and calls
 /// `claim(slot, item, queue)` with its own PrefetchQueue, which runs held
-/// items with `run`. A claimer stops when the cursor is spent or `cancel`
-/// fires, then drains its queue. Returns each slot's busy wall time (one
-/// entry per pool slot).
+/// items with `run`. A claimer stops when the cursor is spent, then drains
+/// its queue. Returns each slot's busy wall time (one entry per pool slot).
 using Claim = util::FunctionRef<void(std::size_t, std::size_t, PrefetchQueue&)>;
 std::vector<util::Nanoseconds> claim_all(util::ThreadPool* pool,
                                          std::span<const std::uint32_t> order, Claim claim,
-                                         PrefetchQueue::Run run,
-                                         util::CancelToken* cancel = nullptr);
+                                         PrefetchQueue::Run run);
 
 /// The SignatureChecker of both validators: the `memo`'s verdict when it
 /// holds the pair, else the shared signature rule (signature_job), then

@@ -1,7 +1,6 @@
 #include "core/tx_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <optional>
@@ -11,6 +10,7 @@
 #include "chain/amount.hpp"
 #include "core/sighash_cache.hpp"
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 #include "util/stopwatch.hpp"
 
 namespace ebv::core {
@@ -119,11 +119,7 @@ const char* to_string(TxAdmission a) {
 }
 
 TxPoolOptions TxPoolOptions::from_env(TxPoolOptions base) {
-    if (const char* env = std::getenv("EBV_MEMPOOL_BYTES")) {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env) base.max_bytes = static_cast<std::size_t>(v);
-    }
+    base.max_bytes = util::env_bytes("EBV_MEMPOOL_BYTES", base.max_bytes);
     return base;
 }
 
@@ -275,26 +271,6 @@ std::vector<TxAdmission> TxPool::submit_batch(std::span<const EbvTransaction> tx
     m.size.set(static_cast<std::int64_t>(pool_.size()));
     m.bytes.set(static_cast<std::int64_t>(bytes_));
     return verdicts;
-}
-
-std::vector<EbvTransaction> TxPool::take_for_block(std::size_t max_txs) {
-    // ranked_ already holds the exact drain order; no re-sort needed.
-    std::vector<crypto::Hash256> leaves;
-    leaves.reserve(std::min(max_txs, ranked_.size()));
-    for (const Rank& rank : ranked_) {
-        if (leaves.size() >= max_txs) break;
-        leaves.push_back(rank.leaf);
-    }
-    std::vector<EbvTransaction> out;
-    out.reserve(leaves.size());
-    for (const crypto::Hash256& leaf : leaves) {
-        out.push_back(pool_.at(leaf).tx);
-        erase_entry(leaf);
-    }
-    TxPoolMetrics& m = TxPoolMetrics::get();
-    m.size.set(static_cast<std::int64_t>(pool_.size()));
-    m.bytes.set(static_cast<std::int64_t>(bytes_));
-    return out;
 }
 
 EbvBlock TxPool::build_template(const script::Script& coinbase_lock,

@@ -15,8 +15,8 @@
 //    validating a block built from the pool skips the curve work and
 //    approaches UV-only cost.
 //  - Entries are ranked by exact feerate (128-bit cross-multiplied, txid
-//    tie-break); take_for_block()/build_template() drain best-first without
-//    re-sorting, and a byte budget (EBV_MEMPOOL_BYTES) evicts worst-first.
+//    tie-break); build_template() packs best-first without re-sorting, and
+//    a byte budget (EBV_MEMPOOL_BYTES) evicts worst-first.
 //  - A conflicting transaction replaces the pooled spenders only when its
 //    feerate strictly beats every one of them (replace-by-feerate).
 //
@@ -94,14 +94,10 @@ public:
     /// duplicates/conflicts *within* the batch).
     std::vector<TxAdmission> submit_batch(std::span<const EbvTransaction> txs);
 
-    /// Drain up to max_txs transactions for block packaging, highest
-    /// fee-per-byte first (exact integer comparison, txid tie-break).
-    /// Drained transactions leave the pool.
-    std::vector<EbvTransaction> take_for_block(std::size_t max_txs);
-
     /// Assemble a block template from the pool without draining it: a
     /// coinbase paying subsidy + fees to `coinbase_lock`, then up to
-    /// max_txs pooled transactions best-feerate-first, stake positions
+    /// max_txs pooled transactions, highest fee-per-byte first (exact
+    /// integer comparison, txid tie-break), stake positions
     /// assigned and the Merkle root computed. Call evict_confirmed_spends
     /// with the connected block to remove the included transactions.
     [[nodiscard]] EbvBlock build_template(const script::Script& coinbase_lock,

@@ -135,11 +135,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
 
     std::size_t batch_index = 0;
     while (batch_index < blocks.size()) {
-        if (cancel_.cancelled()) {
-            result.aborted = true;
-            break;
-        }
-
         const std::uint32_t window_base = static_cast<std::uint32_t>(headers_.size());
         const std::size_t window_len = std::min(window_, blocks.size() - batch_index);
         const std::span<const EbvBlock> window = blocks.subspan(batch_index, window_len);
@@ -204,9 +199,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
-        // Hash pass, also ranking each claim: not cancellable, so the root fold
-        // never reads a slot a skipped chunk left unwritten; a cancel() landing
-        // in it discards the window right after. Its wall time is `other`, not stall.
+        // Hash pass, also ranking each claim. Its wall time is `other`, not stall.
         util::PoolStats pool_before{};
         if (pool != nullptr) pool_before = pool->stats();
         std::vector<crypto::Hash256> input_hashes(jobs.size());
@@ -227,10 +220,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
             hash_wall = hash_watch.elapsed_ns();
             timings.other.wall_ns += hash_wall;
-        }
-        if (cancel_.cancelled()) {
-            result.aborted = true;
-            break;
         }
 
         // Root fold, then values, serial block order.
@@ -395,8 +384,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         util::Stopwatch pass_watch;
         std::vector<util::Nanoseconds> slot_ns;
         try {
-            slot_ns = chain::claim_all(pool, chain::claim_order(ranks), check_proof, check_sv,
-                                       &cancel_);
+            slot_ns = chain::claim_all(pool, chain::claim_order(ranks), check_proof, check_sv);
         } catch (...) {
             m.blocks_inflight.set(0);
             throw;
@@ -459,24 +447,12 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             }
         }
 
-        // A cancelled pass may have skipped proof chunks: the window is
-        // discarded.
-        const bool pass_cancelled = cancel_.cancelled();
-        if (pass_cancelled) result.aborted = true;
-
         // ---- Stage 3: resolve + commit, serial block order -----------------
         // Walks each block's inputs in order, interleaving the parallel
         // pass's EV verdicts with UV, maturity and value rules, so the first
         // failure is the same at every window size.
         stall_watch.restart();
-        for (std::size_t b = 0; b < accepted && !pass_cancelled; ++b) {
-            if (cancel_.cancelled()) {
-                // Cancelled between blocks (e.g. from the commit hook):
-                // blocks already committed this window keep their spends;
-                // the rest of the window is discarded unvalidated.
-                result.aborted = true;
-                break;
-            }
+        for (std::size_t b = 0; b < accepted; ++b) {
             const EbvBlock& block = window[b];
             const std::uint32_t height = window_base + static_cast<std::uint32_t>(b);
             const std::size_t jobs_in_block =
@@ -614,7 +590,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         // A structural failure is reported only when every block before it
         // committed — otherwise the earlier resolution failure won, exactly
         // as in a block-at-a-time loop.
-        if (!result.aborted && !result.failure && structural_failure.has_value()) {
+        if (!result.failure && structural_failure.has_value()) {
             result.failure = PipelineFailure{batch_index + accepted,
                                              window_base + static_cast<std::uint32_t>(accepted),
                                              *structural_failure};
@@ -625,7 +601,6 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
         m.blocks_inflight.set(0);
 
         batch_index += window_len;
-        const bool last = result.aborted || result.failure || batch_index == blocks.size();
 
         m.ev_ns.observe(static_cast<std::uint64_t>(timings.ev.total_ns()));
         m.uv_ns.observe(static_cast<std::uint64_t>(timings.uv.total_ns()));
@@ -643,7 +618,7 @@ BatchResult Pipeline::run(std::span<const core::EbvBlock> blocks, CommitHook on_
             tracer.record("ebv.block.total", timings.total());
         }
         result.timings += timings;
-        if (last) break;
+        if (result.failure) break;
     }
 
     result.wall_ns = static_cast<std::uint64_t>(run_watch.elapsed_ns());

@@ -29,10 +29,7 @@
 // Failure semantics are deterministic: the first failing block (in height
 // order) reports the same EbvValidationFailure tuple at every window size
 // and thread count, blocks before it commit, blocks after it never touch
-// state. Pipeline::cancel() aborts an in-flight run between chunks
-// (CancelToken): the current window is unwound (never committed) and every
-// already-committed block is left fully applied, so a cancelled run can be
-// resumed with a fresh run() on the same state.
+// state.
 #pragma once
 
 #include <cstddef>
@@ -71,11 +68,10 @@ struct PipelineFailure {
 struct BatchResult {
     std::size_t connected = 0;  ///< blocks validated and committed
     std::optional<PipelineFailure> failure;
-    bool aborted = false;       ///< stopped by Pipeline::cancel(), state consistent
     core::EbvTimings timings;   ///< aggregate per-stage breakdown
     std::uint64_t wall_ns = 0;  ///< end-to-end wall time of the batch
 
-    [[nodiscard]] bool ok() const { return !failure.has_value() && !aborted; }
+    [[nodiscard]] bool ok() const { return !failure.has_value(); }
 };
 
 class Pipeline {
@@ -104,20 +100,12 @@ public:
     BatchResult run(std::span<const core::EbvBlock> blocks, CommitHook on_commit);
     BatchResult run(std::span<const core::EbvBlock> blocks);
 
-    /// Cooperatively abort an in-flight run() (callable from any thread or
-    /// from the commit hook). Already-committed blocks stay fully applied;
-    /// the in-flight window is discarded.
-    void cancel() { cancel_.cancel(); }
-    /// Re-arm a pipeline whose previous run() was cancelled.
-    void reset_cancel() { cancel_.reset(); }
-
 private:
     const chain::ChainParams& params_;
     chain::HeaderIndex& headers_;
     core::BitVectorSet& status_;
     core::EbvValidatorOptions options_;
     std::size_t window_;
-    util::CancelToken cancel_;
 };
 
 }  // namespace ebv::ibd

@@ -39,6 +39,7 @@ std::optional<util::Nanoseconds> NodeChainBackend<Node, Block, Format>::accept_b
     if (!result) return std::nullopt;
 
     by_hash_.emplace(block->header.hash(), payload);
+    if (!on_connected(*block)) return std::nullopt;
     return result->total().total_ns();
 }
 
@@ -72,22 +73,15 @@ IntermediaryBridge::IntermediaryBridge(SimNetwork& network, netsim::Region regio
                                                       "intermediary-downstream");
 }
 
-std::optional<util::Nanoseconds> IntermediaryBridge::ConvertingBackend::accept_block(
-    const util::Bytes& payload) {
-    // Validate + store like a baseline node first.
-    const auto cost = BitcoinChainBackend::accept_block(payload);
-    if (!cost) return std::nullopt;
-
-    // Reconstruct the block (paper §VI-A) and feed the downstream chain.
-    util::Reader r(payload);
-    auto block = chain::Block::deserialize(r);
-    EBV_ASSERT(block.has_value());
-    auto converted = owner_.converter_.convert_block(*block);
-    if (!converted) return std::nullopt;
+bool IntermediaryBridge::ConvertingBackend::on_connected(const chain::Block& block) {
+    // Validated and stored like a baseline node; now reconstruct the block
+    // (paper §VI-A) and feed the downstream chain.
+    auto converted = owner_.converter_.convert_block(block);
+    if (!converted) return false;
     const crypto::Hash256 ebv_hash = converted->header.hash();
     owner_.downstream_backend_->seed_block(*converted);
     owner_.downstream_node_->notify_local_block(ebv_hash);
-    return cost;
+    return true;
 }
 
 }  // namespace ebv::net

@@ -31,6 +31,11 @@ public:
     /// Pre-load a locally produced block (e.g. the origin node's chain).
     void seed_block(const Block& block);
 
+protected:
+    /// Runs on the decoded block once accept_block has connected and stored
+    /// it; false makes accept_block report the block as rejected.
+    virtual bool on_connected(const Block&) { return true; }
+
 private:
     Node& node_;
     std::unordered_map<crypto::Hash256, util::Bytes, crypto::Hash256Hasher> by_hash_;
@@ -64,9 +69,10 @@ private:
     public:
         ConvertingBackend(IntermediaryBridge& owner, chain::BitcoinNode& node)
             : BitcoinChainBackend(node), owner_(owner) {}
-        std::optional<util::Nanoseconds> accept_block(const util::Bytes& payload) override;
 
     private:
+        bool on_connected(const chain::Block& block) override;
+
         IntermediaryBridge& owner_;
     };
 

@@ -1,9 +1,8 @@
 #include "net/proof_cache.hpp"
 
-#include <cstdlib>
-
 #include "crypto/sha256.hpp"
 #include "obs/metrics.hpp"
+#include "util/env.hpp"
 
 namespace ebv::net {
 
@@ -94,12 +93,7 @@ void ProofCache::insert(const crypto::Hash256& block_hash,
 }
 
 std::size_t ProofCache::budget_from_env() {
-    if (const char* env = std::getenv("EBV_PROOF_CACHE_BYTES")) {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0') return static_cast<std::size_t>(v);
-    }
-    return 64u << 20;
+    return util::env_bytes("EBV_PROOF_CACHE_BYTES", 64u << 20);
 }
 
 }  // namespace ebv::net

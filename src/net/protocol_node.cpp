@@ -1,5 +1,7 @@
 #include "net/protocol_node.hpp"
 
+#include <algorithm>
+
 #include "chain/block.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -240,9 +242,15 @@ void ProtocolNode::handle(EndpointId from, const BlockMsg& m) {
     const crypto::Hash256 hash = header->hash();
     known_.insert(hash);
 
-    // Stash; try_connect_pending connects everything that now links up.
-    orphans_[header->prev_hash] = PendingBlock{hash, m.payload};
-    NetMetrics::get().orphans_stashed.inc();
+    // Stash beside any sibling with the same prev hash: a waiting block's
+    // hash is already known, so a displaced one would never be requested
+    // again. try_connect_pending connects everything that now links up.
+    std::vector<PendingBlock>& siblings = orphans_[header->prev_hash];
+    if (std::none_of(siblings.begin(), siblings.end(),
+                     [&](const PendingBlock& b) { return b.payload == m.payload; })) {
+        siblings.push_back(PendingBlock{hash, m.payload});
+        NetMetrics::get().orphans_stashed.inc();
+    }
     try_connect_pending();
 
     if (it != peers_.end()) {
@@ -268,22 +276,31 @@ void ProtocolNode::try_connect_pending() {
         const auto it = orphans_.find(tip);
         if (it == orphans_.end()) return;
 
-        const PendingBlock block = std::move(it->second);
+        const std::vector<PendingBlock> siblings = std::move(it->second);
         orphans_.erase(it);
 
-        const auto cost = backend_.accept_block(block.payload);
-        if (!cost) {
-            ++stats_.blocks_rejected;
-            NetMetrics::get().blocks_rejected.inc();
-            EBV_LOG_DEBUG("%s: rejected block at height %u", name_.c_str(), next);
-            continue;  // a later orphan may still fit
+        // In arrival order, until one connects; the rest, which fork off
+        // the old tip, count as rejected with the ones that failed.
+        std::optional<util::Nanoseconds> cost;
+        std::size_t k = 0;
+        for (; k < siblings.size(); ++k) {
+            cost = backend_.accept_block(siblings[k].payload);
+            if (cost) break;
         }
+        const std::size_t rejected = siblings.size() - (cost ? 1 : 0);
+        if (rejected > 0) {
+            stats_.blocks_rejected += rejected;
+            NetMetrics::get().blocks_rejected.inc(rejected);
+            EBV_LOG_DEBUG("%s: rejected %zu block(s) at height %u", name_.c_str(), rejected,
+                          next);
+        }
+        if (!cost) return;
         ++stats_.blocks_connected;
         NetMetrics::get().blocks_connected.inc();
         stats_.connect_times.push_back(network_.now());
 
         // Validation costs simulated time: relay only after it elapses.
-        network_.defer(*cost, [this, hash = block.hash] {
+        network_.defer(*cost, [this, hash = siblings[k].hash] {
             announce_block(hash, id_ /*no exception*/);
         });
     }

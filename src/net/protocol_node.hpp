@@ -17,6 +17,7 @@
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "net/message.hpp"
 #include "net/transport.hpp"
@@ -118,8 +119,10 @@ private:
         crypto::Hash256 hash;
         util::Bytes payload;
     };
-    /// Blocks received but not yet connectable, keyed by their prev hash.
-    std::unordered_map<crypto::Hash256, PendingBlock, crypto::Hash256Hasher> orphans_;
+    /// Blocks received but not yet connectable, keyed by their prev hash:
+    /// every distinct payload, in arrival order.
+    std::unordered_map<crypto::Hash256, std::vector<PendingBlock>, crypto::Hash256Hasher>
+        orphans_;
     /// Hashes we have seen (connected or inflight) — dedupes inv storms.
     std::unordered_set<crypto::Hash256, crypto::Hash256Hasher> known_;
     ProtocolStats stats_;

@@ -4,11 +4,32 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace ebv::util {
+
+/// A byte budget read from an environment value: the whole of `value`
+/// must be decimal digits (no sign, space or suffix) that fit a size_t.
+/// Anything else, a null or an empty value included, yields `fallback`.
+inline std::size_t parse_bytes(const char* value, std::size_t fallback) {
+    if (value == nullptr) return fallback;
+    const std::string_view text(value);
+    std::size_t bytes = 0;
+    const auto [end, error] = std::from_chars(text.data(), text.data() + text.size(), bytes);
+    if (error != std::errc{} || end != text.data() + text.size()) return fallback;
+    return bytes;
+}
+
+/// parse_bytes over the environment variable `name`.
+inline std::size_t env_bytes(const char* name, std::size_t fallback) {
+    return parse_bytes(std::getenv(name), fallback);
+}
 
 /// Thread counts for a parallel-validation sweep: the fixed {1, 2, 4} base,
 /// plus `hardware` (hardware_concurrency; ignored when 0), plus `extra`

@@ -1,6 +1,5 @@
 #include "util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,9 +8,8 @@ namespace ebv::util {
 
 namespace {
 
-/// Startup verbosity: EBV_LOG_LEVEL=debug|info|warn|error (or 0-3) wins;
-/// any non-zero EBV_VERBOSE means debug; default stays warnings-and-up.
-/// Parsed exactly once, before main; set_log_level() still overrides.
+/// Verbosity: EBV_LOG_LEVEL=debug|info|warn|error (or 0-3); default stays
+/// warnings-and-up. Parsed exactly once, before main.
 LogLevel level_from_env() {
     if (const char* v = std::getenv("EBV_LOG_LEVEL")) {
         if (!std::strcmp(v, "debug") || !std::strcmp(v, "0")) return LogLevel::kDebug;
@@ -20,13 +18,10 @@ LogLevel level_from_env() {
         if (!std::strcmp(v, "error") || !std::strcmp(v, "3")) return LogLevel::kError;
         std::fprintf(stderr, "[ebv WARN] unknown EBV_LOG_LEVEL '%s' ignored\n", v);
     }
-    if (const char* v = std::getenv("EBV_VERBOSE")) {
-        if (v[0] != '\0' && std::strcmp(v, "0") != 0) return LogLevel::kDebug;
-    }
     return LogLevel::kWarn;
 }
 
-std::atomic<LogLevel> g_level{level_from_env()};
+const LogLevel g_level = level_from_env();
 
 const char* level_name(LogLevel l) {
     switch (l) {
@@ -39,11 +34,8 @@ const char* level_name(LogLevel l) {
 }
 }  // namespace
 
-void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
-
 void log(LogLevel level, const char* fmt, ...) {
-    if (level < g_level.load()) return;
+    if (level < g_level) return;
     std::fprintf(stderr, "[ebv %s] ", level_name(level));
     va_list args;
     va_start(args, fmt);

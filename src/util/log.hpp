@@ -1,7 +1,6 @@
 // Minimal leveled logger for the library. Quiet by default (warnings and
-// up); benches and examples can raise verbosity. The startup level comes
-// from the environment, parsed once before main: EBV_LOG_LEVEL=debug|info|
-// warn|error (or 0-3), or EBV_VERBOSE=1 as a shorthand for debug.
+// up). The level comes from the environment, parsed once before main:
+// EBV_LOG_LEVEL=debug|info|warn|error (or 0-3).
 #pragma once
 
 #include <cstdarg>
@@ -9,9 +8,6 @@
 namespace ebv::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// printf-style; a newline is appended.
 void log(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));

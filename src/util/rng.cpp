@@ -75,11 +75,6 @@ std::uint64_t Rng::geometric_at_least_one(double mean) {
     return n == 0 ? 1 : n;
 }
 
-double Rng::exponential(double mean) {
-    EBV_EXPECTS(mean > 0.0);
-    return -mean * std::log1p(-uniform01());
-}
-
 void Rng::fill(MutableByteSpan out) {
     std::size_t i = 0;
     while (i + 8 <= out.size()) {

@@ -34,9 +34,6 @@ public:
     /// count distributions (inputs per transaction, etc.).
     std::uint64_t geometric_at_least_one(double mean);
 
-    /// Exponentially distributed double with the given mean.
-    double exponential(double mean);
-
     /// Fill a buffer with random bytes.
     void fill(MutableByteSpan out);
 

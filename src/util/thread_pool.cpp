@@ -125,14 +125,12 @@ void ThreadPool::run_chunks(std::size_t slot) {
     for (;;) {
         // Claim first, examine afterwards: a straggler attached to an
         // already-finished job touches only the atomics and leaves without
-        // dereferencing ctx/cancel (which may belong to a caller that has
+        // dereferencing ctx (which may belong to a caller that has
         // long since returned).
         const std::size_t begin = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
         if (begin >= job.total) break;
         const std::size_t end = std::min(begin + job.chunk, job.total);
-        const bool skip = job.has_error.load(std::memory_order_relaxed) ||
-                          (job.cancel != nullptr && job.cancel->cancelled());
-        if (!skip) {
+        if (!job.has_error.load(std::memory_order_relaxed)) {
             try {
                 Stopwatch chunk_watch;
                 job.invoke(job.ctx, slot, begin, end);
@@ -197,7 +195,7 @@ void ThreadPool::worker_loop(std::size_t slot) {
     }
 }
 
-void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cancel) {
+void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx) {
     if (n == 0) return;
     parallel_fors_.fetch_add(1, std::memory_order_relaxed);
 
@@ -210,15 +208,14 @@ void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cance
     // from inside a body (blocking on submit_mutex_ there would deadlock
     // against our own outer barrier). A re-entrant call runs on the slot of
     // the body that made it and charges no busy time: that body's stopwatch
-    // already covers it. Still chunked, so a CancelToken fired from inside
-    // a nested region stops with comparable latency.
+    // already covers it. Still chunked, so `tasks` counts chunks the same
+    // way on both paths.
     if (workers_.empty() || n == 1 || t_pool != nullptr) {
         const bool nested = t_pool != nullptr;
         const std::size_t slot = t_pool == this ? t_slot : 0;
         const SlotScope scope(this, slot);
         Stopwatch serial_watch;
         for (std::size_t begin = 0; begin < n; begin += chunk) {
-            if (cancel != nullptr && cancel->cancelled()) break;
             invoke(ctx, slot, begin, std::min(begin + chunk, n));  // may throw
             tasks_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -238,7 +235,6 @@ void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cance
         job_.ctx = ctx;
         job_.total = n;
         job_.chunk = chunk;
-        job_.cancel = cancel;
         job_.next.store(0, std::memory_order_relaxed);
         job_.completed.store(0, std::memory_order_relaxed);
         job_.has_error.store(false, std::memory_order_relaxed);
@@ -268,27 +264,25 @@ void ThreadPool::run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cance
     if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body,
-                              CancelToken* cancel) {
+void ThreadPool::parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body) {
     run(
         n,
         [](void* ctx, std::size_t, std::size_t begin, std::size_t end) {
             auto& f = *static_cast<FunctionRef<void(std::size_t)>*>(ctx);
             for (std::size_t i = begin; i < end; ++i) f(i);
         },
-        &body, cancel);
+        &body);
 }
 
 void ThreadPool::parallel_for_slots(std::size_t n,
-                                    FunctionRef<void(std::size_t, std::size_t)> body,
-                                    CancelToken* cancel) {
+                                    FunctionRef<void(std::size_t, std::size_t)> body) {
     run(
         n,
         [](void* ctx, std::size_t slot, std::size_t begin, std::size_t end) {
             auto& f = *static_cast<FunctionRef<void(std::size_t, std::size_t)>*>(ctx);
             for (std::size_t i = begin; i < end; ++i) f(slot, i);
         },
-        &body, cancel);
+        &body);
 }
 
 }  // namespace ebv::util

@@ -68,21 +68,6 @@ inline void atomic_min(std::atomic<std::size_t>& target, std::size_t value) {
     }
 }
 
-/// Cooperative early-exit flag. Checked by the pool between chunks: once
-/// cancelled, remaining chunks are claimed but their bodies are skipped, so
-/// parallel_for still returns promptly (and deterministically terminates).
-class CancelToken {
-public:
-    void cancel() noexcept { cancelled_.store(true, std::memory_order_relaxed); }
-    [[nodiscard]] bool cancelled() const noexcept {
-        return cancelled_.load(std::memory_order_relaxed);
-    }
-    void reset() noexcept { cancelled_.store(false, std::memory_order_relaxed); }
-
-private:
-    std::atomic<bool> cancelled_{false};
-};
-
 /// Cumulative pool counters (relaxed atomics; snapshot via stats()).
 /// `barrier_wait_ns` (exported as `ebv.pool.barrier_wait_ns`) is the time
 /// submitting threads spent blocked after finishing their own share,
@@ -165,12 +150,9 @@ public:
     /// calling thread in chunks claimed off a shared cursor. Blocks until
     /// all chunks complete. The first exception thrown by a body is
     /// rethrown on the caller (exactly once); remaining chunks are skipped.
-    /// If `cancel` is provided and fires, chunks not yet started are
-    /// skipped.
     /// Re-entrant calls (from inside a body) run serially on the calling
     /// body's thread.
-    void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body,
-                      CancelToken* cancel = nullptr);
+    void parallel_for(std::size_t n, FunctionRef<void(std::size_t)> body);
 
     /// As parallel_for, but body(slot, i) also receives the executing slot
     /// index in [0, thread_count()): slot 0 is the calling thread, slots
@@ -179,8 +161,7 @@ public:
     /// without any synchronization. A re-entrant call passes its bodies the
     /// slot of the body that made it.
     void parallel_for_slots(std::size_t n,
-                            FunctionRef<void(std::size_t, std::size_t)> body,
-                            CancelToken* cancel = nullptr);
+                            FunctionRef<void(std::size_t, std::size_t)> body);
 
     [[nodiscard]] PoolStats stats() const {
         return PoolStats{parallel_fors_.load(std::memory_order_relaxed),
@@ -219,7 +200,6 @@ private:
         void* ctx = nullptr;
         std::size_t total = 0;
         std::size_t chunk = 1;
-        CancelToken* cancel = nullptr;
         TaskContext task_context{};     ///< ambient context captured at submit
         std::int64_t submit_ns = 0;     ///< publication time (wakeup latency)
         std::atomic<bool> has_error{false};
@@ -231,7 +211,7 @@ private:
         alignas(64) std::atomic<std::size_t> completed{0};
     };
 
-    void run(std::size_t n, Invoke invoke, void* ctx, CancelToken* cancel);
+    void run(std::size_t n, Invoke invoke, void* ctx);
     void run_chunks(std::size_t slot);
     void worker_loop(std::size_t slot);
 

@@ -123,16 +123,6 @@ TEST(Params, SubsidyHalves) {
     EXPECT_EQ(params.subsidy_at(10 * 64), 0);
 }
 
-TEST(Miner, PowGrindsWhenRequested) {
-    MinerOptions options;
-    options.pow_leading_zero_bits = 8;
-    const Block block = assemble_block(crypto::Hash256{},
-                                       make_coinbase(0, 50 * kCoin, script::Script{0x51}),
-                                       {}, 0, options);
-    EXPECT_TRUE(check_pow(block.header, 8));
-    EXPECT_EQ(block.header.hash().bytes()[31], 0);  // top display byte zero
-}
-
 TEST(Coin, SerializationRoundTrip) {
     Coin coin{12345, 77, true, script::Script{1, 2, 3}};
     const util::Bytes encoded = coin.encode();

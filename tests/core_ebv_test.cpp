@@ -519,16 +519,6 @@ TEST(ClaimAll, ClaimsEveryItemOnceInOrderOnEveryPoolWidth) {
                 for (const auto& items : seen) all.insert(all.end(), items.begin(), items.end());
                 EXPECT_EQ(all, order) << where;
             }
-
-            util::CancelToken cancel;
-            cancel.cancel();
-            std::atomic<int> after_cancel{0};
-            const auto count_claims = [&](std::size_t, std::size_t, chain::PrefetchQueue&) {
-                after_cancel.fetch_add(1);
-            };
-            const auto cancelled = chain::claim_all(p, order, count_claims, run, &cancel);
-            EXPECT_EQ(cancelled.size(), slots) << where;
-            EXPECT_EQ(after_cancel.load(), 0) << where;
         }
     }
 }

@@ -643,42 +643,6 @@ TEST_F(IbdPipeline, BrokenLinkInsideWindowCommitsPrefix) {
     expect_parity(blocks);
 }
 
-TEST_F(IbdPipeline, CancelUnwindsWindowAndResumesCleanly) {
-    util::ThreadPool pool(4);
-    core::EbvValidatorOptions options;
-    options.script_pool = &pool;
-
-    chain::HeaderIndex headers;
-    core::BitVectorSet status;
-    ibd::Pipeline pipeline(gen_options_.params, headers, status, options, /*window=*/8);
-
-    std::size_t commits = 0;
-    const ibd::BatchResult first =
-        pipeline.run(std::span<const core::EbvBlock>(chain_).first(12),
-                     [&](const core::EbvBlock&, std::uint32_t) {
-                         if (++commits == 3) pipeline.cancel();
-                     });
-    EXPECT_TRUE(first.aborted);
-    EXPECT_FALSE(first.failure.has_value());
-    EXPECT_EQ(first.connected, 3u);
-    EXPECT_EQ(headers.size(), 3u);
-
-    // Committed blocks must be fully applied (spent bits included), so a
-    // fresh run on the same state can pick up exactly where cancel() hit.
-    pipeline.reset_cancel();
-    const ibd::BatchResult rest =
-        pipeline.run(std::span<const core::EbvBlock>(chain_).subspan(first.connected));
-    EXPECT_TRUE(rest.ok());
-    EXPECT_EQ(first.connected + rest.connected, chain_.size());
-
-    FinalState serial_state;
-    const ibd::BatchResult serial = run_batch(chain_, nullptr, false, 1, &serial_state);
-    EXPECT_TRUE(serial.ok());
-    EXPECT_EQ(status.memory_bytes(), serial_state.memory_bytes);
-    EXPECT_EQ(status.vector_count(), serial_state.vector_count);
-    EXPECT_EQ(headers.tip_hash(), serial_state.tip);
-}
-
 TEST_F(IbdPipeline, CommitHookSeesTheBlocksSpends) {
     // A block's spends are applied at its commit, before the hook runs: a
     // block store or a snapshot taken from the hook sees them.

@@ -226,6 +226,50 @@ void expect_hostile_payloads_rejected(const Options& options, const std::vector<
     EXPECT_EQ(sink.stats().blocks_rejected, 2u);
 }
 
+/// From a raw endpoint, sends an empty `Node` honest block 2 of `chain`,
+/// then a header with the same prev hash over a body that does not decode.
+/// The later payload must not displace the waiting block: once the node
+/// syncs blocks 0 and 1 from an honest peer, block 2 connects from the
+/// stash (its hash is already known, so it is never requested again), and
+/// the sibling counts as rejected.
+template <class Node, class Backend, class Options, class Block>
+void expect_sibling_keeps_waiting_block(const Options& options,
+                                        const std::vector<Block>& chain) {
+    ASSERT_GE(chain.size(), 3u);
+    SimNetwork network(29);
+    Node source_node(options);
+    Backend source_backend(source_node);
+    ProtocolNode source(network, netsim::Region::kUsEast, source_backend, "source");
+    for (const Block& block : chain) source_backend.seed_block(block);
+
+    Node sink_node(options);
+    Backend sink_backend(sink_node);
+    ProtocolNode sink(network, netsim::Region::kEuCentral, sink_backend, "sink");
+
+    const EndpointId raw =
+        network.add_endpoint(netsim::Region::kUsWest, [](EndpointId, const util::Bytes&) {});
+    const auto send_block = [&](util::Bytes payload) {
+        network.send(raw, sink.id(),
+                     encode_message(BlockMsg{sink_backend.format(), 0, std::move(payload)}));
+    };
+
+    send_block(serialize_block(chain[2]));
+    chain::BlockHeader header = chain[2].header;
+    header.time += 1;
+    util::Writer undecodable;
+    header.serialize(undecodable);
+    undecodable.u8(0xfd);
+    send_block(undecodable.take());
+    network.run();
+    EXPECT_EQ(sink_node.next_height(), 0u);
+
+    sink.connect_to(source.id());
+    network.run();
+    EXPECT_EQ(sink_node.next_height(), chain.size());
+    EXPECT_EQ(sink.stats().blocks_connected, chain.size());
+    EXPECT_EQ(sink.stats().blocks_rejected, 1u);
+}
+
 /// A genesis-height block whose coinbase claims twice the subsidy.
 chain::Block overpaying_genesis(const chain::ChainParams& params) {
     return chain::assemble_block(
@@ -234,28 +278,36 @@ chain::Block overpaying_genesis(const chain::ChainParams& params) {
         {}, /*time=*/1000);
 }
 
-TEST(NetProtocol, HostileBlockPayloadsAreRejectedBitcoin) {
-    const auto gen_options = small_chain_options();
-    workload::ChainGenerator generator(gen_options);
+std::vector<chain::Block> bitcoin_chain(const workload::GeneratorOptions& options) {
+    workload::ChainGenerator generator(options);
     std::vector<chain::Block> chain;
     for (int i = 0; i < 8; ++i) chain.push_back(generator.next_block());
+    return chain;
+}
 
+std::vector<core::EbvBlock> ebv_chain(const workload::GeneratorOptions& options) {
+    intermediary::Converter converter;
+    std::vector<core::EbvBlock> chain;
+    for (const chain::Block& block : bitcoin_chain(options)) {
+        auto converted = converter.convert_block(block);
+        EXPECT_TRUE(converted.has_value());
+        if (converted) chain.push_back(std::move(*converted));
+    }
+    return chain;
+}
+
+TEST(NetProtocol, HostileBlockPayloadsAreRejectedBitcoin) {
+    const auto gen_options = small_chain_options();
     chain::BitcoinNodeOptions options;
     options.params = gen_options.params;
     expect_hostile_payloads_rejected<chain::BitcoinNode, BitcoinChainBackend>(
-        options, chain, overpaying_genesis(gen_options.params));
+        options, bitcoin_chain(gen_options), overpaying_genesis(gen_options.params));
 }
 
 TEST(NetProtocol, HostileBlockPayloadsAreRejectedEbv) {
     const auto gen_options = small_chain_options();
-    workload::ChainGenerator generator(gen_options);
-    intermediary::Converter converter;
-    std::vector<core::EbvBlock> chain;
-    for (int i = 0; i < 8; ++i) {
-        auto converted = converter.convert_block(generator.next_block());
-        ASSERT_TRUE(converted.has_value());
-        chain.push_back(std::move(*converted));
-    }
+    const std::vector<core::EbvBlock> chain = ebv_chain(gen_options);
+    ASSERT_EQ(chain.size(), 8u);
     intermediary::Converter invalid_converter;
     auto invalid = invalid_converter.convert_block(overpaying_genesis(gen_options.params));
     ASSERT_TRUE(invalid.has_value());
@@ -263,6 +315,22 @@ TEST(NetProtocol, HostileBlockPayloadsAreRejectedEbv) {
     core::EbvNodeOptions options;
     options.params = gen_options.params;
     expect_hostile_payloads_rejected<core::EbvNode, EbvChainBackend>(options, chain, *invalid);
+}
+
+TEST(NetProtocol, SiblingPayloadKeepsWaitingBlockBitcoin) {
+    const auto gen_options = small_chain_options();
+    chain::BitcoinNodeOptions options;
+    options.params = gen_options.params;
+    expect_sibling_keeps_waiting_block<chain::BitcoinNode, BitcoinChainBackend>(
+        options, bitcoin_chain(gen_options));
+}
+
+TEST(NetProtocol, SiblingPayloadKeepsWaitingBlockEbv) {
+    const auto gen_options = small_chain_options();
+    core::EbvNodeOptions options;
+    options.params = gen_options.params;
+    expect_sibling_keeps_waiting_block<core::EbvNode, EbvChainBackend>(options,
+                                                                      ebv_chain(gen_options));
 }
 
 }  // namespace

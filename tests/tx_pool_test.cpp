@@ -166,11 +166,15 @@ TEST_F(TxPoolTest, ReplacesConflictAtStrictlyHigherFeerate) {
     EXPECT_FALSE(pool_->contains(original.leaf_hash()));
     EXPECT_TRUE(pool_->contains(replacement.leaf_hash()));
 
-    // The replacement owns the spend slot: draining it frees the output.
-    const auto drained = pool_->take_for_block(1);
-    ASSERT_EQ(drained.size(), 1u);
-    EXPECT_EQ(drained[0].leaf_hash(), replacement.leaf_hash());
-    EXPECT_EQ(pool_->submit(original), TxAdmission::kAccepted);
+    // The replacement owns the spend slot: the template packs it, and
+    // confirming the template frees the slot, so the original now fails
+    // against the chain rather than the pool.
+    const EbvBlock block = pool_->build_template(lock(), 1);
+    ASSERT_EQ(block.txs.size(), 2u);
+    EXPECT_EQ(block.txs[1].outputs, replacement.outputs);
+    ASSERT_TRUE(node_->submit_block(block).has_value());
+    EXPECT_EQ(pool_->evict_confirmed_spends(block), 1u);
+    EXPECT_EQ(pool_->submit(original), TxAdmission::kUnspentFailed);
 }
 
 TEST_F(TxPoolTest, InvalidConflictNeverReplaces) {
@@ -210,19 +214,21 @@ TEST_F(TxPoolTest, RejectsBadProofAndBadScript) {
     EXPECT_EQ(pool_->submit(inflated), TxAdmission::kBadValue);
 }
 
-TEST_F(TxPoolTest, TakeForBlockPrefersHigherFeeRate) {
+TEST_F(TxPoolTest, BuildTemplatePrefersHigherFeeRate) {
     const auto cheap = make_spend(0, 0, 50 * kCoin - 1'000);   // fee 1000
     const auto rich = make_spend(1, 0, 40 * kCoin);            // fee 10 coin
     ASSERT_EQ(pool_->submit(cheap), TxAdmission::kAccepted);
     ASSERT_EQ(pool_->submit(rich), TxAdmission::kAccepted);
 
-    const auto drained = pool_->take_for_block(1);
-    ASSERT_EQ(drained.size(), 1u);
-    EXPECT_EQ(drained[0].leaf_hash(), rich.leaf_hash());
-    EXPECT_EQ(pool_->size(), 1u);
+    const EbvBlock block = pool_->build_template(lock(), 1);
+    ASSERT_EQ(block.txs.size(), 2u);
+    EXPECT_EQ(block.txs[1].inputs[0].height, rich.inputs[0].height);
+    ASSERT_TRUE(node_->submit_block(block).has_value());
 
-    // The drained spend is released: a conflicting tx may now enter.
-    EXPECT_EQ(pool_->submit(make_spend(1, 0, 39 * kCoin)), TxAdmission::kAccepted);
+    // Only the packed spend leaves the pool.
+    EXPECT_EQ(pool_->evict_confirmed_spends(block), 1u);
+    EXPECT_EQ(pool_->size(), 1u);
+    EXPECT_TRUE(pool_->contains(cheap.leaf_hash()));
 }
 
 TEST_F(TxPoolTest, EvictsLowestFeerateUnderByteBudget) {
@@ -534,10 +540,12 @@ TEST_F(TxPoolTest, EvictsTransactionsSpentByConfirmedBlocks) {
 
 TEST_F(TxPoolTest, PooledTransactionMinesCleanly) {
     ASSERT_EQ(pool_->submit(make_spend(0, 0, 40 * kCoin)), TxAdmission::kAccepted);
-    auto txs = pool_->take_for_block(10);
-    ASSERT_EQ(txs.size(), 1u);
-    mine_blocks(1, std::move(txs));
-    EXPECT_EQ(pool_->evict_confirmed_spends(), 0u);
+    const EbvBlock block = pool_->build_template(lock(), 10);
+    ASSERT_EQ(block.txs.size(), 2u);
+    ASSERT_TRUE(node_->submit_block(block).has_value());
+    // The full rescan finds the confirmed spender.
+    EXPECT_EQ(pool_->evict_confirmed_spends(), 1u);
+    EXPECT_EQ(pool_->size(), 0u);
     // The spent output's bit is cleared.
     EXPECT_FALSE(node_->status().check_unspent(0, 0).has_value());
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -206,6 +208,32 @@ TEST(Env, ThreadSweepCountsAreSortedAndDeduplicated) {
     EXPECT_EQ(thread_sweep_counts(8, 16), (Counts{1, 2, 4, 8, 16}));
     EXPECT_EQ(thread_sweep_counts(16, 8), (Counts{1, 2, 4, 8, 16}));
     EXPECT_EQ(thread_sweep_counts(3, 6), (Counts{1, 2, 3, 4, 6}));
+}
+
+TEST(Env, ByteBudgetMustBeWholeDecimal) {
+    constexpr std::size_t kFallback = 777;
+    EXPECT_EQ(parse_bytes("123", kFallback), 123u);
+    EXPECT_EQ(parse_bytes("0", kFallback), 0u);
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    EXPECT_EQ(parse_bytes(std::to_string(kMax).c_str(), kFallback), kMax);
+    // Unset, empty, trailing garbage, signs, spaces and overflow all keep
+    // the default.
+    EXPECT_EQ(parse_bytes(nullptr, kFallback), kFallback);
+    EXPECT_EQ(parse_bytes("", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes("123abc", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes("64M", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes("-1", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes("+5", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes(" 5", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes("5 ", kFallback), kFallback);
+    EXPECT_EQ(parse_bytes((std::to_string(kMax) + "0").c_str(), kFallback), kFallback);
+
+    ::setenv("PARSE_BYTES_TEST_VALUE", "4096", 1);
+    EXPECT_EQ(env_bytes("PARSE_BYTES_TEST_VALUE", kFallback), 4096u);
+    ::setenv("PARSE_BYTES_TEST_VALUE", "4096k", 1);
+    EXPECT_EQ(env_bytes("PARSE_BYTES_TEST_VALUE", kFallback), kFallback);
+    ::unsetenv("PARSE_BYTES_TEST_VALUE");
+    EXPECT_EQ(env_bytes("PARSE_BYTES_TEST_VALUE", kFallback), kFallback);
 }
 
 }  // namespace
