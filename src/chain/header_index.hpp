@@ -44,14 +44,6 @@ public:
     /// when the index is empty.
     [[nodiscard]] const crypto::Hash256& tip_hash() const { return tip_hash_; }
 
-    /// Remove the tip header (reorg support). No-op on an empty index.
-    void pop_tip() {
-        if (headers_.empty()) return;
-        by_hash_.erase(tip_hash_);
-        tip_hash_ = headers_.back().prev_hash;
-        headers_.pop_back();
-    }
-
     /// Bytes of memory the header chain occupies (Fig 14 excludes this, as
     /// does the paper — identical in both systems — but examples report it).
     [[nodiscard]] std::size_t memory_bytes() const {

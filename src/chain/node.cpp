@@ -18,13 +18,6 @@ BitcoinNode::BitcoinNode(const BitcoinNodeOptions& options) : options_(options) 
     }
     status_db_ = std::make_unique<storage::StatusDb>(*store_);
     utxo_ = std::make_unique<UtxoSet>(*status_db_);
-    if (options.keep_blocks) {
-        EBV_EXPECTS(!options.data_dir.empty());
-        block_store_ = std::make_unique<storage::FlatStore<Block>>(options.data_dir +
-                                                                   "/blocks.dat");
-        undo_store_ = std::make_unique<storage::FlatStore<BlockUndo>>(options.data_dir +
-                                                                      "/undo.dat");
-    }
 }
 
 util::Result<BlockTimings, ValidationFailure> BitcoinNode::submit_block(const Block& block) {
@@ -32,33 +25,12 @@ util::Result<BlockTimings, ValidationFailure> BitcoinNode::submit_block(const Bl
         return util::Unexpected{ValidationFailure{BlockError::kBadPrevHash}};
     const std::uint32_t height = next_height();
     BitcoinValidator validator(options_.params, *utxo_, options_.validator);
-    BlockUndo undo;
-    auto result = validator.connect_block(block, height,
-                                          undo_store_ ? &undo : nullptr);
+    auto result = validator.connect_block(block, height);
     if (!result) return result;
 
     const bool linked = headers_.append(block.header);
     EBV_ENSURES(linked);
-    if (block_store_) block_store_->append(block);
-    if (undo_store_) undo_store_->append(undo);
     return result;
-}
-
-bool BitcoinNode::disconnect_tip(const Block& tip) {
-    if (headers_.empty() || !block_store_ || !undo_store_) return false;
-    const std::uint32_t tip_height = headers_.height();
-    if (tip.header.hash() != headers_.tip_hash()) return false;
-
-    const auto undo = undo_store_->load(tip_height);
-    if (!undo) return false;
-
-    BitcoinValidator validator(options_.params, *utxo_, options_.validator);
-    validator.disconnect_block(tip, *undo);
-
-    headers_.pop_tip();
-    block_store_->truncate(tip_height);
-    undo_store_->truncate(tip_height);
-    return true;
 }
 
 std::uint64_t BitcoinNode::status_memory_bytes() const {

@@ -11,7 +11,6 @@
 #include "chain/utxo_set.hpp"
 #include "chain/validation.hpp"
 #include "storage/disk_hash_table.hpp"
-#include "storage/flat_store.hpp"
 #include "storage/mem_kvstore.hpp"
 
 namespace ebv::chain {
@@ -25,8 +24,6 @@ struct BitcoinNodeOptions {
     std::size_t memory_limit_bytes = 500u << 20;
     storage::DeviceProfile device = storage::DeviceProfile::hdd();
     ValidatorOptions validator;
-    /// Also persist block bodies (needed by nodes that serve proofs).
-    bool keep_blocks = false;
 };
 
 class BitcoinNode {
@@ -37,15 +34,9 @@ public:
     /// 0 for the first block).
     util::Result<BlockTimings, ValidationFailure> submit_block(const Block& block);
 
-    /// Reorg support: disconnect the tip. The caller supplies the tip block,
-    /// which must match the tip header; the UTXO set is restored from the
-    /// stored undo data. Requires keep_blocks (block + undo persistence).
-    [[nodiscard]] bool disconnect_tip(const Block& tip);
-
     [[nodiscard]] const HeaderIndex& headers() const { return headers_; }
     [[nodiscard]] UtxoSet& utxo() { return *utxo_; }
     [[nodiscard]] storage::StatusDb& status_db() { return *status_db_; }
-    [[nodiscard]] storage::FlatStore<Block>* block_store() { return block_store_.get(); }
     [[nodiscard]] std::uint32_t next_height() const {
         return headers_.empty() ? 0 : headers_.height() + 1;
     }
@@ -64,8 +55,6 @@ private:
     storage::DiskHashTable* disk_store_ = nullptr;  // non-owning view of store_
     std::unique_ptr<storage::StatusDb> status_db_;
     std::unique_ptr<UtxoSet> utxo_;
-    std::unique_ptr<storage::FlatStore<Block>> block_store_;
-    std::unique_ptr<storage::FlatStore<BlockUndo>> undo_store_;
     HeaderIndex headers_;
 };
 

@@ -80,10 +80,10 @@ struct BtcMetrics {
 }  // namespace
 
 util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block(
-    const Block& block, std::uint32_t height, BlockUndo* undo) {
+    const Block& block, std::uint32_t height) {
     obs::ScopedSpan block_span("btc.block", "block");
     block_span.set_value(height);
-    auto result = connect_block_impl(block, height, undo);
+    auto result = connect_block_impl(block, height);
     BtcMetrics& m = BtcMetrics::get();
     if (!result) {
         m.rejects.inc();
@@ -110,7 +110,7 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block(
 }
 
 util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_impl(
-    const Block& block, std::uint32_t height, BlockUndo* undo) {
+    const Block& block, std::uint32_t height) {
     BlockTimings timings;
     timings.inputs = block.input_count();
     timings.outputs = block.output_count();
@@ -175,9 +175,9 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
 
         // BIP30-style duplicate-txid rule: a transaction whose outputs are
         // still unspent must not be re-created — utxo_.add would silently
-        // overwrite the earlier coins, destroying them and corrupting undo
-        // data. The probe is a ❶-style fetch, so the status DB instruments
-        // it as DBO time like any other lookup.
+        // overwrite the earlier coins, destroying them. The probe is a
+        // ❶-style fetch, so the status DB instruments it as DBO time like
+        // any other lookup.
         for (std::uint32_t o = 0; o < tx.vout.size(); ++o) {
             if (utxo_.fetch(OutPoint{tx.txid(), o})) {
                 return util::Unexpected{ValidationFailure{BlockError::kDuplicateTxid, t}};
@@ -311,15 +311,6 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         }
     }
 
-    // Record undo data (spent coins, tx-major in input order) before apply.
-    if (undo != nullptr) {
-        undo->txs.clear();
-        undo->txs.resize(block.txs.size() > 0 ? block.txs.size() - 1 : 0);
-        for (const PendingScript& job : script_jobs) {
-            undo->txs[job.tx_index - 1].spent_coins.push_back(job.coin);
-        }
-    }
-
     // ---- Apply: ❸ Delete spent entries, ❹ Insert new outputs ------------
     for (const Transaction& tx : block.txs) {
         if (tx.is_coinbase()) continue;
@@ -348,30 +339,6 @@ util::Result<BlockTimings, ValidationFailure> BitcoinValidator::connect_block_im
         dbo_cost_of(dbo_after).simulated_ns - dbo_cost_of(dbo_before).simulated_ns;
 
     return timings;
-}
-
-void BitcoinValidator::disconnect_block(const Block& block, const BlockUndo& undo) {
-    // Restore spent coins first: intra-block coins (outputs of this same
-    // block that were consumed inside it) get re-inserted here and deleted
-    // again below, which nets out correctly because every outpoint the
-    // block created is erased in the second pass.
-    std::size_t undo_index = 0;
-    for (std::size_t t = 1; t < block.txs.size(); ++t) {
-        const Transaction& tx = block.txs[t];
-        EBV_EXPECTS(undo_index < undo.txs.size());
-        const TxUndo& tx_undo = undo.txs[undo_index++];
-        EBV_EXPECTS(tx_undo.spent_coins.size() == tx.vin.size());
-        for (std::size_t i = 0; i < tx.vin.size(); ++i) {
-            utxo_.add(tx.vin[i].prevout, tx_undo.spent_coins[i]);
-        }
-    }
-
-    for (const Transaction& tx : block.txs) {
-        const crypto::Hash256& txid = tx.txid();
-        for (std::uint32_t o = 0; o < tx.vout.size(); ++o) {
-            utxo_.spend(OutPoint{txid, o});
-        }
-    }
 }
 
 }  // namespace ebv::chain

@@ -11,7 +11,6 @@
 
 #include "chain/block.hpp"
 #include "chain/params.hpp"
-#include "chain/undo.hpp"
 #include "chain/utxo_set.hpp"
 #include "script/interpreter.hpp"
 #include "util/result.hpp"
@@ -84,22 +83,15 @@ public:
         : params_(params), utxo_(utxo), options_(options) {}
 
     /// Validate and connect a block at `height`. On success returns the
-    /// phase timings; on failure the UTXO set is left unchanged. When
-    /// `undo` is non-null the spent coins are recorded for disconnection.
+    /// phase timings; on failure the UTXO set is left unchanged.
     /// Publishes per-stage histograms and per-block counters under
     /// `btc.block.*` and emits one span per stage (docs/OBSERVABILITY.md).
     util::Result<BlockTimings, ValidationFailure> connect_block(const Block& block,
-                                                                std::uint32_t height,
-                                                                BlockUndo* undo = nullptr);
-
-    /// Reverse a previously connected block: delete its outputs from the
-    /// UTXO set and restore the coins its inputs spent. The caller is
-    /// responsible for passing the matching undo record.
-    void disconnect_block(const Block& block, const BlockUndo& undo);
+                                                                std::uint32_t height);
 
 private:
-    util::Result<BlockTimings, ValidationFailure> connect_block_impl(
-        const Block& block, std::uint32_t height, BlockUndo* undo);
+    util::Result<BlockTimings, ValidationFailure> connect_block_impl(const Block& block,
+                                                                     std::uint32_t height);
 
     const ChainParams& params_;
     UtxoSet& utxo_;

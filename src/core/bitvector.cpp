@@ -26,15 +26,6 @@ BitVector BitVector::all_ones(std::uint32_t bits) {
     return v;
 }
 
-BitVector BitVector::all_zeros(std::uint32_t bits) {
-    EBV_EXPECTS(bits <= 65'535);
-    BitVector v;
-    v.size_ = bits;
-    v.ones_ = 0;
-    v.sparse_ = true;
-    return v;
-}
-
 bool BitVector::test(std::uint32_t index) const {
     if (index >= size_) return false;
     if (!sparse_) return (bitmap_[index / 8] >> (index % 8)) & 1;
@@ -58,35 +49,6 @@ bool BitVector::reset(std::uint32_t index) {
     if (it == one_indexes_.end() || *it != index) return false;
     one_indexes_.erase(it);
     --ones_;
-    return true;
-}
-
-bool BitVector::set(std::uint32_t index) {
-    if (index >= size_) return false;
-    if (!sparse_) {
-        std::uint8_t& byte = bitmap_[index / 8];
-        const std::uint8_t mask = static_cast<std::uint8_t>(1u << (index % 8));
-        if (byte & mask) return false;
-        byte |= mask;
-        ++ones_;
-        return true;
-    }
-    const auto it = std::lower_bound(one_indexes_.begin(), one_indexes_.end(),
-                                     static_cast<std::uint16_t>(index));
-    if (it != one_indexes_.end() && *it == index) return false;
-    one_indexes_.insert(it, static_cast<std::uint16_t>(index));
-    ++ones_;
-    // Convert back to the bitmap once the index array stops paying off.
-    if (kSparseOverhead + static_cast<std::size_t>(ones_) * 2 >=
-        kDenseOverhead + (size_ + 7) / 8) {
-        bitmap_.assign((size_ + 7) / 8, 0);
-        for (const std::uint16_t i : one_indexes_) {
-            bitmap_[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
-        }
-        one_indexes_.clear();
-        one_indexes_.shrink_to_fit();
-        sparse_ = false;
-    }
     return true;
 }
 

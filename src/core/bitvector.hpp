@@ -18,8 +18,6 @@ public:
 
     /// A fresh block's vector: `bits` outputs, all unspent (all ones).
     static BitVector all_ones(std::uint32_t bits);
-    /// An all-spent vector (reorg bookkeeping; starts sparse and empty).
-    static BitVector all_zeros(std::uint32_t bits);
 
     [[nodiscard]] std::uint32_t size() const { return size_; }
     [[nodiscard]] std::uint32_t ones() const { return ones_; }
@@ -32,10 +30,6 @@ public:
     /// Clear the bit at `index`. Returns whether it was set (a false return
     /// is a double-spend signal). May switch to the sparse representation.
     bool reset(std::uint32_t index);
-
-    /// Set the bit at `index` (reorg support: un-spend an output). Returns
-    /// whether it was previously clear; false for out-of-range.
-    bool set(std::uint32_t index);
 
     /// Bytes this vector occupies in its current representation — the
     /// quantity Fig 14's "EBV" line sums.

@@ -60,29 +60,6 @@ util::Status<UvError> BitVectorSet::spend(std::uint32_t height, std::uint32_t po
     return util::Ok{};
 }
 
-bool BitVectorSet::unspend(std::uint32_t height, std::uint32_t position,
-                           std::uint32_t vector_size) {
-    auto it = vectors_.find(height);
-    if (it == vectors_.end()) {
-        // The vector was deleted as fully spent: recreate it all-zero.
-        it = vectors_.emplace(height, BitVector::all_zeros(vector_size)).first;
-        account_add(it->second);
-    }
-    if (position >= it->second.size()) return false;
-
-    account_remove(it->second);
-    const bool was_clear = it->second.set(position);
-    account_add(it->second);
-    return was_clear;
-}
-
-void BitVectorSet::remove_block(std::uint32_t height) {
-    const auto it = vectors_.find(height);
-    if (it == vectors_.end()) return;
-    account_remove(it->second);
-    vectors_.erase(it);
-}
-
 void BitVectorSet::serialize(util::Writer& w) const {
     w.u64(vectors_.size());
     for (const auto& [height, vector] : vectors_) {

@@ -44,14 +44,6 @@ public:
     /// Mark spent (block-storage step). Deletes the vector when it empties.
     util::Status<UvError> spend(std::uint32_t height, std::uint32_t position);
 
-    /// Reorg support: set a bit back to unspent. `vector_size` recreates
-    /// the vector if it had been deleted as fully spent (all other bits are
-    /// then provably zero). Returns false if the bit was already set.
-    bool unspend(std::uint32_t height, std::uint32_t position, std::uint32_t vector_size);
-
-    /// Reorg support: drop the vector of a disconnected block entirely.
-    void remove_block(std::uint32_t height);
-
     [[nodiscard]] std::size_t vector_count() const { return vectors_.size(); }
     [[nodiscard]] bool has_vector(std::uint32_t height) const {
         return vectors_.count(height) != 0;
@@ -78,7 +70,7 @@ public:
 
     /// Whether every vector belongs to a block of `output_counts` (indexed
     /// by height) and holds exactly that block's output count — the check a
-    /// loaded snapshot must pass before UV or disconnect_tip may trust it.
+    /// loaded snapshot must pass before UV may trust it.
     [[nodiscard]] bool fits(std::span<const std::uint32_t> output_counts) const;
 
     friend bool operator==(const BitVectorSet&, const BitVectorSet&);

@@ -1,7 +1,5 @@
 #include "core/node.hpp"
 
-#include "util/assert.hpp"
-
 namespace ebv::core {
 
 EbvNode::EbvNode(const EbvNodeOptions& options) : options_(options) {
@@ -64,32 +62,11 @@ util::Result<std::unique_ptr<EbvNode>, util::DecodeError> EbvNode::load_snapshot
     auto status = BitVectorSet::deserialize(r);
     if (!status) return util::Unexpected{status.error()};
     // Nothing may follow the set, and every vector must match a loaded
-    // header's output count: UV verdicts and disconnect_tip trust both.
+    // header's output count: UV verdicts trust both.
     if (!r.empty() || !status->fits(node->output_counts_))
         return util::Unexpected{util::DecodeError::kMalformed};
     node->status_ = std::move(*status);
     return node;
-}
-
-bool EbvNode::disconnect_tip(const EbvBlock& tip) {
-    if (headers_.empty()) return false;
-    const std::uint32_t tip_height = headers_.height();
-    if (tip.header.hash() != headers_.tip_hash()) return false;
-
-    // Un-spend every input (skip the coinbase at index 0).
-    for (std::size_t t = 1; t < tip.txs.size(); ++t) {
-        for (const EbvInput& in : tip.txs[t].inputs) {
-            const bool restored = status_.unspend(in.height, in.absolute_position(),
-                                                  output_counts_[in.height]);
-            EBV_ASSERT(restored);
-        }
-    }
-    status_.remove_block(tip_height);
-
-    headers_.pop_tip();
-    output_counts_.pop_back();
-    if (block_store_) block_store_->truncate(tip_height);
-    return true;
 }
 
 }  // namespace ebv::core

@@ -39,18 +39,9 @@ public:
     /// blocks with the same failure tuple (docs/PIPELINE.md).
     ibd::BatchResult submit_blocks(std::span<const EbvBlock> blocks);
 
-    /// Reorg support: disconnect the tip. The caller supplies the tip block
-    /// (EBV validators don't retain bodies unless a block store is
-    /// configured); it must match the tip header. Un-spends every input bit
-    /// and removes the block's own vector.
-    [[nodiscard]] bool disconnect_tip(const EbvBlock& tip);
-
     [[nodiscard]] const chain::HeaderIndex& headers() const { return headers_; }
     [[nodiscard]] BitVectorSet& status() { return status_; }
     [[nodiscard]] const BitVectorSet& status() const { return status_; }
-    [[nodiscard]] storage::FlatStore<EbvBlock>* block_store() {
-        return block_store_.get();
-    }
     [[nodiscard]] std::uint32_t next_height() const {
         return headers_.empty() ? 0 : headers_.height() + 1;
     }
@@ -80,8 +71,9 @@ private:
     EbvNodeOptions options_;
     chain::HeaderIndex headers_;
     BitVectorSet status_;
-    /// Output count per connected height (4 bytes/block) — needed to
-    /// recreate fully-spent vectors when a reorg un-spends into them.
+    /// Output count per connected height (4 bytes/block): a snapshot
+    /// records it, and a loaded bit-vector set must fit it
+    /// (BitVectorSet::fits) before UV trusts the set.
     std::vector<std::uint32_t> output_counts_;
     std::unique_ptr<storage::FlatStore<EbvBlock>> block_store_;
 };

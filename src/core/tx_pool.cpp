@@ -130,13 +130,6 @@ struct TxPool::Prevalidation {
     std::size_t bytes = 0;
 };
 
-bool TxPool::feerate_beats(chain::Amount fee_a, std::size_t bytes_a, chain::Amount fee_b,
-                           std::size_t bytes_b) {
-    const auto lhs = static_cast<unsigned __int128>(fee_a) * bytes_b;
-    const auto rhs = static_cast<unsigned __int128>(fee_b) * bytes_a;
-    return lhs > rhs;
-}
-
 void TxPool::prevalidate(const EbvTransaction& tx, Prevalidation& out) const {
     out.leaf = tx.leaf_hash();
     out.bytes = tx.serialized_size() + kEntryOverheadBytes;
@@ -161,7 +154,7 @@ TxAdmission TxPool::resolve(const EbvTransaction& tx, const Prevalidation& pre) 
         if (pre.verdict != TxAdmission::kAccepted) return TxAdmission::kConflict;
         for (const crypto::Hash256& leaf : conflicts) {
             const Entry& pooled = pool_.at(leaf);
-            if (!feerate_beats(pre.fee, pre.bytes, pooled.fee, pooled.bytes))
+            if (compare_feerate(pre.fee, pre.bytes, pooled.fee, pooled.bytes) <= 0)
                 return TxAdmission::kConflict;
         }
     }
@@ -316,24 +309,6 @@ std::size_t TxPool::evict_confirmed_spends(const EbvBlock& block) {
     m.size.set(static_cast<std::int64_t>(pool_.size()));
     m.bytes.set(static_cast<std::int64_t>(bytes_));
     return evicted;
-}
-
-std::size_t TxPool::evict_confirmed_spends() {
-    std::vector<crypto::Hash256> doomed;
-    for (const auto& [leaf, entry] : pool_) {
-        for (const EbvInput& in : entry.tx.inputs) {
-            if (!status_.check_unspent(in.height, in.absolute_position())) {
-                doomed.push_back(leaf);
-                break;
-            }
-        }
-    }
-    for (const auto& leaf : doomed) erase_entry(leaf);
-    TxPoolMetrics& m = TxPoolMetrics::get();
-    m.evicted.inc(doomed.size());
-    m.size.set(static_cast<std::int64_t>(pool_.size()));
-    m.bytes.set(static_cast<std::int64_t>(bytes_));
-    return doomed.size();
 }
 
 }  // namespace ebv::core

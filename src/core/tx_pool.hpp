@@ -26,6 +26,7 @@
 // confirmed block), which eviction re-checks.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <set>
 #include <span>
@@ -103,13 +104,10 @@ public:
     [[nodiscard]] EbvBlock build_template(const script::Script& coinbase_lock,
                                           std::size_t max_txs) const;
 
-    /// Drop every pooled transaction whose inputs were consumed by the
-    /// newly connected chain state. The block overload walks only the
-    /// block's own spends against the pool's spend index (O(spends in
-    /// block)); the argument-free overload re-checks the whole pool (use
-    /// after reorgs or bulk state changes). Returns the number evicted.
+    /// Drop every pooled transaction that spends an output the newly
+    /// connected `block` spends: the block's own spends against the pool's
+    /// spend index, O(spends in block). Returns the number evicted.
     std::size_t evict_confirmed_spends(const EbvBlock& block);
-    std::size_t evict_confirmed_spends();
 
     [[nodiscard]] std::size_t size() const { return pool_.size(); }
     /// Approximate resident bytes (serialized sizes + per-entry overhead).
@@ -130,10 +128,20 @@ private:
         std::size_t bytes = 0;  ///< serialized size + kEntryOverheadBytes
     };
 
-    /// Feerate rank: an entry's identity in the drain/evict order. Strict
-    /// weak ordering via exact 128-bit cross-multiplication — no
-    /// double-precision loss — with the leaf hash as a total-order
-    /// tie-break so drain order is deterministic.
+    /// The one feerate rule, shared by the rank order and replace-by-feerate:
+    /// fee_a / bytes_a against fee_b / bytes_b by exact 128-bit
+    /// cross-multiplication, no double-precision loss.
+    [[nodiscard]] static std::strong_ordering compare_feerate(chain::Amount fee_a,
+                                                              std::uint64_t bytes_a,
+                                                              chain::Amount fee_b,
+                                                              std::uint64_t bytes_b) {
+        return static_cast<unsigned __int128>(fee_a) * bytes_b <=>
+               static_cast<unsigned __int128>(fee_b) * bytes_a;
+    }
+
+    /// Feerate rank: an entry's identity in the drain/evict order. A strict
+    /// weak ordering by compare_feerate, with the leaf hash as a
+    /// total-order tie-break so drain order is deterministic.
     struct Rank {
         chain::Amount fee = 0;
         std::uint64_t bytes = 0;
@@ -141,9 +149,8 @@ private:
     };
     struct RankBetter {
         bool operator()(const Rank& a, const Rank& b) const {
-            const auto lhs = static_cast<unsigned __int128>(a.fee) * b.bytes;
-            const auto rhs = static_cast<unsigned __int128>(b.fee) * a.bytes;
-            if (lhs != rhs) return lhs > rhs;  // higher feerate first
+            const std::strong_ordering order = compare_feerate(a.fee, a.bytes, b.fee, b.bytes);
+            if (order != 0) return order > 0;  // higher feerate first
             return a.leaf < b.leaf;
         }
     };
@@ -152,9 +159,6 @@ private:
     /// before the serial resolution pass.
     struct Prevalidation;
 
-    /// Whether fee_a / bytes_a is strictly above fee_b / bytes_b (exact).
-    [[nodiscard]] static bool feerate_beats(chain::Amount fee_a, std::size_t bytes_a,
-                                            chain::Amount fee_b, std::size_t bytes_b);
     void prevalidate(const EbvTransaction& tx, Prevalidation& out) const;
     TxAdmission resolve(const EbvTransaction& tx, const Prevalidation& pre);
     void insert_entry(const crypto::Hash256& leaf, Entry entry);

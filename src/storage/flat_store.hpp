@@ -94,15 +94,6 @@ public:
         return static_cast<std::uint32_t>(offsets_.size());
     }
 
-    /// Drop every record at index >= new_count (reorg support); subsequent
-    /// appends overwrite the truncated region.
-    void truncate(std::uint32_t new_count) {
-        if (new_count >= offsets_.size()) return;
-        end_offset_ = offsets_[new_count];
-        offsets_.resize(new_count);
-        EBV_ASSERT(::ftruncate(fd_, static_cast<off_t>(end_offset_)) == 0);
-    }
-
     void sync() { ::fsync(fd_); }
 
 private:

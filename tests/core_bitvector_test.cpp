@@ -49,7 +49,9 @@ TEST(BitVector, BecomesSparseAsOnesDecline) {
     std::set<std::uint32_t> cleared;
     while (v.ones() > 40) {
         const auto i = static_cast<std::uint32_t>(rng.below(1024));
-        if (cleared.insert(i).second) EXPECT_TRUE(v.reset(i));
+        if (cleared.insert(i).second) {
+            EXPECT_TRUE(v.reset(i));
+        }
     }
     EXPECT_TRUE(v.is_sparse());
     // Semantics preserved across the conversion.

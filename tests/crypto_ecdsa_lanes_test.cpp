@@ -389,8 +389,9 @@ TEST_F(LanesTest, KeyParseMatchesScalarOnEdgeCorpus) {
                         well_formed += k1::compressed_x(group[i]).has_value();
                         ASSERT_EQ((mask >> i & 1) != 0, expected[index[i]].has_value())
                             << backend << ", encoding " << index[i] << " in lane " << i;
-                        if (expected[index[i]])
+                        if (expected[index[i]]) {
                             EXPECT_TRUE(keys[i].point() == expected[index[i]]->point());
+                        }
                     }
                     const bool chained = backend != "none" && well_formed >= 2;
                     EXPECT_EQ(decompressed.value() - before, chained ? well_formed : 0);
@@ -430,7 +431,9 @@ TEST_F(LanesTest, PendingKeysVerifyLikeParseThenVerify) {
                     jobs[i].sig = signer.sign(digest);
                     jobs[i].digest = digest;
                     if (kind == 3) jobs[i].digest.bytes()[7] ^= 0x40;
-                    if (kind == 0) ASSERT_TRUE(parse_public_key_memo(encodings[i]));
+                    if (kind == 0) {
+                        ASSERT_TRUE(parse_public_key_memo(encodings[i]));
+                    }
                     const auto key = parse_public_key_memo(encodings[i], true);
                     ASSERT_TRUE(key.has_value());
                     EXPECT_EQ(key->valid(), kind == 0);

@@ -7,7 +7,6 @@
 #include "chain/block.hpp"
 #include "chain/coin.hpp"
 #include "chain/transaction.hpp"
-#include "chain/undo.hpp"
 #include "core/bitvector.hpp"
 #include "core/ebv_transaction.hpp"
 #include "crypto/ecdsa.hpp"
@@ -37,7 +36,6 @@ TEST(FuzzDecode, RandomBytesAllDecoders) {
     decode_random_bytes<chain::Block>(2, 500, 600);
     decode_random_bytes<chain::BlockHeader>(3, 500, 120);
     decode_random_bytes<chain::Coin>(4, 500, 100);
-    decode_random_bytes<chain::BlockUndo>(5, 500, 300);
     decode_random_bytes<core::TidyTransaction>(6, 500, 400);
     decode_random_bytes<core::EbvTransaction>(7, 500, 800);
     decode_random_bytes<core::EbvBlock>(8, 500, 1000);

@@ -1,30 +1,26 @@
-// Adversarial & reorg scenario matrix (docs/SCENARIOS.md): every hostile
+// Adversarial scenario matrix (docs/SCENARIOS.md): every hostile
 // mutation the workload::Adversary can produce runs through all three
 // validator configurations — serial, parallel, pipelined-IBD —
 // and must be rejected with bit-identical EbvValidationFailure tuples and
-// bit-identical post-run state (bit-vector set, tip, height). Reorgs,
-// including deep ones crossing pipeline window boundaries and hostile
-// branches that must roll back, get the same cross-config treatment, and a
+// bit-identical post-run state (bit-vector set, tip, height). A
 // seed-logged randomized soak (EBV_SOAK_SEED / EBV_SOAK_BLOCKS) interleaves
-// all of it for hundreds of blocks. The mutation catalogue also compares
+// clean and hostile segments for hundreds of blocks. The mutation
+// catalogue also compares
 // scalar signature checks against the lane backends (kLaneRuns), on the
 // default chain and on a skewed one full of 1-of-M multisig inputs, and
 // the baseline validator gets the same thread × lane-backend sweep.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "chain/miner.hpp"
 #include "chain/node.hpp"
-#include "chain/reorg.hpp"
 #include "chain/sig_cache.hpp"
 #include "chain/sighash.hpp"
 #include "core/node.hpp"
@@ -37,24 +33,6 @@
 
 namespace ebv {
 namespace {
-
-namespace fs = std::filesystem;
-
-class TempDir {
-public:
-    TempDir() {
-        path_ = fs::temp_directory_path() /
-                ("ebv_matrix_" + std::to_string(::getpid()) + "_" +
-                 std::to_string(counter_++));
-        fs::create_directories(path_);
-    }
-    ~TempDir() { fs::remove_all(path_); }
-    [[nodiscard]] std::string str() const { return path_.string(); }
-
-private:
-    fs::path path_;
-    static inline int counter_ = 0;
-};
 
 workload::GeneratorOptions matrix_gen_options(std::uint64_t seed) {
     workload::GeneratorOptions options;
@@ -80,7 +58,6 @@ constexpr Config kConfigs[] = {
     {"parallel", true, false, 1},
     {"pipelined", true, true, 4},
 };
-constexpr std::size_t kConfigCount = sizeof(kConfigs) / sizeof(kConfigs[0]);
 
 /// Pins the signature-lane backend (crypto::lanes_force_impl) for a scope;
 /// "auto" keeps what the CPU selects.
@@ -109,11 +86,9 @@ const LaneRun kLaneRuns[] = {
 
 std::unique_ptr<core::EbvNode> make_node(const Config& cfg, util::ThreadPool* pool,
                                          const chain::ChainParams& params,
-                                         const std::string& data_dir = {},
                                          chain::SigCache* sigcache = nullptr) {
     core::EbvNodeOptions options;
     options.params = params;
-    options.data_dir = data_dir;
     options.validator.script_pool = cfg.use_pool ? pool : nullptr;
     options.validator.sigcache = sigcache;
     options.pipeline.enabled = cfg.pipelined;
@@ -153,31 +128,13 @@ core::EbvError expected_error(workload::Mutation m) {
     return core::EbvError::kEmptyBlock;
 }
 
-/// An empty competing Bitcoin-format block on the given parent.
+/// An empty Bitcoin-format block on the given parent.
 chain::Block empty_block(const crypto::Hash256& parent, std::uint32_t height,
                          const chain::ChainParams& params, std::uint32_t salt) {
     return chain::assemble_block(
         parent, chain::make_coinbase(height, params.subsidy_at(height),
                                      script::Script{0x51}, salt),
         {}, /*time=*/1000 + height);
-}
-
-/// An empty competing EBV block on the given parent.
-core::EbvBlock empty_ebv_block(const crypto::Hash256& parent, std::uint32_t height,
-                               const chain::ChainParams& params, std::uint64_t salt) {
-    core::EbvBlock block;
-    core::EbvTransaction coinbase;
-    coinbase.coinbase_data = {static_cast<std::uint8_t>(height),
-                              static_cast<std::uint8_t>(height >> 8),
-                              static_cast<std::uint8_t>(salt),
-                              static_cast<std::uint8_t>(salt >> 8),
-                              static_cast<std::uint8_t>(salt >> 16)};
-    coinbase.outputs.push_back(
-        chain::TxOut{params.subsidy_at(height), script::Script{0x51}});
-    block.txs.push_back(std::move(coinbase));
-    block.header.prev_hash = parent;
-    block.assign_stake_positions();
-    return block;
 }
 
 /// Bit-identical node state: height, tip, and the full bit-vector set.
@@ -334,7 +291,7 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
     // honest signature in `chain_` is now admission-equivalent cached.
     chain::SigCache cache;
     {
-        auto warm = make_node(kConfigs[1], &pool, gen_options_.params, {}, &cache);
+        auto warm = make_node(kConfigs[1], &pool, gen_options_.params, &cache);
         ASSERT_TRUE(warm->submit_blocks(chain_).ok());
     }
     ASSERT_GT(cache.size(), 0u);
@@ -364,7 +321,7 @@ TEST_F(ScenarioMatrix, EveryMutationRejectsIdenticallyWithWarmSigCache) {
 
         for (const LaneRun& run : kLaneRuns) {
             const LanesScope lanes(run.lanes);
-            auto node = make_node(run.config, &pool, gen_options_.params, {}, &cache);
+            auto node = make_node(run.config, &pool, gen_options_.params, &cache);
             const ibd::BatchResult result = node->submit_blocks(blocks);
             ASSERT_TRUE(result.failure.has_value()) << run.name;
             expect_same_batch(cold, result, std::string(run.name) + "+sigcache");
@@ -464,214 +421,6 @@ TEST_F(ScenarioMatrix, BaselineRejectsIdenticallyAcrossThreadsAndLanes) {
             }
         }
     }
-}
-
-// A deep reorg — 20 blocks disconnected, far past the pipelined window of
-// 4 — must land every configuration on the same branch state, identical to
-// validating the winning chain directly.
-TEST(ScenarioReorg, DeepReorgCrossesWindowBoundariesIdentically) {
-    const auto gen_options = matrix_gen_options(11);
-    workload::ChainGenerator gen(gen_options);
-    intermediary::Converter converter;
-
-    constexpr std::uint32_t kForkAt = 10;
-    std::vector<core::EbvBlock> main_chain;
-    for (std::uint32_t i = 0; i < kForkAt; ++i) {
-        auto converted = converter.convert_block(gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        main_chain.push_back(*converted);
-    }
-
-    // Snapshot the fork point, then let main and branch diverge.
-    workload::ChainGenerator branch_gen = gen.fork(0xf00d);
-    intermediary::Converter branch_converter = converter;
-
-    for (std::uint32_t i = 0; i < 20; ++i) {
-        auto converted = converter.convert_block(gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        main_chain.push_back(*converted);
-    }
-    std::vector<core::EbvBlock> branch;
-    for (std::uint32_t i = 0; i < 25; ++i) {
-        auto converted = branch_converter.convert_block(branch_gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        branch.push_back(*converted);
-    }
-
-    // Control: the winning chain validated directly, serially.
-    util::ThreadPool pool(4);
-    auto control = make_node(kConfigs[0], &pool, gen_options.params);
-    ASSERT_TRUE(control
-                    ->submit_blocks(std::span<const core::EbvBlock>(main_chain.data(),
-                                                                    kForkAt))
-                    .ok());
-    ASSERT_TRUE(control->submit_blocks(branch).ok());
-
-    for (const Config& cfg : kConfigs) {
-        TempDir dir;
-        auto node = make_node(cfg, &pool, gen_options.params, dir.str());
-        ASSERT_TRUE(node->submit_blocks(main_chain).ok()) << cfg.name;
-
-        auto outcome = chain::reorg_to(*node, branch);
-        ASSERT_TRUE(outcome.has_value()) << cfg.name << ": "
-                                         << to_string(outcome.error());
-        EXPECT_TRUE(outcome->switched) << cfg.name;
-        EXPECT_EQ(outcome->fork_height, kForkAt - 1) << cfg.name;
-        EXPECT_EQ(outcome->blocks_disconnected, 20u) << cfg.name;
-        EXPECT_EQ(outcome->blocks_connected, 25u) << cfg.name;
-        expect_same_state(*control, *node, cfg.name);
-    }
-}
-
-// A hostile branch (tampered unlocking script mid-branch) must fail with
-// the same tuple under every configuration and roll back to exactly the
-// pre-reorg state.
-TEST(ScenarioReorg, HostileBranchRollsBackIdenticallyAcrossConfigs) {
-    const auto gen_options = matrix_gen_options(13);
-    workload::ChainGenerator gen(gen_options);
-    intermediary::Converter converter;
-
-    constexpr std::uint32_t kForkAt = 12;
-    std::vector<core::EbvBlock> main_chain;
-    for (std::uint32_t i = 0; i < kForkAt; ++i) {
-        auto converted = converter.convert_block(gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        main_chain.push_back(*converted);
-    }
-    workload::ChainGenerator branch_gen = gen.fork(0xbeef);
-    intermediary::Converter branch_converter = converter;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-        auto converted = converter.convert_block(gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        main_chain.push_back(*converted);
-    }
-    std::vector<core::EbvBlock> branch;
-    for (std::uint32_t i = 0; i < 12; ++i) {
-        auto converted = branch_converter.convert_block(branch_gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        branch.push_back(*converted);
-    }
-
-    // Tamper a signature somewhere past the first half of the branch.
-    workload::Adversary adversary(2);
-    std::optional<workload::AppliedMutation> applied;
-    for (std::size_t target = branch.size() / 2; target < branch.size() && !applied;
-         ++target) {
-        applied = adversary.apply(workload::Mutation::kUnlockScript, branch, target);
-    }
-    ASSERT_TRUE(applied.has_value());
-
-    // Control: the main chain validated directly (what rollback restores).
-    util::ThreadPool pool(4);
-    auto control = make_node(kConfigs[0], &pool, gen_options.params);
-    ASSERT_TRUE(control->submit_blocks(main_chain).ok());
-
-    std::optional<core::EbvValidationFailure> serial_failure;
-    for (const Config& cfg : kConfigs) {
-        TempDir dir;
-        auto node = make_node(cfg, &pool, gen_options.params, dir.str());
-        ASSERT_TRUE(node->submit_blocks(main_chain).ok()) << cfg.name;
-
-        auto outcome = chain::reorg_to(*node, branch);
-        ASSERT_TRUE(outcome.has_value()) << cfg.name << ": "
-                                         << to_string(outcome.error());
-        EXPECT_FALSE(outcome->switched) << cfg.name;
-        EXPECT_EQ(outcome->branch_failure.error, core::EbvError::kScriptFailure)
-            << cfg.name;
-        if (!serial_failure) {
-            serial_failure = outcome->branch_failure;
-        } else {
-            EXPECT_TRUE(*serial_failure == outcome->branch_failure)
-                << cfg.name << " serial=" << serial_failure->describe()
-                << " actual=" << outcome->branch_failure.describe();
-        }
-        expect_same_state(*control, *node, cfg.name);
-    }
-}
-
-// kRollbackFailed is reachable: if the block store cannot reproduce the
-// suffix being replaced (external truncation/tampering), reorg_to refuses
-// up front and the node state is untouched.
-TEST(ScenarioReorg, EbvTamperedStoreRefusesReorg) {
-    const auto gen_options = matrix_gen_options(17);
-    workload::ChainGenerator gen(gen_options);
-    intermediary::Converter converter;
-
-    TempDir dir;
-    core::EbvNodeOptions options;
-    options.params = gen_options.params;
-    options.data_dir = dir.str();
-    core::EbvNode node(options);
-
-    std::vector<core::EbvBlock> blocks;
-    for (int i = 0; i < 12; ++i) {
-        auto converted = converter.convert_block(gen.next_block());
-        ASSERT_TRUE(converted.has_value());
-        blocks.push_back(*converted);
-        ASSERT_TRUE(node.submit_block(blocks.back()).has_value());
-    }
-    const auto tip_before = node.headers().tip_hash();
-    const auto memory_before = node.status_memory_bytes();
-
-    // Corrupt the store: replace the stored tip block with a different one.
-    ASSERT_NE(node.block_store(), nullptr);
-    node.block_store()->truncate(11);
-    node.block_store()->append(blocks[0]);
-
-    // A perfectly valid longer branch...
-    std::vector<core::EbvBlock> branch;
-    crypto::Hash256 parent = blocks[9].header.hash();
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        branch.push_back(empty_ebv_block(parent, 10 + i, options.params, 900 + i));
-        parent = branch.back().header.hash();
-    }
-
-    // ...is refused, because a failed connect could never be rolled back.
-    auto outcome = chain::reorg_to(node, branch);
-    ASSERT_FALSE(outcome.has_value());
-    EXPECT_EQ(outcome.error(), chain::ReorgError::kRollbackFailed);
-    EXPECT_EQ(node.next_height(), 12u);
-    EXPECT_EQ(node.headers().tip_hash(), tip_before);
-    EXPECT_EQ(node.status_memory_bytes(), memory_before);
-}
-
-TEST(ScenarioReorg, BaselineTamperedStoreRefusesReorg) {
-    const auto gen_options = matrix_gen_options(19);
-    workload::ChainGenerator gen(gen_options);
-
-    TempDir dir;
-    chain::BitcoinNodeOptions options;
-    options.params = gen_options.params;
-    options.data_dir = dir.str();
-    options.device = storage::DeviceProfile::none();
-    options.keep_blocks = true;
-    chain::BitcoinNode node(options);
-
-    std::vector<chain::Block> blocks;
-    for (int i = 0; i < 12; ++i) {
-        blocks.push_back(gen.next_block());
-        ASSERT_TRUE(node.submit_block(blocks.back()).has_value());
-    }
-    const auto tip_before = node.headers().tip_hash();
-    const auto utxos_before = node.utxo().size();
-
-    ASSERT_NE(node.block_store(), nullptr);
-    node.block_store()->truncate(11);
-    node.block_store()->append(blocks[0]);
-
-    std::vector<chain::Block> branch;
-    crypto::Hash256 parent = blocks[9].header.hash();
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        branch.push_back(empty_block(parent, 10 + i, options.params, 700 + i));
-        parent = branch.back().header.hash();
-    }
-
-    auto outcome = chain::reorg_to(node, branch);
-    ASSERT_FALSE(outcome.has_value());
-    EXPECT_EQ(outcome.error(), chain::ReorgError::kRollbackFailed);
-    EXPECT_EQ(node.next_height(), 12u);
-    EXPECT_EQ(node.headers().tip_hash(), tip_before);
-    EXPECT_EQ(node.utxo().size(), utxos_before);
 }
 
 // BIP30-style cross-block duplicate txid: the baseline validator must
@@ -870,10 +619,8 @@ TEST_F(ScenarioInflation, OutputSumOverflowRejectedEverywhere) {
 }
 
 // Seed-logged randomized soak: hundreds of blocks of valid traffic
-// interleaved with random mutations, deep reorgs (sometimes past the
-// pipeline window), reorg-backs, and hostile branches — all three
-// configurations must agree on every accept, every reject tuple, and every
-// intermediate state. Override EBV_SOAK_SEED / EBV_SOAK_BLOCKS to replay a
+// interleaved with random mutations — all three configurations must agree
+// on every accept, every reject tuple, and every intermediate state. Override EBV_SOAK_SEED / EBV_SOAK_BLOCKS to replay a
 // failure or to scale up (the nightly CI job runs a fresh seed each time).
 TEST(ScenarioSoak, RandomizedSoak) {
     std::uint64_t seed = 0x5eed2026ULL;
@@ -896,11 +643,9 @@ TEST(ScenarioSoak, RandomizedSoak) {
     util::Rng dice(seed ^ 0x5c5c5c5cULL);
 
     util::ThreadPool pool(4);
-    TempDir dirs[kConfigCount];
     std::vector<std::unique_ptr<core::EbvNode>> nodes;
-    for (std::size_t i = 0; i < kConfigCount; ++i) {
-        nodes.push_back(make_node(kConfigs[i], &pool, gen_options.params,
-                                  dirs[i].str()));
+    for (const Config& cfg : kConfigs) {
+        nodes.push_back(make_node(cfg, &pool, gen_options.params));
     }
 
     std::vector<core::EbvBlock> all;  // the committed main chain, index == height
@@ -969,76 +714,6 @@ TEST(ScenarioSoak, RandomizedSoak) {
                                                    all.size() - from),
                    "clean segment");
         parity("after clean segment");
-
-        // Occasionally reorg: switch to a competing branch of empty blocks
-        // (sometimes deeper than the pipeline window), then either the
-        // branch was hostile (state must roll back) or reorg back to main.
-        if (all.size() >= 6 && dice.chance(0.30)) {
-            const auto tip = static_cast<std::uint32_t>(all.size());
-            const std::uint32_t max_depth = std::min<std::uint32_t>(20, tip - 2);
-            const std::uint32_t depth =
-                1 + static_cast<std::uint32_t>(dice.below(max_depth));
-            const std::uint32_t fork = tip - depth;  // first replaced height
-            const bool hostile_branch = dice.chance(0.3);
-            const std::size_t hostile_index = depth / 2;
-
-            std::vector<core::EbvBlock> branch;
-            crypto::Hash256 parent = all[fork - 1].header.hash();
-            for (std::uint32_t j = 0; j <= depth; ++j) {
-                core::EbvBlock block = empty_ebv_block(
-                    parent, fork + j, gen_options.params, dice.next());
-                if (hostile_branch && j == hostile_index) {
-                    block.txs[0].outputs[0].value += 1;  // coinbase overpays
-                    block.assign_stake_positions();
-                }
-                parent = block.header.hash();
-                branch.push_back(std::move(block));
-            }
-
-            std::optional<core::EbvValidationFailure> first_failure;
-            for (std::size_t i = 0; i < nodes.size(); ++i) {
-                auto outcome = chain::reorg_to(*nodes[i], branch);
-                const std::string label = std::string("reorg depth=") +
-                                          std::to_string(depth) +
-                                          " config=" + kConfigs[i].name;
-                ASSERT_TRUE(outcome.has_value())
-                    << label << ": " << to_string(outcome.error());
-                if (hostile_branch) {
-                    EXPECT_FALSE(outcome->switched) << label;
-                    EXPECT_EQ(outcome->branch_failure.error,
-                              core::EbvError::kCoinbaseValueTooHigh)
-                        << label;
-                    if (!first_failure) {
-                        first_failure = outcome->branch_failure;
-                    } else {
-                        EXPECT_TRUE(*first_failure == outcome->branch_failure) << label;
-                    }
-                } else {
-                    EXPECT_TRUE(outcome->switched) << label;
-                }
-            }
-            parity(hostile_branch ? "after hostile branch" : "after reorg");
-
-            if (!hostile_branch) {
-                // Reorg back: the saved main suffix plus two fresh blocks.
-                std::vector<core::EbvBlock> back(all.begin() + fork, all.end());
-                for (int j = 0; j < 2; ++j) {
-                    auto converted = converter.convert_block(gen.next_block());
-                    ASSERT_TRUE(converted.has_value());
-                    back.push_back(*converted);
-                    all.push_back(*converted);
-                }
-                for (std::size_t i = 0; i < nodes.size(); ++i) {
-                    auto outcome = chain::reorg_to(*nodes[i], back);
-                    ASSERT_TRUE(outcome.has_value())
-                        << "reorg-back config=" << kConfigs[i].name << ": "
-                        << to_string(outcome.error());
-                    EXPECT_TRUE(outcome->switched)
-                        << "reorg-back config=" << kConfigs[i].name;
-                }
-                parity("after reorg-back");
-            }
-        }
     }
 
     ASSERT_FALSE(::testing::Test::HasFailure())

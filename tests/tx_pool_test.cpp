@@ -61,6 +61,7 @@ protected:
             auto result = node_->submit_block(block);
             ASSERT_TRUE(result.has_value()) << result.error().describe();
             archive_.add_block(block);
+            last_mined_ = std::move(block);
         }
     }
 
@@ -135,6 +136,7 @@ protected:
     std::unique_ptr<EbvNode> node_;
     std::unique_ptr<TxPool> pool_;
     ChainArchive archive_;
+    EbvBlock last_mined_;  ///< the block mine_blocks connected last
 };
 
 TEST_F(TxPoolTest, AcceptsValidTransaction) {
@@ -521,9 +523,9 @@ TEST_F(TxPoolTest, IncrementalEvictionMatchesFullRescan) {
     EXPECT_EQ(pool_->evict_confirmed_spends(block), 1u);
     EXPECT_EQ(pool_->size(), 1u);
     EXPECT_FALSE(pool_->contains(victim.leaf_hash()));
-    // Nothing left for the full rescan to find: the incremental pass
-    // matched it exactly.
-    EXPECT_EQ(pool_->evict_confirmed_spends(), 0u);
+    // Nothing left for a full rescan to find: the survivor's input is
+    // still unspent in the chain state.
+    EXPECT_TRUE(node_->status().check_unspent(1, 0).has_value());
 }
 
 TEST_F(TxPoolTest, EvictsTransactionsSpentByConfirmedBlocks) {
@@ -534,7 +536,7 @@ TEST_F(TxPoolTest, EvictsTransactionsSpentByConfirmedBlocks) {
     auto confirmed = make_spend(0, 0, 41 * kCoin);
     mine_blocks(1, {confirmed});
 
-    EXPECT_EQ(pool_->evict_confirmed_spends(), 1u);
+    EXPECT_EQ(pool_->evict_confirmed_spends(last_mined_), 1u);
     EXPECT_EQ(pool_->size(), 0u);
 }
 
@@ -543,8 +545,8 @@ TEST_F(TxPoolTest, PooledTransactionMinesCleanly) {
     const EbvBlock block = pool_->build_template(lock(), 10);
     ASSERT_EQ(block.txs.size(), 2u);
     ASSERT_TRUE(node_->submit_block(block).has_value());
-    // The full rescan finds the confirmed spender.
-    EXPECT_EQ(pool_->evict_confirmed_spends(), 1u);
+    // Eviction finds the confirmed spender.
+    EXPECT_EQ(pool_->evict_confirmed_spends(block), 1u);
     EXPECT_EQ(pool_->size(), 0u);
     // The spent output's bit is cleared.
     EXPECT_FALSE(node_->status().check_unspent(0, 0).has_value());
