@@ -51,12 +51,6 @@ constexpr Fingerprint kTable[] = {
      "86a5436895bae6f22e76e9453e9206f4f8965c8a96288e96b988b30b124fbfd5"},
 };
 
-std::size_t input_count(const core::EbvBlock& block) {
-    std::size_t n = 0;
-    for (const core::EbvTransaction& tx : block.txs) n += tx.inputs.size();
-    return n;
-}
-
 /// One digest over every input of `block`: its SIGHASH_ALL digest against
 /// the lock script it spends, then its SV verdict as one byte.
 std::string sighash_fingerprint(const core::EbvBlock& block) {
@@ -101,11 +95,13 @@ TEST_P(GoldenFingerprint, SeedMatchesTable) {
         auto converted = converter.convert_block(tip);
         ASSERT_TRUE(converted.has_value()) << i;
         ASSERT_TRUE(node.submit_block(*converted).has_value()) << i;
-        if (input_count(*converted) > input_count(widest)) widest = *converted;
+        if (converted->input_count() > widest.input_count()) widest = *converted;
         ebv_tip = std::move(*converted);
     }
-    ASSERT_GT(input_count(widest), 1u);
+    ASSERT_GT(widest.input_count(), 1u);
 
+    // The set's bytes follow its hash map's iteration order, so this
+    // digest also pins the order the node's connects leave behind.
     util::Writer status;
     node.status().serialize(status);
 
