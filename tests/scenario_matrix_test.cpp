@@ -5,10 +5,10 @@
 // bit-identical post-run state (bit-vector set, tip, height). A
 // seed-logged randomized soak (EBV_SOAK_SEED / EBV_SOAK_BLOCKS) interleaves
 // clean and hostile segments for hundreds of blocks. The mutation
-// catalogue also compares
-// scalar signature checks against the lane backends (kLaneRuns), on the
-// default chain and on a skewed one full of 1-of-M multisig inputs, and
-// the baseline validator gets the same thread × lane-backend sweep.
+// catalogue also compares scalar signature checks against the lane
+// backends (kLaneRuns), on the default chain and on a skewed one full of
+// 1-of-M multisig inputs, and the baseline validator gets the same
+// thread × lane-backend sweep.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
